@@ -291,26 +291,40 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(data).tobytes())
 
 
+def _read_exact(fh, n: int, path) -> bytes:
+    buf = fh.read(n)
+    if len(buf) != n:
+        end = fh.tell()
+        raise DataError(f"{path}: checkpoint truncated at byte {end} "
+                        f"(needed {n} bytes from byte {end - len(buf)})")
+    return buf
+
+
+def _unpack(fh, fmt: str, path) -> tuple:
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), path))
+
+
 def load_checkpoint(path: str | Path) -> Model:
+    """Read a GLCK file; a short file raises DataError naming the byte offset."""
     with open(path, "rb") as fh:
-        if fh.read(4) != GLCK_MAGIC:
+        if _read_exact(fh, 4, path) != GLCK_MAGIC:
             raise DataError(f"{path}: not a checkpoint (bad magic)")
-        version, vlen = struct.unpack("<II", fh.read(8))
+        version, vlen = _unpack(fh, "<II", path)
         if version != GLCK_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        variant = fh.read(vlen).decode("utf-8")
-        d, v, max_len, f_dim, n_layers, n_heads, ff_mult = struct.unpack("<7I", fh.read(28))
+        variant = _read_exact(fh, vlen, path).decode("utf-8")
+        d, v, max_len, f_dim, n_layers, n_heads, ff_mult = _unpack(fh, "<7I", path)
         cfg = ModelConfig(variant=variant, feature_dim=f_dim, embed_dim=d,
                           vocab_size=v, max_len=max_len, n_layers=n_layers,
                           n_heads=n_heads, ff_mult=ff_mult)
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = _unpack(fh, "<I", path)
         params: dict[str, Tensor] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
+            (nlen,) = _unpack(fh, "<I", path)
+            name = _read_exact(fh, nlen, path).decode("utf-8")
+            (ndim,) = _unpack(fh, "<I", path)
+            shape = _unpack(fh, f"<{ndim}Q", path)
             n_items = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(fh.read(8 * n_items), dtype="<f8").reshape(shape)
-            params[name] = Tensor(data.copy(), requires_grad=True)
+            data = np.frombuffer(_read_exact(fh, 8 * n_items, path), dtype="<f8")
+            params[name] = Tensor(data.reshape(shape).copy(), requires_grad=True)
     return Model(config=cfg, params=params)

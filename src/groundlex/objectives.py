@@ -62,7 +62,9 @@ def lm_loss(logits: Tensor, target_ids: np.ndarray) -> Tensor:
     """Mean next-word cross-entropy in nats over non-pad targets.
 
     logits (N, T, V) or (T, V) at position t predict target_ids[..., t];
-    callers shift the ids. Pad targets are excluded from the mean.
+    callers shift the ids. Padding is the trailing run of ``PAD_ID`` in each
+    row, as ``pad_batch`` leaves it, and is excluded from the mean; a
+    ``PAD_ID`` followed by any other target is an ordinary class.
     """
     targets = np.asarray(target_ids, dtype=np.intp)
     if logits.ndim == 2:
@@ -70,7 +72,9 @@ def lm_loss(logits: Tensor, target_ids: np.ndarray) -> Tensor:
         targets = targets[None, :]
     if targets.shape != logits.shape[:-1]:
         raise ShapeError("lm_loss", logits.shape, targets.shape)
-    valid = targets != PAD_ID
+    trailing_pad = np.flip(np.logical_and.accumulate(
+        np.flip(targets == PAD_ID, -1), axis=-1), -1)
+    valid = ~trailing_pad
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise DataError("lm_loss: every target position is <pad>")

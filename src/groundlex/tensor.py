@@ -14,6 +14,7 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import erf
 
 from .errors import NumericsError, ShapeError
@@ -251,9 +252,20 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes.
+
+    A 2-D right operand (a linear layer, or the tied LM head) is one GEMM
+    over the flattened leading axes of `a`: with ``a2 = a.reshape(-1, K)``
+    and ``g2 = grad.reshape(-1, M)`` the input gradient is ``g2 @ b.T`` and
+    the weight gradient is ``a2.T @ g2``, summed over every row in one call.
+    Any other right operand (the attention products) takes the batched path,
+    which sums broadcast axes out of each gradient.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError("matmul", a.shape, b.shape)
+    if b.ndim == 2:
+        return _matmul_rows(a, b)
     data = a.data @ b.data
 
     def bw(out):
@@ -263,6 +275,23 @@ def matmul(a, b) -> Tensor:
                 _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
             if b.requires_grad:
                 _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+        return run
+
+    return _make(data, "matmul", (a, b), bw)
+
+
+def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
+    """`a` (..., K) @ `b` (K, M) as one (rows, K) @ (K, M) GEMM."""
+    a2 = a.data.reshape(-1, a.shape[-1])
+    data = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
+
+    def bw(out):
+        def run():
+            g2 = out.grad.reshape(-1, b.shape[1])
+            if a.requires_grad:
+                _accum(a, (g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                _accum(b, a2.T @ g2)
         return run
 
     return _make(data, "matmul", (a, b), bw)
@@ -331,7 +360,12 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup: ids of any integer shape -> ids.shape + (D,)."""
+    """Row lookup: ids of any integer shape -> ids.shape + (D,).
+
+    The table gradient is a one-hot sparse (V, M) matrix times the (M, D)
+    output-row gradients, M = ids.size: each table row sums the gradients
+    of its occurrences in input order.
+    """
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeError("embedding", table.shape, ids.shape)
@@ -340,9 +374,10 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     def bw(out):
         def run():
             if table.requires_grad:
-                buf = np.zeros_like(table.data)
-                np.add.at(buf, ids.reshape(-1), out.grad.reshape(-1, table.shape[1]))
-                _accum(table, buf)
+                m = ids.size
+                onehot = csr_matrix((np.ones(m), (ids.reshape(-1), np.arange(m))),
+                                    shape=(table.shape[0], m))
+                _accum(table, onehot @ out.grad.reshape(m, table.shape[1]))
         return run
 
     return _make(data, "embedding", (table,), bw)
@@ -527,12 +562,6 @@ def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator,
         raise ValueError("dropout needs an explicit RNG at train time")
     mask = (rng.random(a.shape) < keep_prob) / keep_prob
     return mul(a, Tensor(mask))
-
-
-def scaled_dot(q: Tensor, k: Tensor, scale: float) -> Tensor:
-    """q @ k^T on the last two axes, multiplied by `scale`."""
-    return mul(matmul(q, transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))),
-               scale)
 
 
 # ---------------------------------------------------------------------------

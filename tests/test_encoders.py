@@ -271,3 +271,17 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 32)
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+def test_truncated_checkpoint_raises_data_error_with_offset(tmp_path):
+    path = tmp_path / "model.glck"
+    save_checkpoint(toy_model("cvcl_t_lm", seed=4), path)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.glck"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(DataError) as e:
+            load_checkpoint(cut)
+        msg = str(e.value)
+        assert str(cut) in msg
+        assert f"truncated at byte {n}" in msg

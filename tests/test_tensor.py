@@ -142,6 +142,52 @@ def test_matmul_batched_gradients():
     assert grad_check(f, [a, b, w]) < 1e-6
 
 
+def _matmul_batched_reference(a, b, g):
+    """The batched matmul path every product once took: forward, then the
+    input and weight gradients summed down to their operand shapes."""
+    return (a @ b,
+            gt._unbroadcast(g @ b.swapaxes(-1, -2), a.shape),
+            gt._unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
+
+
+@pytest.mark.parametrize("a_shape,w_shape,tied", [
+    ((8, 24, 512), (512, 2048), False),   # ff1
+    ((8, 24, 2048), (2048, 512), False),  # ff2
+    ((8, 24, 512), (2003, 512), True),    # tied LM head: hidden @ tok_emb.T
+])
+def test_matmul_2d_right_operand_matches_batched_reference(a_shape, w_shape, tied):
+    r = rng(21)
+    a = Tensor(r.normal(size=a_shape), requires_grad=True)
+    w = Tensor(r.normal(size=w_shape), requires_grad=True)
+    b = transpose(w, (1, 0)) if tied else w
+    out = matmul(a, b)
+    g = r.normal(size=out.shape)
+    tsum(mul(out, Tensor(g))).backward()
+    ref_out, ref_ga, ref_gb = _matmul_batched_reference(a.data, b.data, g)
+    if tied:
+        ref_gb = ref_gb.T
+    # The weight gradient sums N*T rows in one GEMM instead of N batched
+    # products plus a sum, so entries near zero differ by rounding only.
+    for got, ref in ((out.data, ref_out), (a.grad, ref_ga), (w.grad, ref_gb)):
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+
+def test_grad_check_3d_activation_through_2d_weights():
+    r = rng(13)
+    x = Tensor(r.normal(size=(2, 3, 4)), requires_grad=True)
+    w1 = Tensor(r.normal(size=(4, 5)), requires_grad=True)
+    b1 = Tensor(r.normal(size=5), requires_grad=True)
+    tok = Tensor(r.normal(size=(6, 5)), requires_grad=True)
+
+    def f(ts):
+        h = gelu(add(matmul(ts[0], ts[1]), ts[2]))
+        logits = matmul(h, transpose(ts[3], (1, 0)))
+        return mean(mul(logits, logits))
+
+    assert grad_check(f, [x, w1, b1, tok]) < 1e-6
+
+
 def test_matmul_shape_error_names_op_and_shapes():
     with pytest.raises(ShapeError) as e:
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
@@ -182,6 +228,33 @@ def test_embedding_lookup_and_grad():
     np.testing.assert_allclose(table.grad[2], 2.0)
     np.testing.assert_allclose(table.grad[0], 1.0)
     np.testing.assert_allclose(table.grad[1], 0.0)
+
+
+def _embedding_add_at_reference(table_shape, ids, g):
+    """The scatter the embedding backward once used."""
+    buf = np.zeros(table_shape)
+    np.add.at(buf, ids.reshape(-1), g.reshape(-1, table_shape[1]))
+    return buf
+
+
+@pytest.mark.parametrize("case", ["repeated", "positions", "empty"])
+def test_embedding_grad_bit_equal_to_add_at(case):
+    r = rng(17)
+    if case == "repeated":
+        table_shape = (2003, 512)
+        ids = r.integers(0, 40, size=(128, 12))  # 40 rows, each used ~38 times
+    elif case == "positions":
+        table_shape = (48, 512)
+        ids = np.broadcast_to(np.arange(24), (8, 24))
+    else:
+        table_shape = (11, 8)
+        ids = np.zeros((0, 5), dtype=np.intp)
+    table = Tensor(r.normal(size=table_shape), requires_grad=True)
+    out = embedding(table, ids)
+    g = r.normal(size=out.shape)
+    tsum(mul(out, Tensor(g))).backward()
+    np.testing.assert_array_equal(table.grad,
+                                  _embedding_add_at_reference(table_shape, ids, g))
 
 
 def test_take_per_row():
