@@ -9,6 +9,7 @@ repeated phrases within an utterance, drop adjacent same-text utterances.
 from __future__ import annotations
 
 import json
+import math
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -35,6 +36,9 @@ class UtteranceRecord:
     text: str
 
     def validate(self) -> None:
+        if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):
+            raise DataError(f"non-finite time ({self.start_s}, {self.end_s}) "
+                            f"in {self.video_id}")
         if self.start_s < 0:
             raise DataError(f"negative start time {self.start_s} in {self.video_id}")
         if self.end_s < self.start_s:
@@ -59,9 +63,9 @@ def load_records(path: str | Path) -> list[UtteranceRecord]:
                     speaker=str(obj["speaker"]),
                     text=str(obj["text"]),
                 )
-            except (KeyError, ValueError, TypeError) as exc:
+                rec.validate()
+            except (KeyError, ValueError, TypeError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: bad record ({exc})") from exc
-            rec.validate()
             records.append(rec)
     return records
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binio import read_exact, unpack
 from .corpus import EOS_ID, PAD_ID
 from .errors import DataError, ShapeError
 from .tensor import (
@@ -291,40 +292,27 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(data).tobytes())
 
 
-def _read_exact(fh, n: int, path) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        end = fh.tell()
-        raise DataError(f"{path}: checkpoint truncated at byte {end} "
-                        f"(needed {n} bytes from byte {end - len(buf)})")
-    return buf
-
-
-def _unpack(fh, fmt: str, path) -> tuple:
-    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), path))
-
-
 def load_checkpoint(path: str | Path) -> Model:
     """Read a GLCK file; a short file raises DataError naming the byte offset."""
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path) != GLCK_MAGIC:
+        if read_exact(fh, 4, path) != GLCK_MAGIC:
             raise DataError(f"{path}: not a checkpoint (bad magic)")
-        version, vlen = _unpack(fh, "<II", path)
+        version, vlen = unpack(fh, "<II", path)
         if version != GLCK_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        variant = _read_exact(fh, vlen, path).decode("utf-8")
-        d, v, max_len, f_dim, n_layers, n_heads, ff_mult = _unpack(fh, "<7I", path)
+        variant = read_exact(fh, vlen, path).decode("utf-8")
+        d, v, max_len, f_dim, n_layers, n_heads, ff_mult = unpack(fh, "<7I", path)
         cfg = ModelConfig(variant=variant, feature_dim=f_dim, embed_dim=d,
                           vocab_size=v, max_len=max_len, n_layers=n_layers,
                           n_heads=n_heads, ff_mult=ff_mult)
-        (count,) = _unpack(fh, "<I", path)
+        (count,) = unpack(fh, "<I", path)
         params: dict[str, Tensor] = {}
         for _ in range(count):
-            (nlen,) = _unpack(fh, "<I", path)
-            name = _read_exact(fh, nlen, path).decode("utf-8")
-            (ndim,) = _unpack(fh, "<I", path)
-            shape = _unpack(fh, f"<{ndim}Q", path)
+            (nlen,) = unpack(fh, "<I", path)
+            name = read_exact(fh, nlen, path).decode("utf-8")
+            (ndim,) = unpack(fh, "<I", path)
+            shape = unpack(fh, f"<{ndim}Q", path)
             n_items = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(_read_exact(fh, 8 * n_items, path), dtype="<f8")
+            data = np.frombuffer(read_exact(fh, 8 * n_items, path), dtype="<f8")
             params[name] = Tensor(data.reshape(shape).copy(), requires_grad=True)
     return Model(config=cfg, params=params)

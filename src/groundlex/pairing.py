@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binio import read_exact, unpack
 from .corpus import UtteranceRecord, Vocabulary, encode
 from .errors import DataError
 
@@ -72,6 +73,10 @@ class FeatureStore:
                             f"({len(timestamps)}, {self.feature_dim})")
         if video_id in self._timestamps:
             raise DataError(f"duplicate video {video_id!r} in feature store")
+        bad = ~(np.isfinite(timestamps) & np.isfinite(features).all(axis=1))
+        if bad.any():
+            raise DataError(f"non-finite timestamp or feature in video {video_id!r} "
+                            f"at frame {int(np.argmax(bad))}")
         order = np.argsort(timestamps, kind="stable")
         ts = np.ascontiguousarray(timestamps[order], dtype=np.float64)
         feats = np.ascontiguousarray(features[order], dtype=np.float64)
@@ -144,19 +149,20 @@ class FeatureStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureStore":
+        """Read a GLFX file; a short file raises DataError naming the byte offset."""
         with open(path, "rb") as fh:
-            magic = fh.read(4)
+            magic = read_exact(fh, 4, path)
             if magic != GLFX_MAGIC:
                 raise DataError(f"{path}: not a feature store (bad magic {magic!r})")
-            version, dim, count = struct.unpack("<IIQ", fh.read(16))
+            version, dim, count = unpack(fh, "<IIQ", path)
             if version != GLFX_VERSION:
                 raise DataError(f"{path}: unsupported version {version}")
             per_video: dict[str, tuple[list[float], list[np.ndarray]]] = {}
             for _ in range(count):
-                (vid_len,) = struct.unpack("<I", fh.read(4))
-                vid = fh.read(vid_len).decode("utf-8")
-                (t,) = struct.unpack("<d", fh.read(8))
-                vec = np.frombuffer(fh.read(8 * dim), dtype="<f8")
+                (vid_len,) = unpack(fh, "<I", path)
+                vid = read_exact(fh, vid_len, path).decode("utf-8")
+                (t,) = unpack(fh, "<d", path)
+                vec = np.frombuffer(read_exact(fh, 8 * dim, path), dtype="<f8")
                 ts, vecs = per_video.setdefault(vid, ([], []))
                 ts.append(t)
                 vecs.append(vec)

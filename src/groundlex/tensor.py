@@ -1,9 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Micrograd-style: every operation that touches a tracked tensor records its
-parents and a backward closure on the output; ``backward()`` on a scalar
-walks the recorded graph in reverse topological order. The graph is rebuilt
-on every forward pass, so releasing the loss tensor resets the tape.
+parents and a backward function on the output. The function takes the
+output's gradient as its argument and never refers to the output, so the
+tape holds no reference cycles: dropping the loss frees its graph at once,
+whether or not ``backward()`` ran. ``backward()`` on a scalar walks the graph
+in reverse topological order and consumes it, like PyTorch's default
+``retain_graph=False``. The graph is rebuilt on every forward pass.
 
 No higher-order gradients, no views: every op materialises its output.
 """
@@ -74,7 +77,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -103,7 +106,14 @@ class Tensor:
             self.grad.fill(0.0)
 
     def backward(self) -> None:
-        """Reverse-mode pass from a scalar; accumulates into leaf ``grad``s."""
+        """Reverse-mode pass from a scalar; accumulates into leaf ``grad``s.
+
+        Consumes the tape: every node it runs loses its ``_parents`` and
+        ``_backward``, and every node below this one loses its ``grad``, so
+        each intermediate gradient is freed once its parents have it. A
+        second call on the same tensor reaches no leaf and changes no
+        ``grad``.
+        """
         if self.data.size != 1:
             raise ShapeError("backward", self.shape)
         topo: list[Tensor] = []
@@ -125,9 +135,13 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad.fill(0.0)
         self.grad += 1.0
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
+                node._backward, node._parents = None, ()
+                if node is not self:
+                    node.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -182,14 +196,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _make(data: np.ndarray, op: str, parents: Sequence[Tensor],
-          backward: Callable[[Tensor], Callable[[], None]]) -> Tensor:
+          backward: Callable[[np.ndarray], None]) -> Tensor:
     _check_finite(data, op)
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.grad = None  # intermediates allocate lazily during backward
         out._parents = tuple(parents)
-        out._backward = backward(out)
+        out._backward = backward
     return out
 
 
@@ -204,13 +218,11 @@ def add(a, b) -> Tensor:
     except ValueError:
         raise ShapeError("add", a.shape, b.shape) from None
 
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                _accum(a, _unbroadcast(out.grad, a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(out.grad, b.shape))
-        return run
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
 
     return _make(data, "add", (a, b), bw)
 
@@ -222,13 +234,11 @@ def sub(a, b) -> Tensor:
     except ValueError:
         raise ShapeError("sub", a.shape, b.shape) from None
 
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                _accum(a, _unbroadcast(out.grad, a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(-out.grad, b.shape))
-        return run
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.shape))
 
     return _make(data, "sub", (a, b), bw)
 
@@ -240,13 +250,11 @@ def mul(a, b) -> Tensor:
     except ValueError:
         raise ShapeError("mul", a.shape, b.shape) from None
 
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                _accum(a, _unbroadcast(out.grad * b.data, a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(out.grad * a.data, b.shape))
-        return run
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(data, "mul", (a, b), bw)
 
@@ -268,14 +276,11 @@ def matmul(a, b) -> Tensor:
         return _matmul_rows(a, b)
     data = a.data @ b.data
 
-    def bw(out):
-        def run():
-            g = out.grad
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
-        return run
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _make(data, "matmul", (a, b), bw)
 
@@ -285,14 +290,12 @@ def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
     a2 = a.data.reshape(-1, a.shape[-1])
     data = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
 
-    def bw(out):
-        def run():
-            g2 = out.grad.reshape(-1, b.shape[1])
-            if a.requires_grad:
-                _accum(a, (g2 @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                _accum(b, a2.T @ g2)
-        return run
+    def bw(g):
+        g2 = g.reshape(-1, b.shape[1])
+        if a.requires_grad:
+            _accum(a, (g2 @ b.data.T).reshape(a.shape))
+        if b.requires_grad:
+            _accum(b, a2.T @ g2)
 
     return _make(data, "matmul", (a, b), bw)
 
@@ -300,11 +303,9 @@ def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = a.data.reshape(shape)
 
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                _accum(a, out.grad.reshape(a.shape))
-        return run
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g.reshape(a.shape))
 
     return _make(data, "reshape", (a,), bw)
 
@@ -313,11 +314,9 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     data = np.ascontiguousarray(a.data.transpose(axes))
     inverse = tuple(np.argsort(axes))
 
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                _accum(a, out.grad.transpose(inverse))
-        return run
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g.transpose(inverse))
 
     return _make(data, "transpose", (a,), bw)
 
@@ -325,15 +324,12 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def bw(out):
-        def run():
-            if not a.requires_grad:
-                return
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.shape).copy())
-        return run
+    def bw(g):
+        if not a.requires_grad:
+            return
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.shape).copy())
 
     return _make(np.asarray(data), "sum", (a,), bw)
 
@@ -342,15 +338,12 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.size if axis is None else a.shape[axis]
     data = a.data.mean(axis=axis, keepdims=keepdims)
 
-    def bw(out):
-        def run():
-            if not a.requires_grad:
-                return
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.shape) / count)
-        return run
+    def bw(g):
+        if not a.requires_grad:
+            return
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.shape) / count)
 
     return _make(np.asarray(data), "mean", (a,), bw)
 
@@ -371,14 +364,12 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ShapeError("embedding", table.shape, ids.shape)
     data = table.data[ids]
 
-    def bw(out):
-        def run():
-            if table.requires_grad:
-                m = ids.size
-                onehot = csr_matrix((np.ones(m), (ids.reshape(-1), np.arange(m))),
-                                    shape=(table.shape[0], m))
-                _accum(table, onehot @ out.grad.reshape(m, table.shape[1]))
-        return run
+    def bw(g):
+        if table.requires_grad:
+            m = ids.size
+            onehot = csr_matrix((np.ones(m), (ids.reshape(-1), np.arange(m))),
+                                shape=(table.shape[0], m))
+            _accum(table, onehot @ g.reshape(m, table.shape[1]))
 
     return _make(data, "embedding", (table,), bw)
 
@@ -390,13 +381,11 @@ def take_per_row(a: Tensor, idx: np.ndarray) -> Tensor:
     rows = np.arange(n)
     data = a.data[rows, idx]
 
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                buf = np.zeros_like(a.data)
-                buf[rows, idx] = out.grad
-                _accum(a, buf)
-        return run
+    def bw(g):
+        if a.requires_grad:
+            buf = np.zeros_like(a.data)
+            buf[rows, idx] = g
+            _accum(a, buf)
 
     return _make(data, "take_per_row", (a,), bw)
 
@@ -406,13 +395,11 @@ def take_along_last(a: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx)
     data = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
 
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                buf = np.zeros_like(a.data)
-                np.put_along_axis(buf, idx[..., None], out.grad[..., None], axis=-1)
-                _accum(a, buf)
-        return run
+    def bw(g):
+        if a.requires_grad:
+            buf = np.zeros_like(a.data)
+            np.put_along_axis(buf, idx[..., None], g[..., None], axis=-1)
+            _accum(a, buf)
 
     return _make(data, "take_along_last", (a,), bw)
 
@@ -424,13 +411,11 @@ def diag_part(a: Tensor) -> Tensor:
     rows = np.arange(n)
     data = a.data[rows, rows].copy()
 
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                buf = np.zeros_like(a.data)
-                buf[rows, rows] = out.grad
-                _accum(a, buf)
-        return run
+    def bw(g):
+        if a.requires_grad:
+            buf = np.zeros_like(a.data)
+            buf[rows, rows] = g
+            _accum(a, buf)
 
     return _make(data, "diag_part", (a,), bw)
 
@@ -447,12 +432,10 @@ def gelu(a: Tensor) -> Tensor:
     cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
     data = a.data * cdf
 
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-                _accum(a, out.grad * (cdf + a.data * pdf))
-        return run
+    def bw(g):
+        if a.requires_grad:
+            pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
+            _accum(a, g * (cdf + a.data * pdf))
 
     return _make(data, "gelu", (a,), bw)
 
@@ -474,12 +457,9 @@ def softmax(a: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor
         e = np.exp(x - m)
     y = e / e.sum(axis=axis, keepdims=True)
 
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                g = out.grad
-                _accum(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
-        return run
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
     return _make(y, "softmax", (a,), bw)
 
@@ -490,12 +470,9 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     z = x - m
     data = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                g = out.grad
-                _accum(a, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
-        return run
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
 
     return _make(data, "log_softmax", (a,), bw)
 
@@ -510,19 +487,16 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = (a.data - mu) * inv
     data = xhat * gamma.data + beta.data
 
-    def bw(out):
-        def run():
-            g = out.grad
-            if gamma.requires_grad:
-                _accum(gamma, (g * xhat).reshape(-1, a.shape[-1]).sum(axis=0))
-            if beta.requires_grad:
-                _accum(beta, g.reshape(-1, a.shape[-1]).sum(axis=0))
-            if a.requires_grad:
-                gx = g * gamma.data
-                m1 = gx.mean(axis=-1, keepdims=True)
-                m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-                _accum(a, inv * (gx - m1 - xhat * m2))
-        return run
+    def bw(g):
+        if gamma.requires_grad:
+            _accum(gamma, (g * xhat).reshape(-1, a.shape[-1]).sum(axis=0))
+        if beta.requires_grad:
+            _accum(beta, g.reshape(-1, a.shape[-1]).sum(axis=0))
+        if a.requires_grad:
+            gx = g * gamma.data
+            m1 = gx.mean(axis=-1, keepdims=True)
+            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+            _accum(a, inv * (gx - m1 - xhat * m2))
 
     return _make(data, "layer_norm", (a, gamma, beta), bw)
 
@@ -538,15 +512,12 @@ def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
     safe = np.where(zero, 1.0, norm)
     y = a.data / safe
 
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                g = out.grad
-                gx = (g - y * (g * y).sum(axis=axis, keepdims=True)) / safe
-                if zero.any():
-                    gx = np.where(zero, 0.0, gx)
-                _accum(a, gx)
-        return run
+    def bw(g):
+        if a.requires_grad:
+            gx = (g - y * (g * y).sum(axis=axis, keepdims=True)) / safe
+            if zero.any():
+                gx = np.where(zero, 0.0, gx)
+            _accum(a, gx)
 
     return _make(y, "l2_normalize", (a,), bw)
 

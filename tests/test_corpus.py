@@ -1,6 +1,7 @@
 """Corpus pipeline vs independent brute-force oracles."""
 
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -312,4 +313,22 @@ def test_load_records_rejects_missing_keys(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"video_id": "v"}\n')
     with pytest.raises(DataError):
+        load_records(path)
+
+
+def test_validate_rejects_non_finite_times():
+    for start, end in ((math.nan, math.nan), (0.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(DataError, match="non-finite"):
+            UtteranceRecord("v", start, end, "s", "x").validate()
+
+
+@pytest.mark.parametrize("start, end", [("NaN", "1.0"), ("0.0", "Infinity"),
+                                        ("-Infinity", "1.0"), ("5.0", "1.0")])
+def test_load_records_names_line_of_invalid_times(tmp_path, start, end):
+    path = tmp_path / "bad.jsonl"
+    good = json.dumps({"video_id": "v", "start_s": 0.0, "end_s": 1.0,
+                       "speaker": "s", "text": "x"})
+    path.write_text(good + "\n" + '{"video_id": "v", "start_s": %s, "end_s": %s, '
+                    '"speaker": "s", "text": "x"}\n' % (start, end))
+    with pytest.raises(DataError, match=f"{path}:2: "):
         load_records(path)

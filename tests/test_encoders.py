@@ -1,5 +1,7 @@
 """Encoder forward semantics, causality, gradients, checkpoint format."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from groundlex.encoders import (
     load_checkpoint, save_checkpoint,
 )
 from groundlex.errors import DataError, ShapeError
+from groundlex.objectives import contrastive_loss, joint_loss, lm_loss
 from groundlex.tensor import Tensor, grad_check, layer_norm, tsum, mul
 
 
@@ -285,3 +288,30 @@ def test_truncated_checkpoint_raises_data_error_with_offset(tmp_path):
         msg = str(e.value)
         assert str(cut) in msg
         assert f"truncated at byte {n}" in msg
+
+
+# --- autograd graph lifetime ---------------------------------------------------
+
+@pytest.mark.parametrize("run_backward", [True, False])
+def test_training_graph_is_freed_without_the_cycle_collector(run_backward):
+    # Every tape node must be freed by reference counting alone: a backward
+    # function that captures its own output would leave a cycle here.
+    model = toy_model("cvcl_t_lm", seed=5)
+    rng = np.random.default_rng(0)
+    ids = np.array([[5, 6, 7, EOS_ID], [8, 9, EOS_ID, PAD_ID]])
+    targets = np.concatenate([ids[:, 1:], np.full((2, 1), PAD_ID)], axis=1)
+    gc.collect()
+    gc.disable()
+    try:
+        frames = encode_frames(model, rng.normal(size=(2, 6)), train=True, rng=rng)
+        utts = encode_utterances(model, ids, train=True, rng=rng)
+        contrastive, _ = contrastive_loss(frames, utts)
+        logits = lm_logits(model, ids, train=True, rng=rng)
+        loss = joint_loss(lm_loss(logits, targets), contrastive)
+        del frames, utts, contrastive, logits
+        if run_backward:
+            loss.backward()
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

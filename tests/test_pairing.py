@@ -93,6 +93,34 @@ def test_store_rejects_bad_magic(tmp_path):
         FeatureStore.load(path)
 
 
+def test_truncated_feature_store_raises_data_error_with_offset(tmp_path):
+    path = tmp_path / "feat.glfx"
+    make_store(n_videos=1, frames_per_video=2).save(path)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.glfx"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(DataError) as e:
+            FeatureStore.load(cut)
+        msg = str(e.value)
+        assert str(cut) in msg
+        assert f"truncated at byte {n}" in msg
+
+
+@pytest.mark.parametrize("field", ["timestamp", "feature"])
+def test_add_video_rejects_non_finite_values(field):
+    ts = np.arange(5) * FRAME_PERIOD
+    feats = np.zeros((5, 3))
+    if field == "timestamp":
+        ts[[2, 4]] = [np.nan, np.inf]
+    else:
+        feats[2, 1], feats[3, 0] = -np.inf, np.nan
+    store = FeatureStore(3)
+    with pytest.raises(DataError, match="'v7' at frame 2$"):
+        store.add_video("v7", ts, feats)
+    assert not store.has_video("v7")
+
+
 def test_store_jsonl_roundtrip(tmp_path):
     path = tmp_path / "feat.jsonl"
     path.write_text(

@@ -66,6 +66,26 @@ def test_unused_leaf_gets_zero_grad():
     np.testing.assert_array_equal(u.grad, [0.0])
 
 
+def test_backward_consumes_the_tape():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    h = mul(w, w)
+    loss = tsum(h)
+    loss.backward()
+    assert h._parents == () and h._backward is None and h.grad is None
+    assert loss._parents == () and loss._backward is None
+    np.testing.assert_array_equal(loss.grad, 1.0)
+    np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+
+
+def test_second_backward_leaves_leaf_grads_unchanged():
+    w = Tensor(rng(5).normal(size=(3, 4)), requires_grad=True)
+    loss = tsum(gelu(matmul(w, transpose(w, (1, 0)))))
+    loss.backward()
+    first = w.grad.copy()
+    loss.backward()
+    np.testing.assert_array_equal(w.grad, first)
+
+
 def test_softmax_cross_entropy_gradient_uniform_logits():
     # Uniform logits, 4 classes, true class 0. Frozen value verified against
     # the finite-difference oracle below.
