@@ -19,3 +19,13 @@ def read_exact(fh, n: int, path) -> bytes:
 
 def unpack(fh, fmt: str, path) -> tuple:
     return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), path))
+
+
+def read_utf8(fh, n: int, path) -> str:
+    """Read `n` bytes of UTF-8 text; a bad byte raises DataError naming its offset."""
+    buf = read_exact(fh, n, path)
+    try:
+        return buf.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = fh.tell() - n + exc.start
+        raise DataError(f"{path}: invalid UTF-8 at byte {at}") from None

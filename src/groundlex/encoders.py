@@ -13,6 +13,7 @@ checkpoint format stay trivial.
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import read_exact, unpack
+from .binio import read_exact, read_utf8, unpack
 from .corpus import EOS_ID, PAD_ID
 from .errors import DataError, ShapeError
 from .tensor import (
@@ -31,7 +32,7 @@ from .tensor import (
 VARIANTS = ("cvcl", "cvcl_t", "cvcl_t_lm")
 
 GLCK_MAGIC = b"GLCK"
-GLCK_VERSION = 1
+GLCK_VERSION = 2
 
 
 @dataclass
@@ -72,40 +73,43 @@ def _xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.n
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Fresh trainable parameters: embeddings ~ N(0, 0.02^2), projections
-    Xavier-uniform, layer-norm affines at (1, 0)."""
-    if cfg.vocab_size < 4:
-        raise ValueError("vocab_size must cover the reserved specials")
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every trainable parameter, in initialisation order."""
     d = cfg.embed_dim
-    p: dict[str, np.ndarray] = {}
-
-    p["vis.proj_w"] = _xavier_uniform(rng, cfg.feature_dim, d)
-    p["vis.proj_b"] = np.zeros(d)
-    p["vis.ln_g"] = np.ones(d)
-    p["vis.ln_b"] = np.zeros(d)
-
-    p["lang.tok_emb"] = rng.normal(0.0, 0.02, size=(cfg.vocab_size, d))
-    p["lang.pos_emb"] = rng.normal(0.0, 0.02, size=(cfg.max_len, d))
-
+    shapes = {"vis.proj_w": (cfg.feature_dim, d), "vis.proj_b": (d,),
+              "vis.ln_g": (d,), "vis.ln_b": (d,),
+              "lang.tok_emb": (cfg.vocab_size, d), "lang.pos_emb": (cfg.max_len, d)}
     if cfg.uses_transformer:
         ff = cfg.ff_mult * d
         for i in range(cfg.n_layers):
             pre = f"lang.layer{i}."
-            p[pre + "ln1_g"] = np.ones(d)
-            p[pre + "ln1_b"] = np.zeros(d)
+            shapes[pre + "ln1_g"] = shapes[pre + "ln1_b"] = (d,)
             for name in ("wq", "wk", "wv", "wo"):
-                p[pre + name] = _xavier_uniform(rng, d, d)
-                p[pre + name[1] + "b"] = np.zeros(d)
-            p[pre + "ln2_g"] = np.ones(d)
-            p[pre + "ln2_b"] = np.zeros(d)
-            p[pre + "ff1_w"] = _xavier_uniform(rng, d, ff)
-            p[pre + "ff1_b"] = np.zeros(ff)
-            p[pre + "ff2_w"] = _xavier_uniform(rng, ff, d)
-            p[pre + "ff2_b"] = np.zeros(d)
-        p["lang.lnf_g"] = np.ones(d)
-        p["lang.lnf_b"] = np.zeros(d)
+                shapes[pre + name] = (d, d)
+                shapes[pre + name[1] + "b"] = (d,)
+            shapes[pre + "ln2_g"] = shapes[pre + "ln2_b"] = (d,)
+            shapes[pre + "ff1_w"], shapes[pre + "ff1_b"] = (d, ff), (ff,)
+            shapes[pre + "ff2_w"], shapes[pre + "ff2_b"] = (ff, d), (d,)
+        shapes["lang.lnf_g"] = shapes["lang.lnf_b"] = (d,)
+    return shapes
 
+
+def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Fresh trainable parameters: embeddings ~ N(0, 0.02^2), projections
+    Xavier-uniform, layer-norm affines at (1, 0). Random draws follow the
+    ``param_shapes`` order."""
+    if cfg.vocab_size < 4:
+        raise ValueError("vocab_size must cover the reserved specials")
+    p: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(cfg).items():
+        if name.endswith("_emb"):
+            p[name] = rng.normal(0.0, 0.02, size=shape)
+        elif len(shape) == 2:
+            p[name] = _xavier_uniform(rng, *shape)
+        elif name.endswith("_g"):
+            p[name] = np.ones(shape)
+        else:
+            p[name] = np.zeros(shape)
     return {name: Tensor(arr, requires_grad=True) for name, arr in p.items()}
 
 
@@ -271,16 +275,15 @@ def lm_logits(model: Model, ids_batch, train: bool = False,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    """Versioned binary: header {magic, version, variant, D, V, max_len,
-    feature_dim, n_layers, n_heads, ff_mult} then named f64 blocks."""
-    cfg = model.config
+    """Versioned binary: header {magic, version u32, config as u32-length-
+    prefixed UTF-8 JSON of ``ModelConfig.as_dict()``, parameter count u32},
+    then per parameter in name order {u32-length-prefixed UTF-8 name,
+    ndim u32, shape u64 x ndim, f64 values}."""
+    config = json.dumps(model.config.as_dict(), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(GLCK_MAGIC)
-        variant = cfg.variant.encode("utf-8")
-        fh.write(struct.pack("<II", GLCK_VERSION, len(variant)))
-        fh.write(variant)
-        fh.write(struct.pack("<7I", cfg.embed_dim, cfg.vocab_size, cfg.max_len,
-                             cfg.feature_dim, cfg.n_layers, cfg.n_heads, cfg.ff_mult))
+        fh.write(struct.pack("<II", GLCK_VERSION, len(config)))
+        fh.write(config)
         fh.write(struct.pack("<I", len(model.params)))
         for name in sorted(model.params):
             data = model.params[name].data
@@ -293,26 +296,37 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Model:
-    """Read a GLCK file; a short file raises DataError naming the byte offset."""
+    """Read a GLCK file. A short file, a bad config or text field, or
+    parameter names and shapes that disagree with the stored config raise
+    DataError naming the path."""
     with open(path, "rb") as fh:
         if read_exact(fh, 4, path) != GLCK_MAGIC:
             raise DataError(f"{path}: not a checkpoint (bad magic)")
-        version, vlen = unpack(fh, "<II", path)
+        version, clen = unpack(fh, "<II", path)
         if version != GLCK_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        variant = read_exact(fh, vlen, path).decode("utf-8")
-        d, v, max_len, f_dim, n_layers, n_heads, ff_mult = unpack(fh, "<7I", path)
-        cfg = ModelConfig(variant=variant, feature_dim=f_dim, embed_dim=d,
-                          vocab_size=v, max_len=max_len, n_layers=n_layers,
-                          n_heads=n_heads, ff_mult=ff_mult)
+        config = read_utf8(fh, clen, path)
+        try:
+            cfg = ModelConfig(**json.loads(config))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: bad config header {config!r} ({exc})") from None
+        expected = param_shapes(cfg)
         (count,) = unpack(fh, "<I", path)
         params: dict[str, Tensor] = {}
         for _ in range(count):
             (nlen,) = unpack(fh, "<I", path)
-            name = read_exact(fh, nlen, path).decode("utf-8")
+            name = read_utf8(fh, nlen, path)
             (ndim,) = unpack(fh, "<I", path)
             shape = unpack(fh, f"<{ndim}Q", path)
+            if name not in expected or name in params:
+                raise DataError(f"{path}: unexpected parameter {name!r} for {cfg}")
+            if shape != expected[name]:
+                raise DataError(f"{path}: parameter {name!r} has shape {shape}, "
+                                f"config expects {expected[name]}")
             n_items = int(np.prod(shape)) if ndim else 1
             data = np.frombuffer(read_exact(fh, 8 * n_items, path), dtype="<f8")
             params[name] = Tensor(data.reshape(shape).copy(), requires_grad=True)
+    missing = expected.keys() - params.keys()
+    if missing:
+        raise DataError(f"{path}: missing parameters {sorted(missing)} for {cfg}")
     return Model(config=cfg, params=params)

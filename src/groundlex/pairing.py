@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import read_exact, unpack
+from .binio import read_exact, read_utf8, unpack
 from .corpus import UtteranceRecord, Vocabulary, encode
 from .errors import DataError
 
@@ -24,6 +24,10 @@ FRAME_RATE = 3.75
 FRAME_PERIOD = 1.0 / FRAME_RATE
 FRAMES_PER_UTTERANCE = 16
 RESOLVE_TOLERANCE = 0.5 * FRAME_PERIOD
+# Timestamps closer than this are one instant up to float rounding (say 2.4 and
+# 2.4000000000000004 from summed frame periods): they may share a frame key,
+# which keeps the later frame. Frames farther apart must not share a key.
+SAME_INSTANT_S = 1e-6
 
 GLFX_MAGIC = b"GLFX"
 GLFX_VERSION = 1
@@ -82,11 +86,17 @@ class FeatureStore:
         feats = np.ascontiguousarray(features[order], dtype=np.float64)
         ts.setflags(write=False)
         feats.setflags(write=False)
-        self._timestamps[video_id] = ts
-        self._features[video_id] = feats
+        by_key: dict[str, FrameFeature] = {}
         for i, t in enumerate(ts):
             frame = FrameFeature(video_id, float(t), feats[i])
-            self._by_key[frame.key()] = frame
+            key = frame.key()
+            if key in by_key and frame.timestamp_s - by_key[key].timestamp_s > SAME_INSTANT_S:
+                raise DataError(f"video {video_id!r} has frames at {by_key[key].timestamp_s} s "
+                                f"and {frame.timestamp_s} s, which share the key {key!r}")
+            by_key[key] = frame
+        self._timestamps[video_id] = ts
+        self._features[video_id] = feats
+        self._by_key.update(by_key)
 
     def frames_of(self, video_id: str) -> list[FrameFeature]:
         ts = self._timestamps.get(video_id)
@@ -160,7 +170,7 @@ class FeatureStore:
             per_video: dict[str, tuple[list[float], list[np.ndarray]]] = {}
             for _ in range(count):
                 (vid_len,) = unpack(fh, "<I", path)
-                vid = read_exact(fh, vid_len, path).decode("utf-8")
+                vid = read_utf8(fh, vid_len, path)
                 (t,) = unpack(fh, "<d", path)
                 vec = np.frombuffer(read_exact(fh, 8 * dim, path), dtype="<f8")
                 ts, vecs = per_video.setdefault(vid, ([], []))

@@ -13,6 +13,7 @@ from groundlex.encoders import (
 )
 from groundlex.errors import DataError, ShapeError
 from groundlex.objectives import contrastive_loss, joint_loss, lm_loss
+from groundlex.optim import AdamWState, adamw_step
 from groundlex.tensor import Tensor, grad_check, layer_norm, tsum, mul
 
 
@@ -288,6 +289,113 @@ def test_truncated_checkpoint_raises_data_error_with_offset(tmp_path):
         msg = str(e.value)
         assert str(cut) in msg
         assert f"truncated at byte {n}" in msg
+
+
+def test_checkpoint_keeps_the_whole_config(tmp_path):
+    model = toy_model("cvcl_t_lm", seed=6, dropout=0.3, ff_mult=2)
+    path = tmp_path / "model.glck"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    assert loaded.config == model.config
+    assert loaded.config.dropout == 0.3
+
+
+@pytest.mark.parametrize("offset", ["config", "name"])
+def test_corrupt_checkpoint_text_raises_data_error_with_offset(tmp_path, offset):
+    path = tmp_path / "model.glck"
+    save_checkpoint(toy_model("cvcl_t", seed=7), path)
+    blob = bytearray(path.read_bytes())
+    at = 12 if offset == "config" else blob.index(b"lang.layer1.wq")
+    blob[at] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match=f"invalid UTF-8 at byte {at}$") as e:
+        load_checkpoint(path)
+    assert str(path) in str(e.value)
+
+
+def test_checkpoint_with_bad_config_raises_data_error(tmp_path):
+    path = tmp_path / "model.glck"
+    save_checkpoint(toy_model("cvcl_t", seed=7), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b'"variant": "cvcl_t"', b'"variant": "cvcl_x"', 1))
+    with pytest.raises(DataError, match="bad config header .*unknown variant 'cvcl_x'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("change,expected", [
+    ("shape", r"'vis\.proj_b' has shape \(9,\), config expects \(8,\)"),
+    ("missing", r"missing parameters \['vis\.ln_g'\]"),
+    ("extra", r"unexpected parameter 'vis\.extra'"),
+])
+def test_checkpoint_parameters_must_match_config(tmp_path, change, expected):
+    model = toy_model("cvcl", seed=8)
+    if change == "shape":
+        model.params["vis.proj_b"] = Tensor(np.zeros(9), requires_grad=True)
+    elif change == "missing":
+        del model.params["vis.ln_g"]
+    else:
+        model.params["vis.extra"] = Tensor(np.zeros(8), requires_grad=True)
+    path = tmp_path / "model.glck"
+    save_checkpoint(model, path)
+    with pytest.raises(DataError, match=expected):
+        load_checkpoint(path)
+
+
+def test_init_params_draw_order_is_unchanged():
+    # The draw sequence every seeded run and checkpoint depends on.
+    cfg = toy_config("cvcl_t_lm")
+    d, ff = cfg.embed_dim, cfg.ff_mult * cfg.embed_dim
+    rng = np.random.default_rng(9)
+
+    def xavier(fan_in, fan_out):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+    expected = {"vis.proj_w": xavier(cfg.feature_dim, d),
+                "lang.tok_emb": rng.normal(0.0, 0.02, size=(cfg.vocab_size, d)),
+                "lang.pos_emb": rng.normal(0.0, 0.02, size=(cfg.max_len, d))}
+    for i in range(cfg.n_layers):
+        for name in ("wq", "wk", "wv", "wo"):
+            expected[f"lang.layer{i}.{name}"] = xavier(d, d)
+        expected[f"lang.layer{i}.ff1_w"] = xavier(d, ff)
+        expected[f"lang.layer{i}.ff2_w"] = xavier(ff, d)
+    params = Model.init(cfg, np.random.default_rng(9)).params
+    assert len(params) == 6 + 16 * cfg.n_layers + 2
+    for name, p in params.items():
+        if name in expected:
+            assert p.data.tobytes() == expected[name].tobytes(), name
+        else:
+            fill = 1.0 if name.endswith("_g") else 0.0
+            assert p.data.ndim == 1 and np.all(p.data == fill), name
+
+
+# --- seeded training ---------------------------------------------------------------
+
+def train_toy_joint_model(steps=4):
+    model = toy_model("cvcl_t_lm", seed=10, dropout=0.3)
+    rng = np.random.default_rng((10, 1))
+    state = AdamWState()
+    ids = np.array([[5, 6, 7, EOS_ID], [8, 9, EOS_ID, PAD_ID], [4, EOS_ID, PAD_ID, PAD_ID]])
+    targets = np.concatenate([ids[:, 1:], np.full((3, 1), PAD_ID)], axis=1)
+    for _ in range(steps):
+        model.zero_grad()
+        frames = encode_frames(model, rng.normal(size=(3, 6)), train=True, rng=rng)
+        utts = encode_utterances(model, ids, train=True, rng=rng)
+        contrastive, _ = contrastive_loss(frames, utts)
+        logits = lm_logits(model, ids, train=True, rng=rng)
+        joint_loss(lm_loss(logits, targets), contrastive).backward()
+        adamw_step(model.params, state, lr=1e-2)
+    return model
+
+
+def test_seeded_training_is_bit_identical():
+    first, second = train_toy_joint_model(), train_toy_joint_model()
+    start = toy_model("cvcl_t_lm", seed=10, dropout=0.3)
+    assert first.params.keys() == second.params.keys()
+    for name, p in first.params.items():
+        assert p.data.tobytes() == second.params[name].data.tobytes(), name
+    assert not np.array_equal(first.params["lang.layer1.wq"].data,
+                              start.params["lang.layer1.wq"].data)
 
 
 # --- autograd graph lifetime ---------------------------------------------------

@@ -1,11 +1,12 @@
 """AdamW and learning-rate schedule contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from groundlex.optim import AdamWState, LRSchedule, adamw_step, lr_at
+from groundlex.optim import _BLOCK, AdamWState, LRSchedule, adamw_step, lr_at
 from groundlex.tensor import Tensor
 
 
@@ -96,3 +97,73 @@ def test_lr_schedule_rejects_bad_bounds():
         LRSchedule(peak_lr=1.0, warmup_steps=0, total_steps=10)
     with pytest.raises(ValueError):
         LRSchedule(peak_lr=1.0, warmup_steps=10, total_steps=5)
+
+
+# --- blocked in-place update ------------------------------------------------
+
+def reference_adamw_step(params, state, lr):
+    """The unblocked whole-array update the blocked one must reproduce bit
+    for bit."""
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for name, p in params.items():
+        g = p.grad
+        m = state.first_moment.setdefault(name, np.zeros_like(p.data))
+        v = state.second_moment.setdefault(name, np.zeros_like(p.data))
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        if state.weight_decay:
+            p.data *= 1.0 - lr * state.weight_decay
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+
+
+@pytest.mark.parametrize("weight_decay", [0.1, 0.0])
+def test_adamw_blocked_update_is_bit_identical_to_whole_array(weight_decay):
+    rng = np.random.default_rng(7)
+    shapes = [(1,), (_BLOCK,), (3 * _BLOCK + 7,), (2004, 512)]
+    init = {f"p{i}": rng.normal(size=s) for i, s in enumerate(shapes)}
+    ours = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+    ref = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+    ours_state = AdamWState(weight_decay=weight_decay)
+    ref_state = AdamWState(weight_decay=weight_decay)
+    for step, lr in enumerate([1e-3, 3e-4, 2e-3, 5e-4, 1e-2]):
+        for k in init:
+            g = rng.normal(scale=10.0 ** (step - 2), size=init[k].shape)
+            ours[k].grad = g.copy()
+            ref[k].grad = g
+        adamw_step(ours, ours_state, lr)
+        reference_adamw_step(ref, ref_state, lr)
+    for k in init:
+        assert ours[k].data.tobytes() == ref[k].data.tobytes()
+        assert ours_state.first_moment[k].tobytes() == ref_state.first_moment[k].tobytes()
+        assert ours_state.second_moment[k].tobytes() == ref_state.second_moment[k].tobytes()
+
+
+def test_adamw_step_allocates_no_parameter_sized_temporaries():
+    rng = np.random.default_rng(8)
+    p = Tensor(rng.normal(size=(2004, 512)), requires_grad=True)
+    p.grad = rng.normal(size=p.shape)
+    state = AdamWState()
+    adamw_step({"p": p}, state, lr=1e-3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        adamw_step({"p": p}, state, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < p.data.nbytes / 10
+
+
+def test_adamw_moments_are_allocated_once():
+    p = make_param(np.arange(5.0))
+    state = AdamWState()
+    adamw_step({"p": p}, state, lr=1e-3)
+    m, v = state.first_moment["p"], state.second_moment["p"]
+    for _ in range(3):
+        adamw_step({"p": p}, state, lr=1e-3)
+        assert state.first_moment["p"] is m and state.second_moment["p"] is v

@@ -121,6 +121,26 @@ def test_add_video_rejects_non_finite_values(field):
     assert not store.has_video("v7")
 
 
+
+def test_corrupt_video_id_raises_data_error_with_offset(tmp_path):
+    path = tmp_path / "feat.glfx"
+    make_store(n_videos=1, frames_per_video=2).save(path)
+    blob = bytearray(path.read_bytes())
+    blob[24] = 0xFF  # first byte of the first frame's video id
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="invalid UTF-8 at byte 24$") as e:
+        FeatureStore.load(path)
+    assert str(path) in str(e.value)
+
+
+def test_add_video_rejects_frames_that_share_a_key():
+    store = make_store(n_videos=1)
+    with pytest.raises(DataError) as e:
+        store.add_video("v", np.array([0.0, 1.0, 1.0004]), np.zeros((3, 4)))
+    msg = str(e.value)
+    assert "'v'" in msg and "at 1.0 s and 1.0004 s" in msg
+    assert not store.has_video("v") and len(store) == 8
+
 def test_store_jsonl_roundtrip(tmp_path):
     path = tmp_path / "feat.jsonl"
     path.write_text(
