@@ -315,23 +315,3 @@ def split_stats(manifest: SplitManifest, records: list[UtteranceRecord]) -> dict
             vocab = None
     stats["vocabulary_size"] = len(vocab.words()) if vocab else 0
     return stats
-
-
-def format_stats_table(stats: dict) -> str:
-    """Aligned plain-text table mirroring the per-partition stats schema."""
-    rows = ["videos", "utterances", "avg_utterance_length", "total_words"]
-    extra = [k for k in ("extracted_frames", "avg_frames_per_utterance")
-             if any(k in p for p in stats["partitions"].values())]
-    rows += extra
-    parts = list(stats["partitions"])
-    width = max(len(r) for r in rows + ["vocabulary_size"]) + 2
-    header = f"{stats['split_name']:<{width}}" + "".join(f"{p:>14}" for p in parts)
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        cells = []
-        for p in parts:
-            v = stats["partitions"][p].get(row, "")
-            cells.append(f"{v:>14.2f}" if isinstance(v, float) else f"{v:>14}")
-        lines.append(f"{row:<{width}}" + "".join(cells))
-    lines.append(f"{'vocabulary_size':<{width}}" + f"{stats['vocabulary_size']:>14}")
-    return "\n".join(lines)

@@ -9,10 +9,7 @@ import numpy as np
 
 from .corpus import PAD_ID
 from .errors import DataError, ShapeError
-from .tensor import (
-    Tensor, diag_part, l2_normalize, log_softmax, matmul, mean, mul,
-    reshape, take_along_last, transpose, tsum,
-)
+from .tensor import Tensor, cross_entropy, l2_normalize, matmul, mul, transpose
 
 
 @dataclass(frozen=True)
@@ -40,9 +37,11 @@ def contrastive_loss(frame_embs: Tensor, utt_embs: Tensor,
     """Symmetric in-batch contrastive loss over matched rows.
 
     Rows are L2-normalized first (so logits are cosine similarities over the
-    temperature), each direction is an N-way softmax against the batch, and
-    the two directions average: 1/2 frame-side + 1/2 utterance-side.
-    Returns the scalar loss plus per-direction values for logging.
+    temperature). Each direction is one N-way ``cross_entropy`` against the
+    batch with row i matched to column i: ``cross_entropy(S, arange(N))`` for
+    frames and ``cross_entropy(S.T, arange(N))`` for utterances. The two
+    average: 1/2 frame-side + 1/2 utterance-side. Returns the scalar loss
+    plus per-direction values for logging.
     """
     if frame_embs.shape != utt_embs.shape or frame_embs.ndim != 2:
         raise ShapeError("contrastive_loss", frame_embs.shape, utt_embs.shape)
@@ -52,8 +51,9 @@ def contrastive_loss(frame_embs: Tensor, utt_embs: Tensor,
     sims = mul(matmul(frame_embs, transpose(utt_embs, (1, 0))),
                1.0 / cfg.temperature)
     # rows: one frame vs all utterances; columns: one utterance vs all frames
-    loss_frame = -mean(diag_part(log_softmax(sims, axis=1)))
-    loss_utterance = -mean(diag_part(log_softmax(sims, axis=0)))
+    matched = np.arange(sims.shape[0])
+    loss_frame = cross_entropy(sims, matched)
+    loss_utterance = cross_entropy(transpose(sims, (1, 0)), matched)
     loss = mul(loss_frame + loss_utterance, 0.5)
     return loss, {"frame": loss_frame.item(), "utterance": loss_utterance.item()}
 
@@ -61,27 +61,20 @@ def contrastive_loss(frame_embs: Tensor, utt_embs: Tensor,
 def lm_loss(logits: Tensor, target_ids: np.ndarray) -> Tensor:
     """Mean next-word cross-entropy in nats over non-pad targets.
 
-    logits (N, T, V) or (T, V) at position t predict target_ids[..., t];
-    callers shift the ids. Padding is the trailing run of ``PAD_ID`` in each
-    row, as ``pad_batch`` leaves it, and is excluded from the mean; a
-    ``PAD_ID`` followed by any other target is an ordinary class.
+    One masked ``cross_entropy`` call. logits (N, T, V) or (T, V) at
+    position t predict target_ids[..., t]; callers shift the ids. Padding is
+    the trailing run of ``PAD_ID`` in each row, as ``pad_batch`` leaves it,
+    and is excluded from the mean; a ``PAD_ID`` followed by any other target
+    is an ordinary class.
     """
     targets = np.asarray(target_ids, dtype=np.intp)
-    if logits.ndim == 2:
-        logits = reshape(logits, (1,) + logits.shape)
-        targets = targets[None, :]
-    if targets.shape != logits.shape[:-1]:
+    if logits.ndim < 2 or targets.shape != logits.shape[:-1]:
         raise ShapeError("lm_loss", logits.shape, targets.shape)
     trailing_pad = np.flip(np.logical_and.accumulate(
         np.flip(targets == PAD_ID, -1), axis=-1), -1)
-    valid = ~trailing_pad
-    n_valid = int(valid.sum())
-    if n_valid == 0:
+    if trailing_pad.all():
         raise DataError("lm_loss: every target position is <pad>")
-    logprobs = take_along_last(log_softmax(logits, axis=-1),
-                               np.where(valid, targets, 0))
-    picked = mul(logprobs, Tensor(valid.astype(np.float64)))
-    return mul(tsum(picked), -1.0 / n_valid)
+    return cross_entropy(logits, targets, ~trailing_pad)
 
 
 def joint_loss(lm: Tensor, contrastive: Tensor,

@@ -26,7 +26,8 @@ FRAMES_PER_UTTERANCE = 16
 RESOLVE_TOLERANCE = 0.5 * FRAME_PERIOD
 # Timestamps closer than this are one instant up to float rounding (say 2.4 and
 # 2.4000000000000004 from summed frame periods): they may share a frame key,
-# which keeps the later frame. Frames farther apart must not share a key.
+# and ``by_key`` returns what ``resolve`` returns for that key's instant.
+# Frames farther apart must not share a key.
 SAME_INSTANT_S = 1e-6
 
 GLFX_MAGIC = b"GLFX"
@@ -60,7 +61,6 @@ class FeatureStore:
         self.feature_dim = int(feature_dim)
         self._timestamps: dict[str, np.ndarray] = {}
         self._features: dict[str, np.ndarray] = {}
-        self._by_key: dict[str, FrameFeature] = {}
 
     def __len__(self) -> int:
         return sum(len(t) for t in self._timestamps.values())
@@ -86,17 +86,16 @@ class FeatureStore:
         feats = np.ascontiguousarray(features[order], dtype=np.float64)
         ts.setflags(write=False)
         feats.setflags(write=False)
-        by_key: dict[str, FrameFeature] = {}
-        for i, t in enumerate(ts):
-            frame = FrameFeature(video_id, float(t), feats[i])
-            key = frame.key()
-            if key in by_key and frame.timestamp_s - by_key[key].timestamp_s > SAME_INSTANT_S:
-                raise DataError(f"video {video_id!r} has frames at {by_key[key].timestamp_s} s "
-                                f"and {frame.timestamp_s} s, which share the key {key!r}")
-            by_key[key] = frame
+        # Keys follow sorted time, so frames that share one are neighbours, and
+        # neighbours 2 ms or more apart cannot round to the same millisecond.
+        gaps = np.diff(ts)
+        for i in np.flatnonzero((gaps > SAME_INSTANT_S) & (gaps < 2e-3)):
+            key = frame_key(video_id, ts[i])
+            if key == frame_key(video_id, ts[i + 1]):
+                raise DataError(f"video {video_id!r} has frames at {ts[i]} s "
+                                f"and {ts[i + 1]} s, which share the key {key!r}")
         self._timestamps[video_id] = ts
         self._features[video_id] = feats
-        self._by_key.update(by_key)
 
     def frames_of(self, video_id: str) -> list[FrameFeature]:
         ts = self._timestamps.get(video_id)
@@ -105,17 +104,18 @@ class FeatureStore:
         feats = self._features[video_id]
         return [FrameFeature(video_id, float(t), feats[i]) for i, t in enumerate(ts)]
 
-    def all_frames(self) -> list[FrameFeature]:
-        out = []
-        for vid in self._timestamps:
-            out.extend(self.frames_of(vid))
-        return out
-
     def by_key(self, key: str) -> FrameFeature:
+        """The stored frame whose `frame_key` is `key`: what `resolve` returns
+        at the key's instant. A malformed or unknown key raises DataError."""
+        video_id, _, stamp = key.rpartition("@")
         try:
-            return self._by_key[key]
-        except KeyError:
-            raise DataError(f"frame key {key!r} not in store") from None
+            timestamp_s = float(stamp)
+        except ValueError:
+            raise DataError(f"malformed frame key {key!r}") from None
+        frame = self.resolve(video_id, timestamp_s)
+        if frame is None or frame.key() != key:
+            raise DataError(f"frame key {key!r} not in store")
+        return frame
 
     def has_video(self, video_id: str) -> bool:
         return video_id in self._timestamps
@@ -248,7 +248,6 @@ class EpisodePair:
     video_id: str
     text: str = ""
     start_s: float = 0.0
-    fixed_frame: FrameFeature | None = None  # set by validation filtering
 
 
 @dataclass

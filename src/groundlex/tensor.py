@@ -22,10 +22,9 @@ from scipy.special import erf
 
 from .errors import NumericsError, ShapeError
 
-# Module switches. NaN checks cost one pass over each op output; they stay on
-# by default because desk-scale runs are small.
+# Graph recording switch, flipped by ``no_grad``. Every op output is also
+# checked for NaN/Inf; that costs one pass, and desk-scale runs are small.
 _grad_enabled = True
-_nan_checks = True
 
 # Counts L2-normalisations that hit an exact zero vector (degenerate
 # embeddings are returned as zero vectors rather than raising).
@@ -53,13 +52,8 @@ class no_grad:
         return False
 
 
-def set_nan_checks(enabled: bool) -> None:
-    global _nan_checks
-    _nan_checks = enabled
-
-
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if _nan_checks and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise NumericsError(op)
 
 
@@ -390,36 +384,6 @@ def take_per_row(a: Tensor, idx: np.ndarray) -> Tensor:
     return _make(data, "take_per_row", (a,), bw)
 
 
-def take_along_last(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Pick one entry along the final axis: a (...,V), idx (...) -> (...)."""
-    idx = np.asarray(idx)
-    data = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
-
-    def bw(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.put_along_axis(buf, idx[..., None], g[..., None], axis=-1)
-            _accum(a, buf)
-
-    return _make(data, "take_along_last", (a,), bw)
-
-
-def diag_part(a: Tensor) -> Tensor:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError("diag_part", a.shape)
-    n = a.shape[0]
-    rows = np.arange(n)
-    data = a.data[rows, rows].copy()
-
-    def bw(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            buf[rows, rows] = g
-            _accum(a, buf)
-
-    return _make(data, "diag_part", (a,), bw)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities and normalisation
 # ---------------------------------------------------------------------------
@@ -464,17 +428,46 @@ def softmax(a: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor
     return _make(y, "softmax", (a,), bw)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    x = a.data
-    m = x.max(axis=axis, keepdims=True)
-    z = x - m
-    data = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+def cross_entropy(logits: Tensor, targets: np.ndarray,
+                  valid: np.ndarray | None = None) -> Tensor:
+    """Mean of -log softmax(logits)[target] along the last axis, in nats.
+
+    logits (..., C), targets (...) integer classes in [0, C). ``valid``
+    (boolean, shaped like targets) keeps the rows that count; every row
+    counts when it is None. The mean runs over the n kept rows. With
+    p = softmax(logits) the gradient is ``(p - onehot(target)) * valid * g / n``,
+    computed in place in the forward's exponentials.
+    """
+    targets = np.asarray(targets, dtype=np.intp)
+    keep = np.ones(targets.shape, bool) if valid is None else np.asarray(valid, bool)
+    if logits.ndim < 1 or targets.shape != logits.shape[:-1] or keep.shape != targets.shape:
+        raise ShapeError("cross_entropy", logits.shape, targets.shape, keep.shape)
+    classes = logits.shape[-1]
+    t, keep = targets.reshape(-1), keep.reshape(-1)
+    if t.size and (t.min() < 0 or t.max() >= classes):
+        raise ShapeError("cross_entropy", logits.shape, targets.shape)
+    n = int(keep.sum())
+    if n == 0:
+        raise NumericsError("cross_entropy", "no row to average over")
+    rows = np.arange(t.size)
+    x = logits.data.reshape(-1, classes)
+    e = x - x.max(axis=-1, keepdims=True)
+    picked = e[rows, t]
+    np.exp(e, out=e)
+    s = e.sum(axis=-1, keepdims=True)
+    picked -= np.log(s[:, 0])
+    picked *= keep
+    data = picked.sum() * (-1.0 / n)
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
+        if logits.requires_grad:
+            # The tape runs this once, so the exponentials become the gradient.
+            np.divide(e, s, out=e)
+            e[rows, t] -= 1.0
+            np.multiply(e, (keep * (g / n))[:, None], out=e)
+            _accum(logits, e.reshape(logits.shape))
 
-    return _make(data, "log_softmax", (a,), bw)
+    return _make(np.asarray(data), "cross_entropy", (logits,), bw)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -151,6 +151,29 @@ def test_store_jsonl_roundtrip(tmp_path):
     np.testing.assert_array_equal(store.by_key(frame_key("v0", 0.5)).features, [3.0, 4.0])
 
 
+def test_by_key_finds_every_stored_frame():
+    store = make_store()
+    for vid in store.video_ids:
+        for frame in store.frames_of(vid):
+            assert store.by_key(frame.key()).timestamp_s == frame.timestamp_s
+
+
+def test_by_key_agrees_with_resolve_on_float_rounding_twins():
+    # Two timestamps that are one instant up to float rounding share a key.
+    store = FeatureStore(1)
+    store.add_video("v", np.array([2.4, 2.4000000000000004]), np.array([[1.0], [2.0]]))
+    assert len(store) == 2
+    np.testing.assert_array_equal(store.resolve("v", 2.4).features, [1.0])
+    np.testing.assert_array_equal(store.by_key(frame_key("v", 2.4)).features, [1.0])
+
+
+@pytest.mark.parametrize("key", ["v0@0.250", "v0@0.27", "v9@0.000", "v0@nan", "v0@x",
+                                 "v0", ""])
+def test_by_key_rejects_unknown_and_malformed_keys(key):
+    with pytest.raises(DataError, match="frame key"):
+        make_store().by_key(key)
+
+
 def test_store_features_are_read_only():
     store = make_store()
     frame = store.frames_of("v0")[0]

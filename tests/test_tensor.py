@@ -8,9 +8,9 @@ import pytest
 import groundlex.tensor as gt
 from groundlex.errors import NumericsError, ShapeError
 from groundlex.tensor import (
-    Tensor, add, diag_part, dropout, embedding, gelu, grad_check, l2_normalize,
-    layer_norm, log_softmax, matmul, mean, mul, no_grad, reshape, softmax,
-    take_along_last, take_per_row, transpose, tsum,
+    Tensor, add, cross_entropy, dropout, embedding, gelu, grad_check,
+    l2_normalize, layer_norm, matmul, mean, mul, no_grad, reshape, softmax,
+    take_per_row, transpose, tsum,
 )
 
 
@@ -92,7 +92,7 @@ def test_softmax_cross_entropy_gradient_uniform_logits():
     logits = Tensor(np.zeros(4), requires_grad=True)
 
     def f(ts):
-        return -take_along_last(log_softmax(ts[0]), np.asarray(0))
+        return cross_entropy(ts[0], np.asarray(0))
 
     assert grad_check(f, [logits]) < 1e-7
     logits.zero_grad()
@@ -131,13 +131,14 @@ def test_backward_random_compositions_match_finite_differences():
         x = Tensor(r.normal(size=(2, 3)), requires_grad=True)
         w = Tensor(r.normal(size=(3, 3)), requires_grad=True)
         pick = seed % 5
+        targets = r.integers(3, size=2)
 
         def f(ts):
             h = matmul(ts[0], ts[1])
             if pick == 0:
                 h = softmax(h, axis=1)
             elif pick == 1:
-                h = log_softmax(h, axis=0)
+                h = cross_entropy(h, targets)
             elif pick == 2:
                 h = gelu(h)
             elif pick == 3:
@@ -285,11 +286,6 @@ def test_take_per_row():
     assert x.grad[0, 1].sum() == 4 and x.grad.sum() == 8
 
 
-def test_diag_part_grad():
-    x = Tensor(rng(11).normal(size=(4, 4)), requires_grad=True)
-    assert grad_check(lambda ts: tsum(diag_part(ts[0])), [x]) < 1e-8
-
-
 def test_dropout_train_eval_and_scaling():
     x = Tensor(np.ones((1000,)))
     out_eval = dropout(x, 0.5, rng(0), train=False)
@@ -339,3 +335,111 @@ def test_fully_masked_row_raises():
     mask = np.array([[True, True, True], [False, False, False]])
     with pytest.raises(NumericsError):
         softmax(x, axis=1, mask=mask)
+
+
+# --- cross_entropy against the composition it replaced ---------------------------
+# The three ops below are the log-softmax, pick-along-the-last-axis and diagonal
+# ops the losses were built from before cross_entropy, kept as the reference.
+
+def ref_logprobs(a, axis=-1):
+    z = a.data - a.data.max(axis=axis, keepdims=True)
+    data = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+
+    def bw(g):
+        gt._accum(a, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
+
+    return gt._make(data, "ref_logprobs", (a,), bw)
+
+
+def ref_pick(a, idx):
+    data = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
+
+    def bw(g):
+        buf = np.zeros_like(a.data)
+        np.put_along_axis(buf, idx[..., None], g[..., None], axis=-1)
+        gt._accum(a, buf)
+
+    return gt._make(data, "ref_pick", (a,), bw)
+
+
+def ref_diagonal(a):
+    rows = np.arange(a.shape[0])
+
+    def bw(g):
+        buf = np.zeros_like(a.data)
+        buf[rows, rows] = g
+        gt._accum(a, buf)
+
+    return gt._make(a.data[rows, rows].copy(), "ref_diagonal", (a,), bw)
+
+
+def loss_and_grad(f, data):
+    x = Tensor(data, requires_grad=True)
+    loss = f(x)
+    loss.backward()
+    return loss.item(), x.grad
+
+
+def assert_close_to_reference(got, ref):
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_cross_entropy_matches_old_lm_composition_at_model_shape():
+    # (N, T, V) of the cvcl_t_lm bench; rows keep 24 down to 1 targets before
+    # their trailing pads.
+    r = rng(12)
+    logits = 3.0 * r.normal(size=(8, 24, 2003))
+    targets = r.integers(3, 2003, size=(8, 24))
+    lengths = np.array([24, 23, 20, 16, 9, 5, 2, 1])
+    valid = np.arange(24) < lengths[:, None]
+    targets[~valid] = 0
+    n = int(valid.sum())
+
+    def reference(x):
+        picked = ref_pick(ref_logprobs(x), targets)
+        return mul(tsum(mul(picked, Tensor(valid.astype(float)))), -1.0 / n)
+
+    loss, grad = loss_and_grad(lambda x: cross_entropy(x, targets, valid), logits)
+    ref_loss, ref_grad = loss_and_grad(reference, logits)
+    assert_close_to_reference(loss, ref_loss)
+    assert_close_to_reference(grad, ref_grad)
+
+
+@pytest.mark.parametrize("axis", [1, 0])
+def test_cross_entropy_matches_old_contrastive_composition_at_model_shape(axis):
+    # (N, N) similarities of the cvcl_wide bench: cosines over temperature 0.07.
+    sims = rng(13).uniform(-1.0, 1.0, size=(128, 128)) / 0.07
+    matched = np.arange(128)
+
+    def new(x):
+        return cross_entropy(x if axis == 1 else transpose(x, (1, 0)), matched)
+
+    loss, grad = loss_and_grad(new, sims)
+    ref_loss, ref_grad = loss_and_grad(
+        lambda x: -mean(ref_diagonal(ref_logprobs(x, axis=axis))), sims)
+    assert_close_to_reference(loss, ref_loss)
+    assert_close_to_reference(grad, ref_grad)
+
+
+@pytest.mark.parametrize("shape,valid", [
+    ((3, 5), None),
+    ((2, 3, 4), None),
+    ((2, 3, 4), np.array([[True, False, True], [True, True, False]])),
+])
+def test_cross_entropy_grad_check(shape, valid):
+    r = rng(14)
+    x = Tensor(r.normal(size=shape), requires_grad=True)
+    targets = r.integers(shape[-1], size=shape[:-1])
+    assert grad_check(lambda ts: cross_entropy(ts[0], targets, valid), [x]) < 1e-7
+
+
+@pytest.mark.parametrize("targets,valid,error", [
+    (np.array([0, 4]), None, ShapeError),
+    (np.array([0, -1]), None, ShapeError),
+    (np.array([0, 1, 2]), None, ShapeError),
+    (np.array([0, 1]), np.array([True]), ShapeError),
+    (np.array([0, 1]), np.array([False, False]), NumericsError),
+])
+def test_cross_entropy_rejects_bad_targets_and_masks(targets, valid, error):
+    with pytest.raises(error, match="cross_entropy"):
+        cross_entropy(Tensor(np.zeros((2, 4))), targets, valid)
