@@ -1,13 +1,17 @@
 """Frame schedules, feature stores, and episode pairing."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from groundlex.corpus import UtteranceRecord, build_vocabulary
+import groundlex.pairing as pairing
+from groundlex.corpus import UtteranceRecord, build_vocabulary, encode
 from groundlex.errors import DataError
 from groundlex.pairing import (
-    FRAME_PERIOD, FRAMES_PER_UTTERANCE, EpisodePair, FeatureStore, FrameFeature,
+    FRAME_PERIOD, FRAMES_PER_UTTERANCE, RESOLVE_TOLERANCE, EpisodePair, FeatureStore,
     build_pairs, frame_key, frame_schedule, load_feature_store, sample_frame,
 )
 
@@ -65,11 +69,16 @@ def test_schedule_length_matches_bruteforce():
 # --- feature store -----------------------------------------------------------
 
 
+def stored_times(frames_per_video=8):
+    """The timestamps `make_store` gives every video."""
+    return np.arange(frames_per_video) * FRAME_PERIOD
+
+
 def make_store(n_videos=2, frames_per_video=8, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     store = FeatureStore(dim)
     for v in range(n_videos):
-        ts = np.arange(frames_per_video) * FRAME_PERIOD
+        ts = stored_times(frames_per_video)
         store.add_video(f"v{v}", ts, rng.normal(size=(frames_per_video, dim)))
     return store
 
@@ -81,7 +90,8 @@ def test_store_roundtrip_binary(tmp_path):
     loaded = FeatureStore.load(path)
     assert len(loaded) == len(store)
     for vid in store.video_ids:
-        for a, b in zip(store.frames_of(vid), loaded.frames_of(vid)):
+        for t in stored_times():
+            a, b = store.resolve(vid, t), loaded.resolve(vid, t)
             assert a.timestamp_s == b.timestamp_s
             np.testing.assert_array_equal(a.features, b.features)
 
@@ -133,6 +143,110 @@ def test_corrupt_video_id_raises_data_error_with_offset(tmp_path):
     assert str(path) in str(e.value)
 
 
+def test_corrupt_id_of_a_later_frame_raises_data_error_with_offset(tmp_path):
+    path = tmp_path / "feat.glfx"
+    make_store(n_videos=1, frames_per_video=3).save(path)
+    blob = bytearray(path.read_bytes())
+    second = 24 + (4 + 2 + 8 + 8 * 4)  # first id byte of the second frame
+    blob[second] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match=f"invalid UTF-8 at byte {second}$"):
+        FeatureStore.load(path)
+
+
+def write_glfx_frames(path, dim, frames):
+    """The per-frame GLFX v1 writer `FeatureStore.save` replaced, for frames
+    (video_id, timestamp, features) in any order."""
+    with open(path, "wb") as fh:
+        fh.write(b"GLFX")
+        fh.write(struct.pack("<IIQ", 1, dim, len(frames)))
+        for vid, t, vec in frames:
+            vid_bytes = vid.encode("utf-8")
+            fh.write(struct.pack("<I", len(vid_bytes)))
+            fh.write(vid_bytes)
+            fh.write(struct.pack("<d", float(t)))
+            fh.write(np.asarray(vec, dtype="<f8").tobytes())
+
+
+def mixed_videos(dim, seed=0):
+    """Videos whose ids differ in byte length (empty and non-ASCII included),
+    each with its frames in shuffled time order."""
+    rng = np.random.default_rng(seed)
+    videos = {}
+    for vid in ["v", "", "a-much-longer-video-id", "küche-日本", "v10", "v11"]:
+        n = int(rng.integers(1, 9))
+        videos[vid] = (rng.permutation(n) * FRAME_PERIOD, rng.normal(size=(n, dim)))
+    return videos
+
+
+@pytest.mark.parametrize("dim", [3, 0])
+def test_glfx_writer_bytes_equal_the_per_frame_writer(tmp_path, dim):
+    store = FeatureStore(dim)
+    frames = []
+    for vid, (ts, feats) in mixed_videos(dim).items():
+        store.add_video(vid, ts, feats)
+        order = np.argsort(ts, kind="stable")
+        frames.append([(vid, ts[i], feats[i]) for i in order])
+    by_vid = dict(zip(mixed_videos(dim), frames))
+    write_glfx_frames(tmp_path / "old.glfx", dim,
+                      [f for vid in sorted(by_vid) for f in by_vid[vid]])
+    store.save(tmp_path / "new.glfx")
+    assert (tmp_path / "new.glfx").read_bytes() == (tmp_path / "old.glfx").read_bytes()
+    loaded = FeatureStore.load(tmp_path / "new.glfx")
+    loaded.save(tmp_path / "again.glfx")
+    assert (tmp_path / "again.glfx").read_bytes() == (tmp_path / "old.glfx").read_bytes()
+
+
+@pytest.mark.parametrize("block_frames", [None, 1, 2.5])
+def test_load_merges_interleaved_runs_across_read_blocks(tmp_path, monkeypatch, block_frames):
+    dim = 4
+    frames = [(vid, t, vec) for vid, (ts, feats) in mixed_videos(dim, seed=1).items()
+              for t, vec in zip(ts, feats)]
+    order = np.random.default_rng(2).permutation(len(frames))
+    frames = [frames[i] for i in order]  # runs of one, two or more frames
+    path = tmp_path / "mixed.glfx"
+    write_glfx_frames(path, dim, frames)
+    if block_frames is not None:
+        monkeypatch.setattr(pairing, "_READ_BLOCK", int(block_frames * (12 + 1 + 8 * dim)))
+    loaded = FeatureStore.load(path)
+
+    expected = FeatureStore(dim)
+    for vid in dict.fromkeys(f[0] for f in frames):
+        mine = [f for f in frames if f[0] == vid]
+        expected.add_video(vid, np.array([f[1] for f in mine]), np.array([f[2] for f in mine]))
+    assert loaded.video_ids == expected.video_ids
+    loaded.save(tmp_path / "a.glfx")
+    expected.save(tmp_path / "b.glfx")
+    assert (tmp_path / "a.glfx").read_bytes() == (tmp_path / "b.glfx").read_bytes()
+
+
+@pytest.mark.parametrize("extra", ["one byte", "one frame"])
+def test_bytes_after_the_last_frame_raise_data_error_with_offset(tmp_path, extra):
+    path = tmp_path / "feat.glfx"
+    make_store(n_videos=1, frames_per_video=3).save(path)
+    blob = path.read_bytes()
+    frame = blob[-(4 + 2 + 8 + 8 * 4):]
+    path.write_bytes(blob + (b"\x00" if extra == "one byte" else frame + b"junk"))
+    with pytest.raises(DataError, match=f"from byte {len(blob)}$") as e:
+        FeatureStore.load(path)
+    assert str(path) in str(e.value)
+
+
+def test_load_does_not_hold_every_frame_twice(tmp_path):
+    store = make_store(n_videos=16, frames_per_video=500, dim=128)
+    path = tmp_path / "feat.glfx"
+    store.save(path)
+    frame_bytes = len(store) * 128 * 8
+    tracemalloc.start()
+    try:
+        loaded = FeatureStore.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == len(store)
+    assert peak < 1.5 * frame_bytes, (peak, frame_bytes)
+
+
 def test_add_video_rejects_frames_that_share_a_key():
     store = make_store(n_videos=1)
     with pytest.raises(DataError) as e:
@@ -154,8 +268,8 @@ def test_store_jsonl_roundtrip(tmp_path):
 def test_by_key_finds_every_stored_frame():
     store = make_store()
     for vid in store.video_ids:
-        for frame in store.frames_of(vid):
-            assert store.by_key(frame.key()).timestamp_s == frame.timestamp_s
+        for t in stored_times():
+            assert store.by_key(frame_key(vid, t)).timestamp_s == t
 
 
 def test_by_key_agrees_with_resolve_on_float_rounding_twins():
@@ -176,9 +290,15 @@ def test_by_key_rejects_unknown_and_malformed_keys(key):
 
 def test_store_features_are_read_only():
     store = make_store()
-    frame = store.frames_of("v0")[0]
+    frame = store.resolve("v0", 0.0)
     with pytest.raises(ValueError):
         frame.features[0] = 99.0
+
+
+def test_resolve_takes_the_later_frame_on_a_tie():
+    store = FeatureStore(1)
+    store.add_video("v", np.array([0.0, 0.25]), np.array([[1.0], [2.0]]))
+    assert store.resolve("v", 0.125).timestamp_s == 0.25
 
 
 def test_resolve_within_half_period():
@@ -218,7 +338,7 @@ def test_build_pairs_truncated_at_video_end(vocab):
     end = 9 * FRAME_PERIOD
     records = [UtteranceRecord("v0", end - 2 * FRAME_PERIOD, end, "s", "ball")]
     pairs, _ = build_pairs(records, store, vocab)
-    assert len(pairs[0].frame_refs) == 3  # start, +1, +2 periods then video ends
+    assert len(pairs[0].frame_rows) == 3  # start, +1, +2 periods then video ends
 
 
 def test_build_pairs_unknown_video_dropped_with_reason(vocab):
@@ -261,7 +381,7 @@ def test_build_pairs_frame_count_matches_bruteforce(vocab):
         for start in utts:
             records.append(UtteranceRecord(vid, start, start + 1.0, "s", "ball"))
     pairs, _ = build_pairs(records, store, vocab)
-    got_total = sum(len(p.frame_refs) for p in pairs)
+    got_total = sum(len(p.frame_rows) for p in pairs)
     expected_total = sum(len(frame_schedule(min(s, duration), duration))
                          for utts in starts.values() for s in utts)
     assert got_total == expected_total
@@ -273,11 +393,170 @@ def test_pair_invariants_window_and_size(vocab):
                UtteranceRecord("v1", 20.0, 21.0, "s", "ball")]
     pairs, _ = build_pairs(records, store, vocab)
     for p in pairs:
-        assert 1 <= len(p.frame_refs) <= FRAMES_PER_UTTERANCE
-        span = p.frame_refs[-1].timestamp_s - p.frame_refs[0].timestamp_s
+        assert 1 <= len(p.frame_rows) <= FRAMES_PER_UTTERANCE
+        times = p.video_timestamps[p.frame_rows]
+        span = times[-1] - times[0]
         assert span <= 16 / 3.75 + 1e-9
-        diffs = np.diff([f.timestamp_s for f in p.frame_refs])
+        diffs = np.diff(times)
         assert (diffs > 0).all()
+
+
+def test_build_pairs_drops_records_of_a_video_without_frames(vocab):
+    store = make_store(n_videos=1)
+    store.add_video("empty", np.zeros(0), np.zeros((0, 4)))
+    records = [UtteranceRecord("empty", 0.0, 1.0, "s", "ball"),
+               UtteranceRecord("v0", 0.0, 1.0, "s", "ball")]
+    pairs, report = build_pairs(records, store, vocab)
+    assert [p.video_id for p in pairs] == ["v0"]
+    assert report.as_dict() == {"paired": 1, "dropped_unknown_video": 0,
+                                "dropped_no_frames": 1}
+
+
+def test_build_pairs_rejects_a_negative_start(vocab):
+    store = make_store(n_videos=1)
+    records = [UtteranceRecord("v0", 1.0, 2.0, "s", "ball"),
+               UtteranceRecord("v0", -0.5, 2.0, "s", "ball")]
+    with pytest.raises(DataError, match="negative start time -0.5$"):
+        build_pairs(records, store, vocab)
+
+
+def test_pairs_refer_to_the_store_arrays_without_copying(vocab):
+    store = make_store(n_videos=2, frames_per_video=30)
+    records = [UtteranceRecord("v0", 1.0, 2.0, "s", "ball"),
+               UtteranceRecord("v0", 3.0, 4.0, "s", "ball"),
+               UtteranceRecord("v1", 2.0, 3.0, "s", "ball")]
+    pairs, _ = build_pairs(records, store, vocab)
+    assert pairs[0].video_timestamps is pairs[1].video_timestamps
+    assert pairs[0].video_features is pairs[1].video_features
+    for p in pairs:
+        assert np.shares_memory(p.video_features, store.resolve(p.video_id, p.start_s).features)
+        assert not p.video_timestamps.flags.writeable and not p.video_features.flags.writeable
+
+
+# --- build_pairs against the scalar resolution it replaced --------------------------
+
+
+def oracle_resolve(ts, t):
+    """The scalar nearest-frame rule `build_pairs` once called per instant."""
+    idx = int(np.searchsorted(ts, t))
+    best, best_dist = None, RESOLVE_TOLERANCE
+    for j in (idx - 1, idx):
+        if 0 <= j < len(ts):
+            dist = abs(float(ts[j]) - t)
+            if dist <= best_dist:
+                best, best_dist = j, dist
+    return best
+
+
+def oracle_build_pairs(records, videos, vocab, max_len):
+    """The per-instant pairing loop; `videos` maps id -> (timestamps, features)
+    as added to the store. Returns the report and, per pair, its token ids,
+    frame timestamps and frame features."""
+    report = {"paired": 0, "dropped_unknown_video": 0, "dropped_no_frames": 0}
+    out = []
+    for rec in records:
+        if rec.video_id not in videos:
+            report["dropped_unknown_video"] += 1
+            continue
+        raw_ts, raw_feats = videos[rec.video_id]
+        order = np.argsort(raw_ts, kind="stable")
+        ts, feats = raw_ts[order], raw_feats[order]
+        duration = float(ts[-1])
+        start = min(rec.start_s, duration)
+        schedule = [start]
+        for k in range(1, FRAMES_PER_UTTERANCE):
+            t = start + k * FRAME_PERIOD
+            if t > duration:
+                break
+            schedule.append(t)
+        refs = []
+        for t in schedule:
+            j = oracle_resolve(ts, t)
+            if j is not None and (not refs or ts[j] > ts[refs[-1]]):
+                refs.append(j)
+        if not refs:
+            report["dropped_no_frames"] += 1
+            continue
+        report["paired"] += 1
+        out.append((encode(rec.text, vocab, max_len), ts[refs], feats[refs]))
+    return report, out
+
+
+def oracle_world(seed):
+    """A random store and records with the cases the resolution rules meet:
+    exact midpoint ties, float-rounding twins, duplicated timestamps, frames
+    exactly the tolerance away, starts past the video end and unknown videos."""
+    rng = np.random.default_rng(seed)
+    tol = RESOLVE_TOLERANCE
+    videos, records = {}, []
+    for v in range(4):
+        vid = f"v{v}"
+        starts = [float(x) for x in rng.integers(0, 64, size=6) / 8]  # dyadic
+        starts += [float(x) for x in rng.uniform(0, 12, size=6)]
+        grid = list(np.arange(int(rng.integers(10, 40))) * FRAME_PERIOD)
+        times = [x for x in grid if rng.random() < 0.7]
+        times += [float(x) for x in rng.uniform(0, 12, size=10)]
+        times += [float(x) for x in rng.integers(0, 96, size=8) / 8]
+        for s in starts[:3]:  # ties at the start instant and at later instants
+            times += [s - 1 / 16, s + 1 / 16]
+            t = s + 3 * FRAME_PERIOD
+            times += [t - 1 / 32, t + 1 / 32]
+        times += [tol, 2 * tol, np.nextafter(3 * tol, np.inf), 2.4, 2.4000000000000004]
+        times += [times[int(rng.integers(len(times)))] for _ in range(3)]  # duplicates
+        starts += [tol, 0.0, 2.4, float(rng.uniform(12, 20))]  # the last is past the end
+        ts = np.array(times)
+        rng.shuffle(ts)
+        videos[vid] = (ts, rng.normal(size=(len(ts), 3)))
+        records += [UtteranceRecord(vid, s, s + 1.0, "s", "look a ball") for s in starts]
+    # Sparse videos: a frame exactly the tolerance below or above a start
+    # instant with no other frame near, just outside it, and a long gap.
+    videos["lo"] = (np.array([0.0, 1.0, 10.0]), rng.normal(size=(3, 3)))
+    videos["hi"] = (np.array([2 * tol, 5.0]), rng.normal(size=(2, 3)))
+    for vid, s in [("lo", tol), ("lo", np.nextafter(tol, 1)), ("lo", 3.0), ("hi", tol),
+                   ("hi", np.nextafter(tol, 0)), ("hi", 0.0)]:
+        records.append(UtteranceRecord(vid, float(s), float(s) + 1.0, "s", "ball"))
+    records += [UtteranceRecord("ghost", 1.0, 2.0, "s", "a ball")]
+    rng.shuffle(records)
+    return videos, records
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_build_pairs_matches_scalar_resolution_oracle(vocab, seed):
+    videos, records = oracle_world(seed)
+    store = FeatureStore(3)
+    for vid, (ts, feats) in videos.items():
+        store.add_video(vid, ts, feats)
+    pairs, report = build_pairs(records, store, vocab, max_len=3)
+    want_report, want = oracle_build_pairs(records, videos, vocab, max_len=3)
+    assert report.as_dict() == want_report
+    assert len(pairs) == len(want)
+    for pair, (ids, times, feats) in zip(pairs, want):
+        assert pair.token_ids == ids
+        np.testing.assert_array_equal(pair.video_timestamps[pair.frame_rows], times)
+        np.testing.assert_array_equal(pair.video_features[pair.frame_rows], feats)
+
+
+def test_oracle_world_has_ties_and_bound_cases():
+    # The cases the oracle test names are really in its data, at start
+    # instants: two frames equally near; the only frame within the tolerance
+    # exactly the tolerance below, or above; and no frame for a whole schedule.
+    cases = {"tie": 0, "lo bound": 0, "hi bound": 0}
+    dropped = 0
+    for seed in range(8):
+        videos, records = oracle_world(seed)
+        for rec in records:
+            if rec.video_id not in videos:
+                continue
+            ts = np.sort(videos[rec.video_id][0])
+            idx = int(np.searchsorted(ts, rec.start_s))
+            lo = abs(ts[idx - 1] - rec.start_s) if idx > 0 else np.inf
+            hi = abs(ts[idx] - rec.start_s) if idx < len(ts) else np.inf
+            cases["tie"] += lo == hi <= RESOLVE_TOLERANCE
+            cases["lo bound"] += lo == RESOLVE_TOLERANCE < hi
+            cases["hi bound"] += hi == RESOLVE_TOLERANCE < lo
+        dropped += oracle_build_pairs(records, videos, build_vocabulary(["ball"]), 3)[0][
+            "dropped_no_frames"]
+    assert min(cases.values()) > 0 and dropped > 0, (cases, dropped)
 
 
 # --- frame sampling -------------------------------------------------------------
@@ -285,21 +564,34 @@ def test_pair_invariants_window_and_size(vocab):
 
 def single_pair(n_frames, seed=0):
     rng = np.random.default_rng(seed)
-    frames = [FrameFeature("v", i * FRAME_PERIOD, rng.normal(size=4))
-              for i in range(n_frames)]
-    return EpisodePair(token_ids=[2], frame_refs=frames, video_id="v")
+    return EpisodePair(token_ids=[2], frame_rows=list(range(n_frames)),
+                       video_timestamps=np.arange(n_frames) * FRAME_PERIOD,
+                       video_features=rng.normal(size=(n_frames, 4)), video_id="v")
 
 
 def test_sample_frame_single():
     pair = single_pair(1)
-    assert sample_frame(pair, np.random.default_rng(0)) is pair.frame_refs[0]
+    frame = sample_frame(pair, np.random.default_rng(0))
+    assert frame.timestamp_s == pair.video_timestamps[0]
+    np.testing.assert_array_equal(frame.features, pair.video_features[0])
+
+
+def test_sample_frame_makes_one_draw():
+    pair = single_pair(16)
+    pair.frame_rows = [3, 5, 8, 13]
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    frame = sample_frame(pair, rng)
+    row = pair.frame_rows[int(twin.integers(4))]
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert frame.timestamp_s == pair.video_timestamps[row]
+    np.testing.assert_array_equal(frame.features, pair.video_features[row])
 
 
 def test_sample_frame_uniform_binomial_bound():
     pair = single_pair(16)
     rng = np.random.default_rng(123)
     counts = np.zeros(16, dtype=int)
-    lookup = {f.timestamp_s: i for i, f in enumerate(pair.frame_refs)}
+    lookup = {t: i for i, t in enumerate(pair.video_timestamps[pair.frame_rows].tolist())}
     for _ in range(16000):
         counts[lookup[sample_frame(pair, rng).timestamp_s]] += 1
     # binomial 3-sigma: 1000 +- 3*sqrt(16000 * 1/16 * 15/16) ~ +-92; spec allows 120
@@ -310,7 +602,7 @@ def test_sample_frame_chisquare_uniformity():
     pair = single_pair(8)
     rng = np.random.default_rng(321)
     counts = np.zeros(8, dtype=int)
-    lookup = {f.timestamp_s: i for i, f in enumerate(pair.frame_refs)}
+    lookup = {t: i for i, t in enumerate(pair.video_timestamps[pair.frame_rows].tolist())}
     for _ in range(10_000):
         counts[lookup[sample_frame(pair, rng).timestamp_s]] += 1
     assert stats.chisquare(counts).pvalue > 0.001

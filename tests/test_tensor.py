@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import groundlex.tensor as gt
+from groundlex.corpus import EOS_ID, PAD_ID
 from groundlex.errors import NumericsError, ShapeError
 from groundlex.tensor import (
     Tensor, add, cross_entropy, dropout, embedding, gelu, grad_check,
@@ -328,6 +329,71 @@ def test_masked_softmax_grad():
                         Tensor(np.arange(10, dtype=float).reshape(2, 5))))
 
     assert grad_check(f, [x]) < 1e-6
+
+
+def test_masked_attention_softmax_grad_with_pad_columns():
+    # Attention shape (N, H, T, T) = (2, 2, 4, 4): a causal mask and, as in the
+    # decoder, pad columns (the second utterance's last two tokens).
+    n, h, t = 2, 2, 4
+    not_pad = np.array([[True] * 4, [True, True, False, False]])
+    allowed = np.tril(np.ones((t, t), dtype=bool))[None, :, :] & not_pad[:, None, :]
+    mask = allowed[:, None, :, :]
+    x = Tensor(rng(21).normal(size=(n, h, t, t)), requires_grad=True)
+    w = Tensor(rng(22).normal(size=(n, h, t, t)))
+
+    def f(ts):
+        return tsum(mul(softmax(ts[0], axis=-1, mask=mask), w))
+
+    assert grad_check(f, [x]) < 1e-6
+    x.zero_grad()
+    f([x]).backward()
+    np.testing.assert_array_equal(x.grad[~np.broadcast_to(mask, x.shape)], 0.0)
+
+
+def test_l2_normalize_grad_with_an_exact_zero_row():
+    # (N, D) = (3, 4) with row 1 exactly zero. Its gradient is exactly zero;
+    # the other rows pass the grad check (the zero row is not differentiable,
+    # so it is built from the checked rows by a constant selection matmul).
+    w = Tensor(rng(23).normal(size=(3, 4)))
+    gt.reset_zero_norm_warnings()
+    x = Tensor(rng(24).normal(size=(3, 4)), requires_grad=True)
+    x.data[1] = 0.0
+    tsum(mul(l2_normalize(x, axis=-1), w)).backward()
+    np.testing.assert_array_equal(x.grad[1], 0.0)
+    assert np.abs(x.grad[[0, 2]]).min() > 0.0
+
+    rows = Tensor(np.delete(x.data, 1, axis=0), requires_grad=True)  # (2, 4)
+    select = Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))  # (3, 2)
+
+    def f(ts):
+        full = matmul(select, ts[0])
+        assert not full.data[1].any()
+        return tsum(mul(l2_normalize(full, axis=-1), w))
+
+    assert grad_check(f, [rows]) < 1e-6
+    assert gt.reset_zero_norm_warnings() > 0
+
+
+def test_take_per_row_grad_at_eos_positions():
+    # Hidden states (N, T, D) = (3, 5, 4) picked at each row's <eos>, with
+    # <pad> after it in the shorter rows, as the transformer encoder does.
+    ids = np.array([[7, 8, 9, 10, EOS_ID],
+                    [7, EOS_ID, PAD_ID, PAD_ID, PAD_ID],
+                    [7, 8, EOS_ID, PAD_ID, PAD_ID]])
+    eos = np.array([np.flatnonzero(row == EOS_ID)[-1] for row in ids])
+    x = Tensor(rng(25).normal(size=(3, 5, 4)), requires_grad=True)
+    w = Tensor(rng(26).normal(size=(3, 4)))
+
+    def f(ts):
+        return tsum(mul(take_per_row(ts[0], eos), w))
+
+    assert grad_check(f, [x]) < 1e-6
+    x.zero_grad()
+    f([x]).backward()
+    picked = np.zeros((3, 5), dtype=bool)
+    picked[np.arange(3), eos] = True
+    np.testing.assert_array_equal(x.grad[picked], w.data)
+    np.testing.assert_array_equal(x.grad[~picked], 0.0)
 
 
 def test_fully_masked_row_raises():
