@@ -181,15 +181,14 @@ def mixed_videos(dim, seed=0):
 
 @pytest.mark.parametrize("dim", [3, 0])
 def test_glfx_writer_bytes_equal_the_per_frame_writer(tmp_path, dim):
+    videos = mixed_videos(dim)
     store = FeatureStore(dim)
     frames = []
-    for vid, (ts, feats) in mixed_videos(dim).items():
+    for vid in sorted(videos):
+        ts, feats = videos[vid]
         store.add_video(vid, ts, feats)
-        order = np.argsort(ts, kind="stable")
-        frames.append([(vid, ts[i], feats[i]) for i in order])
-    by_vid = dict(zip(mixed_videos(dim), frames))
-    write_glfx_frames(tmp_path / "old.glfx", dim,
-                      [f for vid in sorted(by_vid) for f in by_vid[vid]])
+        frames += [(vid, ts[i], feats[i]) for i in np.argsort(ts, kind="stable")]
+    write_glfx_frames(tmp_path / "old.glfx", dim, frames)
     store.save(tmp_path / "new.glfx")
     assert (tmp_path / "new.glfx").read_bytes() == (tmp_path / "old.glfx").read_bytes()
     loaded = FeatureStore.load(tmp_path / "new.glfx")
@@ -199,11 +198,14 @@ def test_glfx_writer_bytes_equal_the_per_frame_writer(tmp_path, dim):
 
 @pytest.mark.parametrize("block_frames", [None, 1, 2.5])
 def test_load_merges_interleaved_runs_across_read_blocks(tmp_path, monkeypatch, block_frames):
+    # The first half of every video's frames, then the second halves: runs of
+    # up to four frames, and each video in two runs.
     dim = 4
-    frames = [(vid, t, vec) for vid, (ts, feats) in mixed_videos(dim, seed=1).items()
-              for t, vec in zip(ts, feats)]
-    order = np.random.default_rng(2).permutation(len(frames))
-    frames = [frames[i] for i in order]  # runs of one, two or more frames
+    frames = []
+    for half in (0, 1):
+        for vid, (ts, feats) in mixed_videos(dim, seed=1).items():
+            part = slice(None, len(ts) // 2) if half == 0 else slice(len(ts) // 2, None)
+            frames += [(vid, t, vec) for t, vec in zip(ts[part], feats[part])]
     path = tmp_path / "mixed.glfx"
     write_glfx_frames(path, dim, frames)
     if block_frames is not None:
