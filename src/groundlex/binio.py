@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import os
 import struct
 
 from .errors import DataError
 
 
+def bytes_left(fh) -> int:
+    """Bytes from the position of file `fh` to its end."""
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def read_exact(fh, n: int, path) -> bytes:
-    """Read `n` bytes; a short read raises DataError naming the byte offset."""
-    buf = fh.read(n)
+    """Read `n` bytes; a short read raises DataError naming the byte offset.
+
+    Reads at most what the file holds, so a corrupt length field costs no
+    allocation of the size it declares.
+    """
+    buf = fh.read(min(n, bytes_left(fh)))
     if len(buf) != n:
         end = fh.tell()
         raise DataError(f"{path}: file truncated at byte {end} "

@@ -223,8 +223,7 @@ def build_vocabulary(utterances: list[str], min_frequency: int = 2) -> Vocabular
 
 def encode(utterance: str, vocab: Vocabulary, max_len: int = 48) -> list[int]:
     """Word ids plus a trailing <eos>, truncated to max_len keeping the <eos>."""
-    ids = [vocab.id_of(w) for w in utterance.split()]
-    ids = ids[:max_len - 1]
+    ids = [vocab.id_of(w) for w in utterance.split()[:max_len - 1]]
     ids.append(EOS_ID)
     return ids
 

@@ -15,7 +15,6 @@ from .tensor import Tensor, cross_entropy, l2_normalize, matmul, mul, transpose
 @dataclass(frozen=True)
 class ContrastiveConfig:
     temperature: float = 0.07  # fixed, never trained
-    normalize_embeddings: bool = True
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -45,9 +44,8 @@ def contrastive_loss(frame_embs: Tensor, utt_embs: Tensor,
     """
     if frame_embs.shape != utt_embs.shape or frame_embs.ndim != 2:
         raise ShapeError("contrastive_loss", frame_embs.shape, utt_embs.shape)
-    if cfg.normalize_embeddings:
-        frame_embs = l2_normalize(frame_embs, axis=1)
-        utt_embs = l2_normalize(utt_embs, axis=1)
+    frame_embs = l2_normalize(frame_embs, axis=1)
+    utt_embs = l2_normalize(utt_embs, axis=1)
     sims = mul(matmul(frame_embs, transpose(utt_embs, (1, 0))),
                1.0 / cfg.temperature)
     # rows: one frame vs all utterances; columns: one utterance vs all frames

@@ -1,7 +1,8 @@
 """Frame-feature stores and utterance/frame pairing.
 
-Frames are precomputed feature vectors keyed by (video_id, timestamp); a
-store keeps each video's frames as two arrays sorted by time. Each utterance
+Frames are precomputed feature vectors read from a GLFX file. A store keeps
+each video's frames as two arrays sorted by time; a frame is found by its
+video and an instant through `FeatureStore.resolve`. Each utterance
 is paired with up to 16 frames sampled at 3.75 fps starting at the
 utterance's start timestamp; schedule instants resolve to the nearest stored
 frame within half a frame period, and a pair holds the resolved frames as
@@ -10,7 +11,6 @@ rows into the video's arrays.
 
 from __future__ import annotations
 
-import json
 import struct
 import warnings
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import read_exact, read_utf8, unpack
+from .binio import bytes_left, read_exact, read_utf8, unpack
 from .corpus import UtteranceRecord, Vocabulary, encode
 from .errors import DataError
 
@@ -26,11 +26,6 @@ FRAME_RATE = 3.75
 FRAME_PERIOD = 1.0 / FRAME_RATE
 FRAMES_PER_UTTERANCE = 16
 RESOLVE_TOLERANCE = 0.5 * FRAME_PERIOD
-# Timestamps closer than this are one instant up to float rounding (say 2.4 and
-# 2.4000000000000004 from summed frame periods): they may share a frame key,
-# and ``by_key`` returns what ``resolve`` returns for that key's instant.
-# Frames farther apart must not share a key.
-SAME_INSTANT_S = 1e-6
 
 GLFX_MAGIC = b"GLFX"
 GLFX_VERSION = 1
@@ -42,14 +37,6 @@ class FrameFeature:
     video_id: str
     timestamp_s: float
     features: np.ndarray  # (F,), float64, read-only
-
-    def key(self) -> str:
-        return frame_key(self.video_id, self.timestamp_s)
-
-
-def frame_key(video_id: str, timestamp_s: float) -> str:
-    """Stable string key; timestamps are rounded to the millisecond."""
-    return f"{video_id}@{timestamp_s:.3f}"
 
 
 def _glfx_frame(vid_len: int, dim: int) -> np.dtype:
@@ -73,9 +60,10 @@ def _nearest_rows(ts: np.ndarray, instants: np.ndarray, tolerance: float) -> np.
 class FeatureStore:
     """In-memory, read-only collection of frame features.
 
-    Per-video timestamps are kept sorted for nearest-neighbour resolution.
-    Feature arrays are flagged non-writeable so training can never mutate
-    stored frames.
+    Per-video timestamps are kept sorted for nearest-neighbour resolution;
+    frames of one video may share or nearly share a timestamp. Feature arrays
+    are flagged non-writeable so training can never mutate stored frames.
+    GLFX (`save`/`load`) is the one file format.
     """
 
     def __init__(self, feature_dim: int):
@@ -107,29 +95,8 @@ class FeatureStore:
         feats = np.ascontiguousarray(features[order], dtype=np.float64)
         ts.setflags(write=False)
         feats.setflags(write=False)
-        # Keys follow sorted time, so frames that share one are neighbours, and
-        # neighbours 2 ms or more apart cannot round to the same millisecond.
-        gaps = np.diff(ts)
-        for i in np.flatnonzero((gaps > SAME_INSTANT_S) & (gaps < 2e-3)):
-            key = frame_key(video_id, ts[i])
-            if key == frame_key(video_id, ts[i + 1]):
-                raise DataError(f"video {video_id!r} has frames at {ts[i]} s "
-                                f"and {ts[i + 1]} s, which share the key {key!r}")
         self._timestamps[video_id] = ts
         self._features[video_id] = feats
-
-    def by_key(self, key: str) -> FrameFeature:
-        """The stored frame whose `frame_key` is `key`: what `resolve` returns
-        at the key's instant. A malformed or unknown key raises DataError."""
-        video_id, _, stamp = key.rpartition("@")
-        try:
-            timestamp_s = float(stamp)
-        except ValueError:
-            raise DataError(f"malformed frame key {key!r}") from None
-        frame = self.resolve(video_id, timestamp_s)
-        if frame is None or frame.key() != key:
-            raise DataError(f"frame key {key!r} not in store")
-        return frame
 
     def has_video(self, video_id: str) -> bool:
         return video_id in self._timestamps
@@ -171,9 +138,11 @@ class FeatureStore:
         """Read a GLFX file into per-video arrays, one row per frame.
 
         Each run of frames that share a video id is parsed with one structured
-        view of a read block of at most `_READ_BLOCK` bytes, and copied out of
-        it, so the file's frames are never all held twice. A short file raises
-        DataError naming the byte offset, as do bytes after the last frame.
+        view of a read block of at most `_READ_BLOCK` bytes (or one frame), and
+        copied out of it, so the file's frames are never all held twice. No
+        read asks for more than the file holds, whatever its header declares.
+        A short file raises DataError naming the byte offset, as do bytes
+        after the last frame.
         """
         per_video: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
         with open(path, "rb") as fh:
@@ -188,15 +157,15 @@ class FeatureStore:
                 start = fh.tell()
                 (vid_len,) = unpack(fh, "<I", path)
                 vid = read_utf8(fh, vid_len, path)
-                frame = _glfx_frame(vid_len, dim)
-                fh.seek(start)
-                block = fh.read(min(left, max(1, _READ_BLOCK // frame.itemsize)) * frame.itemsize)
-                frames = np.frombuffer(block, dtype=frame, count=len(block) // frame.itemsize)
-                if len(frames) == 0:
+                if bytes_left(fh) < 8 + 8 * dim:
                     # The frame is cut short: read its fields for the offset.
-                    fh.seek(start + 4 + vid_len)
                     unpack(fh, "<d", path)
                     read_exact(fh, 8 * dim, path)
+                frame = _glfx_frame(vid_len, dim)
+                fh.seek(start)
+                want = min(left, max(1, _READ_BLOCK // frame.itemsize)) * frame.itemsize
+                block = fh.read(min(want, bytes_left(fh)))
+                frames = np.frombuffer(block, dtype=frame, count=len(block) // frame.itemsize)
                 same = ((frames["vid_len"] == vid_len)
                         & (frames["vid"] == np.frombuffer(vid.encode("utf-8"), np.uint8)).all(axis=1))
                 run = len(frames) if same.all() else int(np.argmin(same))
@@ -215,43 +184,9 @@ class FeatureStore:
             store.add_video(vid, np.concatenate(ts), np.concatenate(vecs))
         return store
 
-    @classmethod
-    def load_jsonl(cls, path: str | Path) -> "FeatureStore":
-        """Debug format: one frame per line with keys video_id, timestamp_s,
-        features."""
-        per_video: dict[str, tuple[list[float], list[list[float]]]] = {}
-        dim = None
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    vid = str(obj["video_id"])
-                    t = float(obj["timestamp_s"])
-                    vec = [float(x) for x in obj["features"]]
-                except (KeyError, ValueError, TypeError) as exc:
-                    raise DataError(f"{path}:{lineno}: bad frame ({exc})") from exc
-                if dim is None:
-                    dim = len(vec)
-                elif len(vec) != dim:
-                    raise DataError(f"{path}:{lineno}: feature dim {len(vec)} != {dim}")
-                ts, vecs = per_video.setdefault(vid, ([], []))
-                ts.append(t)
-                vecs.append(vec)
-        if dim is None:
-            raise DataError(f"{path}: empty feature file")
-        store = cls(dim)
-        for vid, (ts, vecs) in per_video.items():
-            store.add_video(vid, np.asarray(ts), np.asarray(vecs))
-        return store
-
 
 def load_feature_store(path: str | Path) -> FeatureStore:
-    """Dispatch on extension: .jsonl debug format, else GLFX binary."""
-    if str(path).endswith(".jsonl"):
-        return FeatureStore.load_jsonl(path)
+    """Read a GLFX feature store: `FeatureStore.load(path)`."""
     return FeatureStore.load(path)
 
 

@@ -90,9 +90,6 @@ class Tensor:
             raise ShapeError("item", self.shape)
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -153,21 +150,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, scalar):
-        return mul(self, 1.0 / float(scalar))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
@@ -219,22 +201,6 @@ def add(a, b) -> Tensor:
             _accum(b, _unbroadcast(g, b.shape))
 
     return _make(data, "add", (a, b), bw)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError("sub", a.shape, b.shape) from None
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.shape))
-
-    return _make(data, "sub", (a, b), bw)
 
 
 def mul(a, b) -> Tensor:
@@ -326,20 +292,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _accum(a, np.broadcast_to(g, a.shape).copy())
 
     return _make(np.asarray(data), "sum", (a,), bw)
-
-
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.size if axis is None else a.shape[axis]
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if not a.requires_grad:
-            return
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape) / count)
-
-    return _make(np.asarray(data), "mean", (a,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,14 @@ def test_split_stats_avg_length():
     assert stats["partitions"]["train"]["avg_utterance_length"] == pytest.approx(2.5)
 
 
+def test_split_stats_all_blank_corpus_has_no_vocabulary():
+    # No word to count: build_vocabulary raises, and split_stats reports 0.
+    manifest = SplitManifest("s", train=["v1"], val=[], test=[])
+    stats = split_stats(manifest, [rec("v1", 0.0, "")])
+    assert stats["vocabulary_size"] == 0
+    assert stats["partitions"]["train"]["total_words"] == 0
+
+
 def test_split_stats_unknown_video_errors():
     manifest = SplitManifest("s", train=["v1"], val=[], test=[])
     with pytest.raises(DataError):

@@ -1,6 +1,8 @@
 """Encoder forward semantics, causality, gradients, checkpoint format."""
 
 import gc
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +291,22 @@ def test_truncated_checkpoint_raises_data_error_with_offset(tmp_path):
         msg = str(e.value)
         assert str(cut) in msg
         assert f"truncated at byte {n}" in msg
+
+
+def test_huge_declared_config_fails_without_allocating_it(tmp_path):
+    # A 14-byte GLCK whose header declares a 100 MB config.
+    path = tmp_path / "model.glck"
+    path.write_bytes(b"GLCK" + struct.pack("<II", 2, 100_000_000) + b"{}")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError) as e:
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == (f"{path}: file truncated at byte 14 "
+                            f"(needed 100000000 bytes from byte 12)")
+    assert peak < 1_000_000, peak
 
 
 def test_checkpoint_keeps_the_whole_config(tmp_path):

@@ -12,7 +12,7 @@ from groundlex.corpus import UtteranceRecord, build_vocabulary, encode
 from groundlex.errors import DataError
 from groundlex.pairing import (
     FRAME_PERIOD, FRAMES_PER_UTTERANCE, RESOLVE_TOLERANCE, EpisodePair, FeatureStore,
-    build_pairs, frame_key, frame_schedule, load_feature_store, sample_frame,
+    build_pairs, frame_schedule, sample_frame,
 )
 
 
@@ -115,6 +115,27 @@ def test_truncated_feature_store_raises_data_error_with_offset(tmp_path):
         msg = str(e.value)
         assert str(cut) in msg
         assert f"truncated at byte {n}" in msg
+
+
+@pytest.mark.parametrize("timestamp,message", [
+    (b"", "truncated at byte 25 (needed 8 bytes from byte 25)"),
+    (struct.pack("<d", 0.0), "truncated at byte 33 (needed 100000000 bytes from byte 33)"),
+])
+def test_huge_declared_dim_fails_without_allocating_it(tmp_path, timestamp, message):
+    # A header declaring dim = 12.5 M (100 MB a frame), then one frame's id
+    # "v", with or without its timestamp.
+    path = tmp_path / "feat.glfx"
+    path.write_bytes(b"GLFX" + struct.pack("<IIQ", 1, 12_500_000, 1)
+                     + struct.pack("<I", 1) + b"v" + timestamp)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError) as e:
+            FeatureStore.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == f"{path}: file {message}"
+    assert peak < 1_000_000, peak
 
 
 @pytest.mark.parametrize("field", ["timestamp", "feature"])
@@ -249,45 +270,12 @@ def test_load_does_not_hold_every_frame_twice(tmp_path):
     assert peak < 1.5 * frame_bytes, (peak, frame_bytes)
 
 
-def test_add_video_rejects_frames_that_share_a_key():
-    store = make_store(n_videos=1)
-    with pytest.raises(DataError) as e:
-        store.add_video("v", np.array([0.0, 1.0, 1.0004]), np.zeros((3, 4)))
-    msg = str(e.value)
-    assert "'v'" in msg and "at 1.0 s and 1.0004 s" in msg
-    assert not store.has_video("v") and len(store) == 8
-
-def test_store_jsonl_roundtrip(tmp_path):
-    path = tmp_path / "feat.jsonl"
-    path.write_text(
-        '{"video_id": "v0", "timestamp_s": 0.0, "features": [1.0, 2.0]}\n'
-        '{"video_id": "v0", "timestamp_s": 0.5, "features": [3.0, 4.0]}\n')
-    store = load_feature_store(path)
-    assert store.feature_dim == 2 and len(store) == 2
-    np.testing.assert_array_equal(store.by_key(frame_key("v0", 0.5)).features, [3.0, 4.0])
-
-
-def test_by_key_finds_every_stored_frame():
-    store = make_store()
-    for vid in store.video_ids:
-        for t in stored_times():
-            assert store.by_key(frame_key(vid, t)).timestamp_s == t
-
-
-def test_by_key_agrees_with_resolve_on_float_rounding_twins():
-    # Two timestamps that are one instant up to float rounding share a key.
+def test_resolve_returns_the_first_of_float_rounding_twins():
+    # 2.4 and 2.4000000000000004 (from summed frame periods) are two frames.
     store = FeatureStore(1)
     store.add_video("v", np.array([2.4, 2.4000000000000004]), np.array([[1.0], [2.0]]))
     assert len(store) == 2
     np.testing.assert_array_equal(store.resolve("v", 2.4).features, [1.0])
-    np.testing.assert_array_equal(store.by_key(frame_key("v", 2.4)).features, [1.0])
-
-
-@pytest.mark.parametrize("key", ["v0@0.250", "v0@0.27", "v9@0.000", "v0@nan", "v0@x",
-                                 "v0", ""])
-def test_by_key_rejects_unknown_and_malformed_keys(key):
-    with pytest.raises(DataError, match="frame key"):
-        make_store().by_key(key)
 
 
 def test_store_features_are_read_only():

@@ -10,7 +10,7 @@ from groundlex.corpus import EOS_ID, PAD_ID
 from groundlex.errors import NumericsError, ShapeError
 from groundlex.tensor import (
     Tensor, add, cross_entropy, dropout, embedding, gelu, grad_check,
-    l2_normalize, layer_norm, matmul, mean, mul, no_grad, reshape, softmax,
+    l2_normalize, layer_norm, matmul, mul, no_grad, reshape, softmax,
     take_per_row, transpose, tsum,
 )
 
@@ -22,13 +22,6 @@ def rng(seed=0):
 def test_l2_normalize_three_four_five():
     out = l2_normalize(Tensor([3.0, 4.0]))
     np.testing.assert_allclose(out.data, [0.6, 0.8])
-
-
-def test_mean_over_rows():
-    out = mean(Tensor([[1.0, 2.0], [3.0, 4.0]]), axis=1)
-    np.testing.assert_allclose(out.data, [1.5, 3.5])
-    out = mean(Tensor([[1.0, 2.0], [3.0, 4.0]]), axis=0)
-    np.testing.assert_allclose(out.data, [2.0, 3.0])
 
 
 def test_layer_norm_constant_input_is_zero():
@@ -119,7 +112,7 @@ def test_grad_check_op_compositions(seed):
         h = layer_norm(h, ts[2], ts[3])
         h = gelu(h)
         h = l2_normalize(h, axis=-1)
-        return mean(mul(h, h)) + tsum(softmax(h, axis=-1))
+        return tsum(mul(h, h)) + tsum(softmax(h, axis=-1))
 
     assert grad_check(f, [a, b, g, c]) < 1e-6
 
@@ -146,7 +139,7 @@ def test_backward_random_compositions_match_finite_differences():
                 h = l2_normalize(h, axis=1)
             else:
                 h = transpose(reshape(h, (3, 2)), (1, 0))
-            return mean(mul(h, h))
+            return tsum(mul(h, h))
 
         errs.append(grad_check(f, [x, w]))
     assert max(errs) < 1e-4
@@ -205,7 +198,7 @@ def test_grad_check_3d_activation_through_2d_weights():
     def f(ts):
         h = gelu(add(matmul(ts[0], ts[1]), ts[2]))
         logits = matmul(h, transpose(ts[3], (1, 0)))
-        return mean(mul(logits, logits))
+        return tsum(mul(logits, logits))
 
     assert grad_check(f, [x, w1, b1, tok]) < 1e-6
 
@@ -396,6 +389,46 @@ def test_take_per_row_grad_at_eos_positions():
     np.testing.assert_array_equal(x.grad[~picked], 0.0)
 
 
+def test_layer_norm_grad_over_batch_time_features():
+    # (N, T, D) = (2, 3, 4), as the decoder's layer norms see it, with the
+    # input, gamma and beta all requiring grad. A random weighting, because a
+    # plain sum of the output does not depend on the input.
+    x = Tensor(rng(27).normal(size=(2, 3, 4)), requires_grad=True)
+    g = Tensor(rng(28).normal(size=4) + 1.0, requires_grad=True)
+    b = Tensor(rng(29).normal(size=4), requires_grad=True)
+    w = Tensor(rng(30).normal(size=(2, 3, 4)))
+
+    def f(ts):
+        return tsum(mul(layer_norm(ts[0], ts[1], ts[2]), w))
+
+    assert grad_check(f, [x, g, b]) < 1e-6
+
+
+def test_gelu_grad_over_batch_time_features():
+    # (N, T, D) = (2, 3, 4), as the feed-forward blocks see it.
+    x = Tensor(rng(31).normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng(32).normal(size=(2, 3, 4)))
+    assert grad_check(lambda ts: tsum(mul(gelu(ts[0]), w)), [x]) < 1e-6
+
+
+def test_dropout_grad_with_a_fixed_mask():
+    # (N, T, D) = (2, 3, 4) at keep_prob 0.5. Every call draws its mask from a
+    # new RNG of one seed, so the mask is fixed and finite differences are exact.
+    x = Tensor(rng(33).normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng(34).normal(size=(2, 3, 4)))
+
+    def f(ts):
+        return tsum(mul(dropout(ts[0], 0.5, rng(35)), w))
+
+    assert grad_check(f, [x]) < 1e-6
+    kept = rng(35).random((2, 3, 4)) < 0.5
+    assert kept.any() and not kept.all()
+    x.zero_grad()
+    f([x]).backward()
+    np.testing.assert_array_equal(x.grad[kept], 2.0 * w.data[kept])
+    np.testing.assert_array_equal(x.grad[~kept], 0.0)
+
+
 def test_fully_masked_row_raises():
     x = Tensor(np.zeros((2, 3)))
     mask = np.array([[True, True, True], [False, False, False]])
@@ -482,7 +515,7 @@ def test_cross_entropy_matches_old_contrastive_composition_at_model_shape(axis):
 
     loss, grad = loss_and_grad(new, sims)
     ref_loss, ref_grad = loss_and_grad(
-        lambda x: -mean(ref_diagonal(ref_logprobs(x, axis=axis))), sims)
+        lambda x: mul(tsum(ref_diagonal(ref_logprobs(x, axis=axis))), -1.0 / 128), sims)
     assert_close_to_reference(loss, ref_loss)
     assert_close_to_reference(grad, ref_grad)
 
