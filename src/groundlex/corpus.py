@@ -79,8 +79,17 @@ def save_records(records: list[UtteranceRecord], path: str | Path) -> None:
             }, sort_keys=True) + "\n")
 
 
+# The ASCII code points in a Unicode punctuation category (P*), for
+# ``str.translate``. Not ``string.punctuation``: nine of its characters,
+# $ + < = > ^ ` | ~, are symbols (S*) and stay.
+_ASCII_PUNCTUATION = dict.fromkeys(
+    c for c in range(128) if unicodedata.category(chr(c)).startswith("P"))
+
+
 def clean_text(raw: str) -> str:
     """Lowercase, remove Unicode punctuation, collapse whitespace."""
+    if raw.isascii():
+        return " ".join(raw.lower().translate(_ASCII_PUNCTUATION).split())
     chars = []
     for ch in raw.lower():
         if unicodedata.category(ch).startswith("P"):
@@ -114,6 +123,9 @@ def collapse_repeated_phrases(text: str) -> str:
     Idempotent by construction.
     """
     tokens = text.split()
+    # A run needs some token MIN_REPEATS times; most texts have none.
+    if max(Counter(tokens).values(), default=0) < MIN_REPEATS:
+        return " ".join(tokens)
     while True:
         hit = _find_run(tokens)
         if hit is None:

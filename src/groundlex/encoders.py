@@ -8,7 +8,8 @@ dropout over frozen frame features) and differ in the language side:
   cvcl_t_lm  same decoder plus a tied-weight next-word head
 
 All parameters live in a flat name -> Tensor dict so the optimizer and the
-checkpoint format stay trivial.
+checkpoint format stay trivial. ``ModelConfig.dtype`` sets the precision of
+the parameters, and every activation, gradient and optimizer moment keeps it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .tensor import (
 VARIANTS = ("cvcl", "cvcl_t", "cvcl_t_lm")
 
 GLCK_MAGIC = b"GLCK"
-GLCK_VERSION = 2
+GLCK_VERSION = 3
+DTYPES = ("float32", "float64")
 
 
 @dataclass
@@ -46,10 +48,21 @@ class ModelConfig:
     n_heads: int = 8
     ff_mult: int = 4
     dropout: float = 0.1
+    dtype: str = "float32"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
+        for name in ("feature_dim", "embed_dim", "max_len", "n_heads", "ff_mult"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("n_layers", "vocab_size"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.dtype not in DTYPES:
+            raise ValueError(f"unknown dtype {self.dtype!r}; pick one of {DTYPES}")
         if self.uses_transformer and self.embed_dim % self.n_heads:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by "
                              f"{self.n_heads} heads")
@@ -65,7 +78,7 @@ class ModelConfig:
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in (
             "variant", "feature_dim", "embed_dim", "vocab_size", "max_len",
-            "n_layers", "n_heads", "ff_mult", "dropout")}
+            "n_layers", "n_heads", "ff_mult", "dropout", "dtype")}
 
 
 def _xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -97,7 +110,8 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     """Fresh trainable parameters: embeddings ~ N(0, 0.02^2), projections
     Xavier-uniform, layer-norm affines at (1, 0). Random draws follow the
-    ``param_shapes`` order."""
+    ``param_shapes`` order and are made in float64 for every dtype, then cast
+    to ``cfg.dtype``."""
     if cfg.vocab_size < 4:
         raise ValueError("vocab_size must cover the reserved specials")
     p: dict[str, np.ndarray] = {}
@@ -110,7 +124,8 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]
             p[name] = np.ones(shape)
         else:
             p[name] = np.zeros(shape)
-    return {name: Tensor(arr, requires_grad=True) for name, arr in p.items()}
+    return {name: Tensor(arr.astype(cfg.dtype, copy=False), requires_grad=True)
+            for name, arr in p.items()}
 
 
 @dataclass
@@ -139,9 +154,10 @@ class Model:
 def encode_frames(model: Model, features: np.ndarray, train: bool = False,
                   rng: np.random.Generator | None = None) -> Tensor:
     """Project frozen frame features into the shared space: linear -> layer
-    norm -> dropout (train only). features: (N, F) -> (N, D)."""
+    norm -> dropout (train only). features: (N, F) -> (N, D), cast to the
+    model's dtype."""
     cfg, p = model.config, model.params
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    features = np.atleast_2d(np.asarray(features, dtype=cfg.dtype))
     if features.shape[1] != cfg.feature_dim:
         raise ShapeError("encode_frames", features.shape, (cfg.feature_dim,))
     x = Tensor(features)  # inputs never require grad: the backbone is frozen
@@ -175,8 +191,8 @@ def encode_utterances_embedding(model: Model, ids_batch, train: bool = False,
     h = add(tok, pos)
     if train:
         h = dropout(h, 1.0 - cfg.dropout, rng, train=True)
-    mask = not_pad[:, :, None].astype(np.float64)
-    counts = not_pad.sum(axis=1, keepdims=True).astype(np.float64)
+    mask = not_pad[:, :, None].astype(cfg.dtype)
+    counts = not_pad.sum(axis=1, keepdims=True).astype(cfg.dtype)
     summed = tsum(mul(h, Tensor(mask)), axis=1)
     return mul(summed, Tensor(1.0 / counts))
 
@@ -278,8 +294,10 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
     """Versioned binary: header {magic, version u32, config as u32-length-
     prefixed UTF-8 JSON of ``ModelConfig.as_dict()``, parameter count u32},
     then per parameter in name order {u32-length-prefixed UTF-8 name,
-    ndim u32, shape u64 x ndim, f64 values}."""
+    ndim u32, shape u64 x ndim, values}. Values are little-endian float32
+    (``<f4``) or float64 (``<f8``), as the config's ``dtype`` says."""
     config = json.dumps(model.config.as_dict(), sort_keys=True).encode("utf-8")
+    values = np.dtype(model.config.dtype).newbyteorder("<")
     with open(path, "wb") as fh:
         fh.write(GLCK_MAGIC)
         fh.write(struct.pack("<II", GLCK_VERSION, len(config)))
@@ -292,7 +310,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
             fh.write(name_b)
             fh.write(struct.pack("<I", data.ndim))
             fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-            fh.write(np.ascontiguousarray(data).tobytes())
+            fh.write(np.ascontiguousarray(data, dtype=values).tobytes())
 
 
 def load_checkpoint(path: str | Path) -> Model:
@@ -311,6 +329,7 @@ def load_checkpoint(path: str | Path) -> Model:
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad config header {config!r} ({exc})") from None
         expected = param_shapes(cfg)
+        values = np.dtype(cfg.dtype).newbyteorder("<")
         (count,) = unpack(fh, "<I", path)
         params: dict[str, Tensor] = {}
         for _ in range(count):
@@ -324,8 +343,8 @@ def load_checkpoint(path: str | Path) -> Model:
                 raise DataError(f"{path}: parameter {name!r} has shape {shape}, "
                                 f"config expects {expected[name]}")
             n_items = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(read_exact(fh, 8 * n_items, path), dtype="<f8")
-            params[name] = Tensor(data.reshape(shape).copy(), requires_grad=True)
+            data = np.frombuffer(read_exact(fh, values.itemsize * n_items, path), dtype=values)
+            params[name] = Tensor(data.reshape(shape).astype(cfg.dtype), requires_grad=True)
     missing = expected.keys() - params.keys()
     if missing:
         raise DataError(f"{path}: missing parameters {sorted(missing)} for {cfg}")

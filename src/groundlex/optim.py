@@ -10,7 +10,8 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import Tensor
 
-# float64 values per operand per block: 128 KB, so the chain runs in L2.
+# Values per operand per block: 128 KB in float64 and 64 KB in float32, so
+# the chain runs in L2.
 _BLOCK = 1 << 14
 
 
@@ -41,9 +42,10 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
     cache. Parameters and moments are updated in place (``Tensor`` data is
     C-contiguous, so the flat views alias it); the moments are allocated on a
     parameter's first update and reused after that. The only other memory a
-    call allocates is two block-sized scratch arrays. The elementwise
-    operations and their order match the unblocked formula, so results are
-    bit-identical to it.
+    call allocates is two block-sized scratch arrays. Moments and scratch take
+    each parameter's dtype, so a float32 parameter updates in float32. The
+    elementwise operations and their order match the unblocked formula, so
+    results are bit-identical to it.
     """
     if lr is None:
         lr = state.learning_rate
@@ -57,8 +59,10 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     decay = 1.0 - lr * state.weight_decay
-    s1, s2 = np.empty(_BLOCK), np.empty(_BLOCK)
+    s1 = s2 = None
     for name, p in params.items():
+        if s1 is None or s1.dtype != p.data.dtype:
+            s1, s2 = np.empty(_BLOCK, p.data.dtype), np.empty(_BLOCK, p.data.dtype)
         g = p.grad
         if g is None:
             raise ShapeError("adamw_step", p.shape)

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 Micrograd-style: every operation that touches a tracked tensor records its
 parents and a backward function on the output. The function takes the
@@ -9,6 +9,9 @@ in reverse topological order and consumes it, like PyTorch's default
 ``retain_graph=False``. The graph is rebuilt on every forward pass.
 
 No higher-order gradients, no views: every op materialises its output.
+An op's output and gradients keep its tensor operands' dtype; a Python number
+or array beside a tensor in ``add`` or ``mul`` takes that tensor's dtype, so
+a float32 graph never promotes to float64.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .errors import NumericsError, ShapeError
 # Graph recording switch, flipped by ``no_grad``. Every op output is also
 # checked for NaN/Inf; that costs one pass, and desk-scale runs are small.
 _grad_enabled = True
+
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 # Counts L2-normalisations that hit an exact zero vector (degenerate
 # embeddings are returned as zero vectors rather than raising).
@@ -58,16 +63,20 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 
 
 class Tensor:
-    """A float64 array plus an optional gradient buffer.
+    """A float32 or float64 array plus an optional gradient buffer.
 
-    Leaves created with ``requires_grad=True`` get a zero-initialised ``grad``
-    so unused leaves report zero gradients after any backward pass.
+    float32 and float64 data keep their dtype; any other data becomes
+    float64. Leaves created with ``requires_grad=True`` get a zero-initialised
+    ``grad`` so unused leaves report zero gradients after any backward pass.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype not in _FLOAT_DTYPES:
+            data = data.astype(np.float64)
+        self.data = np.ascontiguousarray(data)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
@@ -151,8 +160,15 @@ class Tensor:
         return mul(other, self)
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def as_tensor(x, dtype=np.float64) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both as tensors; a non-tensor takes the dtype of the tensor beside it."""
+    if not isinstance(a, Tensor):
+        a = as_tensor(a, b.data.dtype if isinstance(b, Tensor) else np.float64)
+    return a, as_tensor(b, a.data.dtype)
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -188,7 +204,7 @@ def _make(data: np.ndarray, op: str, parents: Sequence[Tensor],
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     try:
         data = a.data + b.data
     except ValueError:
@@ -204,7 +220,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     try:
         data = a.data * b.data
     except ValueError:
@@ -313,7 +329,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     def bw(g):
         if table.requires_grad:
             m = ids.size
-            onehot = csr_matrix((np.ones(m), (ids.reshape(-1), np.arange(m))),
+            onehot = csr_matrix((np.ones(m, g.dtype), (ids.reshape(-1), np.arange(m))),
                                 shape=(table.shape[0], m))
             _accum(table, onehot @ g.reshape(m, table.shape[1]))
 
@@ -409,7 +425,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     s = e.sum(axis=-1, keepdims=True)
     picked -= np.log(s[:, 0])
     picked *= keep
-    data = picked.sum() * (-1.0 / n)
+    data = np.asarray(picked.sum() * (-1.0 / n), dtype=x.dtype)
 
     def bw(g):
         if logits.requires_grad:
@@ -419,7 +435,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
             np.multiply(e, (keep * (g / n))[:, None], out=e)
             _accum(logits, e.reshape(logits.shape))
 
-    return _make(np.asarray(data), "cross_entropy", (logits,), bw)
+    return _make(data, "cross_entropy", (logits,), bw)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -476,7 +492,8 @@ def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator,
         return a
     if rng is None:
         raise ValueError("dropout needs an explicit RNG at train time")
-    mask = (rng.random(a.shape) < keep_prob) / keep_prob
+    # float64 draws for every dtype, so float32 and float64 runs drop alike
+    mask = np.divide(rng.random(a.shape) < keep_prob, keep_prob, dtype=a.data.dtype)
     return mul(a, Tensor(mask))
 
 

@@ -2,11 +2,13 @@
 
 import json
 import math
+import unicodedata
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from groundlex import corpus
 from groundlex.corpus import (
     EOS_ID, PAD_ID, UNK_ID, DedupReport, SplitManifest, UtteranceRecord,
     build_vocabulary, clean_text, collapse_repeated_phrases, decode,
@@ -42,6 +44,30 @@ def test_clean_text_idempotent():
         s = "".join(rng.choice(pool) for _ in range(rng.integers(0, 30)))
         once = clean_text(s)
         assert clean_text(once) == once
+
+
+def clean_text_per_character(raw):
+    """The per-character rule: drop every character whose category is P*."""
+    kept = "".join(ch for ch in raw.lower() if not unicodedata.category(ch).startswith("P"))
+    return " ".join(kept.split())
+
+
+def test_clean_text_ascii_matches_the_per_character_rule():
+    for code in range(128):
+        ch = chr(code)
+        for s in (ch, f"Ab{ch}cD", f"x {ch} y", f"{ch}{ch}Word{ch}"):
+            assert s.isascii()
+            assert clean_text(s) == clean_text_per_character(s), repr(s)
+    # symbols (S*) stay, unlike in string.punctuation
+    assert clean_text("$1 + 2 <= 3 ^ `x` | ~y") == "$1 + 2 <= 3 ^ `x` | ~y"
+
+
+def test_clean_text_non_ascii_still_drops_unicode_punctuation():
+    assert clean_text("¿Dónde está?") == "dónde está"
+    assert clean_text("wait… «Ball»!") == "wait ball"
+    for s in ("¿Dónde está?", "wait… «Ball»!", "A-b ¡c! — d’e", "Ünïcode, too."):
+        assert not s.isascii()
+        assert clean_text(s) == clean_text_per_character(s)
 
 
 # --- repeated-phrase collapse -----------------------------------------------
@@ -85,6 +111,28 @@ def test_collapse_matches_bruteforce_oracle():
         tokens = [alphabet[int(rng.integers(len(alphabet)))] for _ in range(length)]
         got = collapse_repeated_phrases(" ".join(tokens)).split()
         assert got == oracle_collapse(tokens), f"input={tokens}"
+
+
+def test_collapse_skips_the_search_only_when_no_run_is_possible(monkeypatch):
+    # Seeded 3-word sequences, where runs are common: every output equals the
+    # oracle, and the run search is reached exactly when some token occurs
+    # MIN_REPEATS times.
+    calls = []
+    find_run = corpus._find_run
+    monkeypatch.setattr(corpus, "_find_run", lambda tokens: calls.append(1) or find_run(tokens))
+    rng = np.random.default_rng(2024)
+    searched = skipped = 0
+    for _ in range(2000):
+        tokens = [("ball", "dog", "cup")[int(rng.integers(3))]
+                  for _ in range(int(rng.integers(0, 12)))]
+        calls.clear()
+        got = collapse_repeated_phrases(" ".join(tokens)).split()
+        assert got == oracle_collapse(tokens), f"input={tokens}"
+        possible = max(Counter(tokens).values(), default=0) >= corpus.MIN_REPEATS
+        assert bool(calls) == possible, f"input={tokens}"
+        searched += possible
+        skipped += not possible
+    assert searched > 500 and skipped > 500, (searched, skipped)
 
 
 def test_collapse_idempotent():

@@ -1,6 +1,8 @@
 """Encoder forward semantics, causality, gradients, checkpoint format."""
 
+import dataclasses
 import gc
+import json
 import struct
 import tracemalloc
 
@@ -16,6 +18,7 @@ from groundlex.encoders import (
 from groundlex.errors import DataError, ShapeError
 from groundlex.objectives import contrastive_loss, joint_loss, lm_loss
 from groundlex.optim import AdamWState, adamw_step
+from groundlex import tensor
 from groundlex.tensor import Tensor, grad_check, layer_norm, tsum, mul
 
 
@@ -33,7 +36,7 @@ def toy_model(variant="cvcl", seed=0, **kw):
 # --- vision adapter -----------------------------------------------------------
 
 def test_encode_frames_identity_projection_is_layer_norm():
-    model = toy_model(feature_dim=8)
+    model = toy_model(feature_dim=8, dtype="float64")
     model.params["vis.proj_w"].data[:] = np.eye(8)
     model.params["vis.proj_b"].data[:] = 0.0
     feats = np.random.default_rng(1).normal(size=(3, 8))
@@ -44,7 +47,7 @@ def test_encode_frames_identity_projection_is_layer_norm():
 
 
 def test_encode_frames_train_eval_differ_only_by_dropout():
-    model = toy_model()
+    model = toy_model(dtype="float64")
     feats = np.random.default_rng(2).normal(size=(4, 6))
     eval_out = encode_frames(model, feats, train=False)
     train_out = encode_frames(model, feats, train=True,
@@ -62,7 +65,7 @@ def test_encode_frames_rejects_wrong_dim():
 
 
 def test_encode_frames_grad_reaches_projection_not_features():
-    model = toy_model()
+    model = toy_model(dtype="float64")
     feats = np.random.default_rng(3).normal(size=(2, 6))
 
     def f(_):
@@ -84,7 +87,7 @@ def test_embedding_single_token_is_tok_plus_pos():
 
 
 def test_embedding_zero_positions_permutation_invariant():
-    model = toy_model()
+    model = toy_model(dtype="float64")
     model.params["lang.pos_emb"].data[:] = 0.0
     a = encode_utterances_embedding(model, [[3, 4, 5, EOS_ID]])
     b = encode_utterances_embedding(model, [[5, 3, EOS_ID, 4]])
@@ -94,7 +97,7 @@ def test_embedding_zero_positions_permutation_invariant():
 def test_embedding_positions_carry_length_not_order():
     # mean(tok + pos) = mean(tok) + mean(pos[:T]): reordering tokens cannot
     # change the output, but utterance length moves the positional mean.
-    model = toy_model(seed=7)
+    model = toy_model(seed=7, dtype="float64")
     a = encode_utterances_embedding(model, [[3, 4, 5]])
     b = encode_utterances_embedding(model, [[5, 3, 4]])
     np.testing.assert_allclose(a.data, b.data, atol=1e-12)
@@ -184,7 +187,7 @@ def reference_single_head_layer(p, pre, x):
 
 def test_transformer_matches_reference_recomputation():
     # one layer, one head, two tokens: compare against a straight-line oracle
-    model = toy_model("cvcl_t", n_layers=1, n_heads=1, seed=5)
+    model = toy_model("cvcl_t", n_layers=1, n_heads=1, seed=5, dtype="float64")
     ids = np.asarray([[4, EOS_ID]], dtype=np.intp)
     from groundlex.encoders import _transformer_hidden
     got = _transformer_hidden(model, ids, False, None).data[0]
@@ -254,6 +257,44 @@ def test_model_config_validation():
         ModelConfig(variant="cvcl_t", embed_dim=10, n_heads=4, vocab_size=11)
 
 
+BAD_CONFIG_FIELDS = [
+    ("feature_dim", 0), ("embed_dim", -4), ("max_len", 0), ("n_heads", 0),
+    ("ff_mult", 0), ("n_layers", -1), ("vocab_size", -1), ("dropout", -0.1),
+    ("dropout", 1.0), ("dropout", 1.5), ("dtype", "float16"),
+]
+
+
+@pytest.mark.parametrize("name,value", BAD_CONFIG_FIELDS)
+def test_model_config_rejects_bad_field(name, value):
+    with pytest.raises(ValueError, match=name):
+        toy_config("cvcl_t", **{name: value})
+
+
+def test_model_config_accepts_the_bounds():
+    cfg = toy_config("cvcl_t", n_layers=0, vocab_size=0, dropout=0.0, dtype="float64")
+    assert (cfg.n_layers, cfg.vocab_size, cfg.dropout, cfg.dtype) == (0, 0, 0.0, "float64")
+    assert ModelConfig().dtype == "float32"
+
+
+def with_config(blob: bytes, **changes) -> bytes:
+    """A GLCK file with fields of its config header replaced."""
+    (clen,) = struct.unpack("<I", blob[8:12])
+    config = json.loads(blob[12:12 + clen])
+    config.update(changes)
+    new = json.dumps(config, sort_keys=True).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + clen:]
+
+
+@pytest.mark.parametrize("name,value", BAD_CONFIG_FIELDS)
+def test_checkpoint_with_bad_config_field_raises_data_error(tmp_path, name, value):
+    path = tmp_path / "model.glck"
+    save_checkpoint(toy_model("cvcl_t", seed=7), path)
+    path.write_bytes(with_config(path.read_bytes(), **{name: value}))
+    with pytest.raises(DataError, match=f"bad config header .*{name}") as e:
+        load_checkpoint(path)
+    assert str(path) in str(e.value)
+
+
 # --- checkpoints -------------------------------------------------------------------
 
 def test_checkpoint_roundtrip_bitexact(tmp_path):
@@ -270,6 +311,45 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
         ids = [[3, 4, EOS_ID]]
         np.testing.assert_array_equal(encode_utterances(model, ids).data,
                                       encode_utterances(loaded, ids).data)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_checkpoint_roundtrip_keeps_the_dtype(tmp_path, dtype):
+    model = toy_model("cvcl_t_lm", seed=3, dtype=dtype)
+    path = tmp_path / "model.glck"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    assert loaded.config == model.config and loaded.config.dtype == dtype
+    for name, p in model.params.items():
+        assert loaded.params[name].data.dtype == dtype, name
+        assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+    # values are stored little-endian in the config's dtype, names in order
+    last = model.params[max(model.params)].data
+    assert path.read_bytes().endswith(last.astype(np.dtype(dtype).newbyteorder("<")).tobytes())
+
+
+def test_version_2_checkpoint_is_rejected(tmp_path):
+    path = tmp_path / "model.glck"
+    save_checkpoint(toy_model("cvcl", seed=3), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+    with pytest.raises(DataError, match="unsupported checkpoint version 2$"):
+        load_checkpoint(path)
+
+
+def test_float32_checkpoint_cut_inside_values_names_the_offset(tmp_path):
+    model = toy_model("cvcl", seed=3)
+    path = tmp_path / "model.glck"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    last = model.params[max(model.params)].data
+    start = len(blob) - 4 * last.size
+    cut = start + 6
+    path.write_bytes(blob[:cut])
+    with pytest.raises(DataError) as e:
+        load_checkpoint(path)
+    assert str(e.value) == (f"{path}: file truncated at byte {cut} "
+                            f"(needed {4 * last.size} bytes from byte {start})")
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -296,7 +376,7 @@ def test_truncated_checkpoint_raises_data_error_with_offset(tmp_path):
 def test_huge_declared_config_fails_without_allocating_it(tmp_path):
     # A 14-byte GLCK whose header declares a 100 MB config.
     path = tmp_path / "model.glck"
-    path.write_bytes(b"GLCK" + struct.pack("<II", 2, 100_000_000) + b"{}")
+    path.write_bytes(b"GLCK" + struct.pack("<II", 3, 100_000_000) + b"{}")
     tracemalloc.start()
     try:
         with pytest.raises(DataError) as e:
@@ -360,8 +440,9 @@ def test_checkpoint_parameters_must_match_config(tmp_path, change, expected):
 
 
 def test_init_params_draw_order_is_unchanged():
-    # The draw sequence every seeded run and checkpoint depends on.
-    cfg = toy_config("cvcl_t_lm")
+    # The draw sequence every seeded run and checkpoint depends on: float64
+    # draws, cast to the config's dtype, so float64 keeps them bit for bit.
+    cfg = toy_config("cvcl_t_lm", dtype="float64")
     d, ff = cfg.embed_dim, cfg.ff_mult * cfg.embed_dim
     rng = np.random.default_rng(9)
 
@@ -377,20 +458,23 @@ def test_init_params_draw_order_is_unchanged():
             expected[f"lang.layer{i}.{name}"] = xavier(d, d)
         expected[f"lang.layer{i}.ff1_w"] = xavier(d, ff)
         expected[f"lang.layer{i}.ff2_w"] = xavier(ff, d)
-    params = Model.init(cfg, np.random.default_rng(9)).params
-    assert len(params) == 6 + 16 * cfg.n_layers + 2
-    for name, p in params.items():
-        if name in expected:
-            assert p.data.tobytes() == expected[name].tobytes(), name
-        else:
-            fill = 1.0 if name.endswith("_g") else 0.0
-            assert p.data.ndim == 1 and np.all(p.data == fill), name
+    for dtype in ("float64", "float32"):
+        cfg = toy_config("cvcl_t_lm", dtype=dtype)
+        params = Model.init(cfg, np.random.default_rng(9)).params
+        assert len(params) == 6 + 16 * cfg.n_layers + 2
+        for name, p in params.items():
+            assert p.data.dtype == dtype, name
+            if name in expected:
+                assert p.data.tobytes() == expected[name].astype(dtype).tobytes(), name
+            else:
+                fill = 1.0 if name.endswith("_g") else 0.0
+                assert p.data.ndim == 1 and np.all(p.data == fill), name
 
 
 # --- seeded training ---------------------------------------------------------------
 
-def train_toy_joint_model(steps=4):
-    model = toy_model("cvcl_t_lm", seed=10, dropout=0.3)
+def train_toy_joint_model(steps=4, dtype="float32"):
+    model = toy_model("cvcl_t_lm", seed=10, dropout=0.3, dtype=dtype)
     rng = np.random.default_rng((10, 1))
     state = AdamWState()
     ids = np.array([[5, 6, 7, EOS_ID], [8, 9, EOS_ID, PAD_ID], [4, EOS_ID, PAD_ID, PAD_ID]])
@@ -406,14 +490,83 @@ def train_toy_joint_model(steps=4):
     return model
 
 
-def test_seeded_training_is_bit_identical():
-    first, second = train_toy_joint_model(), train_toy_joint_model()
-    start = toy_model("cvcl_t_lm", seed=10, dropout=0.3)
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_seeded_training_is_bit_identical(dtype):
+    first = train_toy_joint_model(dtype=dtype)
+    second = train_toy_joint_model(dtype=dtype)
+    start = toy_model("cvcl_t_lm", seed=10, dropout=0.3, dtype=dtype)
     assert first.params.keys() == second.params.keys()
     for name, p in first.params.items():
+        assert p.data.dtype == dtype, name
         assert p.data.tobytes() == second.params[name].data.tobytes(), name
     assert not np.array_equal(first.params["lang.layer1.wq"].data,
                               start.params["lang.layer1.wq"].data)
+
+
+# --- precision ---------------------------------------------------------------------
+
+def joint_step_loss(model, rng, train=True):
+    """The loss of one training step: contrastive, plus the LM term for cvcl_t_lm."""
+    ids = np.array([[5, 6, 7, EOS_ID], [8, 9, EOS_ID, PAD_ID], [4, EOS_ID, PAD_ID, PAD_ID]])
+    frames = encode_frames(model, rng.normal(size=(3, model.config.feature_dim)),
+                           train=train, rng=rng)
+    utts = encode_utterances(model, ids, train=train, rng=rng)
+    loss, _ = contrastive_loss(frames, utts)
+    if model.config.uses_lm_head:
+        targets = np.concatenate([ids[:, 1:], np.full((3, 1), PAD_ID)], axis=1)
+        loss = joint_loss(lm_loss(lm_logits(model, ids, train=train, rng=rng), targets), loss)
+    return loss
+
+
+@pytest.mark.parametrize("variant", ["cvcl", "cvcl_t", "cvcl_t_lm"])
+def test_float32_training_step_stays_float32(monkeypatch, variant):
+    # Every op output and every gradient an op hands back is float32.
+    seen = []
+    make, accum = tensor._make, tensor._accum
+
+    def spy_make(data, op, parents, backward):
+        seen.append((op, data.dtype))
+        return make(data, op, parents, backward)
+
+    def spy_accum(t, g):
+        seen.append(("gradient", g.dtype))
+        accum(t, g)
+
+    monkeypatch.setattr(tensor, "_make", spy_make)
+    monkeypatch.setattr(tensor, "_accum", spy_accum)
+    model = toy_model(variant, seed=11, dropout=0.3)
+    state = AdamWState()
+    model.zero_grad()
+    loss = joint_step_loss(model, np.random.default_rng(12))
+    loss.backward()
+    adamw_step(model.params, state, lr=1e-2)
+    assert {op for op, _ in seen} >= {"matmul", "layer_norm", "mul", "cross_entropy", "gradient"}
+    assert [(op, dt) for op, dt in seen if dt != np.float32] == []
+    for name, p in model.params.items():
+        assert p.data.dtype == p.grad.dtype == np.float32, name
+        assert state.first_moment[name].dtype == np.float32, name
+        assert state.second_moment[name].dtype == np.float32, name
+
+
+def test_float32_step_agrees_with_float64():
+    single = Model.init(toy_config("cvcl_t_lm", embed_dim=16, n_heads=4, dropout=0.0),
+                        np.random.default_rng(13))
+    double = Model(config=dataclasses.replace(single.config, dtype="float64"),
+                   params={name: Tensor(p.data.astype(np.float64), requires_grad=True)
+                           for name, p in single.params.items()})
+    losses, grads = [], []
+    for model in (single, double):
+        model.zero_grad()
+        loss = joint_step_loss(model, np.random.default_rng(14))
+        loss.backward()
+        losses.append(loss.item())
+        grads.append({name: p.grad for name, p in model.params.items()})
+    assert losses[0] == pytest.approx(losses[1], rel=1e-6)
+    # Relative to the largest gradient: the key-bias gradients are zero in
+    # exact arithmetic, so a per-parameter relative error would be noise.
+    scale = max(np.linalg.norm(g) for g in grads[1].values())
+    for name, g64 in grads[1].items():
+        assert np.abs(grads[0][name] - g64).max() <= 1e-4 * scale, name
 
 
 # --- autograd graph lifetime ---------------------------------------------------

@@ -121,26 +121,37 @@ def reference_adamw_step(params, state, lr):
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
 
 
-@pytest.mark.parametrize("weight_decay", [0.1, 0.0])
-def test_adamw_blocked_update_is_bit_identical_to_whole_array(weight_decay):
+def check_blocked_against_whole_array(weight_decay, dtype):
     rng = np.random.default_rng(7)
     shapes = [(1,), (_BLOCK,), (3 * _BLOCK + 7,), (2004, 512)]
-    init = {f"p{i}": rng.normal(size=s) for i, s in enumerate(shapes)}
+    init = {f"p{i}": rng.normal(size=s).astype(dtype) for i, s in enumerate(shapes)}
     ours = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
     ref = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
     ours_state = AdamWState(weight_decay=weight_decay)
     ref_state = AdamWState(weight_decay=weight_decay)
     for step, lr in enumerate([1e-3, 3e-4, 2e-3, 5e-4, 1e-2]):
         for k in init:
-            g = rng.normal(scale=10.0 ** (step - 2), size=init[k].shape)
+            g = rng.normal(scale=10.0 ** (step - 2), size=init[k].shape).astype(dtype)
             ours[k].grad = g.copy()
             ref[k].grad = g
         adamw_step(ours, ours_state, lr)
         reference_adamw_step(ref, ref_state, lr)
     for k in init:
+        assert ours[k].data.dtype == ours_state.first_moment[k].dtype == dtype
+        assert ours_state.second_moment[k].dtype == dtype
         assert ours[k].data.tobytes() == ref[k].data.tobytes()
         assert ours_state.first_moment[k].tobytes() == ref_state.first_moment[k].tobytes()
         assert ours_state.second_moment[k].tobytes() == ref_state.second_moment[k].tobytes()
+
+
+@pytest.mark.parametrize("weight_decay", [0.1, 0.0])
+def test_adamw_blocked_update_is_bit_identical_to_whole_array(weight_decay):
+    check_blocked_against_whole_array(weight_decay, np.float64)
+
+
+def test_adamw_float32_update_runs_in_float32():
+    # Bit-identical to the whole-array update computed in float32 throughout.
+    check_blocked_against_whole_array(0.1, np.float32)
 
 
 def test_adamw_step_allocates_no_parameter_sized_temporaries():
