@@ -79,23 +79,24 @@ def save_records(records: list[UtteranceRecord], path: str | Path) -> None:
             }, sort_keys=True) + "\n")
 
 
-# The ASCII code points in a Unicode punctuation category (P*), for
-# ``str.translate``. Not ``string.punctuation``: nine of its characters,
-# $ + < = > ^ ` | ~, are symbols (S*) and stay.
-_ASCII_PUNCTUATION = dict.fromkeys(
-    c for c in range(128) if unicodedata.category(chr(c)).startswith("P"))
+class _PunctuationTable(dict):
+    """A ``str.translate`` table that deletes the code points in a Unicode
+    punctuation category (P*) and keeps every other one, looking a code
+    point's category up once, on first use. Not ``string.punctuation``: nine
+    of its characters, $ + < = > ^ ` | ~, are symbols (S*) and stay."""
+
+    def __missing__(self, code: int) -> int | None:
+        kept = None if unicodedata.category(chr(code)).startswith("P") else code
+        self[code] = kept
+        return kept
+
+
+_PUNCTUATION = _PunctuationTable()
 
 
 def clean_text(raw: str) -> str:
     """Lowercase, remove Unicode punctuation, collapse whitespace."""
-    if raw.isascii():
-        return " ".join(raw.lower().translate(_ASCII_PUNCTUATION).split())
-    chars = []
-    for ch in raw.lower():
-        if unicodedata.category(ch).startswith("P"):
-            continue
-        chars.append(ch)
-    return " ".join("".join(chars).split())
+    return " ".join(raw.lower().translate(_PUNCTUATION).split())
 
 
 def _find_run(tokens: list[str]) -> tuple[int, int, int] | None:

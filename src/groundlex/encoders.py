@@ -8,8 +8,8 @@ dropout over frozen frame features) and differ in the language side:
   cvcl_t_lm  same decoder plus a tied-weight next-word head
 
 All parameters live in a flat name -> Tensor dict so the optimizer and the
-checkpoint format stay trivial. ``ModelConfig.dtype`` sets the precision of
-the parameters, and every activation, gradient and optimizer moment keeps it.
+checkpoint format stay trivial. Parameters are float32, and every
+activation, gradient and optimizer moment keeps the parameters' dtype.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ VARIANTS = ("cvcl", "cvcl_t", "cvcl_t_lm")
 
 GLCK_MAGIC = b"GLCK"
 GLCK_VERSION = 3
-DTYPES = ("float32", "float64")
+PARAM_DTYPE = np.dtype(np.float32)
 
 
 @dataclass
@@ -48,7 +48,6 @@ class ModelConfig:
     n_heads: int = 8
     ff_mult: int = 4
     dropout: float = 0.1
-    dtype: str = "float32"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -61,8 +60,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.dtype not in DTYPES:
-            raise ValueError(f"unknown dtype {self.dtype!r}; pick one of {DTYPES}")
         if self.uses_transformer and self.embed_dim % self.n_heads:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by "
                              f"{self.n_heads} heads")
@@ -78,7 +75,7 @@ class ModelConfig:
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in (
             "variant", "feature_dim", "embed_dim", "vocab_size", "max_len",
-            "n_layers", "n_heads", "ff_mult", "dropout", "dtype")}
+            "n_layers", "n_heads", "ff_mult", "dropout")}
 
 
 def _xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -110,8 +107,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     """Fresh trainable parameters: embeddings ~ N(0, 0.02^2), projections
     Xavier-uniform, layer-norm affines at (1, 0). Random draws follow the
-    ``param_shapes`` order and are made in float64 for every dtype, then cast
-    to ``cfg.dtype``."""
+    ``param_shapes`` order and are made in float64, then cast to float32."""
     if cfg.vocab_size < 4:
         raise ValueError("vocab_size must cover the reserved specials")
     p: dict[str, np.ndarray] = {}
@@ -124,7 +120,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]
             p[name] = np.ones(shape)
         else:
             p[name] = np.zeros(shape)
-    return {name: Tensor(arr.astype(cfg.dtype, copy=False), requires_grad=True)
+    return {name: Tensor(arr.astype(PARAM_DTYPE), requires_grad=True)
             for name, arr in p.items()}
 
 
@@ -155,9 +151,9 @@ def encode_frames(model: Model, features: np.ndarray, train: bool = False,
                   rng: np.random.Generator | None = None) -> Tensor:
     """Project frozen frame features into the shared space: linear -> layer
     norm -> dropout (train only). features: (N, F) -> (N, D), cast to the
-    model's dtype."""
+    parameters' dtype."""
     cfg, p = model.config, model.params
-    features = np.atleast_2d(np.asarray(features, dtype=cfg.dtype))
+    features = np.atleast_2d(np.asarray(features, dtype=p["vis.proj_w"].data.dtype))
     if features.shape[1] != cfg.feature_dim:
         raise ShapeError("encode_frames", features.shape, (cfg.feature_dim,))
     x = Tensor(features)  # inputs never require grad: the backbone is frozen
@@ -191,8 +187,8 @@ def encode_utterances_embedding(model: Model, ids_batch, train: bool = False,
     h = add(tok, pos)
     if train:
         h = dropout(h, 1.0 - cfg.dropout, rng, train=True)
-    mask = not_pad[:, :, None].astype(cfg.dtype)
-    counts = not_pad.sum(axis=1, keepdims=True).astype(cfg.dtype)
+    mask = not_pad[:, :, None].astype(h.data.dtype)
+    counts = not_pad.sum(axis=1, keepdims=True).astype(h.data.dtype)
     summed = tsum(mul(h, Tensor(mask)), axis=1)
     return mul(summed, Tensor(1.0 / counts))
 
@@ -294,10 +290,8 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
     """Versioned binary: header {magic, version u32, config as u32-length-
     prefixed UTF-8 JSON of ``ModelConfig.as_dict()``, parameter count u32},
     then per parameter in name order {u32-length-prefixed UTF-8 name,
-    ndim u32, shape u64 x ndim, values}. Values are little-endian float32
-    (``<f4``) or float64 (``<f8``), as the config's ``dtype`` says."""
+    ndim u32, shape u64 x ndim, little-endian f32 values}."""
     config = json.dumps(model.config.as_dict(), sort_keys=True).encode("utf-8")
-    values = np.dtype(model.config.dtype).newbyteorder("<")
     with open(path, "wb") as fh:
         fh.write(GLCK_MAGIC)
         fh.write(struct.pack("<II", GLCK_VERSION, len(config)))
@@ -310,7 +304,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
             fh.write(name_b)
             fh.write(struct.pack("<I", data.ndim))
             fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-            fh.write(np.ascontiguousarray(data, dtype=values).tobytes())
+            fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> Model:
@@ -329,7 +323,6 @@ def load_checkpoint(path: str | Path) -> Model:
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad config header {config!r} ({exc})") from None
         expected = param_shapes(cfg)
-        values = np.dtype(cfg.dtype).newbyteorder("<")
         (count,) = unpack(fh, "<I", path)
         params: dict[str, Tensor] = {}
         for _ in range(count):
@@ -343,8 +336,8 @@ def load_checkpoint(path: str | Path) -> Model:
                 raise DataError(f"{path}: parameter {name!r} has shape {shape}, "
                                 f"config expects {expected[name]}")
             n_items = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(read_exact(fh, values.itemsize * n_items, path), dtype=values)
-            params[name] = Tensor(data.reshape(shape).astype(cfg.dtype), requires_grad=True)
+            data = np.frombuffer(read_exact(fh, 4 * n_items, path), dtype="<f4")
+            params[name] = Tensor(data.reshape(shape).astype(PARAM_DTYPE), requires_grad=True)
     missing = expected.keys() - params.keys()
     if missing:
         raise DataError(f"{path}: missing parameters {sorted(missing)} for {cfg}")

@@ -43,7 +43,7 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
     C-contiguous, so the flat views alias it); the moments are allocated on a
     parameter's first update and reused after that. The only other memory a
     call allocates is two block-sized scratch arrays. Moments and scratch take
-    each parameter's dtype, so a float32 parameter updates in float32. The
+    the parameters' dtype, so float32 parameters update in float32. The
     elementwise operations and their order match the unblocked formula, so
     results are bit-identical to it.
     """
@@ -59,10 +59,9 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     decay = 1.0 - lr * state.weight_decay
-    s1 = s2 = None
+    dtype = next((p.data.dtype for p in params.values()), np.float64)
+    s1, s2 = np.empty(_BLOCK, dtype), np.empty(_BLOCK, dtype)
     for name, p in params.items():
-        if s1 is None or s1.dtype != p.data.dtype:
-            s1, s2 = np.empty(_BLOCK, p.data.dtype), np.empty(_BLOCK, p.data.dtype)
         g = p.grad
         if g is None:
             raise ShapeError("adamw_step", p.shape)

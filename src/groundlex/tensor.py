@@ -160,15 +160,17 @@ class Tensor:
         return mul(other, self)
 
 
-def as_tensor(x, dtype=np.float64) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _operands(a, b) -> tuple[Tensor, Tensor]:
     """Both as tensors; a non-tensor takes the dtype of the tensor beside it."""
     if not isinstance(a, Tensor):
-        a = as_tensor(a, b.data.dtype if isinstance(b, Tensor) else np.float64)
-    return a, as_tensor(b, a.data.dtype)
+        a = Tensor(np.asarray(a, dtype=b.data.dtype if isinstance(b, Tensor) else np.float64))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
+    return a, b
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:

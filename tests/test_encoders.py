@@ -1,6 +1,5 @@
 """Encoder forward semantics, causality, gradients, checkpoint format."""
 
-import dataclasses
 import gc
 import json
 import struct
@@ -29,8 +28,17 @@ def toy_config(variant="cvcl", **kw):
     return ModelConfig(**base)
 
 
-def toy_model(variant="cvcl", seed=0, **kw):
-    return Model.init(toy_config(variant, **kw), np.random.default_rng(seed))
+def toy_model(variant="cvcl", seed=0, dtype="float32", **kw):
+    """A toy model; ``dtype="float64"`` casts its float32 parameters, which is
+    exact, for tests against a float64 oracle."""
+    model = Model.init(toy_config(variant, **kw), np.random.default_rng(seed))
+    return in_dtype(model, dtype)
+
+
+def in_dtype(model, dtype):
+    return Model(config=model.config,
+                 params={name: Tensor(p.data.astype(dtype), requires_grad=True)
+                         for name, p in model.params.items()})
 
 
 # --- vision adapter -----------------------------------------------------------
@@ -260,7 +268,7 @@ def test_model_config_validation():
 BAD_CONFIG_FIELDS = [
     ("feature_dim", 0), ("embed_dim", -4), ("max_len", 0), ("n_heads", 0),
     ("ff_mult", 0), ("n_layers", -1), ("vocab_size", -1), ("dropout", -0.1),
-    ("dropout", 1.0), ("dropout", 1.5), ("dtype", "float16"),
+    ("dropout", 1.0), ("dropout", 1.5),
 ]
 
 
@@ -271,9 +279,8 @@ def test_model_config_rejects_bad_field(name, value):
 
 
 def test_model_config_accepts_the_bounds():
-    cfg = toy_config("cvcl_t", n_layers=0, vocab_size=0, dropout=0.0, dtype="float64")
-    assert (cfg.n_layers, cfg.vocab_size, cfg.dropout, cfg.dtype) == (0, 0, 0.0, "float64")
-    assert ModelConfig().dtype == "float32"
+    cfg = toy_config("cvcl_t", n_layers=0, vocab_size=0, dropout=0.0)
+    assert (cfg.n_layers, cfg.vocab_size, cfg.dropout) == (0, 0, 0.0)
 
 
 def with_config(blob: bytes, **changes) -> bytes:
@@ -305,27 +312,15 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
         loaded = load_checkpoint(path)
         assert loaded.config == model.config
         assert set(loaded.params) == set(model.params)
-        for name in model.params:
-            np.testing.assert_array_equal(loaded.params[name].data,
-                                          model.params[name].data)
+        for name, p in model.params.items():
+            assert loaded.params[name].data.dtype == np.float32, name
+            assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+        # values are stored little-endian float32, names in order
+        last = model.params[max(model.params)].data
+        assert path.read_bytes().endswith(last.astype("<f4").tobytes())
         ids = [[3, 4, EOS_ID]]
         np.testing.assert_array_equal(encode_utterances(model, ids).data,
                                       encode_utterances(loaded, ids).data)
-
-
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_checkpoint_roundtrip_keeps_the_dtype(tmp_path, dtype):
-    model = toy_model("cvcl_t_lm", seed=3, dtype=dtype)
-    path = tmp_path / "model.glck"
-    save_checkpoint(model, path)
-    loaded = load_checkpoint(path)
-    assert loaded.config == model.config and loaded.config.dtype == dtype
-    for name, p in model.params.items():
-        assert loaded.params[name].data.dtype == dtype, name
-        assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
-    # values are stored little-endian in the config's dtype, names in order
-    last = model.params[max(model.params)].data
-    assert path.read_bytes().endswith(last.astype(np.dtype(dtype).newbyteorder("<")).tobytes())
 
 
 def test_version_2_checkpoint_is_rejected(tmp_path):
@@ -441,8 +436,8 @@ def test_checkpoint_parameters_must_match_config(tmp_path, change, expected):
 
 def test_init_params_draw_order_is_unchanged():
     # The draw sequence every seeded run and checkpoint depends on: float64
-    # draws, cast to the config's dtype, so float64 keeps them bit for bit.
-    cfg = toy_config("cvcl_t_lm", dtype="float64")
+    # draws, as before float32 training, then cast to float32.
+    cfg = toy_config("cvcl_t_lm")
     d, ff = cfg.embed_dim, cfg.ff_mult * cfg.embed_dim
     rng = np.random.default_rng(9)
 
@@ -458,17 +453,15 @@ def test_init_params_draw_order_is_unchanged():
             expected[f"lang.layer{i}.{name}"] = xavier(d, d)
         expected[f"lang.layer{i}.ff1_w"] = xavier(d, ff)
         expected[f"lang.layer{i}.ff2_w"] = xavier(ff, d)
-    for dtype in ("float64", "float32"):
-        cfg = toy_config("cvcl_t_lm", dtype=dtype)
-        params = Model.init(cfg, np.random.default_rng(9)).params
-        assert len(params) == 6 + 16 * cfg.n_layers + 2
-        for name, p in params.items():
-            assert p.data.dtype == dtype, name
-            if name in expected:
-                assert p.data.tobytes() == expected[name].astype(dtype).tobytes(), name
-            else:
-                fill = 1.0 if name.endswith("_g") else 0.0
-                assert p.data.ndim == 1 and np.all(p.data == fill), name
+    params = Model.init(cfg, np.random.default_rng(9)).params
+    assert len(params) == 6 + 16 * cfg.n_layers + 2
+    for name, p in params.items():
+        assert p.data.dtype == np.float32, name
+        if name in expected:
+            assert p.data.tobytes() == expected[name].astype(np.float32).tobytes(), name
+        else:
+            fill = 1.0 if name.endswith("_g") else 0.0
+            assert p.data.ndim == 1 and np.all(p.data == fill), name
 
 
 # --- seeded training ---------------------------------------------------------------
@@ -551,9 +544,7 @@ def test_float32_training_step_stays_float32(monkeypatch, variant):
 def test_float32_step_agrees_with_float64():
     single = Model.init(toy_config("cvcl_t_lm", embed_dim=16, n_heads=4, dropout=0.0),
                         np.random.default_rng(13))
-    double = Model(config=dataclasses.replace(single.config, dtype="float64"),
-                   params={name: Tensor(p.data.astype(np.float64), requires_grad=True)
-                           for name, p in single.params.items()})
+    double = in_dtype(single, np.float64)
     losses, grads = [], []
     for model in (single, double):
         model.zero_grad()
