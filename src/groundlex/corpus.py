@@ -288,13 +288,25 @@ class SplitManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "SplitManifest":
+        """Read a manifest that ``save`` wrote. Text that is not a JSON object,
+        a missing key, or a partition that is not a list of video id strings
+        raises DataError naming the path."""
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:
+                raise DataError(f"{path}: manifest is not JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}: manifest is not a JSON object")
         try:
-            return cls(split_name=obj["split_name"], train=list(obj["train"]),
-                       val=list(obj["val"]), test=list(obj["test"]))
+            name, parts = obj["split_name"], [obj[part] for part in cls.PARTITIONS]
         except KeyError as exc:
-            raise DataError(f"{path}: manifest missing key {exc}") from exc
+            raise DataError(f"{path}: manifest missing key {exc}") from None
+        for part, ids in zip(cls.PARTITIONS, parts):
+            if not isinstance(ids, list) or not all(isinstance(v, str) for v in ids):
+                raise DataError(f"{path}: manifest {part!r} must be a list of "
+                                f"video id strings, got {ids!r}")
+        return cls(name, *parts)
 
 
 def split_stats(manifest: SplitManifest, records: list[UtteranceRecord]) -> dict:

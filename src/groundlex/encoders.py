@@ -26,8 +26,8 @@ from .binio import read_exact, read_utf8, unpack
 from .corpus import EOS_ID, PAD_ID
 from .errors import DataError, ShapeError
 from .tensor import (
-    Tensor, add, dropout, embedding, gelu, layer_norm, matmul, mul, reshape,
-    softmax, take_per_row, transpose, tsum,
+    Tensor, add, attention, dropout, embedding, gelu, layer_norm, matmul, mul,
+    take_per_row, transpose, tsum,
 )
 
 VARIANTS = ("cvcl", "cvcl_t", "cvcl_t_lm")
@@ -197,21 +197,11 @@ def _attention_block(cfg: ModelConfig, p: dict[str, Tensor], layer: int, h: Tens
                      allowed: np.ndarray, train: bool,
                      rng: np.random.Generator | None) -> Tensor:
     pre = f"lang.layer{layer}."
-    n, t, d = h.shape
-    heads, dh = cfg.n_heads, d // cfg.n_heads
-
     x = layer_norm(h, p[pre + "ln1_g"], p[pre + "ln1_b"])
     q = add(matmul(x, p[pre + "wq"]), p[pre + "qb"])
     k = add(matmul(x, p[pre + "wk"]), p[pre + "kb"])
     v = add(matmul(x, p[pre + "wv"]), p[pre + "vb"])
-    # (N, T, D) -> (N, H, T, dh)
-    q = transpose(reshape(q, (n, t, heads, dh)), (0, 2, 1, 3))
-    k = transpose(reshape(k, (n, t, heads, dh)), (0, 2, 1, 3))
-    v = transpose(reshape(v, (n, t, heads, dh)), (0, 2, 1, 3))
-    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    attn = softmax(scores, axis=-1, mask=allowed[:, None, :, :])
-    ctx = matmul(attn, v)
-    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (n, t, d))
+    ctx = attention(q, k, v, allowed, cfg.n_heads)
     out = add(matmul(ctx, p[pre + "wo"]), p[pre + "ob"])
     if train:
         out = dropout(out, 1.0 - cfg.dropout, rng, train=True)
@@ -279,7 +269,7 @@ def lm_logits(model: Model, ids_batch, train: bool = False,
     _eos_positions(ids)  # same precondition as encoding
     hidden = _transformer_hidden(model, ids, train, rng)
     tok = model.params["lang.tok_emb"]
-    return matmul(hidden, transpose(tok, (1, 0)))
+    return matmul(hidden, transpose(tok))
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +298,9 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Model:
-    """Read a GLCK file. A short file, a bad config or text field, or
-    parameter names and shapes that disagree with the stored config raise
-    DataError naming the path."""
+    """Read a GLCK file. A short file, a bad config or text field, parameter
+    names and shapes that disagree with the stored config, or bytes after the
+    last parameter raise DataError naming the path."""
     with open(path, "rb") as fh:
         if read_exact(fh, 4, path) != GLCK_MAGIC:
             raise DataError(f"{path}: not a checkpoint (bad magic)")
@@ -338,6 +328,10 @@ def load_checkpoint(path: str | Path) -> Model:
             n_items = int(np.prod(shape)) if ndim else 1
             data = np.frombuffer(read_exact(fh, 4 * n_items, path), dtype="<f4")
             params[name] = Tensor(data.reshape(shape).astype(PARAM_DTYPE), requires_grad=True)
+        end = fh.tell()
+        if fh.read(1):
+            raise DataError(f"{path}: unexpected bytes after the last of {count} "
+                            f"parameters, from byte {end}")
     missing = expected.keys() - params.keys()
     if missing:
         raise DataError(f"{path}: missing parameters {sorted(missing)} for {cfg}")

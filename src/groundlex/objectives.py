@@ -46,12 +46,12 @@ def contrastive_loss(frame_embs: Tensor, utt_embs: Tensor,
         raise ShapeError("contrastive_loss", frame_embs.shape, utt_embs.shape)
     frame_embs = l2_normalize(frame_embs, axis=1)
     utt_embs = l2_normalize(utt_embs, axis=1)
-    sims = mul(matmul(frame_embs, transpose(utt_embs, (1, 0))),
+    sims = mul(matmul(frame_embs, transpose(utt_embs)),
                1.0 / cfg.temperature)
     # rows: one frame vs all utterances; columns: one utterance vs all frames
     matched = np.arange(sims.shape[0])
     loss_frame = cross_entropy(sims, matched)
-    loss_utterance = cross_entropy(transpose(sims, (1, 0)), matched)
+    loss_utterance = cross_entropy(transpose(sims), matched)
     loss = mul(loss_frame + loss_utterance, 0.5)
     return loss, {"frame": loss_frame.item(), "utterance": loss_utterance.item()}
 

@@ -9,6 +9,8 @@ in reverse topological order and consumes it, like PyTorch's default
 ``retain_graph=False``. The graph is rebuilt on every forward pass.
 
 No higher-order gradients, no views: every op materialises its output.
+``matmul`` takes a 2-D right operand and ``transpose`` a matrix; ``attention``
+splits and merges heads on arrays inside its own forward and backward.
 An op's output and gradients keep its tensor operands' dtype; a Python number
 or array beside a tensor in ``add`` or ``mul`` takes that tensor's dtype, so
 a float32 graph never promotes to float64.
@@ -160,10 +162,6 @@ class Tensor:
         return mul(other, self)
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 def _operands(a, b) -> tuple[Tensor, Tensor]:
     """Both as tensors; a non-tensor takes the dtype of the tensor beside it."""
     if not isinstance(a, Tensor):
@@ -237,34 +235,14 @@ def mul(a, b) -> Tensor:
     return _make(data, "mul", (a, b), bw)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes.
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """`a` (..., K) @ a matrix `b` (K, M) as one (rows, K) @ (K, M) GEMM.
 
-    A 2-D right operand (a linear layer, or the tied LM head) is one GEMM
-    over the flattened leading axes of `a`: with ``a2 = a.reshape(-1, K)``
-    and ``g2 = grad.reshape(-1, M)`` the input gradient is ``g2 @ b.T`` and
-    the weight gradient is ``a2.T @ g2``, summed over every row in one call.
-    Any other right operand (the attention products) takes the batched path,
-    which sums broadcast axes out of each gradient.
+    With ``a2 = a.reshape(-1, K)`` and ``g2 = grad.reshape(-1, M)`` the input
+    gradient is ``g2 @ b.T`` and the weight gradient is ``a2.T @ g2``.
     """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
-    if b.ndim == 2:
-        return _matmul_rows(a, b)
-    data = a.data @ b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
-
-    return _make(data, "matmul", (a, b), bw)
-
-
-def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
-    """`a` (..., K) @ `b` (K, M) as one (rows, K) @ (K, M) GEMM."""
     a2 = a.data.reshape(-1, a.shape[-1])
     data = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
 
@@ -278,23 +256,15 @@ def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, "matmul", (a, b), bw)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    data = a.data.reshape(shape)
+def transpose(a: Tensor) -> Tensor:
+    """The transpose of a matrix, materialised."""
+    if a.ndim != 2:
+        raise ShapeError("transpose", a.shape)
+    data = np.ascontiguousarray(a.data.T)
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g.reshape(a.shape))
-
-    return _make(data, "reshape", (a,), bw)
-
-
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    data = np.ascontiguousarray(a.data.transpose(axes))
-    inverse = tuple(np.argsort(axes))
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g.transpose(inverse))
+            _accum(a, g.T)
 
     return _make(data, "transpose", (a,), bw)
 
@@ -374,28 +344,50 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, "gelu", (a,), bw)
 
 
-def softmax(a: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
-    """Stable softmax; `mask` (boolean, broadcastable) marks allowed entries.
+def attention(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray,
+              heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over q, k, v (N, T, D).
 
-    Masked entries get exactly zero probability without any infinities.
+    ``allowed`` (N, T, T) marks the keys each query may see; the others get
+    exactly zero weight, and a query that sees none raises NumericsError.
+    The products run on contiguous (N, H, T, dh) q, v and (N, H, dh, T) k
+    arrays; the backward reuses the saved probabilities.
     """
-    x = a.data
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if not mask.any(axis=axis).all():
-            raise NumericsError("softmax", "fully masked row")
-        m = np.where(mask, x, -np.inf).max(axis=axis, keepdims=True)
-        e = np.exp(np.where(mask, x - m, 0.0)) * mask
-    else:
-        m = x.max(axis=axis, keepdims=True)
-        e = np.exp(x - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+    if (q.ndim != 3 or k.shape != q.shape or v.shape != q.shape
+            or np.shape(allowed) != q.shape[:2] + (q.shape[1],)
+            or heads < 1 or q.shape[2] % heads):
+        raise ShapeError("attention", q.shape, k.shape, v.shape, np.shape(allowed), (heads,))
+    n, t, d = q.shape
+    dh = d // heads
+    mask = np.asarray(allowed, dtype=bool)[:, None, :, :]
+    if not mask.any(axis=-1).all():
+        raise NumericsError("attention", "fully masked row")
+
+    def split(x, axes=(0, 2, 1, 3)):  # (N, T, D) -> (N, H, T, dh)
+        return np.ascontiguousarray(x.reshape(n, t, heads, dh).transpose(axes))
+
+    def merge(x, axes=(0, 2, 1, 3)):  # (N, H, T, dh) -> (N, T, D)
+        return x.transpose(axes).reshape(n, t, d)
+
+    qh, kt, vh = split(q.data), split(k.data, (0, 2, 3, 1)), split(v.data)
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
+    x = (qh @ kt) * scale
+    m = np.where(mask, x, -np.inf).max(axis=-1, keepdims=True)
+    e = np.exp(np.where(mask, x - m, 0.0)) * mask
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+        gc = split(g)
+        gp = gc @ vh.swapaxes(-1, -2)
+        gx = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            _accum(q, merge(gx @ kt.swapaxes(-1, -2)))
+        if k.requires_grad:
+            _accum(k, merge(qh.swapaxes(-1, -2) @ gx, (0, 3, 1, 2)))
+        if v.requires_grad:
+            _accum(v, merge(p.swapaxes(-1, -2) @ gc))
 
-    return _make(y, "softmax", (a,), bw)
+    return _make(merge(p @ vh), "attention", (q, k, v), bw)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,

@@ -292,6 +292,22 @@ def test_manifest_roundtrip(tmp_path):
     assert loaded.train == ["a", "b"] and loaded.split_name == "demo"
 
 
+@pytest.mark.parametrize("text,expected", [
+    ('{"split_name": "s", "train": "v01", "val": [], "test": []}',
+     "'train' must be a list of video id strings, got 'v01'"),
+    ('{"split_name": "s", "train": ["v0"], "val": [], "test": ["v1", 2]}',
+     r"'test' must be a list of video id strings, got \['v1', 2\]"),
+    ('{"split_name": "s", "train": ["v0"],', "manifest is not JSON"),
+    ('[["v0"], [], []]', "manifest is not a JSON object$"),
+], ids=["string-partition", "non-string-id", "malformed-json", "top-level-list"])
+def test_manifest_load_rejects_malformed_files(tmp_path, text, expected):
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=expected) as e:
+        SplitManifest.load(path)
+    assert str(e.value).startswith(f"{path}: ")
+
+
 def test_split_stats_matches_bruteforce_recount():
     rng = np.random.default_rng(5)
     videos = [f"vid{i:02d}" for i in range(10)]

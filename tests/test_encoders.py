@@ -347,6 +347,29 @@ def test_float32_checkpoint_cut_inside_values_names_the_offset(tmp_path):
                             f"(needed {4 * last.size} bytes from byte {start})")
 
 
+def glck_record(name, data):
+    """One GLCK parameter record: name, ndim, shape, little-endian f32 values."""
+    name_b = name.encode("utf-8")
+    return (struct.pack("<I", len(name_b)) + name_b + struct.pack("<I", data.ndim)
+            + struct.pack(f"<{data.ndim}Q", *data.shape) + data.astype("<f4").tobytes())
+
+
+@pytest.mark.parametrize("extra", ["byte", "record"])
+def test_checkpoint_with_bytes_after_the_last_parameter_is_rejected(tmp_path, extra):
+    model = toy_model("cvcl", seed=3)
+    path = tmp_path / "model.glck"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    last = max(model.params)
+    record = glck_record(last, model.params[last].data)
+    assert blob.endswith(record)
+    path.write_bytes(blob + (b"\x00" if extra == "byte" else record))
+    with pytest.raises(DataError) as e:
+        load_checkpoint(path)
+    assert str(e.value) == (f"{path}: unexpected bytes after the last of "
+                            f"{len(model.params)} parameters, from byte {len(blob)}")
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.glck"
     path.write_bytes(b"XXXX" + b"\x00" * 32)
@@ -539,6 +562,28 @@ def test_float32_training_step_stays_float32(monkeypatch, variant):
         assert p.data.dtype == p.grad.dtype == np.float32, name
         assert state.first_moment[name].dtype == np.float32, name
         assert state.second_moment[name].dtype == np.float32, name
+
+
+def test_training_step_tape_has_one_attention_node_per_layer_pass(monkeypatch):
+    # One cvcl_t_lm step runs the decoder twice (utterance encoding and LM
+    # logits), so each layer's attention is one node per pass.
+    made = []
+    make = tensor._make
+
+    def spy_make(data, op, parents, backward):
+        made.append(op)
+        return make(data, op, parents, backward)
+
+    monkeypatch.setattr(tensor, "_make", spy_make)
+    model = toy_model("cvcl_t_lm", seed=15, dropout=0.3)
+    assert model.config.n_layers == 2
+    model.zero_grad()
+    loss = joint_step_loss(model, np.random.default_rng(16))
+    assert len(made) == 110
+    assert made.count("attention") == 2 * model.config.n_layers
+    loss.backward()
+    adamw_step(model.params, AdamWState(), lr=1e-2)
+    assert len(made) == 110
 
 
 def test_float32_step_agrees_with_float64():

@@ -9,9 +9,8 @@ import groundlex.tensor as gt
 from groundlex.corpus import EOS_ID, PAD_ID
 from groundlex.errors import NumericsError, ShapeError
 from groundlex.tensor import (
-    Tensor, add, cross_entropy, dropout, embedding, gelu, grad_check,
-    l2_normalize, layer_norm, matmul, mul, no_grad, reshape, softmax,
-    take_per_row, transpose, tsum,
+    Tensor, add, attention, cross_entropy, dropout, embedding, gelu, grad_check,
+    l2_normalize, layer_norm, matmul, mul, no_grad, take_per_row, transpose, tsum,
 )
 
 
@@ -73,7 +72,7 @@ def test_backward_consumes_the_tape():
 
 def test_second_backward_leaves_leaf_grads_unchanged():
     w = Tensor(rng(5).normal(size=(3, 4)), requires_grad=True)
-    loss = tsum(gelu(matmul(w, transpose(w, (1, 0)))))
+    loss = tsum(gelu(matmul(w, transpose(w))))
     loss.backward()
     first = w.grad.copy()
     loss.backward()
@@ -102,17 +101,18 @@ def test_grad_check_sum_of_squares():
 @pytest.mark.parametrize("seed", range(4))
 def test_grad_check_op_compositions(seed):
     r = rng(seed)
-    a = Tensor(r.normal(size=(3, 5)), requires_grad=True)
+    a = Tensor(r.normal(size=(1, 3, 5)), requires_grad=True)
     b = Tensor(r.normal(size=(5, 4)), requires_grad=True)
     g = Tensor(r.normal(size=4) + 1.0, requires_grad=True)
     c = Tensor(r.normal(size=4), requires_grad=True)
+    causal = np.tril(np.ones((1, 3, 3), dtype=bool))
 
     def f(ts):
         h = matmul(ts[0], ts[1])
         h = layer_norm(h, ts[2], ts[3])
         h = gelu(h)
         h = l2_normalize(h, axis=-1)
-        return tsum(mul(h, h)) + tsum(softmax(h, axis=-1))
+        return tsum(mul(h, h)) + tsum(attention(h, h, h, causal, heads=2))
 
     assert grad_check(f, [a, b, g, c]) < 1e-6
 
@@ -122,15 +122,16 @@ def test_backward_random_compositions_match_finite_differences():
     errs = []
     for seed in range(100):
         r = rng(seed + 1000)
-        x = Tensor(r.normal(size=(2, 3)), requires_grad=True)
-        w = Tensor(r.normal(size=(3, 3)), requires_grad=True)
         pick = seed % 5
+        # attention takes (N, T, D): the same six draws as one (1, 2, 3) batch
+        x = Tensor(r.normal(size=(1, 2, 3) if pick == 0 else (2, 3)), requires_grad=True)
+        w = Tensor(r.normal(size=(3, 3)), requires_grad=True)
         targets = r.integers(3, size=2)
 
         def f(ts):
             h = matmul(ts[0], ts[1])
             if pick == 0:
-                h = softmax(h, axis=1)
+                h = attention(h, h, h, np.tril(np.ones((1, 2, 2), dtype=bool)), heads=1)
             elif pick == 1:
                 h = cross_entropy(h, targets)
             elif pick == 2:
@@ -138,23 +139,11 @@ def test_backward_random_compositions_match_finite_differences():
             elif pick == 3:
                 h = l2_normalize(h, axis=1)
             else:
-                h = transpose(reshape(h, (3, 2)), (1, 0))
+                h = transpose(h)
             return tsum(mul(h, h))
 
         errs.append(grad_check(f, [x, w]))
     assert max(errs) < 1e-4
-
-
-def test_matmul_batched_gradients():
-    r = rng(7)
-    a = Tensor(r.normal(size=(2, 3, 4)), requires_grad=True)
-    b = Tensor(r.normal(size=(2, 4, 3)), requires_grad=True)
-    w = Tensor(r.normal(size=(3, 2)), requires_grad=True)
-
-    def f(ts):
-        return tsum(mul(matmul(matmul(ts[0], ts[1]), ts[2]), 0.3))
-
-    assert grad_check(f, [a, b, w]) < 1e-6
 
 
 def _matmul_batched_reference(a, b, g):
@@ -174,7 +163,7 @@ def test_matmul_2d_right_operand_matches_batched_reference(a_shape, w_shape, tie
     r = rng(21)
     a = Tensor(r.normal(size=a_shape), requires_grad=True)
     w = Tensor(r.normal(size=w_shape), requires_grad=True)
-    b = transpose(w, (1, 0)) if tied else w
+    b = transpose(w) if tied else w
     out = matmul(a, b)
     g = r.normal(size=out.shape)
     tsum(mul(out, Tensor(g))).backward()
@@ -197,7 +186,7 @@ def test_grad_check_3d_activation_through_2d_weights():
 
     def f(ts):
         h = gelu(add(matmul(ts[0], ts[1]), ts[2]))
-        logits = matmul(h, transpose(ts[3], (1, 0)))
+        logits = matmul(h, transpose(ts[3]))
         return tsum(mul(logits, logits))
 
     assert grad_check(f, [x, w1, b1, tok]) < 1e-6
@@ -304,43 +293,55 @@ def test_no_grad_blocks_graph():
     assert out._backward is None and not out.requires_grad
 
 
-def test_masked_softmax_zeroes_masked_entries():
-    x = Tensor(rng(2).normal(size=(3, 4)))
-    mask = np.array([[True, True, False, False]] * 3)
-    y = softmax(x, axis=1, mask=mask)
-    np.testing.assert_array_equal(y.data[:, 2:], 0.0)
-    np.testing.assert_allclose(y.data.sum(axis=1), 1.0)
+def causal_pad_mask(not_pad):
+    """(N, T, T) keys each query may see: causal, and not a pad column."""
+    t = not_pad.shape[1]
+    return np.tril(np.ones((t, t), dtype=bool))[None, :, :] & not_pad[:, None, :]
 
 
-def test_masked_softmax_grad():
-    x = Tensor(rng(9).normal(size=(2, 5)), requires_grad=True)
-    mask = np.array([[True, True, True, False, True],
-                     [True, False, True, True, True]])
-
-    def f(ts):
-        return tsum(mul(softmax(ts[0], axis=1, mask=mask),
-                        Tensor(np.arange(10, dtype=float).reshape(2, 5))))
-
-    assert grad_check(f, [x]) < 1e-6
-
-
-def test_masked_attention_softmax_grad_with_pad_columns():
-    # Attention shape (N, H, T, T) = (2, 2, 4, 4): a causal mask and, as in the
-    # decoder, pad columns (the second utterance's last two tokens).
-    n, h, t = 2, 2, 4
-    not_pad = np.array([[True] * 4, [True, True, False, False]])
-    allowed = np.tril(np.ones((t, t), dtype=bool))[None, :, :] & not_pad[:, None, :]
-    mask = allowed[:, None, :, :]
-    x = Tensor(rng(21).normal(size=(n, h, t, t)), requires_grad=True)
-    w = Tensor(rng(22).normal(size=(n, h, t, t)))
+def test_attention_grad_with_causal_mask_and_pad_columns():
+    # (N, T, D, H) = (2, 4, 8, 2): a causal mask and, as in the decoder, pad
+    # columns (the second utterance's last two tokens).
+    allowed = causal_pad_mask(np.array([[True] * 4, [True, True, False, False]]))
+    q, k, v = (Tensor(rng(21 + i).normal(size=(2, 4, 8)), requires_grad=True)
+               for i in range(3))
+    w = Tensor(rng(24).normal(size=(2, 4, 8)))
 
     def f(ts):
-        return tsum(mul(softmax(ts[0], axis=-1, mask=mask), w))
+        return tsum(mul(attention(ts[0], ts[1], ts[2], allowed, heads=2), w))
 
-    assert grad_check(f, [x]) < 1e-6
-    x.zero_grad()
-    f([x]).backward()
-    np.testing.assert_array_equal(x.grad[~np.broadcast_to(mask, x.shape)], 0.0)
+    assert grad_check(f, [q, k, v]) < 1e-6
+
+
+def test_attention_gives_disallowed_keys_exactly_zero_weight():
+    # Key j is disallowed for query i < j (causal) and for every query of
+    # row 1 at its pad positions 2 and 3.
+    allowed = causal_pad_mask(np.array([[True] * 4, [True, True, False, False]]))
+    r = rng(25)
+    q, k, v = (r.normal(size=(2, 4, 8)) for _ in range(3))
+    w = Tensor(r.normal(size=(2, 4, 8)))
+
+    def run(k, v):
+        ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+        out = attention(*ts, allowed, heads=2)
+        tsum(mul(out, w)).backward()
+        return out.data, ts[1].grad, ts[2].grad
+
+    out, gk, gv = run(k, v)
+    for n, j in [(0, 3), (0, 2), (1, 3), (1, 2), (1, 1)]:
+        k2, v2 = k.copy(), v.copy()
+        k2[n, j] += 5.0
+        v2[n, j] -= 5.0
+        out2 = run(k2, v2)[0]
+        blind = ~allowed[n, :, j]  # the queries that may not see key j
+        np.testing.assert_array_equal(out2[n, blind], out[n, blind])
+        if not blind.all():  # a pad key has no query that sees it
+            assert not np.array_equal(out2[n, ~blind], out[n, ~blind])
+        np.testing.assert_array_equal(np.delete(out2, n, axis=0), np.delete(out, n, axis=0))
+    seen = allowed.any(axis=1)  # keys some query may attend to
+    np.testing.assert_array_equal(gk[~seen], 0.0)
+    np.testing.assert_array_equal(gv[~seen], 0.0)
+    assert np.abs(gv[seen]).min() > 0.0
 
 
 def test_l2_normalize_grad_with_an_exact_zero_row():
@@ -430,10 +431,64 @@ def test_dropout_grad_with_a_fixed_mask():
 
 
 def test_fully_masked_row_raises():
-    x = Tensor(np.zeros((2, 3)))
-    mask = np.array([[True, True, True], [False, False, False]])
-    with pytest.raises(NumericsError):
-        softmax(x, axis=1, mask=mask)
+    x = Tensor(np.zeros((2, 3, 4)))
+    allowed = np.ones((2, 3, 3), dtype=bool)
+    allowed[1, 2] = False
+    with pytest.raises(NumericsError, match="^attention: fully masked row$"):
+        attention(x, x, x, allowed, heads=2)
+
+
+@pytest.mark.parametrize("q_shape,k_shape,mask_shape,heads", [
+    ((2, 3, 4), (2, 3, 5), (2, 3, 3), 2),   # k differs from q
+    ((2, 3, 4), (2, 3, 4), (2, 3, 4), 2),   # mask is not (N, T, T)
+    ((2, 3, 4), (2, 3, 4), (2, 3, 3), 3),   # D not divisible by heads
+    ((2, 3, 4), (2, 3, 4), (2, 3, 3), 0),
+    ((3, 4), (3, 4), (3, 3), 2),            # not (N, T, D)
+])
+def test_attention_rejects_bad_shapes(q_shape, k_shape, mask_shape, heads):
+    q, k = Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape))
+    with pytest.raises(ShapeError, match="^attention: "):
+        attention(q, k, q, np.ones(mask_shape, dtype=bool), heads)
+
+
+# --- attention against the composition it replaced ------------------------------
+
+def unfused_attention(q, k, v, allowed, heads, g):
+    """The reshape/transpose/matmul/scale/softmax chain the decoder ran before
+    the attention op, forward and backward, in plain numpy: the output for
+    q, k, v (N, T, D) and the q, k, v gradients for output gradient g."""
+    n, t, d = q.shape
+    dh = d // heads
+    qh, kh, vh = (x.reshape(n, t, heads, dh).transpose(0, 2, 1, 3) for x in (q, k, v))
+    mask = np.broadcast_to(allowed[:, None, :, :], (n, heads, t, t))
+    scores = (qh @ kh.swapaxes(-1, -2)) / np.sqrt(dh)
+    e = np.exp(np.where(mask, scores - np.where(mask, scores, -np.inf).max(-1, keepdims=True),
+                        -np.inf))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = (p @ vh).transpose(0, 2, 1, 3).reshape(n, t, d)
+    gc = g.reshape(n, t, heads, dh).transpose(0, 2, 1, 3)
+    gp = gc @ vh.swapaxes(-1, -2)
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) / np.sqrt(dh)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(n, t, d)
+
+    return out, merge(gs @ kh), merge(gs.swapaxes(-1, -2) @ qh), merge(p.swapaxes(-1, -2) @ gc)
+
+
+def test_attention_matches_old_unfused_composition_at_model_shape():
+    # (N, T, D, H) of the cvcl_t_lm bench; rows keep 24 down to 1 tokens
+    # before their trailing pads.
+    r = rng(26)
+    allowed = causal_pad_mask(np.arange(24) < np.array([24, 23, 20, 16, 9, 5, 2, 1])[:, None])
+    q, k, v, g = (r.normal(size=(8, 24, 512)) for _ in range(4))
+    ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+    out = attention(*ts, allowed, heads=8)
+    tsum(mul(out, Tensor(g))).backward()
+    ref = unfused_attention(q, k, v, allowed, 8, g)
+    for got, want in zip((out.data, ts[0].grad, ts[1].grad, ts[2].grad), ref):
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 # --- cross_entropy against the composition it replaced ---------------------------
@@ -511,7 +566,7 @@ def test_cross_entropy_matches_old_contrastive_composition_at_model_shape(axis):
     matched = np.arange(128)
 
     def new(x):
-        return cross_entropy(x if axis == 1 else transpose(x, (1, 0)), matched)
+        return cross_entropy(x if axis == 1 else transpose(x), matched)
 
     loss, grad = loss_and_grad(new, sims)
     ref_loss, ref_grad = loss_and_grad(
