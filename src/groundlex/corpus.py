@@ -236,15 +236,11 @@ def build_vocabulary(utterances: list[str], min_frequency: int = 2) -> Vocabular
 
 def encode(utterance: str, vocab: Vocabulary, max_len: int = 48) -> list[int]:
     """Word ids plus a trailing <eos>, truncated to max_len keeping the <eos>."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1 to hold the <eos>, got {max_len}")
     ids = [vocab.id_of(w) for w in utterance.split()[:max_len - 1]]
     ids.append(EOS_ID)
     return ids
-
-
-def decode(ids: list[int], vocab: Vocabulary) -> str:
-    words = [vocab.id_to_token[i] for i in ids
-             if i not in (PAD_ID, EOS_ID)]
-    return " ".join(words)
 
 
 def pad_batch(sequences: list[list[int]]) -> list[list[int]]:

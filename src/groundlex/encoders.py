@@ -3,7 +3,9 @@
 Three variants share one vision adapter (linear projection + layer norm +
 dropout over frozen frame features) and differ in the language side:
 
-  cvcl       mean of token embeddings + learned absolute positions
+  cvcl       one ``embedding_mean``: token + learned absolute position
+             embeddings, dropout (train only), then the mean over non-pad
+             positions
   cvcl_t     2-layer causal transformer decoder, utterance = hidden at <eos>
   cvcl_t_lm  same decoder plus a tied-weight next-word head
 
@@ -26,8 +28,8 @@ from .binio import read_exact, read_utf8, unpack
 from .corpus import EOS_ID, PAD_ID
 from .errors import DataError, ShapeError
 from .tensor import (
-    Tensor, add, attention, dropout, embedding, gelu, layer_norm, matmul, mul,
-    take_per_row, transpose, tsum,
+    Tensor, add, attention, dropout, embedding, embedding_mean, gelu, layer_norm,
+    matmul, take_per_row, transpose,
 )
 
 VARIANTS = ("cvcl", "cvcl_t", "cvcl_t_lm")
@@ -175,22 +177,15 @@ def _ids_matrix(ids_batch: list[list[int]] | np.ndarray, max_len: int) -> np.nda
 
 def encode_utterances_embedding(model: Model, ids_batch, train: bool = False,
                                 rng: np.random.Generator | None = None) -> Tensor:
-    """Mean of token + positional embeddings over non-pad positions."""
+    """Mean over non-pad positions of token + positional embeddings, with
+    dropout before the mean at train time."""
     cfg, p = model.config, model.params
     ids = _ids_matrix(ids_batch, cfg.max_len)
     not_pad = ids != PAD_ID
     if not not_pad.any(axis=1).all():
         raise DataError("utterance with only <pad> tokens")
-    n, t = ids.shape
-    tok = embedding(p["lang.tok_emb"], ids)
-    pos = embedding(p["lang.pos_emb"], np.broadcast_to(np.arange(t), (n, t)))
-    h = add(tok, pos)
-    if train:
-        h = dropout(h, 1.0 - cfg.dropout, rng, train=True)
-    mask = not_pad[:, :, None].astype(h.data.dtype)
-    counts = not_pad.sum(axis=1, keepdims=True).astype(h.data.dtype)
-    summed = tsum(mul(h, Tensor(mask)), axis=1)
-    return mul(summed, Tensor(1.0 / counts))
+    keep = 1.0 - cfg.dropout if train else 1.0
+    return embedding_mean(p["lang.tok_emb"], p["lang.pos_emb"], ids, not_pad, keep, rng)
 
 
 def _attention_block(cfg: ModelConfig, p: dict[str, Tensor], layer: int, h: Tensor,
@@ -299,8 +294,8 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> Model:
     """Read a GLCK file. A short file, a bad config or text field, parameter
-    names and shapes that disagree with the stored config, or bytes after the
-    last parameter raise DataError naming the path."""
+    names and shapes that disagree with the stored config, a NaN or infinite
+    value, or bytes after the last parameter raise DataError naming the path."""
     with open(path, "rb") as fh:
         if read_exact(fh, 4, path) != GLCK_MAGIC:
             raise DataError(f"{path}: not a checkpoint (bad magic)")
@@ -327,6 +322,10 @@ def load_checkpoint(path: str | Path) -> Model:
                                 f"config expects {expected[name]}")
             n_items = int(np.prod(shape)) if ndim else 1
             data = np.frombuffer(read_exact(fh, 4 * n_items, path), dtype="<f4")
+            bad = ~np.isfinite(data)
+            if bad.any():
+                raise DataError(f"{path}: parameter {name!r} has a non-finite value "
+                                f"at flat index {int(np.argmax(bad))}")
             params[name] = Tensor(data.reshape(shape).astype(PARAM_DTYPE), requires_grad=True)
         end = fh.tell()
         if fh.read(1):

@@ -74,10 +74,6 @@ class FeatureStore:
     def __len__(self) -> int:
         return sum(len(t) for t in self._timestamps.values())
 
-    @property
-    def video_ids(self) -> list[str]:
-        return list(self._timestamps)
-
     def add_video(self, video_id: str, timestamps: np.ndarray,
                   features: np.ndarray) -> None:
         if features.shape != (len(timestamps), self.feature_dim):

@@ -10,7 +10,9 @@ in reverse topological order and consumes it, like PyTorch's default
 
 No higher-order gradients, no views: every op materialises its output.
 ``matmul`` takes a 2-D right operand and ``transpose`` a matrix; ``attention``
-splits and merges heads on arrays inside its own forward and backward.
+splits and merges heads on arrays inside its own forward and backward, and
+``embedding_mean`` is the whole ``cvcl`` utterance encoder (gather, position
+add, dropout, masked mean) as one node over one (N, T, D) buffer.
 An op's output and gradients keep its tensor operands' dtype; a Python number
 or array beside a tensor in ``add`` or ``mul`` takes that tensor's dtype, so
 a float32 graph never promotes to float64.
@@ -286,6 +288,15 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # lookup / gather ops
 # ---------------------------------------------------------------------------
 
+def _scatter_rows(table: Tensor, ids: np.ndarray, g: np.ndarray) -> None:
+    """Accumulate the rows of ``g`` (ids.shape + (D,)) into the table rows
+    ``ids`` name, as a one-hot sparse (V, M) times (M, D) product, M = ids.size."""
+    m = ids.size
+    onehot = csr_matrix((np.ones(m, g.dtype), (ids.reshape(-1), np.arange(m))),
+                        shape=(table.shape[0], m))
+    _accum(table, onehot @ g.reshape(m, table.shape[1]))
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup: ids of any integer shape -> ids.shape + (D,).
 
@@ -300,12 +311,56 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
     def bw(g):
         if table.requires_grad:
-            m = ids.size
-            onehot = csr_matrix((np.ones(m, g.dtype), (ids.reshape(-1), np.arange(m))),
-                                shape=(table.shape[0], m))
-            _accum(table, onehot @ g.reshape(m, table.shape[1]))
+            _scatter_rows(table, ids, g)
 
     return _make(data, "embedding", (table,), bw)
+
+
+def embedding_mean(table: Tensor, pos: Tensor, ids: np.ndarray, valid: np.ndarray,
+                   keep_prob: float = 1.0, rng: np.random.Generator | None = None) -> Tensor:
+    """Mean over the valid positions of dropout(table[ids] + pos[:T]).
+
+    ids and boolean ``valid`` (N, T), table (V, D) and pos (>= T, D) -> (N, D).
+    One (N, T, D) buffer holds the gather, the position rows added by
+    broadcasting, the inverted-dropout mask m that ``dropout`` would draw
+    (none at keep_prob 1) and the pad zeros; it is summed over T and scaled
+    by 1/c, c the valid positions of each row. The gradient at (n, t) is
+    ``(g[n] / c[n]) * valid[n, t] * m[n, t]``; each table row sums it over its
+    occurrences, as ``embedding`` does, and pos[t] sums it over the batch.
+    """
+    ids = np.asarray(ids)
+    valid = np.asarray(valid, dtype=bool)
+    if (ids.ndim != 2 or valid.shape != ids.shape or table.ndim != 2 or pos.ndim != 2
+            or pos.shape[1] != table.shape[1] or ids.shape[1] > pos.shape[0]
+            or (ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]))):
+        raise ShapeError("embedding_mean", table.shape, pos.shape, ids.shape, valid.shape)
+    counts = valid.sum(axis=1, keepdims=True)
+    if not counts.all():
+        raise NumericsError("embedding_mean", "row with no valid position")
+    t = ids.shape[1]
+    buf = table.data[ids]
+    buf += pos.data[:t]
+    mask = _dropout_mask(buf.shape, keep_prob, rng, buf.dtype)
+    if mask is not None:
+        buf *= mask
+    kept = valid[:, :, None].astype(buf.dtype)  # a float mask multiplies faster than bool
+    buf *= kept
+    inv = 1.0 / counts.astype(buf.dtype)
+    data = buf.sum(axis=1) * inv
+
+    def bw(g):
+        # The tape runs this once, so the forward buffer becomes the gradient.
+        np.multiply((g * inv)[:, None, :], kept, out=buf)
+        if mask is not None:
+            np.multiply(buf, mask, out=buf)
+        if table.requires_grad:
+            _scatter_rows(table, ids, buf)
+        if pos.requires_grad:
+            gp = np.zeros_like(pos.data)
+            gp[:t] = buf.sum(axis=0)
+            _accum(pos, gp)
+
+    return _make(data, "embedding_mean", (table, pos), bw)
 
 
 def take_per_row(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -477,18 +532,25 @@ def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
     return _make(y, "l2_normalize", (a,), bw)
 
 
-def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator,
-            train: bool = True) -> Tensor:
-    """Inverted dropout: scales by 1/keep at train time, identity otherwise."""
+def _dropout_mask(shape: tuple[int, ...], keep_prob: float, rng: np.random.Generator | None,
+                  dtype, train: bool = True) -> np.ndarray | None:
+    """The inverted-dropout mask: 1/keep where a float64 draw falls below
+    keep_prob, else 0. None when nothing is dropped (eval, or keep_prob 1)."""
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"dropout keep_prob must be in (0, 1], got {keep_prob}")
     if not train or keep_prob == 1.0:
-        return a
+        return None
     if rng is None:
         raise ValueError("dropout needs an explicit RNG at train time")
     # float64 draws for every dtype, so float32 and float64 runs drop alike
-    mask = np.divide(rng.random(a.shape) < keep_prob, keep_prob, dtype=a.data.dtype)
-    return mul(a, Tensor(mask))
+    return np.divide(rng.random(shape) < keep_prob, keep_prob, dtype=dtype)
+
+
+def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator,
+            train: bool = True) -> Tensor:
+    """Inverted dropout: scales by 1/keep at train time, identity otherwise."""
+    mask = _dropout_mask(a.shape, keep_prob, rng, a.data.dtype, train)
+    return a if mask is None else mul(a, Tensor(mask))
 
 
 # ---------------------------------------------------------------------------

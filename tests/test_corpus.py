@@ -11,7 +11,7 @@ import pytest
 from groundlex import corpus
 from groundlex.corpus import (
     EOS_ID, PAD_ID, UNK_ID, DedupReport, SplitManifest, UtteranceRecord,
-    build_vocabulary, clean_text, collapse_repeated_phrases, decode,
+    build_vocabulary, clean_text, collapse_repeated_phrases,
     dedup_filter, encode, load_records, pad_batch, save_records, split_stats,
 )
 from groundlex.errors import DataError
@@ -269,7 +269,20 @@ def test_encode_oov_maps_to_unk(vocab):
 
 def test_encode_decode_identity_in_vocab(vocab):
     for text in ("look", "a ball", "look a ball", "ball ball look"):
-        assert decode(encode(text, vocab), vocab) == text
+        ids = encode(text, vocab)
+        assert ids[-1] == EOS_ID
+        assert " ".join(vocab.id_to_token[i] for i in ids[:-1]) == text
+
+
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_encode_rejects_max_len_below_one(vocab, max_len):
+    # max_len=0 used to slice [:-1] and return every word plus <eos>.
+    with pytest.raises(ValueError, match="max_len must be >= 1"):
+        encode("a b c", vocab, max_len=max_len)
+
+
+def test_encode_max_len_one_is_only_eos(vocab):
+    assert encode("look a ball", vocab, max_len=1) == [EOS_ID]
 
 
 def test_pad_batch(vocab):

@@ -323,6 +323,19 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
                                       encode_utterances(loaded, ids).data)
 
 
+@pytest.mark.parametrize("value,index", [(np.nan, (0, 0)), (np.inf, (1, 2))])
+def test_checkpoint_with_a_non_finite_value_is_rejected(tmp_path, value, index):
+    model = toy_model("cvcl", seed=3)
+    model.params["vis.proj_w"].data[index] = value
+    path = tmp_path / "model.glck"
+    save_checkpoint(model, path)
+    flat = index[0] * model.config.embed_dim + index[1]
+    with pytest.raises(DataError, match=f"parameter 'vis.proj_w' has a non-finite value "
+                                        f"at flat index {flat}$") as e:
+        load_checkpoint(path)
+    assert str(path) in str(e.value)
+
+
 def test_version_2_checkpoint_is_rejected(tmp_path):
     path = tmp_path / "model.glck"
     save_checkpoint(toy_model("cvcl", seed=3), path)
@@ -564,9 +577,8 @@ def test_float32_training_step_stays_float32(monkeypatch, variant):
         assert state.second_moment[name].dtype == np.float32, name
 
 
-def test_training_step_tape_has_one_attention_node_per_layer_pass(monkeypatch):
-    # One cvcl_t_lm step runs the decoder twice (utterance encoding and LM
-    # logits), so each layer's attention is one node per pass.
+def record_ops(monkeypatch):
+    """The list that the name of every op made from now on is appended to."""
     made = []
     make = tensor._make
 
@@ -575,6 +587,13 @@ def test_training_step_tape_has_one_attention_node_per_layer_pass(monkeypatch):
         return make(data, op, parents, backward)
 
     monkeypatch.setattr(tensor, "_make", spy_make)
+    return made
+
+
+def test_training_step_tape_has_one_attention_node_per_layer_pass(monkeypatch):
+    # One cvcl_t_lm step runs the decoder twice (utterance encoding and LM
+    # logits), so each layer's attention is one node per pass.
+    made = record_ops(monkeypatch)
     model = toy_model("cvcl_t_lm", seed=15, dropout=0.3)
     assert model.config.n_layers == 2
     model.zero_grad()
@@ -584,6 +603,22 @@ def test_training_step_tape_has_one_attention_node_per_layer_pass(monkeypatch):
     loss.backward()
     adamw_step(model.params, AdamWState(), lr=1e-2)
     assert len(made) == 110
+
+
+def test_cvcl_training_step_tape_has_one_embedding_mean_node(monkeypatch):
+    # The cvcl utterance encoder is one embedding_mean node; the chain it
+    # replaced (2 embeddings, add, dropout, pad mul, sum, 1/count mul) made
+    # this step's forward tape 21 nodes.
+    made = record_ops(monkeypatch)
+    model = toy_model("cvcl", seed=17, dropout=0.3)
+    model.zero_grad()
+    loss = joint_step_loss(model, np.random.default_rng(18))
+    assert len(made) == 15
+    assert made.count("embedding_mean") == 1
+    assert "embedding" not in made and "sum" not in made
+    loss.backward()
+    adamw_step(model.params, AdamWState(), lr=1e-2)
+    assert len(made) == 15
 
 
 def test_float32_step_agrees_with_float64():

@@ -18,6 +18,7 @@ PYPROJECT = ROOT / "pyproject.toml"
 # benchmark, each with its reason.
 TENSOR_CALLERLESS_ALLOWED = {
     "grad_check": "a test utility: the op tests compare every backward with it",
+    "tsum": "grad checks reduce to a scalar with it",
     "reset_zero_norm_warnings": "read by tests only until the zero-norm "
                                 "counter is reported (ROADMAP item 7)",
 }

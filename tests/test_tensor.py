@@ -9,8 +9,9 @@ import groundlex.tensor as gt
 from groundlex.corpus import EOS_ID, PAD_ID
 from groundlex.errors import NumericsError, ShapeError
 from groundlex.tensor import (
-    Tensor, add, attention, cross_entropy, dropout, embedding, gelu, grad_check,
-    l2_normalize, layer_norm, matmul, mul, no_grad, take_per_row, transpose, tsum,
+    Tensor, add, attention, cross_entropy, dropout, embedding, embedding_mean, gelu,
+    grad_check, l2_normalize, layer_norm, matmul, mul, no_grad, take_per_row, transpose,
+    tsum,
 )
 
 
@@ -259,6 +260,95 @@ def test_embedding_grad_bit_equal_to_add_at(case):
     tsum(mul(out, Tensor(g))).backward()
     np.testing.assert_array_equal(table.grad,
                                   _embedding_add_at_reference(table_shape, ids, g))
+
+
+# --- embedding_mean against the chain it replaced ----------------------------------
+
+def embedding_mean_chain(table, pos, ids, valid, keep_prob, rng):
+    """The 7-node chain the cvcl encoder ran before embedding_mean: two
+    embeddings, add, dropout, the pad mul, the sum over T and the 1/count mul."""
+    n, t = ids.shape
+    h = add(embedding(table, ids), embedding(pos, np.broadcast_to(np.arange(t), (n, t))))
+    h = dropout(h, keep_prob, rng, train=True)
+    mask = valid[:, :, None].astype(h.data.dtype)
+    counts = valid.sum(axis=1, keepdims=True).astype(h.data.dtype)
+    return mul(tsum(mul(h, Tensor(mask)), axis=1), Tensor(1.0 / counts))
+
+
+def padded_ids(r, n, t, vocab):
+    """(N, T) ids in [3, vocab) with 1..T real tokens per row, then PAD_ID."""
+    ids = r.integers(3, vocab, size=(n, t))
+    lengths = r.integers(1, t + 1, size=n)
+    lengths[:2] = (t, 1)
+    ids[np.arange(t) >= lengths[:, None]] = PAD_ID
+    return ids
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("keep_prob", [0.9, 1.0])
+def test_embedding_mean_bit_equal_to_old_chain_at_model_shape(dtype, keep_prob):
+    # (N, T, D) = (128, 12, 512) of the cvcl bench, V = 300 so ids repeat,
+    # 48 position rows; each side draws its dropout mask from rng(41).
+    r = rng(40)
+    ids = padded_ids(r, 128, 12, 300)
+    valid = ids != PAD_ID
+    tables = (r.normal(0.0, 0.02, size=(300, 512)), r.normal(0.0, 0.02, size=(48, 512)))
+    g = r.normal(size=(128, 512)).astype(dtype)
+    results = []
+    for op in (embedding_mean, embedding_mean_chain):
+        table, pos = (Tensor(x.astype(dtype), requires_grad=True) for x in tables)
+        out = op(table, pos, ids, valid, keep_prob, rng(41))
+        tsum(mul(out, Tensor(g))).backward()
+        results.append((out.data, table.grad, pos.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+    assert np.all(results[0][2][12:] == 0.0)
+
+
+def test_embedding_mean_grad_check_with_pads_and_dropout():
+    # table (7, 4), pos (5, 4), ids (3, 4) with pads and T < the 5 position
+    # rows, keep_prob 0.5: every call draws its mask from a new rng(36).
+    table = Tensor(rng(37).normal(size=(7, 4)), requires_grad=True)
+    pos = Tensor(rng(38).normal(size=(5, 4)), requires_grad=True)
+    ids = np.array([[3, 5, 3, 6], [4, 6, PAD_ID, PAD_ID], [6, PAD_ID, PAD_ID, PAD_ID]])
+    w = Tensor(rng(39).normal(size=(3, 4)))
+
+    def f(ts):
+        return tsum(mul(embedding_mean(ts[0], ts[1], ids, ids != PAD_ID, 0.5, rng(36)), w))
+
+    assert grad_check(f, [table, pos]) < 1e-6
+    assert np.all(pos.grad[4] == 0.0) and np.any(pos.grad[:4] != 0.0)
+    assert np.all(table.grad[[0, 1, 2]] == 0.0)
+
+
+@pytest.mark.parametrize("ids,valid_shape,pos_rows", [
+    ([[3, 6]], (1, 2), 4),            # id 6 outside a 6-row table
+    ([[-1, 3]], (1, 2), 4),           # negative id
+    ([[3, 4]], (2, 1), 4),            # valid is not shaped like ids
+    ([[3, 4, 5, 3, 4]], (1, 5), 4),   # T = 5 > the 4 position rows
+    ([3, 4], (2,), 4),                # ids not (N, T)
+])
+def test_embedding_mean_rejects_bad_shapes(ids, valid_shape, pos_rows):
+    table, pos = Tensor(np.zeros((6, 3))), Tensor(np.zeros((pos_rows, 3)))
+    with pytest.raises(ShapeError, match="^embedding_mean: "):
+        embedding_mean(table, pos, np.array(ids), np.ones(valid_shape, dtype=bool))
+
+
+def test_embedding_mean_row_without_valid_position_raises():
+    table, pos = Tensor(np.zeros((6, 3))), Tensor(np.zeros((4, 3)))
+    ids = np.array([[3, 4], [PAD_ID, PAD_ID]])
+    with pytest.raises(NumericsError, match="^embedding_mean: row with no valid position$"):
+        embedding_mean(table, pos, ids, ids != PAD_ID)
+
+
+def test_embedding_mean_dropout_needs_an_rng():
+    table, pos = Tensor(np.zeros((6, 3))), Tensor(np.zeros((4, 3)))
+    ids = np.array([[3, 4]])
+    with pytest.raises(ValueError, match="explicit RNG"):
+        embedding_mean(table, pos, ids, ids != PAD_ID, keep_prob=0.9)
+    with pytest.raises(ValueError, match="keep_prob"):
+        embedding_mean(table, pos, ids, ids != PAD_ID, keep_prob=0.0, rng=rng(0))
 
 
 def test_take_per_row():
