@@ -10,9 +10,10 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import Tensor
 
-# Values per operand per block: 128 KB in float64 and 64 KB in float32, so
-# the chain runs in L2.
-_BLOCK = 1 << 14
+# Bytes per operand per block: 65,536 float32 or 32,768 float64 values. The
+# six operands of a block (1.5 MiB) fit in L2. Each block has a fixed Python
+# cost, so in either dtype a block is as large as that allows.
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass
@@ -38,12 +39,13 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
     parameters and moments; only step_count advances.
 
     Each parameter, its gradient and its two moments are walked as flat views
-    in blocks of ``_BLOCK`` values, so a block's whole update chain stays in
-    cache. Parameters and moments are updated in place (``Tensor`` data is
+    in blocks of ``_BLOCK_BYTES`` bytes, so a block's whole update chain stays
+    in cache. Parameters and moments are updated in place (``Tensor`` data is
     C-contiguous, so the flat views alias it); the moments are allocated on a
     parameter's first update and reused after that. The only other memory a
-    call allocates is two block-sized scratch arrays. Moments and scratch take
-    the parameters' dtype, so float32 parameters update in float32. The
+    call allocates is two block-sized scratch arrays per parameter dtype.
+    Moments and scratch take each parameter's own dtype, so a float32
+    parameter updates in float32 and a float64 one in float64. The
     elementwise operations and their order match the unblocked formula, so
     results are bit-identical to it.
     """
@@ -59,8 +61,7 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     decay = 1.0 - lr * state.weight_decay
-    dtype = next((p.data.dtype for p in params.values()), np.float64)
-    s1, s2 = np.empty(_BLOCK, dtype), np.empty(_BLOCK, dtype)
+    scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -70,11 +71,16 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
         if name not in state.first_moment:
             state.first_moment[name] = np.zeros_like(p.data)
             state.second_moment[name] = np.zeros_like(p.data)
+        dtype = p.data.dtype
+        if dtype not in scratch:
+            n = _BLOCK_BYTES // dtype.itemsize
+            scratch[dtype] = np.empty(n, dtype), np.empty(n, dtype)
+        s1, s2 = scratch[dtype]
         pf, gf = p.data.reshape(-1), g.reshape(-1)
         mf = state.first_moment[name].reshape(-1)
         vf = state.second_moment[name].reshape(-1)
-        for lo in range(0, pf.size, _BLOCK):
-            hi = lo + _BLOCK
+        for lo in range(0, pf.size, s1.size):
+            hi = lo + s1.size
             pb, gb, mb, vb = pf[lo:hi], gf[lo:hi], mf[lo:hi], vf[lo:hi]
             t1, t2 = s1[:pb.size], s2[:pb.size]
             mb *= b1

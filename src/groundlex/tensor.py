@@ -16,6 +16,9 @@ add, dropout, masked mean) as one node over one (N, T, D) buffer.
 An op's output and gradients keep its tensor operands' dtype; a Python number
 or array beside a tensor in ``add`` or ``mul`` takes that tensor's dtype, so
 a float32 graph never promotes to float64.
+Every dropout mask, ``dropout``'s and ``embedding_mean``'s, is drawn by
+``_dropout_mask`` from raw 16-bit lanes of the generator's output, not from
+float64 uniforms, so float32 and float64 runs drop the same values.
 """
 
 from __future__ import annotations
@@ -534,16 +537,27 @@ def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
 
 def _dropout_mask(shape: tuple[int, ...], keep_prob: float, rng: np.random.Generator | None,
                   dtype, train: bool = True) -> np.ndarray | None:
-    """The inverted-dropout mask: 1/keep where a float64 draw falls below
-    keep_prob, else 0. None when nothing is dropped (eval, or keep_prob 1)."""
+    """The inverted-dropout mask: 1/keep_prob where a value is kept, else 0.
+    None when nothing is dropped (eval, or keep_prob 1).
+
+    Each of the n values gets one 16-bit lane of the raw generator output,
+    ``random_raw(ceil(n/4))`` viewed as uint16, and is kept where its lane is
+    below K = round(keep_prob * 65536). The keep probability is therefore
+    K/65536, within 2**-17 of keep_prob, and E[mask] = K / (65536 * keep_prob).
+    The draw does not depend on dtype, so float32 and float64 runs drop alike.
+    """
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"dropout keep_prob must be in (0, 1], got {keep_prob}")
     if not train or keep_prob == 1.0:
         return None
     if rng is None:
         raise ValueError("dropout needs an explicit RNG at train time")
-    # float64 draws for every dtype, so float32 and float64 runs drop alike
-    return np.divide(rng.random(shape) < keep_prob, keep_prob, dtype=dtype)
+    k = round(keep_prob * 65536)
+    if k == 0:
+        raise ValueError(f"dropout keep_prob {keep_prob} keeps no 16-bit lane")
+    n = math.prod(shape)
+    lanes = rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
+    return np.divide(lanes.reshape(shape) < k, keep_prob, dtype=dtype)
 
 
 def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator,

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from groundlex.optim import _BLOCK, AdamWState, LRSchedule, adamw_step, lr_at
+from groundlex.optim import _BLOCK_BYTES, AdamWState, LRSchedule, adamw_step, lr_at
 from groundlex.tensor import Tensor
 
 
@@ -121,22 +121,26 @@ def reference_adamw_step(params, state, lr):
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
 
 
-def check_blocked_against_whole_array(weight_decay, dtype):
+def check_blocked_against_whole_array(weight_decay, dtypes):
     rng = np.random.default_rng(7)
-    shapes = [(1,), (_BLOCK,), (3 * _BLOCK + 7,), (2004, 512)]
-    init = {f"p{i}": rng.normal(size=s).astype(dtype) for i, s in enumerate(shapes)}
+    init = {}
+    for dtype in dtypes:
+        block = _BLOCK_BYTES // np.dtype(dtype).itemsize
+        for s in [(1,), (block,), (3 * block + 7,), (2004, 512)]:
+            init[f"p{len(init)}"] = rng.normal(size=s).astype(dtype)
     ours = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
     ref = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
     ours_state = AdamWState(weight_decay=weight_decay)
     ref_state = AdamWState(weight_decay=weight_decay)
     for step, lr in enumerate([1e-3, 3e-4, 2e-3, 5e-4, 1e-2]):
         for k in init:
-            g = rng.normal(scale=10.0 ** (step - 2), size=init[k].shape).astype(dtype)
+            g = rng.normal(scale=10.0 ** (step - 2), size=init[k].shape).astype(init[k].dtype)
             ours[k].grad = g.copy()
             ref[k].grad = g
         adamw_step(ours, ours_state, lr)
         reference_adamw_step(ref, ref_state, lr)
     for k in init:
+        dtype = init[k].dtype
         assert ours[k].data.dtype == ours_state.first_moment[k].dtype == dtype
         assert ours_state.second_moment[k].dtype == dtype
         assert ours[k].data.tobytes() == ref[k].data.tobytes()
@@ -146,12 +150,18 @@ def check_blocked_against_whole_array(weight_decay, dtype):
 
 @pytest.mark.parametrize("weight_decay", [0.1, 0.0])
 def test_adamw_blocked_update_is_bit_identical_to_whole_array(weight_decay):
-    check_blocked_against_whole_array(weight_decay, np.float64)
+    check_blocked_against_whole_array(weight_decay, [np.float64])
 
 
 def test_adamw_float32_update_runs_in_float32():
     # Bit-identical to the whole-array update computed in float32 throughout.
-    check_blocked_against_whole_array(0.1, np.float32)
+    check_blocked_against_whole_array(0.1, [np.float32])
+
+
+def test_adamw_mixed_dtypes_update_each_parameter_in_its_own_dtype():
+    # float32 parameters first: scratch taken from the first parameter's dtype
+    # would run the float64 ones through float32 and miss by ~1e-10.
+    check_blocked_against_whole_array(0.1, [np.float32, np.float64])
 
 
 def test_adamw_step_allocates_no_parameter_sized_temporaries():

@@ -376,6 +376,45 @@ def test_dropout_deterministic_under_seed():
     np.testing.assert_array_equal(a, b)
 
 
+def test_dropout_mask_keeps_k_in_65536_lanes():
+    # K = round(0.9 * 65536) = 58982; over 2**20 values the kept fraction has
+    # a standard deviation of ~2.9e-4 around K/65536.
+    n, k = 1 << 20, 58982
+    kept = gt._dropout_mask((n,), 0.9, rng(37), np.float64) != 0
+    p = k / 65536
+    assert abs(kept.mean() - p) < 5 * math.sqrt(p * (1 - p) / n)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("keep_prob", [0.9, 0.5, 0.3])
+def test_dropout_mask_values_are_zero_or_the_inverse_keep_prob(dtype, keep_prob):
+    mask = gt._dropout_mask((128, 12, 16), keep_prob, rng(38), dtype)
+    assert mask.dtype == dtype and mask.shape == (128, 12, 16)
+    values = np.unique(mask)
+    np.testing.assert_array_equal(values, np.array([0.0, 1.0 / keep_prob], dtype))
+
+
+def test_dropout_mask_is_the_same_in_float32_and_float64():
+    m32 = gt._dropout_mask((8, 24, 512), 0.9, rng(39), np.float32)
+    m64 = gt._dropout_mask((8, 24, 512), 0.9, rng(39), np.float64)
+    np.testing.assert_array_equal(m32, m64.astype(np.float32))
+
+
+@pytest.mark.parametrize("shape", [(1,), (4,), (5,), (7,), (2, 3, 4), (3, 5, 7)])
+def test_dropout_mask_advances_the_generator_by_a_quarter_word_per_value(shape):
+    ours, ref = rng(40), rng(40)
+    gt._dropout_mask(shape, 0.9, ours, np.float32)
+    ref.bit_generator.random_raw(-(-math.prod(shape) // 4))
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+# 2**-17 * 65536 = 0.5 rounds half to even, to K = 0.
+@pytest.mark.parametrize("keep_prob", [1e-6, 2.0 ** -17])
+def test_dropout_mask_keep_prob_with_no_lane_raises(keep_prob):
+    with pytest.raises(ValueError, match="keeps no 16-bit lane"):
+        dropout(Tensor(np.ones(8)), keep_prob, rng(0))
+
+
 def test_no_grad_blocks_graph():
     w = Tensor([2.0], requires_grad=True)
     with no_grad():
@@ -512,7 +551,7 @@ def test_dropout_grad_with_a_fixed_mask():
         return tsum(mul(dropout(ts[0], 0.5, rng(35)), w))
 
     assert grad_check(f, [x]) < 1e-6
-    kept = rng(35).random((2, 3, 4)) < 0.5
+    kept = rng(35).bit_generator.random_raw(6).view(np.uint16)[:24].reshape(2, 3, 4) < 32768
     assert kept.any() and not kept.all()
     x.zero_grad()
     f([x]).backward()
