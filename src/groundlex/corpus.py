@@ -211,13 +211,32 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
+        """Read a vocabulary that ``save`` wrote. Text that is not a JSON
+        object, a missing key, a ``min_frequency`` that is not an integer, or
+        tokens that are not a list of distinct strings starting with the
+        reserved specials raise DataError naming the path."""
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        tokens = list(obj["tokens"])
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:
+                raise DataError(f"{path}: vocabulary is not JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}: vocabulary is not a JSON object")
+        try:
+            tokens, min_frequency = obj["tokens"], obj["min_frequency"]
+        except KeyError as exc:
+            raise DataError(f"{path}: vocabulary missing key {exc}") from None
+        if type(min_frequency) is not int:
+            raise DataError(f"{path}: min_frequency must be an integer, got {min_frequency!r}")
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise DataError(f"{path}: tokens must be a list of strings")
         if tokens[:3] != [PAD, UNK, EOS]:
             raise DataError(f"{path}: vocabulary missing reserved specials")
-        return cls(token_to_id={t: i for i, t in enumerate(tokens)},
-                   id_to_token=tokens, min_frequency=int(obj["min_frequency"]))
+        token_to_id = {t: i for i, t in enumerate(tokens)}
+        if len(token_to_id) != len(tokens):
+            dup = next(t for i, t in enumerate(tokens) if token_to_id[t] != i)
+            raise DataError(f"{path}: token {dup!r} appears more than once")
+        return cls(token_to_id=token_to_id, id_to_token=tokens, min_frequency=min_frequency)
 
 
 def build_vocabulary(utterances: list[str], min_frequency: int = 2) -> Vocabulary:

@@ -162,7 +162,7 @@ def encode_frames(model: Model, features: np.ndarray, train: bool = False,
     h = add(matmul(x, p["vis.proj_w"]), p["vis.proj_b"])
     h = layer_norm(h, p["vis.ln_g"], p["vis.ln_b"])
     if train:
-        h = dropout(h, 1.0 - cfg.dropout, rng, train=True)
+        h = dropout(h, 1.0 - cfg.dropout, rng)
     return h
 
 
@@ -173,19 +173,6 @@ def _ids_matrix(ids_batch: list[list[int]] | np.ndarray, max_len: int) -> np.nda
     if ids.shape[1] > max_len:
         raise ShapeError("encode_utterances", ids.shape, (max_len,))
     return ids
-
-
-def encode_utterances_embedding(model: Model, ids_batch, train: bool = False,
-                                rng: np.random.Generator | None = None) -> Tensor:
-    """Mean over non-pad positions of token + positional embeddings, with
-    dropout before the mean at train time."""
-    cfg, p = model.config, model.params
-    ids = _ids_matrix(ids_batch, cfg.max_len)
-    not_pad = ids != PAD_ID
-    if not not_pad.any(axis=1).all():
-        raise DataError("utterance with only <pad> tokens")
-    keep = 1.0 - cfg.dropout if train else 1.0
-    return embedding_mean(p["lang.tok_emb"], p["lang.pos_emb"], ids, not_pad, keep, rng)
 
 
 def _attention_block(cfg: ModelConfig, p: dict[str, Tensor], layer: int, h: Tensor,
@@ -199,14 +186,14 @@ def _attention_block(cfg: ModelConfig, p: dict[str, Tensor], layer: int, h: Tens
     ctx = attention(q, k, v, allowed, cfg.n_heads)
     out = add(matmul(ctx, p[pre + "wo"]), p[pre + "ob"])
     if train:
-        out = dropout(out, 1.0 - cfg.dropout, rng, train=True)
+        out = dropout(out, 1.0 - cfg.dropout, rng)
     h = add(h, out)
 
     x = layer_norm(h, p[pre + "ln2_g"], p[pre + "ln2_b"])
     x = gelu(add(matmul(x, p[pre + "ff1_w"]), p[pre + "ff1_b"]))
     x = add(matmul(x, p[pre + "ff2_w"]), p[pre + "ff2_b"])
     if train:
-        x = dropout(x, 1.0 - cfg.dropout, rng, train=True)
+        x = dropout(x, 1.0 - cfg.dropout, rng)
     return add(h, x)
 
 
@@ -224,7 +211,7 @@ def _transformer_hidden(model: Model, ids: np.ndarray, train: bool,
     pos = embedding(p["lang.pos_emb"], np.broadcast_to(np.arange(t), (n, t)))
     h = add(tok, pos)
     if train:
-        h = dropout(h, 1.0 - cfg.dropout, rng, train=True)
+        h = dropout(h, 1.0 - cfg.dropout, rng)
     for layer in range(cfg.n_layers):
         h = _attention_block(cfg, p, layer, h, allowed, train, rng)
     return layer_norm(h, p["lang.lnf_g"], p["lang.lnf_b"])
@@ -240,19 +227,21 @@ def _eos_positions(ids: np.ndarray) -> np.ndarray:
     return positions
 
 
-def encode_utterances_transformer(model: Model, ids_batch, train: bool = False,
-                                  rng: np.random.Generator | None = None) -> Tensor:
-    """Utterance embedding = final hidden state at the <eos> position."""
-    ids = _ids_matrix(ids_batch, model.config.max_len)
-    hidden = _transformer_hidden(model, ids, train, rng)
-    return take_per_row(hidden, _eos_positions(ids))
-
-
 def encode_utterances(model: Model, ids_batch, train: bool = False,
                       rng: np.random.Generator | None = None) -> Tensor:
-    if model.config.uses_transformer:
-        return encode_utterances_transformer(model, ids_batch, train, rng)
-    return encode_utterances_embedding(model, ids_batch, train, rng)
+    """Utterance embeddings (N, D). ``cvcl``: the mean over non-pad positions
+    of token + position embeddings, with dropout before the mean at train
+    time. The transformer variants: the final hidden state at <eos>."""
+    cfg, p = model.config, model.params
+    ids = _ids_matrix(ids_batch, cfg.max_len)
+    if cfg.uses_transformer:
+        hidden = _transformer_hidden(model, ids, train, rng)
+        return take_per_row(hidden, _eos_positions(ids))
+    not_pad = ids != PAD_ID
+    if not not_pad.any(axis=1).all():
+        raise DataError("utterance with only <pad> tokens")
+    keep = 1.0 - cfg.dropout if train else 1.0
+    return embedding_mean(p["lang.tok_emb"], p["lang.pos_emb"], ids, not_pad, keep, rng)
 
 
 def lm_logits(model: Model, ids_batch, train: bool = False,

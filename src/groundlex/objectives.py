@@ -1,9 +1,12 @@
 """Training objectives: symmetric contrastive alignment, next-word
-cross-entropy, and their weighted combination."""
+cross-entropy, and their weighted combination.
+
+Both weights are constants: the contrastive logits are cosines over
+``TEMPERATURE`` = 0.07, and the joint loss is the LM loss plus ``LAMBDA_C``
+= 0.3 times the contrastive loss.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,27 +15,13 @@ from .errors import DataError, ShapeError
 from .tensor import Tensor, cross_entropy, l2_normalize, matmul, mul, transpose
 
 
-@dataclass(frozen=True)
-class ContrastiveConfig:
-    temperature: float = 0.07  # fixed, never trained
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+# The contrastive softmax temperature: fixed, never trained.
+TEMPERATURE = 0.07
+# The weight of the contrastive term in the joint loss of ``cvcl_t_lm``.
+LAMBDA_C = 0.3
 
 
-@dataclass(frozen=True)
-class JointConfig:
-    lambda_c: float = 0.3
-
-    def __post_init__(self):
-        if self.lambda_c < 0:
-            raise ValueError("lambda_c must be >= 0")
-
-
-def contrastive_loss(frame_embs: Tensor, utt_embs: Tensor,
-                     cfg: ContrastiveConfig = ContrastiveConfig()
-                     ) -> tuple[Tensor, dict[str, float]]:
+def contrastive_loss(frame_embs: Tensor, utt_embs: Tensor) -> tuple[Tensor, dict[str, float]]:
     """Symmetric in-batch contrastive loss over matched rows.
 
     Rows are L2-normalized first (so logits are cosine similarities over the
@@ -44,10 +33,9 @@ def contrastive_loss(frame_embs: Tensor, utt_embs: Tensor,
     """
     if frame_embs.shape != utt_embs.shape or frame_embs.ndim != 2:
         raise ShapeError("contrastive_loss", frame_embs.shape, utt_embs.shape)
-    frame_embs = l2_normalize(frame_embs, axis=1)
-    utt_embs = l2_normalize(utt_embs, axis=1)
-    sims = mul(matmul(frame_embs, transpose(utt_embs)),
-               1.0 / cfg.temperature)
+    frame_embs = l2_normalize(frame_embs)
+    utt_embs = l2_normalize(utt_embs)
+    sims = mul(matmul(frame_embs, transpose(utt_embs)), 1.0 / TEMPERATURE)
     # rows: one frame vs all utterances; columns: one utterance vs all frames
     matched = np.arange(sims.shape[0])
     loss_frame = cross_entropy(sims, matched)
@@ -75,7 +63,6 @@ def lm_loss(logits: Tensor, target_ids: np.ndarray) -> Tensor:
     return cross_entropy(logits, targets, ~trailing_pad)
 
 
-def joint_loss(lm: Tensor, contrastive: Tensor,
-               cfg: JointConfig = JointConfig()) -> Tensor:
-    """Language-modeling loss plus lambda_c times the contrastive loss."""
-    return lm + mul(contrastive, cfg.lambda_c)
+def joint_loss(lm: Tensor, contrastive: Tensor) -> Tensor:
+    """Language-modeling loss plus ``LAMBDA_C`` times the contrastive loss."""
+    return lm + mul(contrastive, LAMBDA_C)

@@ -1,4 +1,9 @@
-"""AdamW with decoupled weight decay, and the linear-warmup + cosine schedule."""
+"""AdamW with decoupled weight decay, and the linear-warmup + cosine schedule.
+
+The AdamW hyperparameters other than the learning rate are constants:
+``WEIGHT_DECAY`` = 0.1, ``BETA1`` = 0.9, ``BETA2`` = 0.999 and ``EPSILON``
+= 1e-8.
+"""
 
 from __future__ import annotations
 
@@ -15,16 +20,18 @@ from .tensor import Tensor
 # cost, so in either dtype a block is as large as that allows.
 _BLOCK_BYTES = 1 << 18
 
+WEIGHT_DECAY = 0.1
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class AdamWState:
-    """Per-parameter moment buffers plus the optimizer hyperparameters."""
+    """Per-parameter moment buffers, the step count and the default
+    learning rate."""
 
     learning_rate: float = 1e-4
-    weight_decay: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
@@ -34,9 +41,10 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
                lr: float | None = None) -> AdamWState:
     """One AdamW update in place, reading gradients from ``param.grad``.
 
-    Weight decay is decoupled: parameters shrink by (1 - lr*wd) independently
-    of the moment-based step. With lr == 0 the update is the identity on both
-    parameters and moments; only step_count advances.
+    Weight decay is decoupled: parameters shrink by (1 - lr * WEIGHT_DECAY)
+    independently of the moment-based step. With lr == 0 the update is the
+    identity on both parameters and moments; only step_count advances. A
+    negative or non-finite lr raises ValueError before anything changes.
 
     Each parameter, its gradient and its two moments are walked as flat views
     in blocks of ``_BLOCK_BYTES`` bytes, so a block's whole update chain stays
@@ -51,16 +59,15 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
     """
     if lr is None:
         lr = state.learning_rate
-    if lr < 0.0:
-        raise ValueError(f"learning rate must be >= 0, got {lr}")
+    if not (math.isfinite(lr) and lr >= 0.0):
+        raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
     state.step_count += 1
     if lr == 0.0:
         return state
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
-    decay = 1.0 - lr * state.weight_decay
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    decay = 1.0 - lr * WEIGHT_DECAY
     scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
     for name, p in params.items():
         g = p.grad
@@ -83,18 +90,17 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
             hi = lo + s1.size
             pb, gb, mb, vb = pf[lo:hi], gf[lo:hi], mf[lo:hi], vf[lo:hi]
             t1, t2 = s1[:pb.size], s2[:pb.size]
-            mb *= b1
-            np.multiply(gb, 1.0 - b1, out=t1)
+            mb *= BETA1
+            np.multiply(gb, 1.0 - BETA1, out=t1)
             mb += t1
-            vb *= b2
-            np.multiply(gb, 1.0 - b2, out=t1)
+            vb *= BETA2
+            np.multiply(gb, 1.0 - BETA2, out=t1)
             t1 *= gb
             vb += t1
-            if state.weight_decay:
-                pb *= decay
+            pb *= decay
             np.divide(vb, bc2, out=t1)
             np.sqrt(t1, out=t1)
-            t1 += state.epsilon
+            t1 += EPSILON
             np.divide(mb, bc1, out=t2)
             t2 *= lr
             t2 /= t1
@@ -111,6 +117,8 @@ class LRSchedule:
     total_steps: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.peak_lr) and self.peak_lr >= 0.0):
+            raise ValueError(f"peak_lr must be finite and >= 0, got {self.peak_lr}")
         if self.warmup_steps < 1:
             raise ValueError("warmup_steps must be positive")
         if self.total_steps < self.warmup_steps:

@@ -12,7 +12,6 @@ rows into the video's arrays.
 from __future__ import annotations
 
 import struct
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -196,20 +195,6 @@ def _schedule(starts: np.ndarray, durations: np.ndarray) -> tuple[np.ndarray, np
     inside = instants <= durations[:, None]
     inside[:, 0] = True
     return instants, inside
-
-
-def frame_schedule(start_s: float, video_duration_s: float) -> list[float]:
-    """Sample instants start_s + k/3.75 for k = 0..15, truncated at the video
-    end; the k = 0 instant is always kept (start clamps to the duration)."""
-    if start_s < 0:
-        raise DataError(f"negative start time {start_s}")
-    if start_s > video_duration_s:
-        warnings.warn(f"utterance start {start_s:.3f}s past video end "
-                      f"{video_duration_s:.3f}s; clamping", stacklevel=2)
-        start_s = video_duration_s
-    instants, inside = _schedule(np.array([start_s], dtype=np.float64),
-                                 np.array([video_duration_s], dtype=np.float64))
-    return instants[inside].tolist()
 
 
 @dataclass

@@ -18,7 +18,8 @@ or array beside a tensor in ``add`` or ``mul`` takes that tensor's dtype, so
 a float32 graph never promotes to float64.
 Every dropout mask, ``dropout``'s and ``embedding_mean``'s, is drawn by
 ``_dropout_mask`` from raw 16-bit lanes of the generator's output, not from
-float64 uniforms, so float32 and float64 runs drop the same values.
+float64 uniforms, so float32 and float64 runs drop the same values. Eval
+skips dropout; ``layer_norm``'s variance floor is ``LAYER_NORM_EPS``.
 """
 
 from __future__ import annotations
@@ -39,14 +40,12 @@ _grad_enabled = True
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 # Counts L2-normalisations that hit an exact zero vector (degenerate
-# embeddings are returned as zero vectors rather than raising).
+# embeddings are returned as zero vectors rather than raising). It only
+# grows: read the difference across the calls of interest.
 zero_norm_warnings = 0
 
-
-def reset_zero_norm_warnings() -> int:
-    global zero_norm_warnings
-    n, zero_norm_warnings = zero_norm_warnings, 0
-    return n
+# The variance floor of ``layer_norm``.
+LAYER_NORM_EPS = 1e-5
 
 
 class no_grad:
@@ -490,13 +489,14 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     return _make(data, "cross_entropy", (logits,), bw)
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalise the last axis, then apply the affine (gamma, beta)."""
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalise the last axis (variance floor ``LAYER_NORM_EPS``), then apply
+    the affine (gamma, beta)."""
     if gamma.shape != (a.shape[-1],) or beta.shape != (a.shape[-1],):
         raise ShapeError("layer_norm", a.shape, gamma.shape, beta.shape)
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (a.data - mu) * inv
     data = xhat * gamma.data + beta.data
 
@@ -514,11 +514,11 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(data, "layer_norm", (a, gamma, beta), bw)
 
 
-def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
-    """Scale to unit L2 norm along `axis`; exact zero vectors pass through
-    unchanged and bump the module warning counter."""
+def l2_normalize(a: Tensor) -> Tensor:
+    """Scale to unit L2 norm along the last axis; exact zero vectors pass
+    through unchanged and bump the module warning counter."""
     global zero_norm_warnings
-    norm = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True))
+    norm = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
     zero = norm == 0.0
     if zero.any():
         zero_norm_warnings += int(zero.sum())
@@ -527,7 +527,7 @@ def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            gx = (g - y * (g * y).sum(axis=axis, keepdims=True)) / safe
+            gx = (g - y * (g * y).sum(axis=-1, keepdims=True)) / safe
             if zero.any():
                 gx = np.where(zero, 0.0, gx)
             _accum(a, gx)
@@ -536,9 +536,9 @@ def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def _dropout_mask(shape: tuple[int, ...], keep_prob: float, rng: np.random.Generator | None,
-                  dtype, train: bool = True) -> np.ndarray | None:
+                  dtype) -> np.ndarray | None:
     """The inverted-dropout mask: 1/keep_prob where a value is kept, else 0.
-    None when nothing is dropped (eval, or keep_prob 1).
+    None when nothing is dropped (keep_prob 1).
 
     Each of the n values gets one 16-bit lane of the raw generator output,
     ``random_raw(ceil(n/4))`` viewed as uint16, and is kept where its lane is
@@ -548,7 +548,7 @@ def _dropout_mask(shape: tuple[int, ...], keep_prob: float, rng: np.random.Gener
     """
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"dropout keep_prob must be in (0, 1], got {keep_prob}")
-    if not train or keep_prob == 1.0:
+    if keep_prob == 1.0:
         return None
     if rng is None:
         raise ValueError("dropout needs an explicit RNG at train time")
@@ -560,10 +560,10 @@ def _dropout_mask(shape: tuple[int, ...], keep_prob: float, rng: np.random.Gener
     return np.divide(lanes.reshape(shape) < k, keep_prob, dtype=dtype)
 
 
-def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator,
-            train: bool = True) -> Tensor:
-    """Inverted dropout: scales by 1/keep at train time, identity otherwise."""
-    mask = _dropout_mask(a.shape, keep_prob, rng, a.data.dtype, train)
+def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: kept values scale by 1/keep_prob. Training calls it;
+    evaluation skips the call."""
+    mask = _dropout_mask(a.shape, keep_prob, rng, a.data.dtype)
     return a if mask is None else mul(a, Tensor(mask))
 
 

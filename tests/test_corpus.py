@@ -10,7 +10,7 @@ import pytest
 
 from groundlex import corpus
 from groundlex.corpus import (
-    EOS_ID, PAD_ID, UNK_ID, DedupReport, SplitManifest, UtteranceRecord,
+    EOS_ID, PAD_ID, UNK_ID, DedupReport, SplitManifest, UtteranceRecord, Vocabulary,
     build_vocabulary, clean_text, collapse_repeated_phrases,
     dedup_filter, encode, load_records, pad_batch, save_records, split_stats,
 )
@@ -241,6 +241,29 @@ def test_vocabulary_save_load_roundtrip(tmp_path):
     vocab.save(path)
     loaded = type(vocab).load(path)
     assert loaded.token_to_id == vocab.token_to_id
+
+
+SPECIALS = '"<pad>", "<unk>", "<eos>"'
+
+
+@pytest.mark.parametrize("text,expected", [
+    ('{"tokens": [%s, "ball"]}' % SPECIALS, "vocabulary missing key 'min_frequency'"),
+    ('{"min_frequency": 2, "tokens": [%s,' % SPECIALS, "vocabulary is not JSON"),
+    ('[%s, "ball"]' % SPECIALS, "vocabulary is not a JSON object$"),
+    ('{"min_frequency": "x", "tokens": [%s]}' % SPECIALS,
+     "min_frequency must be an integer, got 'x'"),
+    ('{"min_frequency": 2, "tokens": [%s, "ball", "ball"]}' % SPECIALS,
+     "token 'ball' appears more than once"),
+    ('{"min_frequency": 2, "tokens": [%s, 7]}' % SPECIALS,
+     "tokens must be a list of strings"),
+], ids=["missing-key", "malformed-json", "top-level-list", "non-integer-min-frequency",
+        "duplicate-token", "non-string-token"])
+def test_vocabulary_load_rejects_malformed_files(tmp_path, text, expected):
+    path = tmp_path / "vocab.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=expected) as e:
+        Vocabulary.load(path)
+    assert str(e.value).startswith(f"{path}: ")
 
 
 # --- encoding -----------------------------------------------------------------

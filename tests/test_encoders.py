@@ -10,8 +10,7 @@ import pytest
 
 from groundlex.corpus import EOS_ID, PAD_ID
 from groundlex.encoders import (
-    Model, ModelConfig, encode_frames, encode_utterances,
-    encode_utterances_embedding, encode_utterances_transformer, lm_logits,
+    Model, ModelConfig, encode_frames, encode_utterances, lm_logits,
     load_checkpoint, save_checkpoint,
 )
 from groundlex.errors import DataError, ShapeError
@@ -89,7 +88,7 @@ def test_encode_frames_grad_reaches_projection_not_features():
 
 def test_embedding_single_token_is_tok_plus_pos():
     model = toy_model()
-    out = encode_utterances_embedding(model, [[5]])
+    out = encode_utterances(model, [[5]])
     expected = model.params["lang.tok_emb"].data[5] + model.params["lang.pos_emb"].data[0]
     np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
@@ -97,8 +96,8 @@ def test_embedding_single_token_is_tok_plus_pos():
 def test_embedding_zero_positions_permutation_invariant():
     model = toy_model(dtype="float64")
     model.params["lang.pos_emb"].data[:] = 0.0
-    a = encode_utterances_embedding(model, [[3, 4, 5, EOS_ID]])
-    b = encode_utterances_embedding(model, [[5, 3, EOS_ID, 4]])
+    a = encode_utterances(model, [[3, 4, 5, EOS_ID]])
+    b = encode_utterances(model, [[5, 3, EOS_ID, 4]])
     np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
 
@@ -106,27 +105,27 @@ def test_embedding_positions_carry_length_not_order():
     # mean(tok + pos) = mean(tok) + mean(pos[:T]): reordering tokens cannot
     # change the output, but utterance length moves the positional mean.
     model = toy_model(seed=7, dtype="float64")
-    a = encode_utterances_embedding(model, [[3, 4, 5]])
-    b = encode_utterances_embedding(model, [[5, 3, 4]])
+    a = encode_utterances(model, [[3, 4, 5]])
+    b = encode_utterances(model, [[5, 3, 4]])
     np.testing.assert_allclose(a.data, b.data, atol=1e-12)
     tok_mean = model.params["lang.tok_emb"].data[[3, 4, 5]].mean(axis=0)
     pos_mean = model.params["lang.pos_emb"].data[:3].mean(axis=0)
     np.testing.assert_allclose(a.data[0], tok_mean + pos_mean, atol=1e-12)
-    shorter = encode_utterances_embedding(model, [[3, 4]])
+    shorter = encode_utterances(model, [[3, 4]])
     assert np.abs(shorter.data - a.data).max() > 1e-9
 
 
 def test_embedding_pads_excluded_from_average():
     model = toy_model()
-    bare = encode_utterances_embedding(model, [[3, 4]])
-    padded = encode_utterances_embedding(model, [[3, 4, PAD_ID, PAD_ID]])
+    bare = encode_utterances(model, [[3, 4]])
+    padded = encode_utterances(model, [[3, 4, PAD_ID, PAD_ID]])
     np.testing.assert_allclose(bare.data, padded.data, atol=1e-12)
 
 
 def test_embedding_all_pad_errors():
     model = toy_model()
     with pytest.raises(DataError):
-        encode_utterances_embedding(model, [[PAD_ID, PAD_ID]])
+        encode_utterances(model, [[PAD_ID, PAD_ID]])
 
 
 # --- transformer encoder ----------------------------------------------------------
@@ -145,21 +144,21 @@ def test_transformer_causality_bitwise():
 
 def test_transformer_uses_both_positions():
     model = toy_model("cvcl_t")
-    a = encode_utterances_transformer(model, [[3, EOS_ID]])
-    b = encode_utterances_transformer(model, [[4, EOS_ID]])
+    a = encode_utterances(model, [[3, EOS_ID]])
+    b = encode_utterances(model, [[4, EOS_ID]])
     assert np.abs(a.data - b.data).max() > 1e-8
 
 
 def test_transformer_requires_eos():
     model = toy_model("cvcl_t")
     with pytest.raises(DataError):
-        encode_utterances_transformer(model, [[3, 4, 5]])
+        encode_utterances(model, [[3, 4, 5]])
 
 
 def test_transformer_pad_after_eos_is_ignored():
     model = toy_model("cvcl_t")
-    a = encode_utterances_transformer(model, [[3, 4, EOS_ID]])
-    b = encode_utterances_transformer(model, [[3, 4, EOS_ID, PAD_ID, PAD_ID]])
+    a = encode_utterances(model, [[3, 4, EOS_ID]])
+    b = encode_utterances(model, [[3, 4, EOS_ID, PAD_ID, PAD_ID]])
     np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
 

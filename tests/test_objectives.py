@@ -8,7 +8,7 @@ import pytest
 from groundlex.corpus import PAD_ID
 from groundlex.errors import DataError, ShapeError
 from groundlex.objectives import (
-    ContrastiveConfig, JointConfig, contrastive_loss, joint_loss, lm_loss,
+    LAMBDA_C, TEMPERATURE, contrastive_loss, joint_loss, lm_loss,
 )
 from groundlex.tensor import Tensor, grad_check
 
@@ -41,9 +41,9 @@ def test_random_batches_near_log_n():
 def test_perfectly_aligned_orthogonal_pairs_closed_form():
     n = 4
     embs = np.eye(n, 16)
-    loss, _ = contrastive_loss(Tensor(embs), Tensor(embs.copy()),
-                               ContrastiveConfig(temperature=0.07))
-    expected = math.log(1 + (n - 1) * math.exp(-1 / 0.07))
+    loss, _ = contrastive_loss(Tensor(embs), Tensor(embs.copy()))
+    assert TEMPERATURE == 0.07
+    expected = math.log(1 + (n - 1) * math.exp(-1 / TEMPERATURE))
     assert abs(loss.item() - expected) < 1e-12
     assert abs(loss.item()) < 1e-5
 
@@ -93,11 +93,6 @@ def test_contrastive_gradient_passes_grad_check():
 def test_contrastive_shape_mismatch():
     with pytest.raises(ShapeError):
         contrastive_loss(Tensor(np.zeros((4, 8))), Tensor(np.zeros((3, 8))))
-
-
-def test_temperature_must_be_positive():
-    with pytest.raises(ValueError):
-        ContrastiveConfig(temperature=0.0)
 
 
 # --- language-modeling loss ------------------------------------------------------
@@ -153,14 +148,8 @@ def test_lm_loss_gradient():
 
 # --- joint loss --------------------------------------------------------------------
 
-def test_joint_lambda_zero_is_lm_alone():
-    lm = Tensor(np.asarray(1.7))
-    con = Tensor(np.asarray(0.9))
-    assert joint_loss(lm, con, JointConfig(lambda_c=0.0)).item() == 1.7
-
-
 def test_joint_default_weight():
-    assert JointConfig().lambda_c == 0.3
+    assert LAMBDA_C == 0.3
     lm = Tensor(np.asarray(2.0))
     con = Tensor(np.asarray(1.0))
     assert joint_loss(lm, con).item() == pytest.approx(2.3)
@@ -168,9 +157,8 @@ def test_joint_default_weight():
 
 def test_joint_linearity():
     a, b, c = (Tensor(np.asarray(x)) for x in (1.1, 0.4, 0.25))
-    cfg = JointConfig(lambda_c=0.3)
-    left = joint_loss(a, b, cfg).item() + joint_loss(a, c, cfg).item()
-    right = joint_loss(a, Tensor(np.asarray(0.65)), cfg).item()
+    left = joint_loss(a, b).item() + joint_loss(a, c).item()
+    right = joint_loss(a, Tensor(np.asarray(0.65))).item()
     assert left - right == pytest.approx(a.item(), abs=1e-12)
 
 

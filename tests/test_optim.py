@@ -6,7 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from groundlex.optim import _BLOCK_BYTES, AdamWState, LRSchedule, adamw_step, lr_at
+from groundlex.optim import (
+    _BLOCK_BYTES, BETA1, BETA2, EPSILON, WEIGHT_DECAY, AdamWState, LRSchedule, adamw_step,
+    lr_at,
+)
 from groundlex.tensor import Tensor
 
 
@@ -18,7 +21,7 @@ def make_param(values):
 
 def test_adamw_lr_zero_is_identity():
     p = make_param([1.0, -2.0, 3.0])
-    state = AdamWState(weight_decay=0.1)
+    state = AdamWState()
     before = p.data.copy()
     adamw_step({"p": p}, state, lr=0.0)
     np.testing.assert_array_equal(p.data, before)
@@ -28,24 +31,24 @@ def test_adamw_lr_zero_is_identity():
 
 def test_adamw_first_step_moves_by_lr():
     # Closed form with bias correction: m_hat = g, v_hat = g^2, so the first
-    # step with g = 1 and wd = 0 moves by -lr/(1 + eps).
+    # step with g = 1 moves by -lr/(1 + eps); decay leaves a zero at zero.
     p = make_param([0.0])
-    state = AdamWState(weight_decay=0.0, epsilon=1e-8)
+    state = AdamWState()
     adamw_step({"p": p}, state, lr=0.01)
-    assert abs(p.data[0] + 0.01) < 1e-9
+    assert abs(p.data[0] + 0.01 / (1 + EPSILON)) < 1e-15
 
 
 def test_adamw_decoupled_weight_decay():
     # Zero gradient: the only movement is the multiplicative decay.
     p = make_param([10.0])
     p.grad = np.zeros_like(p.data)
-    state = AdamWState(weight_decay=0.1)
+    state = AdamWState()
     adamw_step({"p": p}, state, lr=0.5)
-    np.testing.assert_allclose(p.data, [10.0 * (1 - 0.5 * 0.1)])
+    np.testing.assert_allclose(p.data, [10.0 * (1 - 0.5 * WEIGHT_DECAY)])
 
 
 def test_adamw_default_weight_decay_matches_training_configuration():
-    assert AdamWState().weight_decay == 0.1
+    assert WEIGHT_DECAY == 0.1
 
 
 def test_adamw_shape_mismatch():
@@ -53,6 +56,16 @@ def test_adamw_shape_mismatch():
     p.grad = np.ones(3)
     with pytest.raises(Exception):
         adamw_step({"p": p}, AdamWState(), lr=0.1)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-3])
+def test_adamw_rejects_a_non_finite_or_negative_lr(lr):
+    p = make_param([1.0, -2.0])
+    state = AdamWState()
+    with pytest.raises(ValueError, match="learning rate must be finite and >= 0"):
+        adamw_step({"p": p}, state, lr)
+    np.testing.assert_array_equal(p.data, [1.0, -2.0])
+    assert state.step_count == 0 and state.first_moment == {}
 
 
 def test_adamw_step_count_strictly_increases():
@@ -99,6 +112,12 @@ def test_lr_schedule_rejects_bad_bounds():
         LRSchedule(peak_lr=1.0, warmup_steps=10, total_steps=5)
 
 
+@pytest.mark.parametrize("peak_lr", [float("nan"), float("inf"), -1e-4])
+def test_lr_schedule_rejects_a_non_finite_or_negative_peak(peak_lr):
+    with pytest.raises(ValueError, match="peak_lr must be finite and >= 0"):
+        LRSchedule(peak_lr=peak_lr, warmup_steps=10, total_steps=100)
+
+
 # --- blocked in-place update ------------------------------------------------
 
 def reference_adamw_step(params, state, lr):
@@ -106,22 +125,21 @@ def reference_adamw_step(params, state, lr):
     for bit."""
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = p.grad
         m = state.first_moment.setdefault(name, np.zeros_like(p.data))
         v = state.second_moment.setdefault(name, np.zeros_like(p.data))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        if state.weight_decay:
-            p.data *= 1.0 - lr * state.weight_decay
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.data *= 1.0 - lr * WEIGHT_DECAY
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
 
 
-def check_blocked_against_whole_array(weight_decay, dtypes):
+def check_blocked_against_whole_array(dtypes):
     rng = np.random.default_rng(7)
     init = {}
     for dtype in dtypes:
@@ -130,8 +148,8 @@ def check_blocked_against_whole_array(weight_decay, dtypes):
             init[f"p{len(init)}"] = rng.normal(size=s).astype(dtype)
     ours = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
     ref = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
-    ours_state = AdamWState(weight_decay=weight_decay)
-    ref_state = AdamWState(weight_decay=weight_decay)
+    ours_state = AdamWState()
+    ref_state = AdamWState()
     for step, lr in enumerate([1e-3, 3e-4, 2e-3, 5e-4, 1e-2]):
         for k in init:
             g = rng.normal(scale=10.0 ** (step - 2), size=init[k].shape).astype(init[k].dtype)
@@ -148,20 +166,19 @@ def check_blocked_against_whole_array(weight_decay, dtypes):
         assert ours_state.second_moment[k].tobytes() == ref_state.second_moment[k].tobytes()
 
 
-@pytest.mark.parametrize("weight_decay", [0.1, 0.0])
-def test_adamw_blocked_update_is_bit_identical_to_whole_array(weight_decay):
-    check_blocked_against_whole_array(weight_decay, [np.float64])
+def test_adamw_blocked_update_is_bit_identical_to_whole_array():
+    check_blocked_against_whole_array([np.float64])
 
 
 def test_adamw_float32_update_runs_in_float32():
     # Bit-identical to the whole-array update computed in float32 throughout.
-    check_blocked_against_whole_array(0.1, [np.float32])
+    check_blocked_against_whole_array([np.float32])
 
 
 def test_adamw_mixed_dtypes_update_each_parameter_in_its_own_dtype():
     # float32 parameters first: scratch taken from the first parameter's dtype
     # would run the float64 ones through float32 and miss by ~1e-10.
-    check_blocked_against_whole_array(0.1, [np.float32, np.float64])
+    check_blocked_against_whole_array([np.float32, np.float64])
 
 
 def test_adamw_step_allocates_no_parameter_sized_temporaries():

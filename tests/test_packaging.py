@@ -1,26 +1,25 @@
 """Package metadata: every declared console script resolves to a callable,
-and every public tensor op has a caller."""
+and every public function, class and method of the package has a caller."""
 
 import ast
 import importlib
-import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-import groundlex.tensor as gt
+import groundlex
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+PACKAGE = Path(groundlex.__file__).resolve().parent
 
-# Public names of groundlex.tensor that need no caller in the package or the
+# Public names of the package that need no caller in the package or the
 # benchmark, each with its reason.
-TENSOR_CALLERLESS_ALLOWED = {
+CALLERLESS_ALLOWED = {
     "grad_check": "a test utility: the op tests compare every backward with it",
     "tsum": "grad checks reduce to a scalar with it",
-    "reset_zero_norm_warnings": "read by tests only until the zero-norm "
-                                "counter is reported (ROADMAP item 7)",
 }
 
 
@@ -36,29 +35,45 @@ def test_console_scripts_resolve():
         assert callable(obj), f"console script {name} -> {target} is not callable"
 
 
-def names_used(path):
-    """Every identifier a module reads, looks up as an attribute or imports."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def names_used(tree):
+    """How often each identifier is read, looked up as an attribute or
+    imported in an AST."""
+    names = Counter()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names[node.attr] += 1
         elif isinstance(node, ast.alias):
-            names.add(node.name)
+            names[node.name] += 1
     return names
 
 
-def test_every_public_tensor_op_has_a_caller():
-    # A function or class of groundlex.tensor that nothing in the package
-    # outside tensor.py, nor the benchmark, names is dead code.
-    package = Path(gt.__file__).resolve().parent
-    sources = [p for p in sorted(package.glob("*.py")) if p.name != "tensor.py"]
-    sources += sorted((ROOT / "bench").glob("*.py"))
-    assert len(sources) > 5
-    used = set().union(*(names_used(p) for p in sources))
-    public = {name for name, obj in vars(gt).items()
-              if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
-              and obj.__module__ == gt.__name__}
-    assert public >= TENSOR_CALLERLESS_ALLOWED.keys()
-    assert sorted(public - used - TENSOR_CALLERLESS_ALLOWED.keys()) == []
+def public_definitions(tree):
+    """The public top-level functions and classes of a module, and the
+    public methods of its classes (dunders excluded)."""
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body
+                        if isinstance(m, defs) and not m.name.startswith("_"))
+
+
+def test_every_public_name_has_a_caller():
+    # A public function, class or method of any groundlex module that nothing
+    # in the package or the benchmark names, outside its own definition, is
+    # dead code.
+    modules = sorted(PACKAGE.glob("*.py"))
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in modules]
+    trees += [ast.parse(p.read_text(encoding="utf-8"))
+              for p in sorted((ROOT / "bench").glob("*.py"))]
+    assert len(modules) > 5 and len(trees) > len(modules) + 3
+    used = sum((names_used(t) for t in trees), Counter())
+    callerless = set()
+    for tree in trees[:len(modules)]:
+        for node in public_definitions(tree):
+            if used[node.name] - names_used(node)[node.name] == 0:
+                callerless.add(node.name)
+    assert sorted(callerless) == sorted(CALLERLESS_ALLOWED)

@@ -12,50 +12,56 @@ from groundlex.corpus import UtteranceRecord, build_vocabulary, encode
 from groundlex.errors import DataError
 from groundlex.pairing import (
     FRAME_PERIOD, FRAMES_PER_UTTERANCE, RESOLVE_TOLERANCE, EpisodePair, FeatureStore,
-    build_pairs, frame_schedule, sample_frame,
+    build_pairs, sample_frame,
 )
 
 
+def bruteforce_schedule(start, duration):
+    """Instants start + k/3.75 for k = 0..15 while inside the video, the
+    k = 0 instant always; a start past the end clamps to the end, as
+    `build_pairs` clamps it."""
+    start = min(start, duration)
+    instants = [start]
+    for k in range(1, FRAMES_PER_UTTERANCE):
+        t = start + k * FRAME_PERIOD
+        if t > duration:
+            break
+        instants.append(t)
+    return instants
+
+
+def schedule(start, duration):
+    """The instants `pairing._schedule` keeps for one utterance."""
+    instants, inside = pairing._schedule(np.array([start]), np.array([duration]))
+    return instants[inside].tolist()
+
+
 def test_schedule_full_window():
-    stamps = frame_schedule(10.0, 100.0)
+    stamps = schedule(10.0, 100.0)
+    assert stamps == bruteforce_schedule(10.0, 100.0)
     assert len(stamps) == 16
     assert stamps[0] == 10.0
     assert stamps[-1] == pytest.approx(10.0 + 15 / 3.75)  # 14.0
 
 
 def test_schedule_truncates_at_video_end():
-    stamps = frame_schedule(99.5, 100.0)
+    stamps = schedule(99.5, 100.0)
+    assert stamps == bruteforce_schedule(99.5, 100.0)
     assert stamps == pytest.approx([99.5, 99.5 + FRAME_PERIOD])
 
 
 def test_schedule_spacing_exact():
-    stamps = frame_schedule(3.3, 1000.0)
+    stamps = schedule(3.3, 1000.0)
+    assert stamps == bruteforce_schedule(3.3, 1000.0)
     diffs = np.diff(stamps)
     np.testing.assert_allclose(diffs, FRAME_PERIOD, atol=1e-9)
 
 
-def test_schedule_start_past_end_clamps_with_warning():
-    with pytest.warns(UserWarning):
-        stamps = frame_schedule(12.0, 10.0)
-    assert stamps[0] == 10.0 and len(stamps) == 1
-
-
 def test_schedule_window_is_16_instants_not_17():
     # 16/3.75 s window means offsets k = 0..15 only.
-    stamps = frame_schedule(0.0, 16 / 3.75)
+    stamps = schedule(0.0, 16 / 3.75)
+    assert stamps == bruteforce_schedule(0.0, 16 / 3.75)
     assert len(stamps) == 16
-
-
-def bruteforce_schedule_len(start, duration):
-    n = 0
-    k = 0
-    while k < FRAMES_PER_UTTERANCE:
-        t = min(start, duration) + k * FRAME_PERIOD
-        if t > duration and k > 0:
-            break
-        n += 1
-        k += 1
-    return n
 
 
 def test_schedule_length_matches_bruteforce():
@@ -63,7 +69,7 @@ def test_schedule_length_matches_bruteforce():
     for _ in range(300):
         duration = float(rng.uniform(1, 60))
         start = float(rng.uniform(0, duration))
-        assert len(frame_schedule(start, duration)) == bruteforce_schedule_len(start, duration)
+        assert schedule(start, duration) == bruteforce_schedule(start, duration)
 
 
 # --- feature store -----------------------------------------------------------
@@ -364,7 +370,7 @@ def test_build_pairs_frame_count_matches_bruteforce(vocab):
         utts = []
         for u in range(6):
             start = u * 1.6
-            for t in frame_schedule(min(start, duration), duration):
+            for t in bruteforce_schedule(start, duration):
                 grid.append(t)
             utts.append(start)
         store.add_video(vid, np.unique(np.asarray(grid)),
@@ -374,7 +380,7 @@ def test_build_pairs_frame_count_matches_bruteforce(vocab):
             records.append(UtteranceRecord(vid, start, start + 1.0, "s", "ball"))
     pairs, _ = build_pairs(records, store, vocab)
     got_total = sum(len(p.frame_rows) for p in pairs)
-    expected_total = sum(len(frame_schedule(min(s, duration), duration))
+    expected_total = sum(len(bruteforce_schedule(s, duration))
                          for utts in starts.values() for s in utts)
     assert got_total == expected_total
 

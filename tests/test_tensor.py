@@ -112,7 +112,7 @@ def test_grad_check_op_compositions(seed):
         h = matmul(ts[0], ts[1])
         h = layer_norm(h, ts[2], ts[3])
         h = gelu(h)
-        h = l2_normalize(h, axis=-1)
+        h = l2_normalize(h)
         return tsum(mul(h, h)) + tsum(attention(h, h, h, causal, heads=2))
 
     assert grad_check(f, [a, b, g, c]) < 1e-6
@@ -138,7 +138,7 @@ def test_backward_random_compositions_match_finite_differences():
             elif pick == 2:
                 h = gelu(h)
             elif pick == 3:
-                h = l2_normalize(h, axis=1)
+                h = l2_normalize(h)
             else:
                 h = transpose(h)
             return tsum(mul(h, h))
@@ -211,15 +211,15 @@ def test_l2_normalize_unit_norm_property():
     r = rng(3)
     for _ in range(50):
         x = Tensor(r.normal(size=(4, 6)) * r.uniform(0.01, 100))
-        out = l2_normalize(x, axis=1)
+        out = l2_normalize(x)
         np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-9)
 
 
 def test_l2_normalize_zero_vector_warns_and_passes_through():
-    gt.reset_zero_norm_warnings()
+    before = gt.zero_norm_warnings
     out = l2_normalize(Tensor(np.zeros(5)))
     np.testing.assert_array_equal(out.data, np.zeros(5))
-    assert gt.reset_zero_norm_warnings() == 1
+    assert gt.zero_norm_warnings - before == 1
 
 
 def test_embedding_lookup_and_grad():
@@ -269,7 +269,7 @@ def embedding_mean_chain(table, pos, ids, valid, keep_prob, rng):
     embeddings, add, dropout, the pad mul, the sum over T and the 1/count mul."""
     n, t = ids.shape
     h = add(embedding(table, ids), embedding(pos, np.broadcast_to(np.arange(t), (n, t))))
-    h = dropout(h, keep_prob, rng, train=True)
+    h = dropout(h, keep_prob, rng)
     mask = valid[:, :, None].astype(h.data.dtype)
     counts = valid.sum(axis=1, keepdims=True).astype(h.data.dtype)
     return mul(tsum(mul(h, Tensor(mask)), axis=1), Tensor(1.0 / counts))
@@ -359,11 +359,9 @@ def test_take_per_row():
     assert x.grad[0, 1].sum() == 4 and x.grad.sum() == 8
 
 
-def test_dropout_train_eval_and_scaling():
+def test_dropout_scaling():
     x = Tensor(np.ones((1000,)))
-    out_eval = dropout(x, 0.5, rng(0), train=False)
-    assert out_eval is x
-    out = dropout(x, 0.5, rng(0), train=True)
+    out = dropout(x, 0.5, rng(0))
     kept = out.data[out.data > 0]
     assert np.allclose(kept, 2.0)  # inverted dropout scales by 1/keep
     assert abs(out.data.mean() - 1.0) < 0.1
@@ -371,8 +369,8 @@ def test_dropout_train_eval_and_scaling():
 
 def test_dropout_deterministic_under_seed():
     x = Tensor(np.ones(64))
-    a = dropout(x, 0.7, np.random.default_rng(42), train=True).data
-    b = dropout(x, 0.7, np.random.default_rng(42), train=True).data
+    a = dropout(x, 0.7, np.random.default_rng(42)).data
+    b = dropout(x, 0.7, np.random.default_rng(42)).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -478,10 +476,10 @@ def test_l2_normalize_grad_with_an_exact_zero_row():
     # the other rows pass the grad check (the zero row is not differentiable,
     # so it is built from the checked rows by a constant selection matmul).
     w = Tensor(rng(23).normal(size=(3, 4)))
-    gt.reset_zero_norm_warnings()
+    before = gt.zero_norm_warnings
     x = Tensor(rng(24).normal(size=(3, 4)), requires_grad=True)
     x.data[1] = 0.0
-    tsum(mul(l2_normalize(x, axis=-1), w)).backward()
+    tsum(mul(l2_normalize(x), w)).backward()
     np.testing.assert_array_equal(x.grad[1], 0.0)
     assert np.abs(x.grad[[0, 2]]).min() > 0.0
 
@@ -491,10 +489,10 @@ def test_l2_normalize_grad_with_an_exact_zero_row():
     def f(ts):
         full = matmul(select, ts[0])
         assert not full.data[1].any()
-        return tsum(mul(l2_normalize(full, axis=-1), w))
+        return tsum(mul(l2_normalize(full), w))
 
     assert grad_check(f, [rows]) < 1e-6
-    assert gt.reset_zero_norm_warnings() > 0
+    assert gt.zero_norm_warnings > before
 
 
 def test_take_per_row_grad_at_eos_positions():
