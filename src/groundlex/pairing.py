@@ -12,7 +12,7 @@ rows into the video's arrays.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ RESOLVE_TOLERANCE = 0.5 * FRAME_PERIOD
 
 GLFX_MAGIC = b"GLFX"
 GLFX_VERSION = 1
-_READ_BLOCK = 1 << 20  # bytes of frames parsed at a time by FeatureStore.load
+_READ_BLOCK = 1 << 20  # bytes of frames parsed at a time by load_feature_store
 
 
 @dataclass(frozen=True)
@@ -44,16 +44,16 @@ def _glfx_frame(vid_len: int, dim: int) -> np.dtype:
                      ("t", "<f8"), ("f", "<f8", (dim,))])
 
 
-def _nearest_rows(ts: np.ndarray, instants: np.ndarray, tolerance: float) -> np.ndarray:
+def _nearest_rows(ts: np.ndarray, instants: np.ndarray) -> np.ndarray:
     """Row of the frame in sorted, non-empty `ts` nearest each instant within
-    `tolerance` (bound inclusive; on a tie the later frame), else -1."""
+    `RESOLVE_TOLERANCE` (bound inclusive; on a tie the later frame), else -1."""
     hi = np.searchsorted(ts, instants)
     lo = hi - 1
     last = len(ts) - 1
     d_lo = np.where(lo >= 0, np.abs(ts[np.maximum(lo, 0)] - instants), np.inf)
     d_hi = np.where(hi <= last, np.abs(ts[np.minimum(hi, last)] - instants), np.inf)
-    take_hi = d_hi <= np.minimum(d_lo, tolerance)
-    return np.where(take_hi, hi, np.where(d_lo <= tolerance, lo, -1))
+    take_hi = d_hi <= np.minimum(d_lo, RESOLVE_TOLERANCE)
+    return np.where(take_hi, hi, np.where(d_lo <= RESOLVE_TOLERANCE, lo, -1))
 
 
 class FeatureStore:
@@ -62,7 +62,7 @@ class FeatureStore:
     Per-video timestamps are kept sorted for nearest-neighbour resolution;
     frames of one video may share or nearly share a timestamp. Feature arrays
     are flagged non-writeable so training can never mutate stored frames.
-    GLFX (`save`/`load`) is the one file format.
+    GLFX (`save`, `load_feature_store`) is the one file format.
     """
 
     def __init__(self, feature_dim: int):
@@ -96,14 +96,13 @@ class FeatureStore:
     def has_video(self, video_id: str) -> bool:
         return video_id in self._timestamps
 
-    def resolve(self, video_id: str, timestamp_s: float,
-                tolerance: float = RESOLVE_TOLERANCE) -> FrameFeature | None:
-        """Nearest stored frame within `tolerance` seconds (bound inclusive;
-        on a tie the later frame), else None."""
+    def resolve(self, video_id: str, timestamp_s: float) -> FrameFeature | None:
+        """Nearest stored frame within `RESOLVE_TOLERANCE` seconds (bound
+        inclusive; on a tie the later frame), else None."""
         ts = self._timestamps.get(video_id)
         if ts is None or len(ts) == 0:
             return None
-        row = int(_nearest_rows(ts, np.array([timestamp_s], dtype=np.float64), tolerance)[0])
+        row = int(_nearest_rows(ts, np.array([timestamp_s], dtype=np.float64))[0])
         if row < 0:
             return None
         return FrameFeature(video_id, float(ts[row]), self._features[video_id][row])
@@ -128,61 +127,56 @@ class FeatureStore:
                 frames["f"] = self._features[vid]
                 fh.write(frames)
 
-    @classmethod
-    def load(cls, path: str | Path) -> "FeatureStore":
-        """Read a GLFX file into per-video arrays, one row per frame.
-
-        Each run of frames that share a video id is parsed with one structured
-        view of a read block of at most `_READ_BLOCK` bytes (or one frame), and
-        copied out of it, so the file's frames are never all held twice. No
-        read asks for more than the file holds, whatever its header declares.
-        A short file raises DataError naming the byte offset, as do bytes
-        after the last frame.
-        """
-        per_video: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
-        with open(path, "rb") as fh:
-            magic = read_exact(fh, 4, path)
-            if magic != GLFX_MAGIC:
-                raise DataError(f"{path}: not a feature store (bad magic {magic!r})")
-            version, dim, count = unpack(fh, "<IIQ", path)
-            if version != GLFX_VERSION:
-                raise DataError(f"{path}: unsupported version {version}")
-            left = count
-            while left:
-                start = fh.tell()
-                (vid_len,) = unpack(fh, "<I", path)
-                vid = read_utf8(fh, vid_len, path)
-                if bytes_left(fh) < 8 + 8 * dim:
-                    # The frame is cut short: read its fields for the offset.
-                    unpack(fh, "<d", path)
-                    read_exact(fh, 8 * dim, path)
-                frame = _glfx_frame(vid_len, dim)
-                fh.seek(start)
-                want = min(left, max(1, _READ_BLOCK // frame.itemsize)) * frame.itemsize
-                block = fh.read(min(want, bytes_left(fh)))
-                frames = np.frombuffer(block, dtype=frame, count=len(block) // frame.itemsize)
-                same = ((frames["vid_len"] == vid_len)
-                        & (frames["vid"] == np.frombuffer(vid.encode("utf-8"), np.uint8)).all(axis=1))
-                run = len(frames) if same.all() else int(np.argmin(same))
-                ts, vecs = per_video.setdefault(vid, ([], []))
-                ts.append(frames["t"][:run].copy())
-                vecs.append(frames["f"][:run].copy())
-                fh.seek(start + run * frame.itemsize)
-                left -= run
-            end = fh.tell()
-            if fh.read(1):
-                raise DataError(f"{path}: unexpected bytes after the last of {count} "
-                                f"frames, from byte {end}")
-        store = cls(dim)
-        for vid in list(per_video):
-            ts, vecs = per_video.pop(vid)
-            store.add_video(vid, np.concatenate(ts), np.concatenate(vecs))
-        return store
-
 
 def load_feature_store(path: str | Path) -> FeatureStore:
-    """Read a GLFX feature store: `FeatureStore.load(path)`."""
-    return FeatureStore.load(path)
+    """Read a GLFX file into per-video arrays, one row per frame.
+
+    Each run of frames that share a video id is parsed with one structured
+    view of a read block of at most `_READ_BLOCK` bytes (or one frame), and
+    copied out of it, so the file's frames are never all held twice. No
+    read asks for more than the file holds, whatever its header declares.
+    A short file raises DataError naming the byte offset, as do bytes
+    after the last frame.
+    """
+    per_video: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+    with open(path, "rb") as fh:
+        magic = read_exact(fh, 4, path)
+        if magic != GLFX_MAGIC:
+            raise DataError(f"{path}: not a feature store (bad magic {magic!r})")
+        version, dim, count = unpack(fh, "<IIQ", path)
+        if version != GLFX_VERSION:
+            raise DataError(f"{path}: unsupported version {version}")
+        left = count
+        while left:
+            start = fh.tell()
+            (vid_len,) = unpack(fh, "<I", path)
+            vid = read_utf8(fh, vid_len, path)
+            if bytes_left(fh) < 8 + 8 * dim:
+                # The frame is cut short: read its fields for the offset.
+                unpack(fh, "<d", path)
+                read_exact(fh, 8 * dim, path)
+            frame = _glfx_frame(vid_len, dim)
+            fh.seek(start)
+            want = min(left, max(1, _READ_BLOCK // frame.itemsize)) * frame.itemsize
+            block = fh.read(min(want, bytes_left(fh)))
+            frames = np.frombuffer(block, dtype=frame, count=len(block) // frame.itemsize)
+            same = ((frames["vid_len"] == vid_len)
+                    & (frames["vid"] == np.frombuffer(vid.encode("utf-8"), np.uint8)).all(axis=1))
+            run = len(frames) if same.all() else int(np.argmin(same))
+            ts, vecs = per_video.setdefault(vid, ([], []))
+            ts.append(frames["t"][:run].copy())
+            vecs.append(frames["f"][:run].copy())
+            fh.seek(start + run * frame.itemsize)
+            left -= run
+        end = fh.tell()
+        if fh.read(1):
+            raise DataError(f"{path}: unexpected bytes after the last of {count} "
+                            f"frames, from byte {end}")
+    store = FeatureStore(dim)
+    for vid in list(per_video):
+        ts, vecs = per_video.pop(vid)
+        store.add_video(vid, np.concatenate(ts), np.concatenate(vecs))
+    return store
 
 
 _OFFSETS = np.arange(FRAMES_PER_UTTERANCE) * FRAME_PERIOD
@@ -221,9 +215,7 @@ class PairReport:
     dropped_no_frames: int = 0
 
     def as_dict(self) -> dict:
-        return {"paired": self.paired,
-                "dropped_unknown_video": self.dropped_unknown_video,
-                "dropped_no_frames": self.dropped_no_frames}
+        return asdict(self)
 
 
 def build_pairs(records: list[UtteranceRecord], store: FeatureStore,
@@ -261,7 +253,7 @@ def build_pairs(records: list[UtteranceRecord], store: FeatureStore,
     times = np.full(instants.shape, -np.inf)
     for vid, sel in of_video.items():
         ts = store._timestamps[vid]
-        found = _nearest_rows(ts, instants[sel], RESOLVE_TOLERANCE)
+        found = _nearest_rows(ts, instants[sel])
         found[~inside[sel]] = -1
         rows[sel] = found
         times[sel] = np.where(found >= 0, ts[found], -np.inf)

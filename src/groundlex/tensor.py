@@ -10,16 +10,19 @@ in reverse topological order and consumes it, like PyTorch's default
 
 No higher-order gradients, no views: every op materialises its output.
 ``matmul`` takes a 2-D right operand and ``transpose`` a matrix; ``attention``
-splits and merges heads on arrays inside its own forward and backward, and
-``embedding_mean`` is the whole ``cvcl`` utterance encoder (gather, position
-add, dropout, masked mean) as one node over one (N, T, D) buffer.
+splits and merges heads on arrays inside its own forward and backward.
+``embed`` (token gather, position add, dropout) is the decoder's input as one
+node, and ``embedding_mean`` is the whole ``cvcl`` utterance encoder (the same
+gather, add and dropout, then the masked mean) as one node; both run on one
+(N, T, D) buffer built by ``_embed_rows``.
 An op's output and gradients keep its tensor operands' dtype; a Python number
 or array beside a tensor in ``add`` or ``mul`` takes that tensor's dtype, so
 a float32 graph never promotes to float64.
-Every dropout mask, ``dropout``'s and ``embedding_mean``'s, is drawn by
-``_dropout_mask`` from raw 16-bit lanes of the generator's output, not from
-float64 uniforms, so float32 and float64 runs drop the same values. Eval
-skips dropout; ``layer_norm``'s variance floor is ``LAYER_NORM_EPS``.
+Every dropout mask, ``dropout``'s, ``embed``'s and ``embedding_mean``'s, is
+drawn by ``_dropout_mask`` from raw 16-bit lanes of the generator's output,
+not from float64 uniforms, so float32 and float64 runs drop the same values.
+Eval passes keep_prob 1, at which dropout is the identity and draws nothing;
+``layer_norm``'s variance floor is ``LAYER_NORM_EPS``.
 """
 
 from __future__ import annotations
@@ -151,19 +154,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; all routed through module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
 
 
 def _operands(a, b) -> tuple[Tensor, Tensor]:
@@ -299,23 +289,51 @@ def _scatter_rows(table: Tensor, ids: np.ndarray, g: np.ndarray) -> None:
     _accum(table, onehot @ g.reshape(m, table.shape[1]))
 
 
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup: ids of any integer shape -> ids.shape + (D,).
+def _embed_rows(op: str, table: Tensor, pos: Tensor, ids: np.ndarray, keep_prob: float,
+                rng: np.random.Generator | None):
+    """The (N, T, D) buffer dropout(table[ids] + pos[:T]) and its backward.
 
-    The table gradient is a one-hot sparse (V, M) matrix times the (M, D)
-    output-row gradients, M = ids.size: each table row sums the gradients
-    of its occurrences in input order.
+    ids (N, T), table (V, D) and pos (>= T, D). The buffer holds the gather,
+    the position rows added by broadcasting and the inverted-dropout mask m
+    that ``dropout`` would draw (none at keep_prob 1). The backward takes a
+    gradient g (N, T, D) and overwrites it with g * m; each table row then
+    sums it over its occurrences in input order, as a one-hot sparse product,
+    and pos[t] sums it over the batch.
     """
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ShapeError("embedding", table.shape, ids.shape)
-    data = table.data[ids]
+    if (ids.ndim != 2 or table.ndim != 2 or pos.ndim != 2
+            or pos.shape[1] != table.shape[1] or ids.shape[1] > pos.shape[0]
+            or (ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]))):
+        raise ShapeError(op, table.shape, pos.shape, ids.shape)
+    t = ids.shape[1]
+    buf = table.data[ids]
+    buf += pos.data[:t]
+    mask = _dropout_mask(buf.shape, keep_prob, rng, buf.dtype)
+    if mask is not None:
+        buf *= mask
 
-    def bw(g):
+    def scatter(g):
+        if mask is not None:
+            np.multiply(g, mask, out=g)
         if table.requires_grad:
             _scatter_rows(table, ids, g)
+        if pos.requires_grad:
+            gp = np.zeros_like(pos.data)
+            gp[:t] = g.sum(axis=0)
+            _accum(pos, gp)
 
-    return _make(data, "embedding", (table,), bw)
+    return buf, scatter
+
+
+def embed(table: Tensor, pos: Tensor, ids: np.ndarray, keep_prob: float = 1.0,
+          rng: np.random.Generator | None = None) -> Tensor:
+    """dropout(table[ids] + pos[:T]) as one node: ids (N, T) -> (N, T, D).
+
+    The decoder's input. Its gradient is copied before the mask multiplies
+    it, so the output's own gradient is left as the tape passed it.
+    """
+    buf, scatter = _embed_rows("embed", table, pos, ids, keep_prob, rng)
+    return _make(buf, "embed", (table, pos), lambda g: scatter(g.copy()))
 
 
 def embedding_mean(table: Tensor, pos: Tensor, ids: np.ndarray, valid: np.ndarray,
@@ -323,28 +341,19 @@ def embedding_mean(table: Tensor, pos: Tensor, ids: np.ndarray, valid: np.ndarra
     """Mean over the valid positions of dropout(table[ids] + pos[:T]).
 
     ids and boolean ``valid`` (N, T), table (V, D) and pos (>= T, D) -> (N, D).
-    One (N, T, D) buffer holds the gather, the position rows added by
-    broadcasting, the inverted-dropout mask m that ``dropout`` would draw
-    (none at keep_prob 1) and the pad zeros; it is summed over T and scaled
-    by 1/c, c the valid positions of each row. The gradient at (n, t) is
-    ``(g[n] / c[n]) * valid[n, t] * m[n, t]``; each table row sums it over its
-    occurrences, as ``embedding`` does, and pos[t] sums it over the batch.
+    ``embed``'s buffer also holds the pad zeros; it is summed over T and
+    scaled by 1/c, c the valid positions of each row. The gradient at (n, t)
+    is ``(g[n] / c[n]) * valid[n, t] * m[n, t]``, with m the dropout mask,
+    and reaches the table and pos as ``embed``'s does.
     """
     ids = np.asarray(ids)
     valid = np.asarray(valid, dtype=bool)
-    if (ids.ndim != 2 or valid.shape != ids.shape or table.ndim != 2 or pos.ndim != 2
-            or pos.shape[1] != table.shape[1] or ids.shape[1] > pos.shape[0]
-            or (ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]))):
+    if valid.shape != ids.shape:
         raise ShapeError("embedding_mean", table.shape, pos.shape, ids.shape, valid.shape)
+    buf, scatter = _embed_rows("embedding_mean", table, pos, ids, keep_prob, rng)
     counts = valid.sum(axis=1, keepdims=True)
     if not counts.all():
         raise NumericsError("embedding_mean", "row with no valid position")
-    t = ids.shape[1]
-    buf = table.data[ids]
-    buf += pos.data[:t]
-    mask = _dropout_mask(buf.shape, keep_prob, rng, buf.dtype)
-    if mask is not None:
-        buf *= mask
     kept = valid[:, :, None].astype(buf.dtype)  # a float mask multiplies faster than bool
     buf *= kept
     inv = 1.0 / counts.astype(buf.dtype)
@@ -353,14 +362,7 @@ def embedding_mean(table: Tensor, pos: Tensor, ids: np.ndarray, valid: np.ndarra
     def bw(g):
         # The tape runs this once, so the forward buffer becomes the gradient.
         np.multiply((g * inv)[:, None, :], kept, out=buf)
-        if mask is not None:
-            np.multiply(buf, mask, out=buf)
-        if table.requires_grad:
-            _scatter_rows(table, ids, buf)
-        if pos.requires_grad:
-            gp = np.zeros_like(pos.data)
-            gp[:t] = buf.sum(axis=0)
-            _accum(pos, gp)
+        scatter(buf)
 
     return _make(data, "embedding_mean", (table, pos), bw)
 
@@ -560,9 +562,9 @@ def _dropout_mask(shape: tuple[int, ...], keep_prob: float, rng: np.random.Gener
     return np.divide(lanes.reshape(shape) < k, keep_prob, dtype=dtype)
 
 
-def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: kept values scale by 1/keep_prob. Training calls it;
-    evaluation skips the call."""
+def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: kept values scale by 1/keep_prob. At keep_prob 1, as
+    at evaluation, it returns `a` itself and needs no RNG."""
     mask = _dropout_mask(a.shape, keep_prob, rng, a.data.dtype)
     return a if mask is None else mul(a, Tensor(mask))
 

@@ -135,8 +135,8 @@ def test_transformer_causality_bitwise():
     base = [[3, 4, 5, 6, EOS_ID]]
     changed = [[3, 4, 5, 7, EOS_ID]]
     from groundlex.encoders import _transformer_hidden
-    h_base = _transformer_hidden(model, np.asarray(base, dtype=np.intp), False, None)
-    h_changed = _transformer_hidden(model, np.asarray(changed, dtype=np.intp), False, None)
+    h_base = _transformer_hidden(model, np.asarray(base, dtype=np.intp), 1.0, None)
+    h_changed = _transformer_hidden(model, np.asarray(changed, dtype=np.intp), 1.0, None)
     # positions before the perturbed token are bit-identical
     np.testing.assert_array_equal(h_base.data[0, :3], h_changed.data[0, :3])
     assert np.abs(h_base.data[0, 3:] - h_changed.data[0, 3:]).max() > 0
@@ -197,7 +197,7 @@ def test_transformer_matches_reference_recomputation():
     model = toy_model("cvcl_t", n_layers=1, n_heads=1, seed=5, dtype="float64")
     ids = np.asarray([[4, EOS_ID]], dtype=np.intp)
     from groundlex.encoders import _transformer_hidden
-    got = _transformer_hidden(model, ids, False, None).data[0]
+    got = _transformer_hidden(model, ids, 1.0, None).data[0]
 
     p = model.params
     x = p["lang.tok_emb"].data[ids[0]] + p["lang.pos_emb"].data[:2]
@@ -268,6 +268,9 @@ BAD_CONFIG_FIELDS = [
     ("feature_dim", 0), ("embed_dim", -4), ("max_len", 0), ("n_heads", 0),
     ("ff_mult", 0), ("n_layers", -1), ("vocab_size", -1), ("dropout", -0.1),
     ("dropout", 1.0), ("dropout", 1.5),
+    # A size must be an int, not a float or a bool, and dropout a number.
+    ("n_layers", 2.5), ("embed_dim", 8.0), ("feature_dim", 6.0), ("n_heads", True),
+    ("vocab_size", None), ("dropout", "0.1"), ("dropout", False),
 ]
 
 
@@ -591,17 +594,19 @@ def record_ops(monkeypatch):
 
 def test_training_step_tape_has_one_attention_node_per_layer_pass(monkeypatch):
     # One cvcl_t_lm step runs the decoder twice (utterance encoding and LM
-    # logits), so each layer's attention is one node per pass.
+    # logits), so each layer's attention is one node per pass, and so is the
+    # decoder's input (one embed in place of 2 gathers, add and dropout).
     made = record_ops(monkeypatch)
     model = toy_model("cvcl_t_lm", seed=15, dropout=0.3)
     assert model.config.n_layers == 2
     model.zero_grad()
     loss = joint_step_loss(model, np.random.default_rng(16))
-    assert len(made) == 110
+    assert len(made) == 104
     assert made.count("attention") == 2 * model.config.n_layers
+    assert made.count("embed") == 2 and "embedding" not in made
     loss.backward()
     adamw_step(model.params, AdamWState(), lr=1e-2)
-    assert len(made) == 110
+    assert len(made) == 104
 
 
 def test_cvcl_training_step_tape_has_one_embedding_mean_node(monkeypatch):

@@ -10,6 +10,7 @@ from groundlex.optim import (
     _BLOCK_BYTES, BETA1, BETA2, EPSILON, WEIGHT_DECAY, AdamWState, LRSchedule, adamw_step,
     lr_at,
 )
+from groundlex.errors import ShapeError
 from groundlex.tensor import Tensor
 
 
@@ -56,6 +57,28 @@ def test_adamw_shape_mismatch():
     p.grad = np.ones(3)
     with pytest.raises(Exception):
         adamw_step({"p": p}, AdamWState(), lr=0.1)
+
+
+@pytest.mark.parametrize("bad_grad", [None, np.ones(3)])
+def test_adamw_bad_later_gradient_changes_nothing(bad_grad):
+    # The first parameter has a good gradient and moments from an earlier
+    # step; the second's gradient is missing or shaped unlike it.
+    first, second = make_param([1.0, -2.0]), make_param([3.0, 4.0])
+    state = AdamWState()
+    adamw_step({"a": first, "b": second}, state, lr=0.1)
+    saved = ([first.data.copy(), second.data.copy()],
+             {k: v.copy() for k, v in state.first_moment.items()},
+             {k: v.copy() for k, v in state.second_moment.items()})
+    second.grad = bad_grad
+    with pytest.raises(ShapeError, match="^adamw_step: "):
+        adamw_step({"a": first, "b": second}, state, lr=0.1)
+    params, m, v = saved
+    np.testing.assert_array_equal(first.data, params[0])
+    np.testing.assert_array_equal(second.data, params[1])
+    for name in ("a", "b"):
+        np.testing.assert_array_equal(state.first_moment[name], m[name])
+        np.testing.assert_array_equal(state.second_moment[name], v[name])
+    assert state.step_count == 1
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-3])

@@ -12,7 +12,7 @@ from groundlex.corpus import UtteranceRecord, build_vocabulary, encode
 from groundlex.errors import DataError
 from groundlex.pairing import (
     FRAME_PERIOD, FRAMES_PER_UTTERANCE, RESOLVE_TOLERANCE, EpisodePair, FeatureStore,
-    build_pairs, sample_frame,
+    build_pairs, load_feature_store, sample_frame,
 )
 
 
@@ -93,7 +93,7 @@ def test_store_roundtrip_binary(tmp_path):
     store = make_store()
     path = tmp_path / "feat.glfx"
     store.save(path)
-    loaded = FeatureStore.load(path)
+    loaded = load_feature_store(path)
     assert len(loaded) == len(store)
     for vid in ("v0", "v1"):
         assert loaded.has_video(vid)
@@ -107,7 +107,7 @@ def test_store_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.glfx"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(DataError):
-        FeatureStore.load(path)
+        load_feature_store(path)
 
 
 def test_truncated_feature_store_raises_data_error_with_offset(tmp_path):
@@ -118,7 +118,7 @@ def test_truncated_feature_store_raises_data_error_with_offset(tmp_path):
     for n in range(len(blob)):
         cut.write_bytes(blob[:n])
         with pytest.raises(DataError) as e:
-            FeatureStore.load(cut)
+            load_feature_store(cut)
         msg = str(e.value)
         assert str(cut) in msg
         assert f"truncated at byte {n}" in msg
@@ -137,7 +137,7 @@ def test_huge_declared_dim_fails_without_allocating_it(tmp_path, timestamp, mess
     tracemalloc.start()
     try:
         with pytest.raises(DataError) as e:
-            FeatureStore.load(path)
+            load_feature_store(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -167,7 +167,7 @@ def test_corrupt_video_id_raises_data_error_with_offset(tmp_path):
     blob[24] = 0xFF  # first byte of the first frame's video id
     path.write_bytes(bytes(blob))
     with pytest.raises(DataError, match="invalid UTF-8 at byte 24$") as e:
-        FeatureStore.load(path)
+        load_feature_store(path)
     assert str(path) in str(e.value)
 
 
@@ -179,7 +179,7 @@ def test_corrupt_id_of_a_later_frame_raises_data_error_with_offset(tmp_path):
     blob[second] = 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(DataError, match=f"invalid UTF-8 at byte {second}$"):
-        FeatureStore.load(path)
+        load_feature_store(path)
 
 
 def write_glfx_frames(path, dim, frames):
@@ -219,7 +219,7 @@ def test_glfx_writer_bytes_equal_the_per_frame_writer(tmp_path, dim):
     write_glfx_frames(tmp_path / "old.glfx", dim, frames)
     store.save(tmp_path / "new.glfx")
     assert (tmp_path / "new.glfx").read_bytes() == (tmp_path / "old.glfx").read_bytes()
-    loaded = FeatureStore.load(tmp_path / "new.glfx")
+    loaded = load_feature_store(tmp_path / "new.glfx")
     loaded.save(tmp_path / "again.glfx")
     assert (tmp_path / "again.glfx").read_bytes() == (tmp_path / "old.glfx").read_bytes()
 
@@ -238,7 +238,7 @@ def test_load_merges_interleaved_runs_across_read_blocks(tmp_path, monkeypatch, 
     write_glfx_frames(path, dim, frames)
     if block_frames is not None:
         monkeypatch.setattr(pairing, "_READ_BLOCK", int(block_frames * (12 + 1 + 8 * dim)))
-    loaded = FeatureStore.load(path)
+    loaded = load_feature_store(path)
 
     expected = FeatureStore(dim)
     for vid in dict.fromkeys(f[0] for f in frames):
@@ -259,7 +259,7 @@ def test_bytes_after_the_last_frame_raise_data_error_with_offset(tmp_path, extra
     frame = blob[-(4 + 2 + 8 + 8 * 4):]
     path.write_bytes(blob + (b"\x00" if extra == "one byte" else frame + b"junk"))
     with pytest.raises(DataError, match=f"from byte {len(blob)}$") as e:
-        FeatureStore.load(path)
+        load_feature_store(path)
     assert str(path) in str(e.value)
 
 
@@ -270,7 +270,7 @@ def test_load_does_not_hold_every_frame_twice(tmp_path):
     frame_bytes = len(store) * 128 * 8
     tracemalloc.start()
     try:
-        loaded = FeatureStore.load(path)
+        loaded = load_feature_store(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,7 +9,7 @@ import groundlex.tensor as gt
 from groundlex.corpus import EOS_ID, PAD_ID
 from groundlex.errors import NumericsError, ShapeError
 from groundlex.tensor import (
-    Tensor, add, attention, cross_entropy, dropout, embedding, embedding_mean, gelu,
+    Tensor, add, attention, cross_entropy, dropout, embed, embedding_mean, gelu,
     grad_check, l2_normalize, layer_norm, matmul, mul, no_grad, take_per_row, transpose,
     tsum,
 )
@@ -113,7 +113,7 @@ def test_grad_check_op_compositions(seed):
         h = layer_norm(h, ts[2], ts[3])
         h = gelu(h)
         h = l2_normalize(h)
-        return tsum(mul(h, h)) + tsum(attention(h, h, h, causal, heads=2))
+        return add(tsum(mul(h, h)), tsum(attention(h, h, h, causal, heads=2)))
 
     assert grad_check(f, [a, b, g, c]) < 1e-6
 
@@ -222,54 +222,83 @@ def test_l2_normalize_zero_vector_warns_and_passes_through():
     assert gt.zero_norm_warnings - before == 1
 
 
+def _embedding_add_at_reference(table_shape, ids, g):
+    """The rows of g scattered into a zero table by ``np.add.at``, in g's
+    dtype: independent of the library's one-hot sparse product."""
+    buf = np.zeros(table_shape, g.dtype)
+    np.add.at(buf, ids.reshape(-1), g.reshape(-1, table_shape[1]))
+    return buf
+
+
+def gather(table, ids):
+    """Test-local row lookup on the tape: a numpy gather forward and an
+    ``np.add.at`` scatter backward."""
+    ids = np.asarray(ids)
+
+    def bw(g):
+        if table.requires_grad:
+            gt._accum(table, _embedding_add_at_reference(table.shape, ids, g))
+
+    return gt._make(table.data[ids], "gather", (table,), bw)
+
+
+def positions(n, t):
+    return np.broadcast_to(np.arange(t), (n, t))
+
+
 def test_embedding_lookup_and_grad():
     table = Tensor(rng(5).normal(size=(7, 3)), requires_grad=True)
+    pos = Tensor(rng(6).normal(size=(3, 3)), requires_grad=True)
     ids = np.array([[0, 2], [2, 6]])
-    out = embedding(table, ids)
+    out = embed(table, pos, ids)
     assert out.shape == (2, 2, 3)
-    np.testing.assert_array_equal(out.data[1, 0], table.data[2])
+    np.testing.assert_array_equal(out.data[1, 0], table.data[2] + pos.data[0])
     tsum(out).backward()
     # row 2 used twice, rows 0 and 6 once, rest unused
     np.testing.assert_allclose(table.grad[2], 2.0)
     np.testing.assert_allclose(table.grad[0], 1.0)
     np.testing.assert_allclose(table.grad[1], 0.0)
-
-
-def _embedding_add_at_reference(table_shape, ids, g):
-    """The scatter the embedding backward once used."""
-    buf = np.zeros(table_shape)
-    np.add.at(buf, ids.reshape(-1), g.reshape(-1, table_shape[1]))
-    return buf
+    # positions 0 and 1 are each used by both rows; position 2 by none
+    np.testing.assert_array_equal(pos.grad, [[2.0] * 3, [2.0] * 3, [0.0] * 3])
 
 
 @pytest.mark.parametrize("case", ["repeated", "positions", "empty"])
 def test_embedding_grad_bit_equal_to_add_at(case):
+    # embed's table and pos gradients against np.add.at, with 48 position rows.
     r = rng(17)
     if case == "repeated":
         table_shape = (2003, 512)
         ids = r.integers(0, 40, size=(128, 12))  # 40 rows, each used ~38 times
     elif case == "positions":
         table_shape = (48, 512)
-        ids = np.broadcast_to(np.arange(24), (8, 24))
+        ids = positions(8, 24)
     else:
         table_shape = (11, 8)
         ids = np.zeros((0, 5), dtype=np.intp)
     table = Tensor(r.normal(size=table_shape), requires_grad=True)
-    out = embedding(table, ids)
+    pos = Tensor(r.normal(size=(48, table_shape[1])), requires_grad=True)
+    out = embed(table, pos, ids)
     g = r.normal(size=out.shape)
     tsum(mul(out, Tensor(g))).backward()
     np.testing.assert_array_equal(table.grad,
                                   _embedding_add_at_reference(table_shape, ids, g))
+    np.testing.assert_array_equal(pos.grad, _embedding_add_at_reference(
+        pos.shape, positions(*ids.shape), g))
 
 
-# --- embedding_mean against the chain it replaced ----------------------------------
+# --- embed and embedding_mean against the chains they replaced ------------------------
+
+def embed_chain(table, pos, ids, keep_prob, rng):
+    """The 4-node chain the decoder ran before embed: two gathers, add and
+    dropout."""
+    h = add(gather(table, ids), gather(pos, positions(*ids.shape)))
+    return dropout(h, keep_prob, rng)
+
 
 def embedding_mean_chain(table, pos, ids, valid, keep_prob, rng):
-    """The 7-node chain the cvcl encoder ran before embedding_mean: two
-    embeddings, add, dropout, the pad mul, the sum over T and the 1/count mul."""
-    n, t = ids.shape
-    h = add(embedding(table, ids), embedding(pos, np.broadcast_to(np.arange(t), (n, t))))
-    h = dropout(h, keep_prob, rng)
+    """The 7-node chain the cvcl encoder ran before embedding_mean: embed's
+    chain, the pad mul, the sum over T and the 1/count mul."""
+    h = embed_chain(table, pos, ids, keep_prob, rng)
     mask = valid[:, :, None].astype(h.data.dtype)
     counts = valid.sum(axis=1, keepdims=True).astype(h.data.dtype)
     return mul(tsum(mul(h, Tensor(mask)), axis=1), Tensor(1.0 / counts))
@@ -304,6 +333,66 @@ def test_embedding_mean_bit_equal_to_old_chain_at_model_shape(dtype, keep_prob):
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
     assert np.all(results[0][2][12:] == 0.0)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("keep_prob", [0.9, 1.0])
+def test_embed_bit_equal_to_old_chain_at_model_shape(dtype, keep_prob):
+    # (N, T, D) = (8, 24, 512) of the cvcl_t_lm bench, V = 300 so ids repeat,
+    # 48 position rows; each side draws its dropout mask from rng(43).
+    r = rng(42)
+    ids = padded_ids(r, 8, 24, 300)
+    tables = (r.normal(0.0, 0.02, size=(300, 512)), r.normal(0.0, 0.02, size=(48, 512)))
+    g = r.normal(size=(8, 24, 512)).astype(dtype)
+    results = []
+    for op in (embed, embed_chain):
+        table, pos = (Tensor(x.astype(dtype), requires_grad=True) for x in tables)
+        out = op(table, pos, ids, keep_prob, rng(43))
+        tsum(mul(out, Tensor(g))).backward()
+        results.append((out.data, table.grad, pos.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+    assert np.all(results[0][2][24:] == 0.0)
+
+
+def test_embed_grad_check_with_pads_and_dropout():
+    # table (7, 4), pos (5, 4), ids (3, 4) with pads and T < the 5 position
+    # rows, keep_prob 0.5: every call draws its mask from a new rng(44).
+    table = Tensor(rng(45).normal(size=(7, 4)), requires_grad=True)
+    pos = Tensor(rng(46).normal(size=(5, 4)), requires_grad=True)
+    ids = np.array([[3, 5, 3, 6], [4, 6, PAD_ID, PAD_ID], [6, PAD_ID, PAD_ID, PAD_ID]])
+    w = Tensor(rng(47).normal(size=(3, 4, 4)))
+
+    def f(ts):
+        return tsum(mul(embed(ts[0], ts[1], ids, 0.5, rng(44)), w))
+
+    assert grad_check(f, [table, pos]) < 1e-6
+    assert np.all(pos.grad[4] == 0.0) and np.any(pos.grad[:4] != 0.0)
+    assert np.all(table.grad[[1, 2]] == 0.0) and np.any(table.grad[PAD_ID] != 0.0)
+
+
+def test_embed_backward_leaves_the_output_gradient_unchanged():
+    # A one-value output can be the root of backward(), which keeps its
+    # gradient: the mask (0 or 2 here) multiplies a copy of it.
+    table, pos = Tensor(np.ones((5, 1)), requires_grad=True), Tensor(np.zeros((1, 1)))
+    out = embed(table, pos, np.array([[3]]), 0.5, rng(0))
+    out.backward()
+    np.testing.assert_array_equal(out.grad, [[[1.0]]])
+    assert table.grad[3, 0] == out.data[0, 0, 0]
+
+
+@pytest.mark.parametrize("ids,pos_shape", [
+    ([[3, 6]], (4, 3)),            # id 6 outside a 6-row table
+    ([[-1, 3]], (4, 3)),           # negative id
+    ([[3, 4, 5, 3, 4]], (4, 3)),   # T = 5 > the 4 position rows
+    ([3, 4], (4, 3)),              # ids not (N, T)
+    ([[3, 4]], (4, 2)),            # pos narrower than the table
+])
+def test_embed_rejects_bad_shapes(ids, pos_shape):
+    table, pos = Tensor(np.zeros((6, 3))), Tensor(np.zeros(pos_shape))
+    with pytest.raises(ShapeError, match="^embed: "):
+        embed(table, pos, np.array(ids))
 
 
 def test_embedding_mean_grad_check_with_pads_and_dropout():
