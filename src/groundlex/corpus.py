@@ -19,6 +19,7 @@ from .errors import DataError
 
 PAD, UNK, EOS = "<pad>", "<unk>", "<eos>"
 PAD_ID, UNK_ID, EOS_ID = 0, 1, 2
+_RESERVED = [PAD, UNK, EOS]
 
 # Repeated-phrase collapse: a phrase of up to MAX_PHRASE_LEN tokens repeated
 # at least MIN_REPEATS times consecutively collapses to one instance. The
@@ -47,7 +48,9 @@ class UtteranceRecord:
 
 
 def load_records(path: str | Path) -> list[UtteranceRecord]:
-    """Read UtteranceRecords from a JSONL file, validating each line."""
+    """Read UtteranceRecords from a JSONL file, validating each line: the
+    three text fields must be JSON strings and the two times JSON numbers
+    (not booleans). A bad line raises DataError naming the file and line."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -56,15 +59,16 @@ def load_records(path: str | Path) -> list[UtteranceRecord]:
                 continue
             try:
                 obj = json.loads(line)
-                rec = UtteranceRecord(
-                    video_id=str(obj["video_id"]),
-                    start_s=float(obj["start_s"]),
-                    end_s=float(obj["end_s"]),
-                    speaker=str(obj["speaker"]),
-                    text=str(obj["text"]),
-                )
+                for key in ("video_id", "speaker", "text"):
+                    if type(obj[key]) is not str:
+                        raise DataError(f"{key} must be a string, got {obj[key]!r}")
+                for key in ("start_s", "end_s"):
+                    if type(obj[key]) not in (int, float):
+                        raise DataError(f"{key} must be a number, got {obj[key]!r}")
+                rec = UtteranceRecord(obj["video_id"], float(obj["start_s"]),
+                                      float(obj["end_s"]), obj["speaker"], obj["text"])
                 rec.validate()
-            except (KeyError, ValueError, TypeError, DataError) as exc:
+            except (KeyError, ValueError, TypeError, OverflowError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: bad record ({exc})") from exc
             records.append(rec)
     return records
@@ -168,14 +172,21 @@ def dedup_filter(records: list[UtteranceRecord]) -> tuple[list[UtteranceRecord],
     """Clean each utterance, collapse in-utterance repeats, and keep only the
     first of adjacent same-video utterances with identical cleaned text.
 
-    Records must arrive ordered by (video_id, start_s). Every drop is counted
-    in the report; nothing disappears silently.
+    Records must arrive ordered by (video_id, start_s); one out of order
+    raises DataError naming it. Every drop is counted in the report; nothing
+    disappears silently.
     """
     report = DedupReport()
     kept: list[UtteranceRecord] = []
     prev_video = None
     prev_text = None
-    for rec in records:
+    prev_key = ("", -math.inf)
+    for i, rec in enumerate(records):
+        key = (rec.video_id, rec.start_s)
+        if key < prev_key:
+            raise DataError(f"record {i} {key} comes after {prev_key}: records "
+                            f"must be ordered by (video_id, start_s)")
+        prev_key = key
         cleaned = clean_text(rec.text)
         if not cleaned:
             report.empty_after_clean_dropped += 1
@@ -208,10 +219,13 @@ class Vocabulary:
         return len(self.id_to_token)
 
     def __contains__(self, word: str) -> bool:
-        return word in self.token_to_id
+        return self.id_of(word) != UNK_ID
 
     def id_of(self, word: str) -> int:
-        return self.token_to_id.get(word, UNK_ID)
+        """The word's id; UNK_ID for a word outside the vocabulary, which
+        includes a word that spells a reserved token."""
+        i = self.token_to_id.get(word, UNK_ID)
+        return i if i > EOS_ID else UNK_ID
 
     def words(self) -> list[str]:
         return self.id_to_token[3:]
@@ -233,7 +247,7 @@ class Vocabulary:
             raise DataError(f"{path}: min_frequency must be an integer, got {min_frequency!r}")
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise DataError(f"{path}: tokens must be a list of strings")
-        if tokens[:3] != [PAD, UNK, EOS]:
+        if tokens[:3] != _RESERVED:
             raise DataError(f"{path}: vocabulary missing reserved specials")
         token_to_id = {t: i for i, t in enumerate(tokens)}
         if len(token_to_id) != len(tokens):
@@ -243,15 +257,17 @@ class Vocabulary:
 
 
 def build_vocabulary(utterances: list[str], min_frequency: int = 2) -> Vocabulary:
-    """Count whitespace tokens and keep words with count > min_frequency."""
+    """Count whitespace tokens and keep words with count > min_frequency.
+    A word that spells a reserved token is never kept: it encodes as UNK_ID."""
     counts: Counter[str] = Counter()
     for utt in utterances:
         counts.update(utt.split())
     if not counts:
         raise DataError("cannot build a vocabulary from an empty corpus")
-    surviving = sorted((w for w, c in counts.items() if c > min_frequency),
+    surviving = sorted((w for w, c in counts.items()
+                        if c > min_frequency and w not in _RESERVED),
                        key=lambda w: (-counts[w], w))
-    id_to_token = [PAD, UNK, EOS] + surviving
+    id_to_token = _RESERVED + surviving
     return Vocabulary(token_to_id={t: i for i, t in enumerate(id_to_token)},
                       id_to_token=id_to_token, min_frequency=min_frequency)
 
@@ -307,9 +323,11 @@ class SplitManifest:
     @classmethod
     def load(cls, path: str | Path) -> "SplitManifest":
         """Read a manifest that ``save`` wrote. Text that is not a JSON object,
-        a missing key, or a partition that is not a list of video id strings
-        raises DataError naming the path."""
+        a missing key, a split name that is not a string, or a partition that
+        is not a list of video id strings raises DataError naming the path."""
         name, *parts = _read_json_object(path, "manifest", ("split_name", *cls.PARTITIONS))
+        if not isinstance(name, str):
+            raise DataError(f"{path}: manifest 'split_name' must be a string, got {name!r}")
         for part, ids in zip(cls.PARTITIONS, parts):
             if not isinstance(ids, list) or not all(isinstance(v, str) for v in ids):
                 raise DataError(f"{path}: manifest {part!r} must be a list of "

@@ -13,6 +13,9 @@ dropout over frozen frame features) and differ in the language side:
 At train time every dropout keeps 1 - ``ModelConfig.dropout`` of its values;
 at eval it keeps all of them and is the identity.
 
+Every batch is 2-D, frame features (N, F) and token ids (N, T) with
+T <= ``max_len``; a single row is a batch of one, and a bare row raises.
+
 All parameters live in a flat name -> Tensor dict so the optimizer and the
 checkpoint format stay trivial. Parameters are float32, and every
 activation, gradient and optimizer moment keeps the parameters' dtype.
@@ -163,10 +166,10 @@ def encode_frames(model: Model, features: np.ndarray, train: bool = False,
                   rng: np.random.Generator | None = None) -> Tensor:
     """Project frozen frame features into the shared space: linear -> layer
     norm -> dropout (train only). features: (N, F) -> (N, D), cast to the
-    parameters' dtype."""
+    parameters' dtype; features of any other shape raise ShapeError."""
     cfg, p = model.config, model.params
-    features = np.atleast_2d(np.asarray(features, dtype=p["vis.proj_w"].data.dtype))
-    if features.shape[1] != cfg.feature_dim:
+    features = np.asarray(features, dtype=p["vis.proj_w"].data.dtype)
+    if features.ndim != 2 or features.shape[1] != cfg.feature_dim:
         raise ShapeError("encode_frames", features.shape, (cfg.feature_dim,))
     x = Tensor(features)  # inputs never require grad: the backbone is frozen
     h = add(matmul(x, p["vis.proj_w"]), p["vis.proj_b"])
@@ -177,15 +180,6 @@ def encode_frames(model: Model, features: np.ndarray, train: bool = False,
 def _keep_prob(cfg: ModelConfig, train: bool) -> float:
     """The share of values every dropout keeps: all of them at eval."""
     return 1.0 - cfg.dropout if train else 1.0
-
-
-def _ids_matrix(ids_batch: list[list[int]] | np.ndarray, max_len: int) -> np.ndarray:
-    ids = np.asarray(ids_batch, dtype=np.intp)
-    if ids.ndim == 1:
-        ids = ids[None, :]
-    if ids.shape[1] > max_len:
-        raise ShapeError("encode_utterances", ids.shape, (max_len,))
-    return ids
 
 
 def _attention_block(cfg: ModelConfig, p: dict[str, Tensor], layer: int, h: Tensor,
@@ -234,11 +228,14 @@ def _eos_positions(ids: np.ndarray) -> np.ndarray:
 
 def encode_utterances(model: Model, ids_batch, train: bool = False,
                       rng: np.random.Generator | None = None) -> Tensor:
-    """Utterance embeddings (N, D). ``cvcl``: the mean over non-pad positions
-    of token + position embeddings, with dropout before the mean at train
-    time. The transformer variants: the final hidden state at <eos>."""
+    """Utterance embeddings (N, D) of ids (N, T). ``cvcl``: the mean over
+    non-pad positions of token + position embeddings, with dropout before the
+    mean at train time. The transformer variants: the final hidden state at
+    <eos>. Ids that are not 2-D, or T > ``max_len``, raise ShapeError."""
     cfg, p = model.config, model.params
-    ids = _ids_matrix(ids_batch, cfg.max_len)
+    ids = np.asarray(ids_batch, dtype=np.intp)
+    if ids.ndim != 2:
+        raise ShapeError("encode_utterances", ids.shape)
     keep = _keep_prob(cfg, train)
     if cfg.uses_transformer:
         hidden = _transformer_hidden(model, ids, keep, rng)
@@ -254,7 +251,9 @@ def lm_logits(model: Model, ids_batch, train: bool = False,
     """Next-word logits (N, T, V); the unembedding shares the token table."""
     if not model.config.uses_transformer:
         raise ValueError("language-model logits need a transformer variant")
-    ids = _ids_matrix(ids_batch, model.config.max_len)
+    ids = np.asarray(ids_batch, dtype=np.intp)
+    if ids.ndim != 2:
+        raise ShapeError("lm_logits", ids.shape)
     _eos_positions(ids)  # same precondition as encoding
     hidden = _transformer_hidden(model, ids, _keep_prob(model.config, train), rng)
     tok = model.params["lang.tok_emb"]

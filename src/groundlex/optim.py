@@ -45,8 +45,8 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
     independently of the moment-based step. With lr == 0 the update is the
     identity on both parameters and moments; only step_count advances. A
     negative or non-finite lr raises ValueError, and a missing gradient or
-    one shaped unlike its parameter raises ShapeError, before anything
-    changes.
+    one shaped unlike its parameter raises ShapeError naming the parameter,
+    before anything changes.
 
     Each parameter, its gradient and its two moments are walked as flat views
     in blocks of ``_BLOCK_BYTES`` bytes, so a block's whole update chain stays
@@ -63,11 +63,11 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
         lr = state.learning_rate
     if not (math.isfinite(lr) and lr >= 0.0):
         raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
-    for p in params.values():
+    for name, p in params.items():
         if p.grad is None:
-            raise ShapeError("adamw_step", p.shape)
+            raise ShapeError(f"adamw_step: parameter {name!r} has no gradient")
         if p.grad.shape != p.data.shape:
-            raise ShapeError("adamw_step", p.shape, p.grad.shape)
+            raise ShapeError(f"adamw_step: parameter {name!r}", p.shape, p.grad.shape)
     state.step_count += 1
     if lr == 0.0:
         return state

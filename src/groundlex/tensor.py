@@ -16,8 +16,11 @@ node, and ``embedding_mean`` is the whole ``cvcl`` utterance encoder (the same
 gather, add and dropout, then the masked mean) as one node; both run on one
 (N, T, D) buffer built by ``_embed_rows``.
 An op's output and gradients keep its tensor operands' dtype; a Python number
-or array beside a tensor in ``add`` or ``mul`` takes that tensor's dtype, so
-a float32 graph never promotes to float64.
+or array as the right operand of ``add`` or ``mul`` takes the left tensor's
+dtype, so a float32 graph never promotes to float64.
+Batches are 2-D: ``embed`` and ``embedding_mean`` take ids (N, T), and a
+single row is not promoted to one. ``l2_normalize`` raises NumericsError on
+an exact zero row, which has no direction.
 Every dropout mask, ``dropout``'s, ``embed``'s and ``embedding_mean``'s, is
 drawn by ``_dropout_mask`` from raw 16-bit lanes of the generator's output,
 not from float64 uniforms, so float32 and float64 runs drop the same values.
@@ -28,7 +31,7 @@ Eval passes keep_prob 1, at which dropout is the identity and draws nothing;
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -41,11 +44,6 @@ from .errors import NumericsError, ShapeError
 _grad_enabled = True
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
-# Counts L2-normalisations that hit an exact zero vector (degenerate
-# embeddings are returned as zero vectors rather than raising). It only
-# grows: read the difference across the calls of interest.
-zero_norm_warnings = 0
 
 # The variance floor of ``layer_norm``.
 LAYER_NORM_EPS = 1e-5
@@ -109,10 +107,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0.0)
+        self.grad.fill(0.0)
 
     def backward(self) -> None:
         """Reverse-mode pass from a scalar; accumulates into leaf ``grad``s.
@@ -156,13 +151,9 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _operands(a, b) -> tuple[Tensor, Tensor]:
-    """Both as tensors; a non-tensor takes the dtype of the tensor beside it."""
-    if not isinstance(a, Tensor):
-        a = Tensor(np.asarray(a, dtype=b.data.dtype if isinstance(b, Tensor) else np.float64))
-    if not isinstance(b, Tensor):
-        b = Tensor(np.asarray(b, dtype=a.data.dtype))
-    return a, b
+def _right_operand(a: Tensor, b) -> Tensor:
+    """`b` as a tensor; a non-tensor takes the dtype of the tensor `a`."""
+    return b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.data.dtype))
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -197,8 +188,8 @@ def _make(data: np.ndarray, op: str, parents: Sequence[Tensor],
 # elementwise / structural ops
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = _operands(a, b)
+def add(a: Tensor, b) -> Tensor:
+    b = _right_operand(a, b)
     try:
         data = a.data + b.data
     except ValueError:
@@ -213,8 +204,8 @@ def add(a, b) -> Tensor:
     return _make(data, "add", (a, b), bw)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _operands(a, b)
+def mul(a: Tensor, b) -> Tensor:
+    b = _right_operand(a, b)
     try:
         data = a.data * b.data
     except ValueError:
@@ -261,19 +252,6 @@ def transpose(a: Tensor) -> Tensor:
             _accum(a, g.T)
 
     return _make(data, "transpose", (a,), bw)
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if not a.requires_grad:
-            return
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape).copy())
-
-    return _make(np.asarray(data), "sum", (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -517,22 +495,16 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def l2_normalize(a: Tensor) -> Tensor:
-    """Scale to unit L2 norm along the last axis; exact zero vectors pass
-    through unchanged and bump the module warning counter."""
-    global zero_norm_warnings
+    """Scale to unit L2 norm along the last axis. An exact zero vector has
+    no direction and raises NumericsError."""
     norm = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
-    zero = norm == 0.0
-    if zero.any():
-        zero_norm_warnings += int(zero.sum())
-    safe = np.where(zero, 1.0, norm)
-    y = a.data / safe
+    if not norm.all():
+        raise NumericsError("l2_normalize", "zero vector")
+    y = a.data / norm
 
     def bw(g):
         if a.requires_grad:
-            gx = (g - y * (g * y).sum(axis=-1, keepdims=True)) / safe
-            if zero.any():
-                gx = np.where(zero, 0.0, gx)
-            _accum(a, gx)
+            _accum(a, (g - y * (g * y).sum(axis=-1, keepdims=True)) / norm)
 
     return _make(y, "l2_normalize", (a,), bw)
 
@@ -567,43 +539,3 @@ def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator | None) -> Ten
     at evaluation, it returns `a` itself and needs no RNG."""
     mask = _dropout_mask(a.shape, keep_prob, rng, a.data.dtype)
     return a if mask is None else mul(a, Tensor(mask))
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-def grad_check(f: Callable[[Sequence[Tensor]], Tensor], tensors: Iterable[Tensor],
-               epsilon: float = 1e-5) -> float:
-    """Max relative error between backward() gradients and central differences.
-
-    Relative error per coordinate: |g_ad - g_fd| / max(1, |g_ad|, |g_fd|).
-    """
-    tensors = list(tensors)
-    for t in tensors:
-        t.zero_grad()
-    loss = f(tensors)
-    if loss.size != 1:
-        raise ShapeError("grad_check", loss.shape)
-    loss.backward()
-    ad_grads = [t.grad.copy() for t in tensors]
-
-    worst = 0.0
-    with no_grad():
-        for t, g_ad in zip(tensors, ad_grads):
-            flat = t.data.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + epsilon
-                up = f(tensors).item()
-                flat[i] = orig - epsilon
-                down = f(tensors).item()
-                flat[i] = orig
-                g_fd = (up - down) / (2.0 * epsilon)
-                g = g_ad.reshape(-1)[i]
-                if not (math.isfinite(g_fd) and math.isfinite(g)):
-                    raise NumericsError("grad_check")
-                err = abs(g - g_fd) / max(1.0, abs(g), abs(g_fd))
-                if err > worst:
-                    worst = err
-    return worst

@@ -173,6 +173,15 @@ def test_dedup_drops_empty_after_clean_with_reason():
     assert report.empty_after_clean_dropped == 1
 
 
+def test_dedup_rejects_records_out_of_order():
+    records = [rec("v1", 0.0, "the ball"), rec("v1", 2.0, "a cup"),
+               rec("v1", 4.0, "the ball")]
+    for shuffled in (records[::-1], [records[1], records[0], records[2]],
+                     [rec("v2", 0.0, "hi"), rec("v1", 5.0, "hi")]):
+        with pytest.raises(DataError, match="^record 1 .* must be ordered by"):
+            dedup_filter(shuffled)
+
+
 def test_dedup_idempotent_and_never_silent():
     rng = np.random.default_rng(3)
     words = ["no", "ball", "look", "a"]
@@ -233,6 +242,19 @@ def test_vocabulary_matches_bruteforce_counter():
     assert set(vocab.words()) == expected
     assert len(vocab) == len(expected) + 3
     assert min(counts[w] for w in vocab.words()) > 2
+
+
+def test_vocabulary_lists_each_reserved_token_once(tmp_path):
+    # Transcript words that spell a reserved token are not vocabulary words:
+    # they encode as <unk>, and the vocabulary still round-trips.
+    vocab = build_vocabulary(["<eos> <eos> <eos> <pad> <pad> <pad> a a a"])
+    assert vocab.id_to_token == ["<pad>", "<unk>", "<eos>", "a"]
+    assert vocab.token_to_id["<pad>"] == PAD_ID
+    assert encode("a <eos> <pad> <unk>", vocab) == [3, UNK_ID, UNK_ID, UNK_ID, EOS_ID]
+    assert "a" in vocab and "<eos>" not in vocab and "<unk>" not in vocab
+    path = tmp_path / "vocab.json"
+    vocab.save(path)
+    assert Vocabulary.load(path) == vocab
 
 
 def test_vocabulary_save_load_roundtrip(tmp_path):
@@ -335,7 +357,10 @@ def test_manifest_roundtrip(tmp_path):
      r"'test' must be a list of video id strings, got \['v1', 2\]"),
     ('{"split_name": "s", "train": ["v0"],', "manifest is not JSON"),
     ('[["v0"], [], []]', "manifest is not a JSON object$"),
-], ids=["string-partition", "non-string-id", "malformed-json", "top-level-list"])
+    ('{"split_name": 5, "train": ["v0"], "val": [], "test": []}',
+     "manifest 'split_name' must be a string, got 5"),
+], ids=["string-partition", "non-string-id", "malformed-json", "top-level-list",
+        "non-string-name"])
 def test_manifest_load_rejects_malformed_files(tmp_path, text, expected):
     path = tmp_path / "m.json"
     path.write_text(text, encoding="utf-8")
@@ -431,7 +456,10 @@ def test_validate_rejects_non_finite_times():
 
 
 @pytest.mark.parametrize("start, end", [("NaN", "1.0"), ("0.0", "Infinity"),
-                                        ("-Infinity", "1.0"), ("5.0", "1.0")])
+                                        ("-Infinity", "1.0"), ("5.0", "1.0"),
+                                        ("true", "1.0"), ("0.0", '"2"'),
+                                        ("null", "1.0"),
+                                        pytest.param("0", "1" + "0" * 400, id="huge-int")])
 def test_load_records_names_line_of_invalid_times(tmp_path, start, end):
     path = tmp_path / "bad.jsonl"
     good = json.dumps({"video_id": "v", "start_s": 0.0, "end_s": 1.0,
@@ -439,4 +467,14 @@ def test_load_records_names_line_of_invalid_times(tmp_path, start, end):
     path.write_text(good + "\n" + '{"video_id": "v", "start_s": %s, "end_s": %s, '
                     '"speaker": "s", "text": "x"}\n' % (start, end))
     with pytest.raises(DataError, match=f"{path}:2: "):
+        load_records(path)
+
+
+@pytest.mark.parametrize("key, value", [("video_id", None), ("video_id", 7),
+                                        ("speaker", 5), ("text", ["a"])])
+def test_load_records_names_line_of_a_non_string_field(tmp_path, key, value):
+    fields = {"video_id": "v", "start_s": 0.0, "end_s": 1.0, "speaker": "s", "text": "x"}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(fields) + "\n" + json.dumps({**fields, key: value}) + "\n")
+    with pytest.raises(DataError, match=f"{path}:2: bad record \\({key} must be a string"):
         load_records(path)

@@ -17,7 +17,8 @@ from groundlex.errors import DataError, ShapeError
 from groundlex.objectives import contrastive_loss, joint_loss, lm_loss
 from groundlex.optim import AdamWState, adamw_step
 from groundlex import tensor
-from groundlex.tensor import Tensor, grad_check, layer_norm, tsum, mul
+from groundlex.tensor import Tensor, layer_norm, mul
+from gradcheck import grad_check, tsum
 
 
 def toy_config(variant="cvcl", **kw):
@@ -69,6 +70,25 @@ def test_encode_frames_rejects_wrong_dim():
     model = toy_model()
     with pytest.raises(ShapeError):
         encode_frames(model, np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("variant", ["cvcl", "cvcl_t", "cvcl_t_lm"])
+def test_batches_that_are_not_two_dimensional_raise_shape_error(variant):
+    # One row is a batch of one, (1, T) or (1, F); a bare row is refused.
+    model = toy_model(variant)
+    row = [3, 4, EOS_ID]
+    encode_utterances(model, [row])
+    encode_frames(model, np.zeros((1, 6)))
+    calls = [lambda ids: encode_utterances(model, ids)]
+    if model.config.uses_lm_head:
+        calls.append(lambda ids: lm_logits(model, ids))
+    too_long = [[3] * model.config.max_len + [EOS_ID]]
+    for call in calls:
+        for ids in (row, [[row]], too_long):
+            with pytest.raises(ShapeError):
+                call(ids)
+    with pytest.raises(ShapeError, match="^encode_frames: "):
+        encode_frames(model, np.zeros(6))
 
 
 def test_encode_frames_grad_reaches_projection_not_features():

@@ -15,14 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 PACKAGE = Path(groundlex.__file__).resolve().parent
 
-# Public names of the package that need no caller in the package or the
-# benchmark, each with its reason.
-CALLERLESS_ALLOWED = {
-    "grad_check": "a test utility: the op tests compare every backward with it",
-    "tsum": "grad checks reduce to a scalar with it",
-}
-
-
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
 def test_console_scripts_resolve():
     import tomllib
@@ -76,4 +68,4 @@ def test_every_public_name_has_a_caller():
         for node in public_definitions(tree):
             if used[node.name] - names_used(node)[node.name] == 0:
                 callerless.add(node.name)
-    assert sorted(callerless) == sorted(CALLERLESS_ALLOWED)
+    assert not callerless, sorted(callerless)

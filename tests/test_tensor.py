@@ -8,11 +8,12 @@ import pytest
 import groundlex.tensor as gt
 from groundlex.corpus import EOS_ID, PAD_ID
 from groundlex.errors import NumericsError, ShapeError
+from groundlex.objectives import contrastive_loss
 from groundlex.tensor import (
     Tensor, add, attention, cross_entropy, dropout, embed, embedding_mean, gelu,
-    grad_check, l2_normalize, layer_norm, matmul, mul, no_grad, take_per_row, transpose,
-    tsum,
+    l2_normalize, layer_norm, matmul, mul, no_grad, take_per_row, transpose,
 )
+from gradcheck import grad_check, tsum
 
 
 def rng(seed=0):
@@ -215,11 +216,17 @@ def test_l2_normalize_unit_norm_property():
         np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-9)
 
 
-def test_l2_normalize_zero_vector_warns_and_passes_through():
-    before = gt.zero_norm_warnings
-    out = l2_normalize(Tensor(np.zeros(5)))
-    np.testing.assert_array_equal(out.data, np.zeros(5))
-    assert gt.zero_norm_warnings - before == 1
+def test_l2_normalize_zero_row_raises_directly_and_through_the_contrastive_loss():
+    # A zero row has no direction. Live embeddings never hit one: they come
+    # out of layer_norm or are a dropout-masked mean over many values.
+    x = rng(23).normal(size=(3, 4))
+    x[1] = 0.0
+    with pytest.raises(NumericsError, match="^l2_normalize: zero vector"):
+        l2_normalize(Tensor(x, requires_grad=True))
+    other = Tensor(rng(24).normal(size=(3, 4)), requires_grad=True)
+    for frames, utts in ((Tensor(x), other), (other, Tensor(x))):
+        with pytest.raises(NumericsError, match="^l2_normalize: "):
+            contrastive_loss(frames, utts)
 
 
 def _embedding_add_at_reference(table_shape, ids, g):
@@ -558,30 +565,6 @@ def test_attention_gives_disallowed_keys_exactly_zero_weight():
     np.testing.assert_array_equal(gk[~seen], 0.0)
     np.testing.assert_array_equal(gv[~seen], 0.0)
     assert np.abs(gv[seen]).min() > 0.0
-
-
-def test_l2_normalize_grad_with_an_exact_zero_row():
-    # (N, D) = (3, 4) with row 1 exactly zero. Its gradient is exactly zero;
-    # the other rows pass the grad check (the zero row is not differentiable,
-    # so it is built from the checked rows by a constant selection matmul).
-    w = Tensor(rng(23).normal(size=(3, 4)))
-    before = gt.zero_norm_warnings
-    x = Tensor(rng(24).normal(size=(3, 4)), requires_grad=True)
-    x.data[1] = 0.0
-    tsum(mul(l2_normalize(x), w)).backward()
-    np.testing.assert_array_equal(x.grad[1], 0.0)
-    assert np.abs(x.grad[[0, 2]]).min() > 0.0
-
-    rows = Tensor(np.delete(x.data, 1, axis=0), requires_grad=True)  # (2, 4)
-    select = Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))  # (3, 2)
-
-    def f(ts):
-        full = matmul(select, ts[0])
-        assert not full.data[1].any()
-        return tsum(mul(l2_normalize(full), w))
-
-    assert grad_check(f, [rows]) < 1e-6
-    assert gt.zero_norm_warnings > before
 
 
 def test_take_per_row_grad_at_eos_positions():
