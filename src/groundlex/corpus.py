@@ -4,6 +4,8 @@ Input records arrive as JSON Lines (one utterance per line with keys
 video_id, start_s, end_s, speaker, text). The cleaning/filter chain mirrors
 an ASR post-processing pipeline: lowercase + strip punctuation, collapse
 repeated phrases within an utterance, drop adjacent same-text utterances.
+The vocabulary keeps the words of the kept utterances that occur more than
+``MIN_FREQUENCY`` times; an utterance encodes to its word ids and an <eos>.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ _RESERVED = [PAD, UNK, EOS]
 # threshold of 3 keeps natural doubles ("no no") intact.
 MAX_PHRASE_LEN = 8
 MIN_REPEATS = 3
+# A vocabulary word occurs more than MIN_FREQUENCY times in the build corpus.
+MIN_FREQUENCY = 2
 
 
 @dataclass
@@ -207,13 +211,12 @@ def dedup_filter(records: list[UtteranceRecord]) -> tuple[list[UtteranceRecord],
 class Vocabulary:
     """Word -> id map; ids 0..2 are reserved for <pad>, <unk>, <eos>.
 
-    Non-special words occurred strictly more than min_frequency times in the
-    build corpus; ids follow descending count with lexicographic tie-break.
+    Non-special words occurred strictly more than ``MIN_FREQUENCY`` times in
+    the build corpus; ids follow descending count with lexicographic tie-break.
     """
 
     token_to_id: dict[str, int]
     id_to_token: list[str]
-    min_frequency: int = 2
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -232,19 +235,15 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"min_frequency": self.min_frequency,
-                       "tokens": self.id_to_token}, fh, sort_keys=True)
+            json.dump({"tokens": self.id_to_token}, fh)
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         """Read a vocabulary that ``save`` wrote. Text that is not a JSON
-        object, a missing key, a ``min_frequency`` that is not an integer, or
-        tokens that are not a list of distinct strings starting with the
-        reserved specials raise DataError naming the path."""
-        tokens, min_frequency = _read_json_object(path, "vocabulary",
-                                                  ("tokens", "min_frequency"))
-        if type(min_frequency) is not int:
-            raise DataError(f"{path}: min_frequency must be an integer, got {min_frequency!r}")
+        object, a missing ``tokens`` key, or tokens that are not a list of
+        distinct strings starting with the reserved specials raise DataError
+        naming the path."""
+        (tokens,) = _read_json_object(path, "vocabulary", ("tokens",))
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise DataError(f"{path}: tokens must be a list of strings")
         if tokens[:3] != _RESERVED:
@@ -253,11 +252,11 @@ class Vocabulary:
         if len(token_to_id) != len(tokens):
             dup = next(t for i, t in enumerate(tokens) if token_to_id[t] != i)
             raise DataError(f"{path}: token {dup!r} appears more than once")
-        return cls(token_to_id=token_to_id, id_to_token=tokens, min_frequency=min_frequency)
+        return cls(token_to_id=token_to_id, id_to_token=tokens)
 
 
-def build_vocabulary(utterances: list[str], min_frequency: int = 2) -> Vocabulary:
-    """Count whitespace tokens and keep words with count > min_frequency.
+def build_vocabulary(utterances: list[str]) -> Vocabulary:
+    """Count whitespace tokens and keep words with count > ``MIN_FREQUENCY``.
     A word that spells a reserved token is never kept: it encodes as UNK_ID."""
     counts: Counter[str] = Counter()
     for utt in utterances:
@@ -265,15 +264,18 @@ def build_vocabulary(utterances: list[str], min_frequency: int = 2) -> Vocabular
     if not counts:
         raise DataError("cannot build a vocabulary from an empty corpus")
     surviving = sorted((w for w, c in counts.items()
-                        if c > min_frequency and w not in _RESERVED),
+                        if c > MIN_FREQUENCY and w not in _RESERVED),
                        key=lambda w: (-counts[w], w))
     id_to_token = _RESERVED + surviving
     return Vocabulary(token_to_id={t: i for i, t in enumerate(id_to_token)},
-                      id_to_token=id_to_token, min_frequency=min_frequency)
+                      id_to_token=id_to_token)
 
 
-def encode(utterance: str, vocab: Vocabulary, max_len: int = 48) -> list[int]:
-    """Word ids plus a trailing <eos>, truncated to max_len keeping the <eos>."""
+def encode(utterance: str, vocab: Vocabulary, max_len: int) -> list[int]:
+    """Word ids plus a trailing <eos>, truncated to max_len keeping the <eos>.
+    A max_len that is not an integer (a bool included) raises ValueError."""
+    if type(max_len) is not int:
+        raise ValueError(f"max_len must be an integer, got {max_len!r}")
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1 to hold the <eos>, got {max_len}")
     ids = [vocab.id_of(w) for w in utterance.split()[:max_len - 1]]
@@ -288,7 +290,8 @@ def pad_batch(sequences: list[list[int]]) -> list[list[int]]:
 
 @dataclass
 class SplitManifest:
-    """Disjoint train/val/test partitions of video ids for one dataset split."""
+    """Disjoint train/val/test partitions of video ids for one dataset split,
+    read once, at construction: a changed partition needs a new manifest."""
 
     split_name: str
     train: list[str] = field(default_factory=list)
@@ -298,22 +301,14 @@ class SplitManifest:
     PARTITIONS = ("train", "val", "test")
 
     def __post_init__(self):
-        self.assert_disjoint()
-
-    def assert_disjoint(self) -> None:
-        seen: dict[str, str] = {}
+        # Video id -> its partition; a video listed twice raises.
+        self._partition: dict[str, str] = {}
         for part in self.PARTITIONS:
             for vid in getattr(self, part):
-                if vid in seen:
-                    raise DataError(
-                        f"video {vid!r} appears in both {seen[vid]} and {part}")
-                seen[vid] = part
-
-    def partition_of(self, video_id: str) -> str | None:
-        for part in self.PARTITIONS:
-            if video_id in getattr(self, part):
-                return part
-        return None
+                if vid in self._partition:
+                    raise DataError(f"video {vid!r} appears in both "
+                                    f"{self._partition[vid]} and {part}")
+                self._partition[vid] = part
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -336,10 +331,11 @@ class SplitManifest:
 
 
 def split_stats(manifest: SplitManifest, records: list[UtteranceRecord]) -> dict:
-    """Per-partition descriptive statistics plus whole-split vocabulary size."""
+    """Per-partition descriptive statistics: {"split_name", "partitions"}.
+    A record whose video the manifest does not list raises DataError."""
     part_records: dict[str, list[UtteranceRecord]] = {p: [] for p in manifest.PARTITIONS}
     for rec in records:
-        part = manifest.partition_of(rec.video_id)
+        part = manifest._partition.get(rec.video_id)
         if part is None:
             raise DataError(f"video {rec.video_id!r} not in manifest "
                             f"{manifest.split_name!r}")
@@ -356,12 +352,4 @@ def split_stats(manifest: SplitManifest, records: list[UtteranceRecord]) -> dict
             "avg_utterance_length": (total_words / len(recs)) if recs else 0.0,
             "total_words": total_words,
         }
-    vocab = None
-    texts = [r.text for r in records]
-    if texts:
-        try:
-            vocab = build_vocabulary(texts)
-        except DataError:
-            vocab = None
-    stats["vocabulary_size"] = len(vocab.words()) if vocab else 0
     return stats

@@ -114,31 +114,6 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Fresh trainable parameters: embeddings ~ N(0, 0.02^2), projections
-    Xavier-uniform, layer-norm affines at (1, 0). Random draws follow the
-    ``param_shapes`` order and are made in float64, then cast to float32."""
-    if cfg.vocab_size < 4:
-        raise ValueError("vocab_size must cover the reserved specials")
-    p: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(cfg).items():
-        if name.endswith("_emb"):
-            p[name] = rng.normal(0.0, 0.02, size=shape)
-        elif len(shape) == 2:
-            p[name] = _xavier_uniform(rng, *shape)
-        elif name.endswith("_g"):
-            p[name] = np.ones(shape)
-        else:
-            p[name] = np.zeros(shape)
-    # Every draw comes before every cast on purpose. Casting each parameter
-    # right after its draw writes the same checkpoint but places the float32
-    # arrays elsewhere in the heap: the cvcl_t_lm bench step went from 126.4
-    # to 138.2 ms (medians of 4 alternating pairs, slower in all 4; 2-core
-    # Xeon, 2 BLAS threads), though peak RSS fell by 5.6 MB.
-    return {name: Tensor(arr.astype(PARAM_DTYPE), requires_grad=True)
-            for name, arr in p.items()}
-
-
 @dataclass
 class Model:
     """Parameter bundle plus its configuration."""
@@ -148,7 +123,29 @@ class Model:
 
     @classmethod
     def init(cls, cfg: ModelConfig, rng: np.random.Generator) -> "Model":
-        return cls(config=cfg, params=init_params(cfg, rng))
+        """Fresh trainable parameters: embeddings ~ N(0, 0.02^2), projections
+        Xavier-uniform, layer-norm affines at (1, 0). Random draws follow the
+        ``param_shapes`` order and are made in float64, then cast to float32."""
+        if cfg.vocab_size < 4:
+            raise ValueError("vocab_size must cover the reserved specials")
+        p: dict[str, np.ndarray] = {}
+        for name, shape in param_shapes(cfg).items():
+            if name.endswith("_emb"):
+                p[name] = rng.normal(0.0, 0.02, size=shape)
+            elif len(shape) == 2:
+                p[name] = _xavier_uniform(rng, *shape)
+            elif name.endswith("_g"):
+                p[name] = np.ones(shape)
+            else:
+                p[name] = np.zeros(shape)
+        # Every draw comes before every cast on purpose. Casting each parameter
+        # right after its draw writes the same checkpoint but places the float32
+        # arrays elsewhere in the heap: the cvcl_t_lm bench step went from 126.4
+        # to 138.2 ms (medians of 4 alternating pairs, slower in all 4; 2-core
+        # Xeon, 2 BLAS threads), though peak RSS fell by 5.6 MB.
+        params = {name: Tensor(arr.astype(PARAM_DTYPE), requires_grad=True)
+                  for name, arr in p.items()}
+        return cls(config=cfg, params=params)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -11,8 +11,6 @@ class ShapeError(GroundlexError):
     """Operand shapes do not conform for an operation."""
 
     def __init__(self, op: str, *shapes):
-        self.op = op
-        self.shapes = shapes
         detail = " vs ".join(str(tuple(s)) for s in shapes)
         super().__init__(f"{op}: shape mismatch {detail}" if shapes else op)
 
@@ -21,7 +19,6 @@ class NumericsError(GroundlexError):
     """A numerical operation produced non-finite values."""
 
     def __init__(self, op: str, message: str = "produced non-finite values"):
-        self.op = op
         super().__init__(f"{op}: {message}")
 
 

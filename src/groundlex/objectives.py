@@ -48,19 +48,17 @@ def lm_loss(logits: Tensor, target_ids: np.ndarray) -> Tensor:
     """Mean next-word cross-entropy in nats over non-pad targets.
 
     One masked ``cross_entropy`` call. logits (N, T, V) or (T, V) at
-    position t predict target_ids[..., t]; callers shift the ids. Padding is
-    the trailing run of ``PAD_ID`` in each row, as ``pad_batch`` leaves it,
-    and is excluded from the mean; a ``PAD_ID`` followed by any other target
-    is an ordinary class.
+    position t predict target_ids[..., t]; callers shift the ids. Every
+    ``PAD_ID`` target is padding, wherever it stands, and is excluded from
+    the mean: no word encodes to ``PAD_ID``.
     """
     targets = np.asarray(target_ids, dtype=np.intp)
     if logits.ndim < 2 or targets.shape != logits.shape[:-1]:
         raise ShapeError("lm_loss", logits.shape, targets.shape)
-    trailing_pad = np.flip(np.logical_and.accumulate(
-        np.flip(targets == PAD_ID, -1), axis=-1), -1)
-    if trailing_pad.all():
+    valid = targets != PAD_ID
+    if not valid.any():
         raise DataError("lm_loss: every target position is <pad>")
-    return cross_entropy(logits, targets, ~trailing_pad)
+    return cross_entropy(logits, targets, valid)
 
 
 def joint_loss(lm: Tensor, contrastive: Tensor) -> Tensor:

@@ -122,6 +122,10 @@ class LRSchedule:
     def __post_init__(self):
         if not (math.isfinite(self.peak_lr) and self.peak_lr >= 0.0):
             raise ValueError(f"peak_lr must be finite and >= 0, got {self.peak_lr}")
+        for name in ("warmup_steps", "total_steps"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.warmup_steps < 1:
             raise ValueError("warmup_steps must be positive")
         if self.total_steps < self.warmup_steps:

@@ -1,9 +1,10 @@
 """Frame-feature stores and utterance/frame pairing.
 
 Frames are precomputed feature vectors read from a GLFX file. A store keeps
-each video's frames as two arrays sorted by time; a frame is found by its
-video and an instant through `FeatureStore.resolve`. Each utterance
-is paired with up to 16 frames sampled at 3.75 fps starting at the
+each video's frames as two arrays sorted by time; a store video has at least
+one frame, since GLFX writes a video only through its frames. A frame is
+found by its video and an instant through `FeatureStore.resolve`. Each
+utterance is paired with up to 16 frames sampled at 3.75 fps starting at the
 utterance's start timestamp; schedule instants resolve to the nearest stored
 frame within half a frame period, and a pair holds the resolved frames as
 rows into the video's arrays.
@@ -75,6 +76,11 @@ class FeatureStore:
 
     def add_video(self, video_id: str, timestamps: np.ndarray,
                   features: np.ndarray) -> None:
+        if timestamps.ndim != 1:
+            raise DataError(f"timestamps for {video_id!r} have shape "
+                            f"{timestamps.shape}, expected one dimension")
+        if len(timestamps) == 0:
+            raise DataError(f"video {video_id!r} has no frames")
         if features.shape != (len(timestamps), self.feature_dim):
             raise DataError(f"feature block for {video_id!r} has shape "
                             f"{features.shape}, expected "
@@ -93,14 +99,11 @@ class FeatureStore:
         self._timestamps[video_id] = ts
         self._features[video_id] = feats
 
-    def has_video(self, video_id: str) -> bool:
-        return video_id in self._timestamps
-
     def resolve(self, video_id: str, timestamp_s: float) -> FrameFeature | None:
         """Nearest stored frame within `RESOLVE_TOLERANCE` seconds (bound
         inclusive; on a tie the later frame), else None."""
         ts = self._timestamps.get(video_id)
-        if ts is None or len(ts) == 0:
+        if ts is None:
             return None
         row = int(_nearest_rows(ts, np.array([timestamp_s], dtype=np.float64))[0])
         if row < 0:
@@ -204,8 +207,6 @@ class EpisodePair:
     video_timestamps: np.ndarray
     video_features: np.ndarray
     video_id: str
-    text: str = ""
-    start_s: float = 0.0
 
 
 @dataclass
@@ -225,20 +226,18 @@ def build_pairs(records: list[UtteranceRecord], store: FeatureStore,
     The schedule of an utterance starts at min(start, video duration). All
     instants of a video resolve at once, as `FeatureStore.resolve` would one
     by one, and a pair keeps the rows they resolve to in the video's arrays,
-    each strictly later than the last. Drops are counted, never silent:
-    len(records) == paired + dropped.
+    each strictly later than the last. Drops are counted, never silent: a
+    record of a video the store lacks is an unknown video, one whose schedule
+    resolves no frame has no frames, and len(records) == paired + dropped.
     """
     report = PairReport()
-    duration_of = {vid: float(ts[-1]) for vid, ts in store._timestamps.items() if len(ts)}
+    duration_of = {vid: float(ts[-1]) for vid, ts in store._timestamps.items()}
     known, starts, durations = [], [], []
     of_video: dict[str, list[int]] = {}
     for i, rec in enumerate(records):
         duration = duration_of.get(rec.video_id)
         if duration is None:
-            if store.has_video(rec.video_id):
-                report.dropped_no_frames += 1
-            else:
-                report.dropped_unknown_video += 1
+            report.dropped_unknown_video += 1
             continue
         of_video.setdefault(rec.video_id, []).append(len(known))
         known.append(i)
@@ -272,8 +271,7 @@ def build_pairs(records: list[UtteranceRecord], store: FeatureStore,
         rec = records[i]
         vid = rec.video_id
         pairs.append(EpisodePair(encode(rec.text, vocab, max_len), flat[begin:end],
-                                 store._timestamps[vid], store._features[vid], vid,
-                                 rec.text, rec.start_s))
+                                 store._timestamps[vid], store._features[vid], vid))
         begin = end
     report.paired = len(pairs)
     return pairs, report

@@ -203,8 +203,9 @@ def test_dedup_idempotent_and_never_silent():
 # --- vocabulary ---------------------------------------------------------------
 
 def test_vocabulary_threshold_two_or_fewer_excluded():
+    assert corpus.MIN_FREQUENCY == 2
     utts = ["ball"] * 5 + ["cat"] * 2 + ["dog"]
-    vocab = build_vocabulary(utts, min_frequency=2)
+    vocab = build_vocabulary(utts)
     assert vocab.words() == ["ball"]
     assert "cat" not in vocab and "dog" not in vocab
 
@@ -232,7 +233,7 @@ def test_vocabulary_matches_bruteforce_counter():
     for _ in range(1000):
         n = int(rng.integers(1, 8))
         utts.append(" ".join(lexicon[int(rng.integers(60))] for _ in range(n)))
-    vocab = build_vocabulary(utts, min_frequency=2)
+    vocab = build_vocabulary(utts)
     # independent recount with a plain dict
     counts = {}
     for u in utts:
@@ -250,7 +251,7 @@ def test_vocabulary_lists_each_reserved_token_once(tmp_path):
     vocab = build_vocabulary(["<eos> <eos> <eos> <pad> <pad> <pad> a a a"])
     assert vocab.id_to_token == ["<pad>", "<unk>", "<eos>", "a"]
     assert vocab.token_to_id["<pad>"] == PAD_ID
-    assert encode("a <eos> <pad> <unk>", vocab) == [3, UNK_ID, UNK_ID, UNK_ID, EOS_ID]
+    assert encode("a <eos> <pad> <unk>", vocab, max_len=48) == [3, UNK_ID, UNK_ID, UNK_ID, EOS_ID]
     assert "a" in vocab and "<eos>" not in vocab and "<unk>" not in vocab
     path = tmp_path / "vocab.json"
     vocab.save(path)
@@ -269,16 +270,14 @@ SPECIALS = '"<pad>", "<unk>", "<eos>"'
 
 
 @pytest.mark.parametrize("text,expected", [
-    ('{"tokens": [%s, "ball"]}' % SPECIALS, "vocabulary missing key 'min_frequency'"),
-    ('{"min_frequency": 2, "tokens": [%s,' % SPECIALS, "vocabulary is not JSON"),
+    ('{"words": [%s, "ball"]}' % SPECIALS, "vocabulary missing key 'tokens'"),
+    ('{"tokens": [%s,' % SPECIALS, "vocabulary is not JSON"),
     ('[%s, "ball"]' % SPECIALS, "vocabulary is not a JSON object$"),
-    ('{"min_frequency": "x", "tokens": [%s]}' % SPECIALS,
-     "min_frequency must be an integer, got 'x'"),
-    ('{"min_frequency": 2, "tokens": [%s, "ball", "ball"]}' % SPECIALS,
+    ('{"tokens": [%s, "ball", "ball"]}' % SPECIALS,
      "token 'ball' appears more than once"),
-    ('{"min_frequency": 2, "tokens": [%s, 7]}' % SPECIALS,
+    ('{"tokens": [%s, 7]}' % SPECIALS,
      "tokens must be a list of strings"),
-], ids=["missing-key", "malformed-json", "top-level-list", "non-integer-min-frequency",
+], ids=["missing-key", "malformed-json", "top-level-list",
         "duplicate-token", "non-string-token"])
 def test_vocabulary_load_rejects_malformed_files(tmp_path, text, expected):
     path = tmp_path / "vocab.json"
@@ -296,7 +295,7 @@ def vocab():
 
 
 def test_encode_appends_eos(vocab):
-    ids = encode("look a ball", vocab)
+    ids = encode("look a ball", vocab, max_len=48)
     assert ids == [vocab.id_of("look"), vocab.id_of("a"), vocab.id_of("ball"), EOS_ID]
 
 
@@ -308,13 +307,13 @@ def test_encode_truncates_to_max_len_keeping_eos(vocab):
 
 
 def test_encode_oov_maps_to_unk(vocab):
-    ids = encode("zyxwv ball", vocab)
+    ids = encode("zyxwv ball", vocab, max_len=48)
     assert ids == [UNK_ID, vocab.id_of("ball"), EOS_ID]
 
 
 def test_encode_decode_identity_in_vocab(vocab):
     for text in ("look", "a ball", "look a ball", "ball ball look"):
-        ids = encode(text, vocab)
+        ids = encode(text, vocab, max_len=48)
         assert ids[-1] == EOS_ID
         assert " ".join(vocab.id_to_token[i] for i in ids[:-1]) == text
 
@@ -326,12 +325,20 @@ def test_encode_rejects_max_len_below_one(vocab, max_len):
         encode("a b c", vocab, max_len=max_len)
 
 
+@pytest.mark.parametrize("max_len", [True, 2.5, 48.0, None])
+def test_encode_rejects_a_max_len_that_is_not_an_integer(vocab, max_len):
+    # True used to act as 1 and return [EOS_ID]; 2.5 raised a raw TypeError.
+    with pytest.raises(ValueError, match="max_len must be an integer, got "):
+        encode("a b c", vocab, max_len=max_len)
+
+
 def test_encode_max_len_one_is_only_eos(vocab):
     assert encode("look a ball", vocab, max_len=1) == [EOS_ID]
 
 
 def test_pad_batch(vocab):
-    batch = pad_batch([encode("look", vocab), encode("look a ball", vocab)])
+    batch = pad_batch([encode("look", vocab, max_len=48),
+                       encode("look a ball", vocab, max_len=48)])
     assert len(batch[0]) == len(batch[1]) == 4
     assert batch[0][2:] == [PAD_ID, PAD_ID]
 
@@ -339,7 +346,7 @@ def test_pad_batch(vocab):
 # --- manifest and stats --------------------------------------------------------
 
 def test_manifest_disjointness_enforced():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="video 'v1' appears in both train and val"):
         SplitManifest("s", train=["v1"], val=["v1"], test=[])
 
 
@@ -391,8 +398,6 @@ def test_split_stats_matches_bruteforce_recount():
         assert got["videos"] == len(vids)
         if sub:
             assert got["avg_utterance_length"] == pytest.approx(words / len(sub))
-    all_counts = Counter(w for r in records for w in r.text.split())
-    assert stats["vocabulary_size"] == sum(1 for c in all_counts.values() if c > 2)
 
 
 def test_split_stats_empty_partition_is_zero():
@@ -403,6 +408,12 @@ def test_split_stats_empty_partition_is_zero():
     assert stats["partitions"]["val"]["avg_utterance_length"] == 0.0
 
 
+def test_split_stats_rejects_a_video_the_manifest_does_not_list():
+    manifest = SplitManifest("s", train=["v1"], val=["v2"], test=[])
+    with pytest.raises(DataError, match="video 'v9' not in manifest 's'"):
+        split_stats(manifest, [rec("v1", 0.0, "a"), rec("v9", 0.0, "b")])
+
+
 def test_split_stats_avg_length():
     manifest = SplitManifest("s", train=["v1"], val=[], test=[])
     records = [rec("v1", 0.0, "a b"), rec("v1", 2.0, "c d e")]
@@ -410,11 +421,14 @@ def test_split_stats_avg_length():
     assert stats["partitions"]["train"]["avg_utterance_length"] == pytest.approx(2.5)
 
 
-def test_split_stats_all_blank_corpus_has_no_vocabulary():
-    # No word to count: build_vocabulary raises, and split_stats reports 0.
+def test_split_stats_returns_only_the_split_name_and_partitions():
+    # The vocabulary size is the run's own vocabulary's, not split_stats'; a
+    # corpus with no word to count still gives statistics.
     manifest = SplitManifest("s", train=["v1"], val=[], test=[])
     stats = split_stats(manifest, [rec("v1", 0.0, "")])
-    assert stats["vocabulary_size"] == 0
+    assert set(stats) == {"split_name", "partitions"}
+    assert stats["split_name"] == "s"
+    assert set(stats["partitions"]) == {"train", "val", "test"}
     assert stats["partitions"]["train"]["total_words"] == 0
 
 

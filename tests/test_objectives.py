@@ -115,15 +115,19 @@ def test_lm_loss_confident_correct_goes_to_zero():
 def test_lm_loss_matches_scalar_loop_oracle():
     rng = np.random.default_rng(6)
     logits = rng.normal(size=(3, 5))
-    targets = np.array([4, 0, 2])
+    targets = np.array([4, PAD_ID, 2])
     got = lm_loss(Tensor(logits), targets).item()
-    # independent scalar-loop cross-entropy
-    total = 0.0
+    # independent scalar-loop cross-entropy over the non-pad targets
+    total, count = 0.0, 0
     for t in range(3):
+        if targets[t] == PAD_ID:
+            continue
         row = logits[t]
         denom = sum(math.exp(x) for x in row)
         total += -math.log(math.exp(row[targets[t]]) / denom)
-    assert got == pytest.approx(total / 3, rel=1e-12)
+        count += 1
+    assert count == 2
+    assert got == pytest.approx(total / count, rel=1e-12)
 
 
 def test_lm_loss_excludes_pad_targets():
@@ -132,6 +136,17 @@ def test_lm_loss_excludes_pad_targets():
     targets = np.array([[3, 2, PAD_ID, PAD_ID]])
     got = lm_loss(Tensor(logits), targets).item()
     expected = lm_loss(Tensor(logits[:, :2]), targets[:, :2]).item()
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_lm_loss_excludes_a_pad_target_anywhere():
+    # A PAD_ID target mid-row is padding too, not an ordinary class.
+    rng = np.random.default_rng(9)
+    logits = rng.normal(size=(2, 4, 6))
+    targets = np.array([[3, PAD_ID, 5, PAD_ID], [PAD_ID, 4, 1, 2]])
+    got = lm_loss(Tensor(logits), targets).item()
+    keep = targets != PAD_ID
+    expected = lm_loss(Tensor(logits[keep]), targets[keep]).item()
     assert got == pytest.approx(expected, rel=1e-12)
 
 

@@ -138,6 +138,17 @@ def test_lr_schedule_rejects_bad_bounds():
         LRSchedule(peak_lr=1.0, warmup_steps=10, total_steps=5)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("warmup_steps", 2.5), ("warmup_steps", True), ("warmup_steps", 10.0),
+    ("total_steps", 10.5), ("total_steps", False), ("total_steps", None),
+])
+def test_lr_schedule_rejects_a_step_count_that_is_not_an_integer(field, value):
+    # warmup_steps=2.5 used to give rates off the integer schedule.
+    kwargs = {"peak_lr": 1.0, "warmup_steps": 2, "total_steps": 10, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        LRSchedule(**kwargs)
+
+
 @pytest.mark.parametrize("peak_lr", [float("nan"), float("inf"), -1e-4])
 def test_lr_schedule_rejects_a_non_finite_or_negative_peak(peak_lr):
     with pytest.raises(ValueError, match="peak_lr must be finite and >= 0"):

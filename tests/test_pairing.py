@@ -96,10 +96,9 @@ def test_store_roundtrip_binary(tmp_path):
     loaded = load_feature_store(path)
     assert len(loaded) == len(store)
     for vid in ("v0", "v1"):
-        assert loaded.has_video(vid)
         for t in stored_times():
             a, b = store.resolve(vid, t), loaded.resolve(vid, t)
-            assert a.timestamp_s == b.timestamp_s
+            assert b is not None and a.timestamp_s == b.timestamp_s
             np.testing.assert_array_equal(a.features, b.features)
 
 
@@ -156,7 +155,23 @@ def test_add_video_rejects_non_finite_values(field):
     store = FeatureStore(3)
     with pytest.raises(DataError, match="'v7' at frame 2$"):
         store.add_video("v7", ts, feats)
-    assert not store.has_video("v7")
+    assert len(store) == 0 and store.resolve("v7", 0.0) is None
+
+
+@pytest.mark.parametrize("timestamps,features,message", [
+    (np.zeros(0), np.zeros((0, 3)), "video 'v7' has no frames$"),
+    (np.zeros((2, 1)), np.zeros((2, 3)),
+     r"timestamps for 'v7' have shape \(2, 1\), expected one dimension$"),
+    (np.zeros(2), np.zeros((2, 4)),
+     r"feature block for 'v7' has shape \(2, 4\), expected \(2, 3\)$"),
+], ids=["no-frames", "2-d-timestamps", "feature-shape"])
+def test_add_video_rejects_a_malformed_video(timestamps, features, message):
+    # An empty video would vanish on a GLFX round trip, which writes a video
+    # only through its frames; (2, 1) timestamps used to count as 2 frames.
+    store = FeatureStore(3)
+    with pytest.raises(DataError, match=message):
+        store.add_video("v7", timestamps, features)
+    assert len(store) == 0 and store.resolve("v7", 0.0) is None
 
 
 
@@ -244,7 +259,6 @@ def test_load_merges_interleaved_runs_across_read_blocks(tmp_path, monkeypatch, 
     for vid in dict.fromkeys(f[0] for f in frames):
         mine = [f for f in frames if f[0] == vid]
         expected.add_video(vid, np.array([f[1] for f in mine]), np.array([f[2] for f in mine]))
-    assert all(loaded.has_video(vid) for vid in dict.fromkeys(f[0] for f in frames))
     assert len(loaded) == len(expected)
     loaded.save(tmp_path / "a.glfx")
     expected.save(tmp_path / "b.glfx")
@@ -399,14 +413,17 @@ def test_pair_invariants_window_and_size(vocab):
         assert (diffs > 0).all()
 
 
-def test_build_pairs_drops_records_of_a_video_without_frames(vocab):
+def test_build_pairs_drops_records_whose_schedule_resolves_no_frame(vocab):
+    # "gap" has frames at 0 s and 100 s only: a schedule from 50 s resolves
+    # none of them, and a video the store lacks is an unknown video.
     store = make_store(n_videos=1)
-    store.add_video("empty", np.zeros(0), np.zeros((0, 4)))
-    records = [UtteranceRecord("empty", 0.0, 1.0, "s", "ball"),
+    store.add_video("gap", np.array([0.0, 100.0]), np.zeros((2, 4)))
+    records = [UtteranceRecord("gap", 50.0, 51.0, "s", "ball"),
+               UtteranceRecord("ghost", 0.0, 1.0, "s", "ball"),
                UtteranceRecord("v0", 0.0, 1.0, "s", "ball")]
     pairs, report = build_pairs(records, store, vocab)
     assert [p.video_id for p in pairs] == ["v0"]
-    assert report.as_dict() == {"paired": 1, "dropped_unknown_video": 0,
+    assert report.as_dict() == {"paired": 1, "dropped_unknown_video": 1,
                                 "dropped_no_frames": 1}
 
 
@@ -426,8 +443,8 @@ def test_pairs_refer_to_the_store_arrays_without_copying(vocab):
     pairs, _ = build_pairs(records, store, vocab)
     assert pairs[0].video_timestamps is pairs[1].video_timestamps
     assert pairs[0].video_features is pairs[1].video_features
-    for p in pairs:
-        assert np.shares_memory(p.video_features, store.resolve(p.video_id, p.start_s).features)
+    for p, rec in zip(pairs, records, strict=True):
+        assert np.shares_memory(p.video_features, store.resolve(p.video_id, rec.start_s).features)
         assert not p.video_timestamps.flags.writeable and not p.video_features.flags.writeable
 
 
