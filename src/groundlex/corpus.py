@@ -56,12 +56,12 @@ def load_records(path: str | Path) -> list[UtteranceRecord]:
     three text fields must be JSON strings and the two times JSON numbers
     (not booleans). A bad line raises DataError naming the file and line."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # bytes, so that each line decodes on its own
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
                 for key in ("video_id", "speaker", "text"):
                     if type(obj[key]) is not str:

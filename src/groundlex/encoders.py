@@ -169,7 +169,7 @@ def encode_frames(model: Model, features: np.ndarray, train: bool = False,
     if features.ndim != 2 or features.shape[1] != cfg.feature_dim:
         raise ShapeError("encode_frames", features.shape, (cfg.feature_dim,))
     x = Tensor(features)  # inputs never require grad: the backbone is frozen
-    h = add(matmul(x, p["vis.proj_w"]), p["vis.proj_b"])
+    h = matmul(x, p["vis.proj_w"], p["vis.proj_b"])
     h = layer_norm(h, p["vis.ln_g"], p["vis.ln_b"])
     return dropout(h, _keep_prob(cfg, train), rng)
 
@@ -184,16 +184,16 @@ def _attention_block(cfg: ModelConfig, p: dict[str, Tensor], layer: int, h: Tens
                      rng: np.random.Generator | None) -> Tensor:
     pre = f"lang.layer{layer}."
     x = layer_norm(h, p[pre + "ln1_g"], p[pre + "ln1_b"])
-    q = add(matmul(x, p[pre + "wq"]), p[pre + "qb"])
-    k = add(matmul(x, p[pre + "wk"]), p[pre + "kb"])
-    v = add(matmul(x, p[pre + "wv"]), p[pre + "vb"])
+    q = matmul(x, p[pre + "wq"], p[pre + "qb"])
+    k = matmul(x, p[pre + "wk"], p[pre + "kb"])
+    v = matmul(x, p[pre + "wv"], p[pre + "vb"])
     ctx = attention(q, k, v, allowed, cfg.n_heads)
-    out = dropout(add(matmul(ctx, p[pre + "wo"]), p[pre + "ob"]), keep, rng)
+    out = dropout(matmul(ctx, p[pre + "wo"], p[pre + "ob"]), keep, rng)
     h = add(h, out)
 
     x = layer_norm(h, p[pre + "ln2_g"], p[pre + "ln2_b"])
-    x = gelu(add(matmul(x, p[pre + "ff1_w"]), p[pre + "ff1_b"]))
-    x = dropout(add(matmul(x, p[pre + "ff2_w"]), p[pre + "ff2_b"]), keep, rng)
+    x = gelu(matmul(x, p[pre + "ff1_w"], p[pre + "ff1_b"]))
+    x = dropout(matmul(x, p[pre + "ff2_w"], p[pre + "ff2_b"]), keep, rng)
     return add(h, x)
 
 

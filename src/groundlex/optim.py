@@ -135,8 +135,8 @@ class LRSchedule:
 def lr_at(schedule: LRSchedule, step: int) -> float:
     """Learning rate at `step`; steps past total_steps clamp to the final value
     (runs can stop early or overshoot bookkeeping by a step)."""
-    if step < 0:
-        raise ValueError(f"step must be >= 0, got {step}")
+    if type(step) is not int or step < 0:
+        raise ValueError(f"step must be an integer >= 0, got {step!r}")
     if step < schedule.warmup_steps:
         return schedule.peak_lr * step / schedule.warmup_steps
     span = schedule.total_steps - schedule.warmup_steps

@@ -9,15 +9,16 @@ in reverse topological order and consumes it, like PyTorch's default
 ``retain_graph=False``. The graph is rebuilt on every forward pass.
 
 No higher-order gradients, no views: every op materialises its output.
-``matmul`` takes a 2-D right operand and ``transpose`` a matrix; ``attention``
-splits and merges heads on arrays inside its own forward and backward.
+``matmul`` takes a 2-D right operand and an optional bias, ``transpose`` a
+matrix; ``attention`` splits and merges heads on arrays in its own passes.
 ``embed`` (token gather, position add, dropout) is the decoder's input as one
 node, and ``embedding_mean`` is the whole ``cvcl`` utterance encoder (the same
 gather, add and dropout, then the masked mean) as one node; both run on one
 (N, T, D) buffer built by ``_embed_rows``.
-An op's output and gradients keep its tensor operands' dtype; a Python number
-or array as the right operand of ``add`` or ``mul`` takes the left tensor's
-dtype, so a float32 graph never promotes to float64.
+No op broadcasts a gradient: ``add`` takes tensors of one shape, ``mul`` a
+tensor of the left one's shape or a constant that broadcasts to it. Outputs
+and gradients keep the tensor operands' dtype; a constant number or array
+takes the left tensor's, so a float32 graph never promotes to float64.
 Batches are 2-D: ``embed`` and ``embedding_mean`` take ids (N, T), and a
 single row is not promoted to one. ``l2_normalize`` raises NumericsError on
 an exact zero row, which has no direction.
@@ -151,25 +152,10 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _right_operand(a: Tensor, b) -> Tensor:
-    """`b` as a tensor; a non-tensor takes the dtype of the tensor `a`."""
-    return b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.data.dtype))
-
-
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `g` down to `shape` (inverse of numpy broadcasting)."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
 
 
 def _make(data: np.ndarray, op: str, parents: Sequence[Tensor],
@@ -188,48 +174,54 @@ def _make(data: np.ndarray, op: str, parents: Sequence[Tensor],
 # elementwise / structural ops
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b) -> Tensor:
-    b = _right_operand(a, b)
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise ShapeError("add", a.shape, b.shape) from None
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b for two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ShapeError("add", a.shape, b.shape)
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
+            _accum(a, g)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
+            _accum(b, g)
 
-    return _make(data, "add", (a, b), bw)
+    return _make(a.data + b.data, "add", (a, b), bw)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    b = _right_operand(a, b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError("mul", a.shape, b.shape) from None
+    """a * b: b is a tensor of a's shape, or a constant that broadcasts to it
+    (a number, an array in a's dtype, or a tensor that needs no gradient)."""
+    tracked = isinstance(b, Tensor) and b.requires_grad
+    c = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=a.data.dtype)
+    if c.shape != a.shape and (tracked or c.ndim > a.ndim or any(
+            k not in (1, n) for k, n in zip(reversed(c.shape), reversed(a.shape)))):
+        raise ShapeError("mul", a.shape, c.shape)
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+            _accum(a, g * c)
+        if tracked:
+            _accum(b, g * a.data)
 
-    return _make(data, "mul", (a, b), bw)
+    return _make(a.data * c, "mul", (a, b) if tracked else (a,), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """`a` (..., K) @ a matrix `b` (K, M) as one (rows, K) @ (K, M) GEMM.
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """`a` (..., K) @ a matrix `b` (K, M), plus an optional `bias` (M,) added
+    in place, as one (rows, K) @ (K, M) GEMM.
 
     With ``a2 = a.reshape(-1, K)`` and ``g2 = grad.reshape(-1, M)`` the input
-    gradient is ``g2 @ b.T`` and the weight gradient is ``a2.T @ g2``.
+    gradient is ``g2 @ b.T``, the weight gradient ``a2.T @ g2``, and the bias
+    gradient the output gradient summed over axis 0 until it is (M,).
     """
-    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeError("matmul", a.shape, b.shape)
+    parents = (a, b) if bias is None else (a, b, bias)
+    if (a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]
+            or (bias is not None and bias.shape != (b.shape[1],))):
+        raise ShapeError("matmul", *(t.shape for t in parents))
     a2 = a.data.reshape(-1, a.shape[-1])
     data = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
+    if bias is not None:
+        data += bias.data
 
     def bw(g):
         g2 = g.reshape(-1, b.shape[1])
@@ -237,8 +229,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(a, (g2 @ b.data.T).reshape(a.shape))
         if b.requires_grad:
             _accum(b, a2.T @ g2)
+        if bias is not None and bias.requires_grad:
+            while g.ndim > 1:
+                g = g.sum(axis=0)
+            _accum(bias, g)
 
-    return _make(data, "matmul", (a, b), bw)
+    return _make(data, "matmul", parents, bw)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -538,4 +534,4 @@ def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator | None) -> Ten
     """Inverted dropout: kept values scale by 1/keep_prob. At keep_prob 1, as
     at evaluation, it returns `a` itself and needs no RNG."""
     mask = _dropout_mask(a.shape, keep_prob, rng, a.data.dtype)
-    return a if mask is None else mul(a, Tensor(mask))
+    return a if mask is None else mul(a, mask)

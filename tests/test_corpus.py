@@ -492,3 +492,12 @@ def test_load_records_names_line_of_a_non_string_field(tmp_path, key, value):
     path.write_text(json.dumps(fields) + "\n" + json.dumps({**fields, key: value}) + "\n")
     with pytest.raises(DataError, match=f"{path}:2: bad record \\({key} must be a string"):
         load_records(path)
+
+
+def test_load_records_names_line_of_invalid_utf8(tmp_path):
+    fields = {"video_id": "v", "start_s": 0.0, "end_s": 1.0, "speaker": "s", "text": "x"}
+    path = tmp_path / "bad.jsonl"
+    line = json.dumps(fields).encode()
+    path.write_bytes(line + b"\n" + line.replace(b'"x"', b'"\xff"') + b"\n")
+    with pytest.raises(DataError, match=f"{path}:2: bad record \\(.*can't decode byte 0xff"):
+        load_records(path)

@@ -616,33 +616,35 @@ def test_training_step_tape_has_one_attention_node_per_layer_pass(monkeypatch):
     # One cvcl_t_lm step runs the decoder twice (utterance encoding and LM
     # logits), so each layer's attention is one node per pass, and so is the
     # decoder's input (one embed in place of 2 gathers, add and dropout).
+    # Every affine layer is one matmul node that adds its own bias.
     made = record_ops(monkeypatch)
     model = toy_model("cvcl_t_lm", seed=15, dropout=0.3)
     assert model.config.n_layers == 2
     model.zero_grad()
     loss = joint_step_loss(model, np.random.default_rng(16))
-    assert len(made) == 104
+    assert len(made) == 79
     assert made.count("attention") == 2 * model.config.n_layers
     assert made.count("embed") == 2 and "embedding" not in made
     loss.backward()
     adamw_step(model.params, AdamWState(), lr=1e-2)
-    assert len(made) == 104
+    assert len(made) == 79
 
 
 def test_cvcl_training_step_tape_has_one_embedding_mean_node(monkeypatch):
     # The cvcl utterance encoder is one embedding_mean node; the chain it
     # replaced (2 embeddings, add, dropout, pad mul, sum, 1/count mul) made
-    # this step's forward tape 21 nodes.
+    # this step's forward tape 21 nodes. The vision bias is added inside its
+    # matmul node.
     made = record_ops(monkeypatch)
     model = toy_model("cvcl", seed=17, dropout=0.3)
     model.zero_grad()
     loss = joint_step_loss(model, np.random.default_rng(18))
-    assert len(made) == 15
+    assert len(made) == 14
     assert made.count("embedding_mean") == 1
     assert "embedding" not in made and "sum" not in made
     loss.backward()
     adamw_step(model.params, AdamWState(), lr=1e-2)
-    assert len(made) == 15
+    assert len(made) == 14
 
 
 def test_float32_step_agrees_with_float64():

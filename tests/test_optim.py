@@ -1,6 +1,7 @@
 """AdamW and learning-rate schedule contracts."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -129,6 +130,14 @@ def test_lr_schedule_nonnegative_and_continuous_at_warmup():
     peak = lr_at(sched, 500)
     assert left < peak <= 3e-4 and right < peak
     assert peak == pytest.approx(3e-4)
+
+
+@pytest.mark.parametrize("step", [2.5, 2.0, True, None, np.int64(3), -1])
+def test_lr_at_rejects_a_step_that_is_not_an_integer(step):
+    # lr_at(s, 2.5) used to give 0.990, a rate off the integer schedule, and
+    # lr_at(s, True) gave 0.5.
+    with pytest.raises(ValueError, match=re.escape(f"step must be an integer >= 0, got {step!r}")):
+        lr_at(LRSchedule(peak_lr=1.0, warmup_steps=2, total_steps=10), step)
 
 
 def test_lr_schedule_rejects_bad_bounds():

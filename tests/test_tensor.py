@@ -151,9 +151,7 @@ def test_backward_random_compositions_match_finite_differences():
 def _matmul_batched_reference(a, b, g):
     """The batched matmul path every product once took: forward, then the
     input and weight gradients summed down to their operand shapes."""
-    return (a @ b,
-            gt._unbroadcast(g @ b.swapaxes(-1, -2), a.shape),
-            gt._unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
+    return a @ b, g @ b.swapaxes(-1, -2), (a.swapaxes(-1, -2) @ g).sum(axis=0)
 
 
 @pytest.mark.parametrize("a_shape,w_shape,tied", [
@@ -187,11 +185,50 @@ def test_grad_check_3d_activation_through_2d_weights():
     tok = Tensor(r.normal(size=(6, 5)), requires_grad=True)
 
     def f(ts):
-        h = gelu(add(matmul(ts[0], ts[1]), ts[2]))
+        h = gelu(matmul(ts[0], ts[1], ts[2]))
         logits = matmul(h, transpose(ts[3]))
         return tsum(mul(logits, logits))
 
     assert grad_check(f, [x, w1, b1, tok]) < 1e-6
+
+
+@pytest.mark.parametrize("a_shape", [(2, 3, 4), (3, 4)])
+def test_grad_check_matmul_with_bias(a_shape):
+    r = rng(22)
+    x = Tensor(r.normal(size=a_shape), requires_grad=True)
+    w = Tensor(r.normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(r.normal(size=5), requires_grad=True)
+
+    def f(ts):
+        out = matmul(ts[0], ts[1], ts[2])
+        return tsum(mul(out, out))
+
+    assert grad_check(f, [x, w, b]) < 1e-6
+
+
+@pytest.mark.parametrize("a_shape,w_shape", [
+    ((8, 24, 512), (512, 2048)),  # ff1 at the cvcl_t_lm bench shape
+    ((128, 64), (64, 512)),       # a 2-D vision projection
+])
+def test_matmul_bias_bit_equal_to_matmul_then_add_in_float32(a_shape, w_shape):
+    # The chain every affine layer ran before the bias moved into matmul:
+    # the GEMM, a broadcast bias add, and the bias gradient summed over
+    # axis 0 until it is 1-D.
+    r = rng(23)
+    a, w, b, g = (r.normal(size=s).astype(np.float32)
+                  for s in (a_shape, w_shape, w_shape[1:], a_shape[:-1] + w_shape[1:]))
+    ta, tw, tb = (Tensor(x, requires_grad=True) for x in (a, w, b))
+    out = matmul(ta, tw, tb)
+    tsum(mul(out, Tensor(g))).backward()
+    a2, g2 = a.reshape(-1, a_shape[-1]), g.reshape(-1, w_shape[1])
+    ref_gb = g
+    while ref_gb.ndim > 1:
+        ref_gb = ref_gb.sum(axis=0)
+    for got, ref in ((out.data, (a2 @ w).reshape(g.shape) + b),
+                     (ta.grad, (g2 @ w.T).reshape(a_shape)),
+                     (tw.grad, a2.T @ g2), (tb.grad, ref_gb)):
+        assert got.dtype == ref.dtype == np.float32
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_matmul_shape_error_names_op_and_shapes():
@@ -199,6 +236,37 @@ def test_matmul_shape_error_names_op_and_shapes():
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
     assert "matmul" in str(e.value)
     assert "(2, 3)" in str(e.value) and "(4, 2)" in str(e.value)
+
+
+@pytest.mark.parametrize("bias_shape", [(1, 4), (3,), (4, 1)])
+def test_matmul_rejects_a_bias_that_is_not_one_row_of_the_output(bias_shape):
+    with pytest.raises(ShapeError, match=r"matmul: .* vs \(3, 4\) vs "):
+        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(bias_shape)))
+
+
+def test_add_takes_two_tensors_of_one_shape():
+    with pytest.raises(ShapeError, match=r"add: shape mismatch \(2, 3\) vs \(3,\)"):
+        add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+
+
+def test_mul_rejects_operands_that_do_not_fit_its_left_shape():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    with pytest.raises(ShapeError, match="mul"):
+        mul(a, Tensor(np.ones(3), requires_grad=True))
+    with pytest.raises(ShapeError, match="mul"):
+        mul(Tensor(np.ones(3), requires_grad=True), np.ones((2, 3)))  # would grow a
+    with pytest.raises(ShapeError, match="mul"):
+        mul(a, np.ones(2))  # does not broadcast to (2, 3)
+
+
+def test_mul_takes_a_scalar_and_a_same_shape_constant_mask():
+    a = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
+    mask = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.float32)
+    out = mul(mul(a, 0.5), mask)
+    assert out.data.dtype == np.float32
+    np.testing.assert_array_equal(out.data, a.data * np.float32(0.5) * mask)
+    tsum(out).backward()
+    np.testing.assert_array_equal(a.grad, np.float32(0.5) * mask)
 
 
 def test_nan_detection_names_op():
