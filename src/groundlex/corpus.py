@@ -209,10 +209,11 @@ def dedup_filter(records: list[UtteranceRecord]) -> tuple[list[UtteranceRecord],
 
 @dataclass
 class Vocabulary:
-    """Word -> id map; ids 0..2 are reserved for <pad>, <unk>, <eos>.
+    """Id -> token list, ids 0..2 reserved for <pad>, <unk>, <eos>, and a
+    word -> id map of the words alone (ids >= 3), without the specials.
 
-    Non-special words occurred strictly more than ``MIN_FREQUENCY`` times in
-    the build corpus; ids follow descending count with lexicographic tie-break.
+    Words occurred strictly more than ``MIN_FREQUENCY`` times in the build
+    corpus; ids follow descending count with lexicographic tie-break.
     """
 
     token_to_id: dict[str, int]
@@ -222,16 +223,12 @@ class Vocabulary:
         return len(self.id_to_token)
 
     def __contains__(self, word: str) -> bool:
-        return self.id_of(word) != UNK_ID
+        return word in self.token_to_id
 
     def id_of(self, word: str) -> int:
         """The word's id; UNK_ID for a word outside the vocabulary, which
         includes a word that spells a reserved token."""
-        i = self.token_to_id.get(word, UNK_ID)
-        return i if i > EOS_ID else UNK_ID
-
-    def words(self) -> list[str]:
-        return self.id_to_token[3:]
+        return self.token_to_id.get(word, UNK_ID)
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -248,11 +245,10 @@ class Vocabulary:
             raise DataError(f"{path}: tokens must be a list of strings")
         if tokens[:3] != _RESERVED:
             raise DataError(f"{path}: vocabulary missing reserved specials")
-        token_to_id = {t: i for i, t in enumerate(tokens)}
-        if len(token_to_id) != len(tokens):
-            dup = next(t for i, t in enumerate(tokens) if token_to_id[t] != i)
+        if len(set(tokens)) != len(tokens):
+            dup = next(t for i, t in enumerate(tokens) if t in tokens[i + 1:])
             raise DataError(f"{path}: token {dup!r} appears more than once")
-        return cls(token_to_id=token_to_id, id_to_token=tokens)
+        return cls({t: i for i, t in enumerate(tokens[3:], 3)}, tokens)
 
 
 def build_vocabulary(utterances: list[str]) -> Vocabulary:
@@ -266,9 +262,7 @@ def build_vocabulary(utterances: list[str]) -> Vocabulary:
     surviving = sorted((w for w, c in counts.items()
                         if c > MIN_FREQUENCY and w not in _RESERVED),
                        key=lambda w: (-counts[w], w))
-    id_to_token = _RESERVED + surviving
-    return Vocabulary(token_to_id={t: i for i, t in enumerate(id_to_token)},
-                      id_to_token=id_to_token)
+    return Vocabulary({w: i for i, w in enumerate(surviving, 3)}, _RESERVED + surviving)
 
 
 def encode(utterance: str, vocab: Vocabulary, max_len: int) -> list[int]:

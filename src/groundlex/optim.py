@@ -8,11 +8,12 @@ The AdamW hyperparameters other than the learning rate are constants:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericsError, ShapeError
 from .tensor import Tensor
 
 # Bytes per operand per block: 65,536 float32 or 32,768 float64 values. The
@@ -43,17 +44,17 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
 
     Weight decay is decoupled: parameters shrink by (1 - lr * WEIGHT_DECAY)
     independently of the moment-based step. With lr == 0 the update is the
-    identity on both parameters and moments; only step_count advances. A
-    negative or non-finite lr raises ValueError, and a missing gradient or
-    one shaped unlike its parameter raises ShapeError naming the parameter,
-    before anything changes.
+    identity on both parameters and moments; only step_count advances.
+    Before anything changes, an lr that is a bool, not a real number,
+    negative or non-finite raises ValueError; a missing or misshapen gradient
+    ShapeError, and a NaN or Inf in one NumericsError, naming the parameter.
 
     Each parameter, its gradient and its two moments are walked as flat views
     in blocks of ``_BLOCK_BYTES`` bytes, so a block's whole update chain stays
     in cache. Parameters and moments are updated in place (``Tensor`` data is
     C-contiguous, so the flat views alias it); the moments are allocated on a
     parameter's first update and reused after that. The only other memory a
-    call allocates is two block-sized scratch arrays per parameter dtype.
+    call allocates is a block-sized mask and two scratch arrays per dtype.
     Moments and scratch take each parameter's own dtype, so a float32
     parameter updates in float32 and a float64 one in float64. The
     elementwise operations and their order match the unblocked formula, so
@@ -61,13 +62,22 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
     """
     if lr is None:
         lr = state.learning_rate
+    if isinstance(lr, bool) or not isinstance(lr, numbers.Real):
+        raise ValueError(f"lr must be a real number, got {lr!r}")
     if not (math.isfinite(lr) and lr >= 0.0):
         raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
+    finite = np.empty(_BLOCK_BYTES // 4, dtype=bool)
     for name, p in params.items():
         if p.grad is None:
             raise ShapeError(f"adamw_step: parameter {name!r} has no gradient")
         if p.grad.shape != p.data.shape:
             raise ShapeError(f"adamw_step: parameter {name!r}", p.shape, p.grad.shape)
+        gf = p.grad.reshape(-1)
+        for lo in range(0, gf.size, finite.size):
+            ok = np.isfinite(gf[lo:lo + finite.size], out=finite[:gf.size - lo])
+            if not ok.all():
+                raise NumericsError("adamw_step", f"parameter {name!r} has a non-finite "
+                                    f"gradient at flat index {lo + int(np.argmin(ok))}")
     state.step_count += 1
     if lr == 0.0:
         return state
@@ -120,6 +130,8 @@ class LRSchedule:
     total_steps: int
 
     def __post_init__(self):
+        if isinstance(self.peak_lr, bool) or not isinstance(self.peak_lr, numbers.Real):
+            raise ValueError(f"peak_lr must be a real number, got {self.peak_lr!r}")
         if not (math.isfinite(self.peak_lr) and self.peak_lr >= 0.0):
             raise ValueError(f"peak_lr must be finite and >= 0, got {self.peak_lr}")
         for name in ("warmup_steps", "total_steps"):

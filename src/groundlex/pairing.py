@@ -7,7 +7,7 @@ found by its video and an instant through `FeatureStore.resolve`. Each
 utterance is paired with up to 16 frames sampled at 3.75 fps starting at the
 utterance's start timestamp; schedule instants resolve to the nearest stored
 frame within half a frame period, and a pair holds the resolved frames as
-rows into the video's arrays.
+rows into the video's feature array. A frame is its feature vector alone.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ _READ_BLOCK = 1 << 20  # bytes of frames parsed at a time by load_feature_store
 
 @dataclass(frozen=True)
 class FrameFeature:
-    video_id: str
-    timestamp_s: float
     features: np.ndarray  # (F,), float64, read-only
 
 
@@ -108,7 +106,7 @@ class FeatureStore:
         row = int(_nearest_rows(ts, np.array([timestamp_s], dtype=np.float64))[0])
         if row < 0:
             return None
-        return FrameFeature(video_id, float(ts[row]), self._features[video_id][row])
+        return FrameFeature(self._features[video_id][row])
 
     # -- serialization ------------------------------------------------------
 
@@ -198,13 +196,12 @@ def _schedule(starts: np.ndarray, durations: np.ndarray) -> tuple[np.ndarray, np
 class EpisodePair:
     """One tokenized utterance joined to its scheduled frames.
 
-    `frame_rows` are rows into the video's timestamp and feature arrays, in
-    strictly increasing time; the pair refers to those arrays, not a copy.
+    `frame_rows` are rows into the video's feature array, in strictly
+    increasing time; the pair refers to that array, not a copy.
     """
 
     token_ids: list[int]
     frame_rows: list[int]
-    video_timestamps: np.ndarray
     video_features: np.ndarray
     video_id: str
 
@@ -269,9 +266,8 @@ def build_pairs(records: list[UtteranceRecord], store: FeatureStore,
             report.dropped_no_frames += 1
             continue
         rec = records[i]
-        vid = rec.video_id
         pairs.append(EpisodePair(encode(rec.text, vocab, max_len), flat[begin:end],
-                                 store._timestamps[vid], store._features[vid], vid))
+                                 store._features[rec.video_id], rec.video_id))
         begin = end
     report.paired = len(pairs)
     return pairs, report
@@ -279,7 +275,6 @@ def build_pairs(records: list[UtteranceRecord], store: FeatureStore,
 
 def sample_frame(pair: EpisodePair, rng: np.random.Generator) -> FrameFeature:
     """Uniform draw over the pair's frames (one visual moment per episode):
-    one `rng.integers` draw picks a row of the video's arrays."""
+    one `rng.integers` draw picks a row of the video's features."""
     row = pair.frame_rows[int(rng.integers(len(pair.frame_rows)))]
-    return FrameFeature(pair.video_id, float(pair.video_timestamps[row]),
-                        pair.video_features[row])
+    return FrameFeature(pair.video_features[row])

@@ -6,7 +6,8 @@ output's gradient as its argument and never refers to the output, so the
 tape holds no reference cycles: dropping the loss frees its graph at once,
 whether or not ``backward()`` ran. ``backward()`` on a scalar walks the graph
 in reverse topological order and consumes it, like PyTorch's default
-``retain_graph=False``. The graph is rebuilt on every forward pass.
+``retain_graph=False``. The graph is rebuilt on every forward pass. A
+gradient buffer exists only once a gradient or ``zero_grad()`` makes it.
 
 No higher-order gradients, no views: every op materialises its output.
 ``matmul`` takes a 2-D right operand and an optional bias, ``transpose`` a
@@ -65,17 +66,12 @@ class no_grad:
         return False
 
 
-def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
-        raise NumericsError(op)
-
-
 class Tensor:
-    """A float32 or float64 array plus an optional gradient buffer.
+    """A float32 or float64 array (other data becomes float64) and ``grad``.
 
-    float32 and float64 data keep their dtype; any other data becomes
-    float64. Leaves created with ``requires_grad=True`` get a zero-initialised
-    ``grad`` so unused leaves report zero gradients after any backward pass.
+    ``grad`` starts as None. The first gradient ``backward()`` passes the
+    tensor, or ``zero_grad()``, allocates it; after that ``zero_grad()``
+    zeroes it in place and each backward adds into it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -86,7 +82,7 @@ class Tensor:
             data = data.astype(np.float64)
         self.data = np.ascontiguousarray(data)
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
@@ -108,7 +104,10 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        self.grad.fill(0.0)
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad.fill(0.0)
 
     def backward(self) -> None:
         """Reverse-mode pass from a scalar; accumulates into leaf ``grad``s.
@@ -136,10 +135,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad.fill(0.0)
-        self.grad += 1.0
+        self.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
             if node._backward is not None:
@@ -160,11 +156,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 def _make(data: np.ndarray, op: str, parents: Sequence[Tensor],
           backward: Callable[[np.ndarray], None]) -> Tensor:
-    _check_finite(data, op)
+    if not np.isfinite(data).all():
+        raise NumericsError(op)
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.grad = None  # intermediates allocate lazily during backward
         out._parents = tuple(parents)
         out._backward = backward
     return out

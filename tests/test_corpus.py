@@ -206,7 +206,7 @@ def test_vocabulary_threshold_two_or_fewer_excluded():
     assert corpus.MIN_FREQUENCY == 2
     utts = ["ball"] * 5 + ["cat"] * 2 + ["dog"]
     vocab = build_vocabulary(utts)
-    assert vocab.words() == ["ball"]
+    assert vocab.id_to_token[3:] == ["ball"]
     assert "cat" not in vocab and "dog" not in vocab
 
 
@@ -218,7 +218,7 @@ def test_vocabulary_tie_break_lexicographic():
 def test_vocabulary_specials_fixed_ids():
     vocab = build_vocabulary(["x y z"] * 4)
     assert vocab.id_to_token[:3] == ["<pad>", "<unk>", "<eos>"]
-    assert all(vocab.id_of(w) >= 3 for w in vocab.words())
+    assert all(vocab.id_of(w) >= 3 for w in vocab.id_to_token[3:])
 
 
 def test_vocabulary_empty_corpus_errors():
@@ -240,9 +240,9 @@ def test_vocabulary_matches_bruteforce_counter():
         for w in u.split():
             counts[w] = counts.get(w, 0) + 1
     expected = {w for w, c in counts.items() if c > 2}
-    assert set(vocab.words()) == expected
+    assert set(vocab.id_to_token[3:]) == expected
     assert len(vocab) == len(expected) + 3
-    assert min(counts[w] for w in vocab.words()) > 2
+    assert min(counts[w] for w in vocab.id_to_token[3:]) > 2
 
 
 def test_vocabulary_lists_each_reserved_token_once(tmp_path):
@@ -250,7 +250,7 @@ def test_vocabulary_lists_each_reserved_token_once(tmp_path):
     # they encode as <unk>, and the vocabulary still round-trips.
     vocab = build_vocabulary(["<eos> <eos> <eos> <pad> <pad> <pad> a a a"])
     assert vocab.id_to_token == ["<pad>", "<unk>", "<eos>", "a"]
-    assert vocab.token_to_id["<pad>"] == PAD_ID
+    assert vocab.id_to_token[PAD_ID] == "<pad>" and vocab.token_to_id == {"a": 3}
     assert encode("a <eos> <pad> <unk>", vocab, max_len=48) == [3, UNK_ID, UNK_ID, UNK_ID, EOS_ID]
     assert "a" in vocab and "<eos>" not in vocab and "<unk>" not in vocab
     path = tmp_path / "vocab.json"
@@ -266,6 +266,15 @@ def test_vocabulary_save_load_roundtrip(tmp_path):
     assert loaded.token_to_id == vocab.token_to_id
 
 
+def test_word_map_holds_no_reserved_token(tmp_path):
+    vocab = build_vocabulary(["<pad> <unk> <eos> look a ball"] * 4)
+    path = tmp_path / "vocab.json"
+    vocab.save(path)
+    for v in (vocab, Vocabulary.load(path)):
+        assert not {corpus.PAD, corpus.UNK, corpus.EOS} & v.token_to_id.keys()
+        assert v.token_to_id == {w: i for i, w in enumerate(v.id_to_token) if i >= 3}
+
+
 SPECIALS = '"<pad>", "<unk>", "<eos>"'
 
 
@@ -275,10 +284,12 @@ SPECIALS = '"<pad>", "<unk>", "<eos>"'
     ('[%s, "ball"]' % SPECIALS, "vocabulary is not a JSON object$"),
     ('{"tokens": [%s, "ball", "ball"]}' % SPECIALS,
      "token 'ball' appears more than once"),
+    ('{"tokens": [%s, "ball", "<unk>"]}' % SPECIALS,
+     "token '<unk>' appears more than once"),
     ('{"tokens": [%s, 7]}' % SPECIALS,
      "tokens must be a list of strings"),
 ], ids=["missing-key", "malformed-json", "top-level-list",
-        "duplicate-token", "non-string-token"])
+        "duplicate-token", "duplicate-special", "non-string-token"])
 def test_vocabulary_load_rejects_malformed_files(tmp_path, text, expected):
     path = tmp_path / "vocab.json"
     path.write_text(text, encoding="utf-8")

@@ -104,6 +104,27 @@ def test_encode_frames_grad_reaches_projection_not_features():
     assert np.abs(model.params["vis.proj_w"].grad).sum() > 0
 
 
+def test_whole_cvcl_t_lm_model_matches_finite_differences():
+    # Every parameter of a float64 cvcl_t_lm under the bench's loss at
+    # dropout 0: F=3, D=4, 2 heads, 2 layers, ff_mult 2, V=7, T=4, N=3, so
+    # 420 scalars. The tied token table sums three gradients: the utterance
+    # encoder's embed, the LM's embed and the LM head. At the helper's default
+    # epsilon (1e-5) the embeddings' truncation error alone reads 5.4e-6.
+    model = toy_model("cvcl_t_lm", seed=21, dtype="float64", feature_dim=3, embed_dim=4,
+                      vocab_size=7, max_len=4, n_layers=2, n_heads=2, ff_mult=2, dropout=0.0)
+    assert model.param_count() == 420
+    ids = np.array([[3, 4, 5, EOS_ID], [6, 3, EOS_ID, PAD_ID], [5, EOS_ID, PAD_ID, PAD_ID]])
+    targets = np.concatenate([ids[:, 1:], np.full((3, 1), PAD_ID)], axis=1)
+    feats = np.random.default_rng(22).normal(size=(3, 3))
+
+    def f(_):
+        contrastive, _ = contrastive_loss(encode_frames(model, feats),
+                                          encode_utterances(model, ids))
+        return joint_loss(lm_loss(lm_logits(model, ids), targets), contrastive)
+
+    assert grad_check(f, model.params.values(), epsilon=1e-6) < 1e-6
+
+
 # --- embedding encoder ----------------------------------------------------------
 
 def test_embedding_single_token_is_tok_plus_pos():
@@ -520,6 +541,24 @@ def test_init_params_draw_order_is_unchanged():
         else:
             fill = 1.0 if name.endswith("_g") else 0.0
             assert p.data.ndim == 1 and np.all(p.data == fill), name
+
+
+def test_parameters_hold_no_gradient_until_zero_grad(tmp_path):
+    # A model that only scores allocates no gradient; zero_grad() makes one
+    # buffer per parameter and then reuses it.
+    path = tmp_path / "m.glck"
+    save_checkpoint(toy_model("cvcl_t_lm"), path)
+    for model in (toy_model("cvcl_t_lm"), load_checkpoint(path)):
+        assert all(p.grad is None for p in model.params.values())
+        model.zero_grad()
+        buffers = {name: p.grad for name, p in model.params.items()}
+        for name, p in model.params.items():
+            assert p.grad.shape == p.shape and p.grad.dtype == p.data.dtype, name
+            assert not p.grad.any(), name
+        joint_step_loss(model, np.random.default_rng(3)).backward()
+        model.zero_grad()
+        for name, p in model.params.items():
+            assert p.grad is buffers[name] and not p.grad.any(), name
 
 
 # --- seeded training ---------------------------------------------------------------

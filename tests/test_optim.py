@@ -11,7 +11,7 @@ from groundlex.optim import (
     _BLOCK_BYTES, BETA1, BETA2, EPSILON, WEIGHT_DECAY, AdamWState, LRSchedule, adamw_step,
     lr_at,
 )
-from groundlex.errors import ShapeError
+from groundlex.errors import NumericsError, ShapeError
 from groundlex.tensor import Tensor
 
 
@@ -93,6 +93,62 @@ def test_adamw_rejects_a_non_finite_or_negative_lr(lr):
         adamw_step({"p": p}, state, lr)
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
     assert state.step_count == 0 and state.first_moment == {}
+
+
+@pytest.mark.parametrize("value, index", [(np.nan, 5), (np.inf, 66_000)])
+def test_adamw_non_finite_later_gradient_changes_nothing(value, index):
+    # The second parameter spans two check blocks; its gradient holds one
+    # NaN or +Inf, which would turn every value of it into NaN.
+    first, second = make_param([1.0, -2.0]), make_param(np.zeros(70_000))
+    state = AdamWState()
+    adamw_step({"a": first, "b": second}, state, lr=0.1)
+    saved = ([first.data.copy(), second.data.copy()],
+             {k: v.copy() for k, v in state.first_moment.items()},
+             {k: v.copy() for k, v in state.second_moment.items()})
+    second.grad[index] = value
+    expected = (f"^adamw_step: parameter 'b' has a non-finite gradient "
+                f"at flat index {index}$")
+    with pytest.raises(NumericsError, match=expected):
+        adamw_step({"a": first, "b": second}, state, lr=0.1)
+    params, m, v = saved
+    np.testing.assert_array_equal(first.data, params[0])
+    np.testing.assert_array_equal(second.data, params[1])
+    for name in ("a", "b"):
+        np.testing.assert_array_equal(state.first_moment[name], m[name])
+        np.testing.assert_array_equal(state.second_moment[name], v[name])
+    assert state.step_count == 1
+
+
+NOT_A_RATE = [True, False, np.bool_(True), "1", [1e-3]]
+
+
+@pytest.mark.parametrize("lr", NOT_A_RATE)
+def test_adamw_rejects_an_lr_that_is_not_a_real_number(lr):
+    # adamw_step(params, state, True) used to update as if lr were 1.0.
+    p = make_param([1.0, -2.0])
+    state = AdamWState()
+    with pytest.raises(ValueError, match=re.escape(f"lr must be a real number, got {lr!r}")):
+        adamw_step({"p": p}, state, lr)
+    with pytest.raises(ValueError, match=re.escape(f"lr must be a real number, got {lr!r}")):
+        adamw_step({"p": p}, AdamWState(learning_rate=lr))
+    np.testing.assert_array_equal(p.data, [1.0, -2.0])
+    assert state.step_count == 0 and state.first_moment == {}
+
+
+@pytest.mark.parametrize("peak_lr", NOT_A_RATE + [None])
+def test_lr_schedule_rejects_a_peak_that_is_not_a_real_number(peak_lr):
+    # LRSchedule(True, 2, 10) used to give lr 0.69 at step 5, and
+    # LRSchedule("1", 2, 10) raised a raw TypeError.
+    with pytest.raises(ValueError, match=re.escape(f"peak_lr must be a real number, got {peak_lr!r}")):
+        LRSchedule(peak_lr, 2, 10)
+
+
+@pytest.mark.parametrize("rate", [1, np.float64(1e-3), np.float32(1e-3), np.int64(1)])
+def test_integers_and_numpy_floats_are_rates(rate):
+    p = make_param([1.0, -2.0])
+    adamw_step({"p": p}, AdamWState(), rate)
+    assert not np.array_equal(p.data, [1.0, -2.0])
+    assert lr_at(LRSchedule(rate, 2, 10), 2) == rate
 
 
 def test_adamw_step_count_strictly_increases():

@@ -28,35 +28,37 @@ def test_console_scripts_resolve():
 
 
 def names_used(tree):
-    """How often each identifier is read, looked up as an attribute or
-    imported in an AST."""
+    """How often each identifier is used in an AST, keyed by (is_attribute,
+    name): read or imported, (False, name); looked up as an attribute,
+    (True, name)."""
     names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names[node.id] += 1
+            names[False, node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
+            names[True, node.attr] += 1
         elif isinstance(node, ast.alias):
-            names[node.name] += 1
+            names[False, node.name] += 1
     return names
 
 
 def public_definitions(tree):
     """The public top-level functions and classes of a module, and the
-    public methods of its classes (dunders excluded)."""
+    public methods of its classes (dunders excluded), as (is_method, node)."""
     defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
     for node in tree.body:
         if isinstance(node, defs) and not node.name.startswith("_"):
-            yield node
+            yield False, node
         if isinstance(node, ast.ClassDef):
-            yield from (m for m in node.body
+            yield from ((True, m) for m in node.body
                         if isinstance(m, defs) and not m.name.startswith("_"))
 
 
 def test_every_public_name_has_a_caller():
-    # A public function, class or method of any groundlex module that nothing
-    # in the package or the benchmark names, outside its own definition, is
-    # dead code.
+    # A public function or class of any groundlex module that nothing in the
+    # package or the benchmark names or imports, or a public method that
+    # nothing looks up as an attribute, outside its own definition, is dead
+    # code. A local variable that shares a method's name is no caller.
     modules = sorted(PACKAGE.glob("*.py"))
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in modules]
     trees += [ast.parse(p.read_text(encoding="utf-8"))
@@ -65,7 +67,8 @@ def test_every_public_name_has_a_caller():
     used = sum((names_used(t) for t in trees), Counter())
     callerless = set()
     for tree in trees[:len(modules)]:
-        for node in public_definitions(tree):
-            if used[node.name] - names_used(node)[node.name] == 0:
+        for is_method, node in public_definitions(tree):
+            key = is_method, node.name
+            if used[key] - names_used(node)[key] == 0:
                 callerless.add(node.name)
     assert not callerless, sorted(callerless)

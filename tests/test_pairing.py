@@ -1,5 +1,6 @@
 """Frame schedules, feature stores, and episode pairing."""
 
+import dataclasses
 import struct
 import tracemalloc
 
@@ -12,7 +13,7 @@ from groundlex.corpus import UtteranceRecord, build_vocabulary, encode
 from groundlex.errors import DataError
 from groundlex.pairing import (
     FRAME_PERIOD, FRAMES_PER_UTTERANCE, RESOLVE_TOLERANCE, EpisodePair, FeatureStore,
-    build_pairs, load_feature_store, sample_frame,
+    FrameFeature, build_pairs, load_feature_store, sample_frame,
 )
 
 
@@ -96,9 +97,10 @@ def test_store_roundtrip_binary(tmp_path):
     loaded = load_feature_store(path)
     assert len(loaded) == len(store)
     for vid in ("v0", "v1"):
+        np.testing.assert_array_equal(loaded._timestamps[vid], store._timestamps[vid])
         for t in stored_times():
             a, b = store.resolve(vid, t), loaded.resolve(vid, t)
-            assert b is not None and a.timestamp_s == b.timestamp_s
+            assert b is not None
             np.testing.assert_array_equal(a.features, b.features)
 
 
@@ -310,13 +312,14 @@ def test_store_features_are_read_only():
 def test_resolve_takes_the_later_frame_on_a_tie():
     store = FeatureStore(1)
     store.add_video("v", np.array([0.0, 0.25]), np.array([[1.0], [2.0]]))
-    assert store.resolve("v", 0.125).timestamp_s == 0.25
+    np.testing.assert_array_equal(store.resolve("v", 0.125).features, [2.0])
 
 
 def test_resolve_within_half_period():
     store = make_store(frames_per_video=4)
     hit = store.resolve("v0", FRAME_PERIOD * 1.1)
-    assert hit is not None and hit.timestamp_s == pytest.approx(FRAME_PERIOD)
+    assert hit is not None and store._timestamps["v0"][1] == pytest.approx(FRAME_PERIOD)
+    np.testing.assert_array_equal(hit.features, store._features["v0"][1])
     # outside tolerance: nearest stored frame is > period/2 away
     assert store.resolve("v0", 4 * FRAME_PERIOD + 0.14) is None
     assert store.resolve("missing", 0.0) is None
@@ -406,7 +409,7 @@ def test_pair_invariants_window_and_size(vocab):
     pairs, _ = build_pairs(records, store, vocab)
     for p in pairs:
         assert 1 <= len(p.frame_rows) <= FRAMES_PER_UTTERANCE
-        times = p.video_timestamps[p.frame_rows]
+        times = store._timestamps[p.video_id][p.frame_rows]
         span = times[-1] - times[0]
         assert span <= 16 / 3.75 + 1e-9
         diffs = np.diff(times)
@@ -441,11 +444,10 @@ def test_pairs_refer_to_the_store_arrays_without_copying(vocab):
                UtteranceRecord("v0", 3.0, 4.0, "s", "ball"),
                UtteranceRecord("v1", 2.0, 3.0, "s", "ball")]
     pairs, _ = build_pairs(records, store, vocab)
-    assert pairs[0].video_timestamps is pairs[1].video_timestamps
     assert pairs[0].video_features is pairs[1].video_features
     for p, rec in zip(pairs, records, strict=True):
         assert np.shares_memory(p.video_features, store.resolve(p.video_id, rec.start_s).features)
-        assert not p.video_timestamps.flags.writeable and not p.video_features.flags.writeable
+        assert not p.video_features.flags.writeable
 
 
 # --- build_pairs against the scalar resolution it replaced --------------------------
@@ -547,7 +549,7 @@ def test_build_pairs_matches_scalar_resolution_oracle(vocab, seed):
     assert len(pairs) == len(want)
     for pair, (ids, times, feats) in zip(pairs, want):
         assert pair.token_ids == ids
-        np.testing.assert_array_equal(pair.video_timestamps[pair.frame_rows], times)
+        np.testing.assert_array_equal(store._timestamps[pair.video_id][pair.frame_rows], times)
         np.testing.assert_array_equal(pair.video_features[pair.frame_rows], feats)
 
 
@@ -580,14 +582,19 @@ def test_oracle_world_has_ties_and_bound_cases():
 def single_pair(n_frames, seed=0):
     rng = np.random.default_rng(seed)
     return EpisodePair(token_ids=[2], frame_rows=list(range(n_frames)),
-                       video_timestamps=np.arange(n_frames) * FRAME_PERIOD,
                        video_features=rng.normal(size=(n_frames, 4)), video_id="v")
+
+
+def row_of(pair):
+    """A function from a frame the pair gave to its row of the pair's features."""
+    rows = {pair.video_features[r].tobytes(): r for r in pair.frame_rows}
+    assert len(rows) == len(pair.frame_rows)
+    return lambda frame: rows[frame.features.tobytes()]
 
 
 def test_sample_frame_single():
     pair = single_pair(1)
     frame = sample_frame(pair, np.random.default_rng(0))
-    assert frame.timestamp_s == pair.video_timestamps[0]
     np.testing.assert_array_equal(frame.features, pair.video_features[0])
 
 
@@ -598,7 +605,6 @@ def test_sample_frame_makes_one_draw():
     frame = sample_frame(pair, rng)
     row = pair.frame_rows[int(twin.integers(4))]
     assert rng.bit_generator.state == twin.bit_generator.state
-    assert frame.timestamp_s == pair.video_timestamps[row]
     np.testing.assert_array_equal(frame.features, pair.video_features[row])
 
 
@@ -606,9 +612,9 @@ def test_sample_frame_uniform_binomial_bound():
     pair = single_pair(16)
     rng = np.random.default_rng(123)
     counts = np.zeros(16, dtype=int)
-    lookup = {t: i for i, t in enumerate(pair.video_timestamps[pair.frame_rows].tolist())}
+    lookup = row_of(pair)
     for _ in range(16000):
-        counts[lookup[sample_frame(pair, rng).timestamp_s]] += 1
+        counts[lookup(sample_frame(pair, rng))] += 1
     # binomial 3-sigma: 1000 +- 3*sqrt(16000 * 1/16 * 15/16) ~ +-92; spec allows 120
     assert np.all(np.abs(counts - 1000) <= 120)
 
@@ -617,15 +623,21 @@ def test_sample_frame_chisquare_uniformity():
     pair = single_pair(8)
     rng = np.random.default_rng(321)
     counts = np.zeros(8, dtype=int)
-    lookup = {t: i for i, t in enumerate(pair.video_timestamps[pair.frame_rows].tolist())}
+    lookup = row_of(pair)
     for _ in range(10_000):
-        counts[lookup[sample_frame(pair, rng).timestamp_s]] += 1
+        counts[lookup(sample_frame(pair, rng))] += 1
     assert stats.chisquare(counts).pvalue > 0.001
 
 
 def test_sample_frame_deterministic_under_seed():
     pair = single_pair(16)
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-    seq1 = [sample_frame(pair, rng1).timestamp_s for _ in range(50)]
-    seq2 = [sample_frame(pair, rng2).timestamp_s for _ in range(50)]
+    lookup = row_of(pair)
+    seq1 = [lookup(sample_frame(pair, rng1)) for _ in range(50)]
+    seq2 = [lookup(sample_frame(pair, rng2)) for _ in range(50)]
     assert seq1 == seq2
+
+
+def test_a_frame_is_its_features_alone():
+    assert [f.name for f in dataclasses.fields(FrameFeature)] == ["features"]
+    assert "video_timestamps" not in [f.name for f in dataclasses.fields(EpisodePair)]

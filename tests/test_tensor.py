@@ -55,9 +55,12 @@ def test_backward_requires_scalar():
 
 
 def test_unused_leaf_gets_zero_grad():
+    # No backward reaches u: it holds no buffer until zero_grad() zeroes one.
     w = Tensor([1.0, 2.0], requires_grad=True)
     u = Tensor([5.0], requires_grad=True)
     tsum(mul(w, w)).backward()
+    assert u.grad is None
+    u.zero_grad()
     np.testing.assert_array_equal(u.grad, [0.0])
 
 
