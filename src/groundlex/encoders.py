@@ -13,8 +13,10 @@ dropout over frozen frame features) and differ in the language side:
 At train time every dropout keeps 1 - ``ModelConfig.dropout`` of its values;
 at eval it keeps all of them and is the identity.
 
-Every batch is 2-D, frame features (N, F) and token ids (N, T) with
+Every batch is 2-D, frame features (N, F) and integer token ids (N, T) with
 T <= ``max_len``; a single row is a batch of one, and a bare row raises.
+A decoder row is tokens, <eos>, then only pads, so under the causal rule no
+query at or before <eos> sees a pad and the decoder needs no pad mask.
 
 All parameters live in a flat name -> Tensor dict so the optimizer and the
 checkpoint format stay trivial. Parameters are float32, and every
@@ -180,14 +182,13 @@ def _keep_prob(cfg: ModelConfig, train: bool) -> float:
 
 
 def _attention_block(cfg: ModelConfig, p: dict[str, Tensor], layer: int, h: Tensor,
-                     allowed: np.ndarray, keep: float,
-                     rng: np.random.Generator | None) -> Tensor:
+                     keep: float, rng: np.random.Generator | None) -> Tensor:
     pre = f"lang.layer{layer}."
     x = layer_norm(h, p[pre + "ln1_g"], p[pre + "ln1_b"])
     q = matmul(x, p[pre + "wq"], p[pre + "qb"])
     k = matmul(x, p[pre + "wk"], p[pre + "kb"])
     v = matmul(x, p[pre + "wv"], p[pre + "vb"])
-    ctx = attention(q, k, v, allowed, cfg.n_heads)
+    ctx = attention(q, k, v, cfg.n_heads)
     out = dropout(matmul(ctx, p[pre + "wo"], p[pre + "ob"]), keep, rng)
     h = add(h, out)
 
@@ -199,28 +200,36 @@ def _attention_block(cfg: ModelConfig, p: dict[str, Tensor], layer: int, h: Tens
 
 def _transformer_hidden(model: Model, ids: np.ndarray, keep: float,
                         rng: np.random.Generator | None) -> Tensor:
-    """Final-layer hidden states (N, T, D) under a causal + pad mask."""
+    """Final-layer hidden states (N, T, D) of rows of tokens, <eos>, then pads."""
     cfg, p = model.config, model.params
-    t = ids.shape[1]
     not_pad = ids != PAD_ID
-    # attention from position i to j requires j <= i and j not pad
-    causal = np.tril(np.ones((t, t), dtype=bool))
-    allowed = causal[None, :, :] & not_pad[:, None, :]
+    late = (not_pad[:, 1:] > not_pad[:, :-1]).any(axis=1)
+    if late.any():
+        raise DataError(f"utterance {np.argmax(late)}: a token follows <pad>; "
+                        "the decoder takes right-padded rows")
 
     h = embed(p["lang.tok_emb"], p["lang.pos_emb"], ids, keep, rng)
     for layer in range(cfg.n_layers):
-        h = _attention_block(cfg, p, layer, h, allowed, keep, rng)
+        h = _attention_block(cfg, p, layer, h, keep, rng)
     return layer_norm(h, p["lang.lnf_g"], p["lang.lnf_b"])
 
 
+def _token_ids(ids_batch, op: str) -> np.ndarray:
+    """Integer ids (N, T) as intp; floats and bools raise DataError."""
+    ids = np.asarray(ids_batch)
+    if ids.dtype.kind not in "iu":
+        raise DataError(f"{op}: token ids must be integers, got dtype {ids.dtype}")
+    if ids.ndim != 2:
+        raise ShapeError(op, ids.shape)
+    return ids.astype(np.intp, copy=False)
+
+
 def _eos_positions(ids: np.ndarray) -> np.ndarray:
-    positions = np.empty(ids.shape[0], dtype=np.intp)
-    for i, row in enumerate(ids):
-        hits = np.nonzero(row == EOS_ID)[0]
-        if len(hits) == 0:
-            raise DataError(f"utterance {i} has no <eos> token")
-        positions[i] = hits[-1]
-    return positions
+    eos = ids == EOS_ID
+    missing = ~eos.any(axis=1)
+    if missing.any():
+        raise DataError(f"utterance {np.argmax(missing)} has no <eos> token")
+    return ids.shape[1] - 1 - np.argmax(eos[:, ::-1], axis=1)
 
 
 def encode_utterances(model: Model, ids_batch, train: bool = False,
@@ -230,9 +239,7 @@ def encode_utterances(model: Model, ids_batch, train: bool = False,
     mean at train time. The transformer variants: the final hidden state at
     <eos>. Ids that are not 2-D, or T > ``max_len``, raise ShapeError."""
     cfg, p = model.config, model.params
-    ids = np.asarray(ids_batch, dtype=np.intp)
-    if ids.ndim != 2:
-        raise ShapeError("encode_utterances", ids.shape)
+    ids = _token_ids(ids_batch, "encode_utterances")
     keep = _keep_prob(cfg, train)
     if cfg.uses_transformer:
         hidden = _transformer_hidden(model, ids, keep, rng)
@@ -248,9 +255,7 @@ def lm_logits(model: Model, ids_batch, train: bool = False,
     """Next-word logits (N, T, V); the unembedding shares the token table."""
     if not model.config.uses_transformer:
         raise ValueError("language-model logits need a transformer variant")
-    ids = np.asarray(ids_batch, dtype=np.intp)
-    if ids.ndim != 2:
-        raise ShapeError("lm_logits", ids.shape)
+    ids = _token_ids(ids_batch, "lm_logits")
     _eos_positions(ids)  # same precondition as encoding
     hidden = _transformer_hidden(model, ids, _keep_prob(model.config, train), rng)
     tok = model.params["lang.tok_emb"]

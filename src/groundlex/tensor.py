@@ -11,7 +11,7 @@ gradient buffer exists only once a gradient or ``zero_grad()`` makes it.
 
 No higher-order gradients, no views: every op materialises its output.
 ``matmul`` takes a 2-D right operand and an optional bias, ``transpose`` a
-matrix; ``attention`` splits and merges heads on arrays in its own passes.
+matrix; ``attention`` is always causal and splits heads in its own passes.
 ``embed`` (token gather, position add, dropout) is the decoder's input as one
 node, and ``embedding_mean`` is the whole ``cvcl`` utterance encoder (the same
 gather, add and dropout, then the masked mean) as one node; both run on one
@@ -373,24 +373,20 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, "gelu", (a,), bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray,
-              heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over q, k, v (N, T, D).
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Causal multi-head scaled dot-product attention over q, k, v (N, T, D).
 
-    ``allowed`` (N, T, T) marks the keys each query may see; the others get
-    exactly zero weight, and a query that sees none raises NumericsError.
+    Query i sees keys 0..i, and later keys get exactly zero weight. Each
+    query sees its own key, so every row's max is finite and no row is empty.
     The products run on contiguous (N, H, T, dh) q, v and (N, H, dh, T) k
     arrays; the backward reuses the saved probabilities.
     """
     if (q.ndim != 3 or k.shape != q.shape or v.shape != q.shape
-            or np.shape(allowed) != q.shape[:2] + (q.shape[1],)
             or heads < 1 or q.shape[2] % heads):
-        raise ShapeError("attention", q.shape, k.shape, v.shape, np.shape(allowed), (heads,))
+        raise ShapeError("attention", q.shape, k.shape, v.shape, (heads,))
     n, t, d = q.shape
     dh = d // heads
-    mask = np.asarray(allowed, dtype=bool)[:, None, :, :]
-    if not mask.any(axis=-1).all():
-        raise NumericsError("attention", "fully masked row")
+    mask = np.tril(np.ones((t, t), dtype=bool))
 
     def split(x, axes=(0, 2, 1, 3)):  # (N, T, D) -> (N, H, T, dh)
         return np.ascontiguousarray(x.reshape(n, t, heads, dh).transpose(axes))
@@ -401,8 +397,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray,
     qh, kt, vh = split(q.data), split(k.data, (0, 2, 3, 1)), split(v.data)
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
     x = (qh @ kt) * scale
-    m = np.where(mask, x, -np.inf).max(axis=-1, keepdims=True)
-    e = np.exp(np.where(mask, x - m, 0.0)) * mask
+    x = np.where(mask, x, -np.inf)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):

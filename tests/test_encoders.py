@@ -203,6 +203,42 @@ def test_transformer_pad_after_eos_is_ignored():
     np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
 
+@pytest.mark.parametrize("variant", ["cvcl", "cvcl_t", "cvcl_t_lm"])
+def test_decoder_takes_only_right_padded_rows(variant):
+    # The decoder has no pad mask: a token after a pad, as in a left-padded
+    # row or a row with a gap, would see that pad, so it raises. cvcl masks
+    # its pads and takes them anywhere.
+    model = toy_model(variant)
+    rows = [(0, [[PAD_ID, 3, EOS_ID]]), (0, [[3, PAD_ID, 4, EOS_ID]]),
+            (1, [[3, EOS_ID, PAD_ID, PAD_ID], [3, PAD_ID, 4, EOS_ID]])]
+    for bad, ids in rows:
+        if not model.config.uses_transformer:
+            assert encode_utterances(model, ids).shape == (len(ids), 8)
+            continue
+        for call in (encode_utterances, lm_logits):
+            with pytest.raises(DataError, match=f"^utterance {bad}: a token follows <pad>; "):
+                call(model, ids)
+
+
+@pytest.mark.parametrize("variant", ["cvcl", "cvcl_t", "cvcl_t_lm"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_, np.int8, np.uint8,
+                                   np.int32, np.int64])
+def test_token_ids_must_have_an_integer_dtype(variant, dtype):
+    # At a float or bool dtype, 3.7 would be read as 3 and True as 1.
+    model = toy_model(variant)
+    ids = np.array([[3, 4, EOS_ID]])
+    calls = [encode_utterances] + ([lm_logits] if model.config.uses_transformer else [])
+    for call in calls:
+        want = call(model, ids).data
+        if np.dtype(dtype).kind in "iu":
+            np.testing.assert_array_equal(call(model, ids.astype(dtype)).data, want)
+            continue
+        with pytest.raises(DataError, match="token ids must be integers, got dtype "):
+            call(model, ids.astype(dtype))
+    with pytest.raises(DataError, match="token ids must be integers"):
+        encode_utterances(model, [[3.7, EOS_ID]])
+
+
 def reference_single_head_layer(p, pre, x):
     """Straight-line single-head attention + feed-forward block, written
     independently of the tensor engine (plain numpy, no reshapes)."""

@@ -110,14 +110,13 @@ def test_grad_check_op_compositions(seed):
     b = Tensor(r.normal(size=(5, 4)), requires_grad=True)
     g = Tensor(r.normal(size=4) + 1.0, requires_grad=True)
     c = Tensor(r.normal(size=4), requires_grad=True)
-    causal = np.tril(np.ones((1, 3, 3), dtype=bool))
 
     def f(ts):
         h = matmul(ts[0], ts[1])
         h = layer_norm(h, ts[2], ts[3])
         h = gelu(h)
         h = l2_normalize(h)
-        return add(tsum(mul(h, h)), tsum(attention(h, h, h, causal, heads=2)))
+        return add(tsum(mul(h, h)), tsum(attention(h, h, h, heads=2)))
 
     assert grad_check(f, [a, b, g, c]) < 1e-6
 
@@ -136,7 +135,7 @@ def test_backward_random_compositions_match_finite_differences():
         def f(ts):
             h = matmul(ts[0], ts[1])
             if pick == 0:
-                h = attention(h, h, h, np.tril(np.ones((1, 2, 2), dtype=bool)), heads=1)
+                h = attention(h, h, h, heads=1)
             elif pick == 1:
                 h = cross_entropy(h, targets)
             elif pick == 2:
@@ -593,49 +592,47 @@ def causal_pad_mask(not_pad):
     return np.tril(np.ones((t, t), dtype=bool))[None, :, :] & not_pad[:, None, :]
 
 
-def test_attention_grad_with_causal_mask_and_pad_columns():
-    # (N, T, D, H) = (2, 4, 8, 2): a causal mask and, as in the decoder, pad
-    # columns (the second utterance's last two tokens).
-    allowed = causal_pad_mask(np.array([[True] * 4, [True, True, False, False]]))
+def test_attention_grad_with_causal_mask():
+    # (N, T, D, H) = (2, 4, 8, 2), causal as in the decoder.
     q, k, v = (Tensor(rng(21 + i).normal(size=(2, 4, 8)), requires_grad=True)
                for i in range(3))
     w = Tensor(rng(24).normal(size=(2, 4, 8)))
 
     def f(ts):
-        return tsum(mul(attention(ts[0], ts[1], ts[2], allowed, heads=2), w))
+        return tsum(mul(attention(ts[0], ts[1], ts[2], heads=2), w))
 
     assert grad_check(f, [q, k, v]) < 1e-6
 
 
 def test_attention_gives_disallowed_keys_exactly_zero_weight():
-    # Key j is disallowed for query i < j (causal) and for every query of
-    # row 1 at its pad positions 2 and 3.
-    allowed = causal_pad_mask(np.array([[True] * 4, [True, True, False, False]]))
+    # Key j is disallowed for every query i < j: moving it leaves those
+    # queries bit-unchanged, and they pass it an exactly zero gradient.
     r = rng(25)
     q, k, v = (r.normal(size=(2, 4, 8)) for _ in range(3))
-    w = Tensor(r.normal(size=(2, 4, 8)))
+    w = r.normal(size=(2, 4, 8))
 
-    def run(k, v):
+    def run(k, v, w=w):
         ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
-        out = attention(*ts, allowed, heads=2)
-        tsum(mul(out, w)).backward()
+        out = attention(*ts, heads=2)
+        tsum(mul(out, Tensor(w))).backward()
         return out.data, ts[1].grad, ts[2].grad
 
-    out, gk, gv = run(k, v)
-    for n, j in [(0, 3), (0, 2), (1, 3), (1, 2), (1, 1)]:
+    out = run(k, v)[0]
+    for n, j in [(0, 3), (0, 2), (1, 3), (1, 1), (1, 0)]:
         k2, v2 = k.copy(), v.copy()
         k2[n, j] += 5.0
         v2[n, j] -= 5.0
         out2 = run(k2, v2)[0]
-        blind = ~allowed[n, :, j]  # the queries that may not see key j
-        np.testing.assert_array_equal(out2[n, blind], out[n, blind])
-        if not blind.all():  # a pad key has no query that sees it
-            assert not np.array_equal(out2[n, ~blind], out[n, ~blind])
+        np.testing.assert_array_equal(out2[n, :j], out[n, :j])
+        assert not np.array_equal(out2[n, j:], out[n, j:])
         np.testing.assert_array_equal(np.delete(out2, n, axis=0), np.delete(out, n, axis=0))
-    seen = allowed.any(axis=1)  # keys some query may attend to
-    np.testing.assert_array_equal(gk[~seen], 0.0)
-    np.testing.assert_array_equal(gv[~seen], 0.0)
-    assert np.abs(gv[seen]).min() > 0.0
+    for i in range(4):  # only query i has a gradient: keys after it get none
+        wi = np.zeros_like(w)
+        wi[:, i] = w[:, i]
+        _, gk, gv = run(k, v, wi)
+        np.testing.assert_array_equal(gk[:, i + 1:], 0.0)
+        np.testing.assert_array_equal(gv[:, i + 1:], 0.0)
+        assert np.abs(gv[:, :i + 1]).min() > 0.0
 
 
 def test_take_per_row_grad_at_eos_positions():
@@ -700,25 +697,16 @@ def test_dropout_grad_with_a_fixed_mask():
     np.testing.assert_array_equal(x.grad[~kept], 0.0)
 
 
-def test_fully_masked_row_raises():
-    x = Tensor(np.zeros((2, 3, 4)))
-    allowed = np.ones((2, 3, 3), dtype=bool)
-    allowed[1, 2] = False
-    with pytest.raises(NumericsError, match="^attention: fully masked row$"):
-        attention(x, x, x, allowed, heads=2)
-
-
-@pytest.mark.parametrize("q_shape,k_shape,mask_shape,heads", [
-    ((2, 3, 4), (2, 3, 5), (2, 3, 3), 2),   # k differs from q
-    ((2, 3, 4), (2, 3, 4), (2, 3, 4), 2),   # mask is not (N, T, T)
-    ((2, 3, 4), (2, 3, 4), (2, 3, 3), 3),   # D not divisible by heads
-    ((2, 3, 4), (2, 3, 4), (2, 3, 3), 0),
-    ((3, 4), (3, 4), (3, 3), 2),            # not (N, T, D)
+@pytest.mark.parametrize("q_shape,k_shape,heads", [
+    ((2, 3, 4), (2, 3, 5), 2),   # k differs from q
+    ((2, 3, 4), (2, 3, 4), 3),   # D not divisible by heads
+    ((2, 3, 4), (2, 3, 4), 0),
+    ((3, 4), (3, 4), 2),         # not (N, T, D)
 ])
-def test_attention_rejects_bad_shapes(q_shape, k_shape, mask_shape, heads):
+def test_attention_rejects_bad_shapes(q_shape, k_shape, heads):
     q, k = Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape))
     with pytest.raises(ShapeError, match="^attention: "):
-        attention(q, k, q, np.ones(mask_shape, dtype=bool), heads)
+        attention(q, k, q, heads)
 
 
 # --- attention against the composition it replaced ------------------------------
@@ -747,17 +735,34 @@ def unfused_attention(q, k, v, allowed, heads, g):
 
 
 def test_attention_matches_old_unfused_composition_at_model_shape():
-    # (N, T, D, H) of the cvcl_t_lm bench; rows keep 24 down to 1 tokens
-    # before their trailing pads.
+    # (N, T, D, H) of the cvcl_t_lm bench, every row all tokens.
     r = rng(26)
-    allowed = causal_pad_mask(np.arange(24) < np.array([24, 23, 20, 16, 9, 5, 2, 1])[:, None])
     q, k, v, g = (r.normal(size=(8, 24, 512)) for _ in range(4))
     ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
-    out = attention(*ts, allowed, heads=8)
+    out = attention(*ts, heads=8)
     tsum(mul(out, Tensor(g))).backward()
-    ref = unfused_attention(q, k, v, allowed, 8, g)
+    ref = unfused_attention(q, k, v, causal_pad_mask(np.ones((8, 24), dtype=bool)), 8, g)
     for got, want in zip((out.data, ts[0].grad, ts[1].grad, ts[2].grad), ref):
         assert got.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_attention_on_right_padded_rows_matches_old_pad_masked_composition():
+    # (N, T, D, H) of the cvcl_t_lm bench; rows keep 24 down to 1 tokens
+    # before their trailing pads. The old decoder also hid pad keys. Causal
+    # attention sees them only from pad queries, which nothing reads, so the
+    # outputs at token rows agree, and so do the q, k and v gradients for an
+    # output gradient that is zero at pad rows, as the losses give.
+    r = rng(27)
+    not_pad = np.arange(24) < np.array([24, 23, 20, 16, 9, 5, 2, 1])[:, None]
+    q, k, v, g = (r.normal(size=(8, 24, 512)) for _ in range(4))
+    g *= not_pad[:, :, None]
+    ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+    out = attention(*ts, heads=8)
+    tsum(mul(out, Tensor(g))).backward()
+    ref = unfused_attention(q, k, v, causal_pad_mask(not_pad), 8, g)
+    for got, want in zip((out.data[not_pad], ts[0].grad, ts[1].grad, ts[2].grad),
+                         (ref[0][not_pad],) + ref[1:]):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
