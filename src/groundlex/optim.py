@@ -43,8 +43,8 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
     """One AdamW update in place, reading gradients from ``param.grad``.
 
     Weight decay is decoupled: parameters shrink by (1 - lr * WEIGHT_DECAY)
-    independently of the moment-based step. With lr == 0 the update is the
-    identity on both parameters and moments; only step_count advances.
+    independently of the moment-based step. With lr == 0 the parameters keep
+    their values, and the moments and step_count advance as at any lr.
     Before anything changes, an lr that is a bool, not a real number,
     negative or non-finite raises ValueError; a missing or misshapen gradient
     ShapeError, and a NaN or Inf in one NumericsError, naming the parameter.
@@ -79,8 +79,6 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
                 raise NumericsError("adamw_step", f"parameter {name!r} has a non-finite "
                                     f"gradient at flat index {lo + int(np.argmin(ok))}")
     state.step_count += 1
-    if lr == 0.0:
-        return state
     t = state.step_count
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t

@@ -22,12 +22,16 @@ def make_param(values):
 
 
 def test_adamw_lr_zero_is_identity():
+    # Identity on the parameters only: the moments take the gradient, so the
+    # next step's bias correction divides exactly the updates they hold.
     p = make_param([1.0, -2.0, 3.0])
+    p.grad = g = np.array([0.5, -4.0, 3.0])
     state = AdamWState()
     before = p.data.copy()
     adamw_step({"p": p}, state, lr=0.0)
     np.testing.assert_array_equal(p.data, before)
-    assert state.first_moment == {} and state.second_moment == {}
+    np.testing.assert_array_equal(state.first_moment["p"], (1.0 - BETA1) * g)
+    np.testing.assert_array_equal(state.second_moment["p"], (1.0 - BETA2) * g * g)
     assert state.step_count == 1
 
 
@@ -252,7 +256,7 @@ def check_blocked_against_whole_array(dtypes):
     ref = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
     ours_state = AdamWState()
     ref_state = AdamWState()
-    for step, lr in enumerate([1e-3, 3e-4, 2e-3, 5e-4, 1e-2]):
+    for step, lr in enumerate([0.0, 1e-3, 3e-4, 2e-3, 5e-4, 1e-2]):
         for k in init:
             g = rng.normal(scale=10.0 ** (step - 2), size=init[k].shape).astype(init[k].dtype)
             ours[k].grad = g.copy()
