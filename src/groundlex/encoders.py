@@ -203,9 +203,9 @@ def _transformer_hidden(model: Model, ids: np.ndarray, keep: float,
     """Final-layer hidden states (N, T, D) of rows of tokens, <eos>, then pads."""
     cfg, p = model.config, model.params
     not_pad = ids != PAD_ID
-    late = (not_pad[:, 1:] > not_pad[:, :-1]).any(axis=1)
-    if late.any():
-        raise DataError(f"utterance {np.argmax(late)}: a token follows <pad>; "
+    after_pad = (not_pad[:, 1:] > not_pad[:, :-1]).any(axis=1)
+    if after_pad.any():
+        raise DataError(f"utterance {np.argmax(after_pad)}: a token follows <pad>; "
                         "the decoder takes right-padded rows")
 
     h = embed(p["lang.tok_emb"], p["lang.pos_emb"], ids, keep, rng)

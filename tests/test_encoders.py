@@ -196,6 +196,15 @@ def test_transformer_requires_eos():
         encode_utterances(model, [[3, 4, 5]])
 
 
+def test_eos_positions_are_each_rows_last_eos():
+    from groundlex.encoders import _eos_positions
+    ids = np.array([[3, EOS_ID, 4, EOS_ID], [EOS_ID, PAD_ID, PAD_ID, PAD_ID], [3, 4, 5, EOS_ID]])
+    want = [np.flatnonzero(row == EOS_ID)[-1] for row in ids]  # the per-row reference
+    np.testing.assert_array_equal(_eos_positions(ids), want)
+    with pytest.raises(DataError, match="^utterance 1 has no <eos> token$"):
+        _eos_positions(np.array([[3, EOS_ID], [3, 4]]))
+
+
 def test_transformer_pad_after_eos_is_ignored():
     model = toy_model("cvcl_t")
     a = encode_utterances(model, [[3, 4, EOS_ID]])
