@@ -237,7 +237,10 @@ def encode_utterances(model: Model, ids_batch, train: bool = False,
     """Utterance embeddings (N, D) of ids (N, T). ``cvcl``: the mean over
     non-pad positions of token + position embeddings, with dropout before the
     mean at train time. The transformer variants: the final hidden state at
-    <eos>. Ids that are not 2-D, or T > ``max_len``, raise ShapeError."""
+    <eos>. Ids that are not 2-D, or T > ``max_len``, raise ShapeError, and a
+    non-integer dtype DataError. numpy infers int for a list that mixes bools
+    with ints, so True and False pass as ids 1 and 0: pass ids from
+    ``corpus.encode``, as training does."""
     cfg, p = model.config, model.params
     ids = _token_ids(ids_batch, "encode_utterances")
     keep = _keep_prob(cfg, train)

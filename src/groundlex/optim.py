@@ -2,7 +2,7 @@
 
 The AdamW hyperparameters other than the learning rate are constants:
 ``WEIGHT_DECAY`` = 0.1, ``BETA1`` = 0.9, ``BETA2`` = 0.999 and ``EPSILON``
-= 1e-8.
+= 1e-8. Training runs schedule the learning rate up to ``PEAK_LR`` = 1e-3.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ WEIGHT_DECAY = 0.1
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
+PEAK_LR = 1e-3
 
 
 @dataclass

@@ -14,9 +14,8 @@ from groundlex.encoders import (
     load_checkpoint, save_checkpoint,
 )
 from groundlex.errors import DataError, ShapeError
-from groundlex.objectives import contrastive_loss, joint_loss, lm_loss
 from groundlex.optim import AdamWState, adamw_step
-from groundlex import tensor
+from groundlex import tensor, train
 from groundlex.tensor import Tensor, layer_norm, mul
 from gradcheck import grad_check, tsum
 
@@ -114,13 +113,10 @@ def test_whole_cvcl_t_lm_model_matches_finite_differences():
                       vocab_size=7, max_len=4, n_layers=2, n_heads=2, ff_mult=2, dropout=0.0)
     assert model.param_count() == 420
     ids = np.array([[3, 4, 5, EOS_ID], [6, 3, EOS_ID, PAD_ID], [5, EOS_ID, PAD_ID, PAD_ID]])
-    targets = np.concatenate([ids[:, 1:], np.full((3, 1), PAD_ID)], axis=1)
     feats = np.random.default_rng(22).normal(size=(3, 3))
 
     def f(_):
-        contrastive, _ = contrastive_loss(encode_frames(model, feats),
-                                          encode_utterances(model, ids))
-        return joint_loss(lm_loss(lm_logits(model, ids), targets), contrastive)
+        return train.loss(model, feats, ids, None)  # dropout 0 draws nothing
 
     assert grad_check(f, model.params.values(), epsilon=1e-6) < 1e-6
 
@@ -613,15 +609,8 @@ def train_toy_joint_model(steps=4, dtype="float32"):
     rng = np.random.default_rng((10, 1))
     state = AdamWState()
     ids = np.array([[5, 6, 7, EOS_ID], [8, 9, EOS_ID, PAD_ID], [4, EOS_ID, PAD_ID, PAD_ID]])
-    targets = np.concatenate([ids[:, 1:], np.full((3, 1), PAD_ID)], axis=1)
     for _ in range(steps):
-        model.zero_grad()
-        frames = encode_frames(model, rng.normal(size=(3, 6)), train=True, rng=rng)
-        utts = encode_utterances(model, ids, train=True, rng=rng)
-        contrastive, _ = contrastive_loss(frames, utts)
-        logits = lm_logits(model, ids, train=True, rng=rng)
-        joint_loss(lm_loss(logits, targets), contrastive).backward()
-        adamw_step(model.params, state, lr=1e-2)
+        train.step(model, state, rng.normal(size=(3, 6)), ids, 1e-2, rng)
     return model
 
 
@@ -640,17 +629,10 @@ def test_seeded_training_is_bit_identical(dtype):
 
 # --- precision ---------------------------------------------------------------------
 
-def joint_step_loss(model, rng, train=True):
-    """The loss of one training step: contrastive, plus the LM term for cvcl_t_lm."""
+def joint_step_loss(model, rng):
+    """The loss of one training step on three fixed utterances."""
     ids = np.array([[5, 6, 7, EOS_ID], [8, 9, EOS_ID, PAD_ID], [4, EOS_ID, PAD_ID, PAD_ID]])
-    frames = encode_frames(model, rng.normal(size=(3, model.config.feature_dim)),
-                           train=train, rng=rng)
-    utts = encode_utterances(model, ids, train=train, rng=rng)
-    loss, _ = contrastive_loss(frames, utts)
-    if model.config.uses_lm_head:
-        targets = np.concatenate([ids[:, 1:], np.full((3, 1), PAD_ID)], axis=1)
-        loss = joint_loss(lm_loss(lm_logits(model, ids, train=train, rng=rng), targets), loss)
-    return loss
+    return train.loss(model, rng.normal(size=(3, model.config.feature_dim)), ids, rng)
 
 
 @pytest.mark.parametrize("variant", ["cvcl", "cvcl_t", "cvcl_t_lm"])
@@ -759,16 +741,10 @@ def test_training_graph_is_freed_without_the_cycle_collector(run_backward):
     model = toy_model("cvcl_t_lm", seed=5)
     rng = np.random.default_rng(0)
     ids = np.array([[5, 6, 7, EOS_ID], [8, 9, EOS_ID, PAD_ID]])
-    targets = np.concatenate([ids[:, 1:], np.full((2, 1), PAD_ID)], axis=1)
     gc.collect()
     gc.disable()
     try:
-        frames = encode_frames(model, rng.normal(size=(2, 6)), train=True, rng=rng)
-        utts = encode_utterances(model, ids, train=True, rng=rng)
-        contrastive, _ = contrastive_loss(frames, utts)
-        logits = lm_logits(model, ids, train=True, rng=rng)
-        loss = joint_loss(lm_loss(logits, targets), contrastive)
-        del frames, utts, contrastive, logits
+        loss = train.loss(model, rng.normal(size=(2, 6)), ids, rng)
         if run_backward:
             loss.backward()
         del loss

@@ -1,0 +1,161 @@
+"""The training step, the trial scorer and the ``groundlex`` command, pinned
+to the benchmark's own loop in ``bench/workloads.py`` on a tiny world."""
+
+import json
+import re
+import sys
+from pathlib import Path
+
+import pytest
+from scipy.stats import binomtest
+
+from groundlex import cli
+from groundlex.encoders import load_checkpoint
+from groundlex.errors import DataError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
+from spans import NullTracer  # noqa: E402
+from synth_world import WorldSpec, build  # noqa: E402
+
+SEED = 3
+TINY_WORLD = WorldSpec(n_objects=6, n_filler=40, n_videos=6, frames_per_video=160,
+                       utterances_per_video=30, min_words=3, max_words=7, n_trials=40,
+                       feature_dim=24, noise=0.5, scene_s=(3.0, 6.0))
+# The bench runs its warm-up steps and then at least 11 timed ones.
+STEPS = 1 + 11
+VARIANTS = {"cvcl": (16, 8), "cvcl_t_lm": (4, 8)}  # variant -> (batch, max_len)
+
+
+@pytest.fixture(scope="module")
+def bench_runs(tmp_path_factory):
+    """Per variant: the bench's run directory (world files, model.glck), its
+    outcome and the world, from one `run_train` at SEED. The spec keeps the
+    library's default model sizes, as the bench workloads do."""
+    runs = {}
+    for variant, (batch, max_len) in VARIANTS.items():
+        spec = workloads.TrainSpec(variant=variant, batch=batch, max_len=max_len,
+                                   world=TINY_WORLD, warmup_steps=1, steps_per_second=1.0)
+        work = tmp_path_factory.mktemp(variant)
+        outcome = workloads.run_train(variant, SEED, 0, NullTracer(), work, spec)
+        assert outcome.errors == [] and outcome.gates.failed == 0
+        runs[variant] = work, outcome, build(TINY_WORLD, SEED)
+    return runs
+
+
+def train_args(work, run_dir, variant, seed=SEED):
+    batch, max_len = VARIANTS[variant]
+    world = work / "world"
+    return ["train", str(world / "records.jsonl"), str(world / "features.glfx"),
+            str(world / "manifest.json"), str(run_dir), "--variant", variant,
+            "--batch", str(batch), "--max-len", str(max_len), "--steps", str(STEPS),
+            "--seed", str(seed)]
+
+
+def write_trials(path, trials):
+    path.write_text("".join(json.dumps(t) + "\n" for t in trials), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_train_writes_the_bench_checkpoint_bit_for_bit(bench_runs, tmp_path, variant):
+    work, outcome, _ = bench_runs[variant]
+    cli.main(train_args(work, tmp_path, variant))
+    assert (tmp_path / "model.glck").read_bytes() == (work / "model.glck").read_bytes()
+    run = json.loads((tmp_path / "run.json").read_text())
+    info = outcome.info
+    assert run["first_loss"] == info["first_loss"]
+    assert (run["dedup"], run["pairs"], run["train_pairs"]) == (
+        info["dedup"], info["pairs"], info["train_pairs"])
+    assert (run["seed"], run["steps"], run["model"]["variant"]) == (SEED, STEPS, variant)
+    assert sum(p["utterances"] for p in run["split_stats"]["partitions"].values()) \
+        == info["pairs"]["paired"] + info["pairs"]["dropped_unknown_video"] \
+        + info["pairs"]["dropped_no_frames"]
+
+
+def test_a_seed_fixes_the_checkpoint(bench_runs, tmp_path):
+    work = bench_runs["cvcl"][0]
+    for name, seed in (("a", SEED), ("b", SEED), ("c", SEED + 1)):
+        cli.main(train_args(work, tmp_path / name, "cvcl", seed))
+    a, b, c = ((tmp_path / name / "model.glck").read_bytes() for name in "abc")
+    assert a == b != c
+
+
+def test_train_refuses_a_batch_larger_than_the_train_pairs(bench_runs, tmp_path):
+    args = train_args(bench_runs["cvcl"][0], tmp_path, "cvcl")
+    args[args.index("--batch") + 1] = "100000"
+    with pytest.raises(DataError, match="fewer than a batch of 100000$"):
+        cli.main(args)
+    assert not tmp_path.joinpath("model.glck").exists()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_eval_picks_what_the_bench_scorer_picks(bench_runs, tmp_path, capsys, variant):
+    work, outcome, world = bench_runs[variant]
+    cli.main(train_args(work, tmp_path / "run", variant))
+    files = work / "world"
+    trials = write_trials(tmp_path / "trials.jsonl", world.trials)
+    cli.main(["eval", str(tmp_path / "run"), str(files / "features.glfx"), str(trials)])
+    result = json.loads(capsys.readouterr().out)
+
+    prepared = workloads.prepare(workloads.WorldFiles(files / "records.jsonl",
+                                                      files / "features.glfx",
+                                                      files / "manifest.json"),
+                                 NullTracer(), VARIANTS[variant][1])
+    gates = workloads.Gates()
+    inputs = workloads._trial_inputs(world.trials, prepared, gates)
+    assert gates.failed == 0
+    model = load_checkpoint(work / "model.glck")
+    assert result["picks"] == [workloads.score_trial(model, ids, feats)
+                               for ids, feats, _ in inputs]
+    n, k = len(world.trials), result["correct"]
+    assert (result["trials"], result["accuracy"]) == (n, outcome.metrics["eval_accuracy"][0])
+    ci = binomtest(k, n).proportion_ci(0.95)
+    assert result["ci95"] == pytest.approx([ci.low, ci.high], rel=1e-9)
+    per_word = result["per_word"]
+    assert sum(w["trials"] for w in per_word.values()) == n
+    assert sum(w["trials"] * w["accuracy"] for w in per_word.values()) == pytest.approx(k)
+
+
+def bad_word(t):
+    t["word"] = "zzzqx"
+
+
+def bad_frame(t):
+    t["frames"][1] = ["v999", 1.0]
+
+
+def bad_answer(t):
+    t["answer"] = 4
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (bad_word, "{path}: trial 2: word 'zzzqx' is not in the vocabulary"),
+    (bad_frame, "{path}:2: bad trial (frame ['v999', 1.0] does not resolve)"),
+    (bad_answer, "{path}:2: bad trial (answer must be an integer in 0-3, got 4)"),
+    (None, "{path}:2: bad trial ("),
+])
+def test_eval_names_the_file_and_trial_of_bad_input(bench_runs, tmp_path, mutate, message):
+    work, _, world = bench_runs["cvcl"]
+    run = tmp_path / "run"
+    cli.main(train_args(work, run, "cvcl"))
+    trials = [json.loads(json.dumps(t)) for t in world.trials[:3]]
+    if mutate is not None:
+        mutate(trials[1])
+    path = write_trials(tmp_path / "trials.jsonl", trials)
+    if mutate is None:  # the second line cut short
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + lines[1][:len(lines[1]) // 2] + "\n" + lines[2])
+    with pytest.raises(DataError, match="^" + re.escape(message.format(path=path))):
+        cli.main(["eval", str(run), str(work / "world" / "features.glfx"), str(path)])
+
+
+def test_eval_refuses_a_vocabulary_that_is_not_the_models(bench_runs, tmp_path):
+    work, _, world = bench_runs["cvcl"]
+    cli.main(train_args(work, tmp_path, "cvcl"))
+    tokens = json.loads((tmp_path / "vocab.json").read_text())["tokens"]
+    (tmp_path / "vocab.json").write_text(json.dumps({"tokens": tokens[:-1]}))
+    trials = write_trials(tmp_path / "trials.jsonl", world.trials)
+    with pytest.raises(DataError, match=f"model.glck has {len(tokens)} tokens, "
+                                        f"vocab.json {len(tokens) - 1}$"):
+        cli.main(["eval", str(tmp_path), str(work / "world" / "features.glfx"), str(trials)])
