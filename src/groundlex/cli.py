@@ -119,3 +119,7 @@ def main(argv: list[str] | None = None) -> None:
     if args.run is _train and (min(args.batch, args.max_len, args.steps) < 1 or args.seed < 0):
         parser.error("--batch, --max-len and --steps must be at least 1, --seed at least 0")
     args.run(args)
+
+
+if __name__ == "__main__":
+    main()

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import read_exact, read_utf8, unpack
+from .binio import bytes_left, read_exact, read_utf8, unpack
 from .corpus import EOS_ID, PAD_ID
 from .errors import DataError, ShapeError
 from .tensor import (
@@ -44,7 +44,7 @@ from .tensor import (
 VARIANTS = ("cvcl", "cvcl_t", "cvcl_t_lm")
 
 GLCK_MAGIC = b"GLCK"
-GLCK_VERSION = 3
+GLCK_VERSION = 4
 PARAM_DTYPE = np.dtype(np.float32)
 
 
@@ -270,30 +270,31 @@ def lm_logits(model: Model, ids_batch, train: bool = False,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    """Versioned binary: header {magic, version u32, config as u32-length-
-    prefixed UTF-8 JSON of ``ModelConfig.as_dict()``, parameter count u32},
-    then per parameter in name order {u32-length-prefixed UTF-8 name,
-    ndim u32, shape u64 x ndim, little-endian f32 values}."""
+    """Versioned binary: magic, version u32, the config as u32-length-prefixed
+    UTF-8 JSON of ``ModelConfig.as_dict()``, then the little-endian f32 values
+    of every parameter that ``param_shapes`` names, in sorted name order. A
+    parameter missing, extra or misshapen against the config raises
+    ShapeError naming the first such name."""
+    shapes = param_shapes(model.config)
+    found = {name: p.shape for name, p in model.params.items()}
+    if found != shapes:
+        name = min(n for n in shapes.keys() | found.keys() if found.get(n) != shapes.get(n))
+        raise ShapeError(f"save_checkpoint: parameter {name!r} has shape {found.get(name)}, "
+                         f"config expects {shapes.get(name)}")
     config = json.dumps(model.config.as_dict(), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(GLCK_MAGIC)
         fh.write(struct.pack("<II", GLCK_VERSION, len(config)))
         fh.write(config)
-        fh.write(struct.pack("<I", len(model.params)))
-        for name in sorted(model.params):
-            data = model.params[name].data
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<I", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-            fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+        for name in sorted(shapes):
+            fh.write(np.ascontiguousarray(model.params[name].data, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> Model:
-    """Read a GLCK file. A short file, a bad config or text field, parameter
-    names and shapes that disagree with the stored config, a NaN or infinite
-    value, or bytes after the last parameter raise DataError naming the path."""
+    """Read a GLCK file. A short file, a bad config or text field, a NaN or
+    infinite value, or bytes after the last parameter raise DataError naming
+    the path; values that disagree with the stored config show as a short
+    file or as bytes left over."""
     with open(path, "rb") as fh:
         if read_exact(fh, 4, path) != GLCK_MAGIC:
             raise DataError(f"{path}: not a checkpoint (bad magic)")
@@ -305,31 +306,15 @@ def load_checkpoint(path: str | Path) -> Model:
             cfg = ModelConfig(**json.loads(config))
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad config header {config!r} ({exc})") from None
-        expected = param_shapes(cfg)
-        (count,) = unpack(fh, "<I", path)
         params: dict[str, Tensor] = {}
-        for _ in range(count):
-            (nlen,) = unpack(fh, "<I", path)
-            name = read_utf8(fh, nlen, path)
-            (ndim,) = unpack(fh, "<I", path)
-            shape = unpack(fh, f"<{ndim}Q", path)
-            if name not in expected or name in params:
-                raise DataError(f"{path}: unexpected parameter {name!r} for {cfg}")
-            if shape != expected[name]:
-                raise DataError(f"{path}: parameter {name!r} has shape {shape}, "
-                                f"config expects {expected[name]}")
-            n_items = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(read_exact(fh, 4 * n_items, path), dtype="<f4")
+        for name, shape in sorted(param_shapes(cfg).items()):
+            data = np.frombuffer(read_exact(fh, 4 * math.prod(shape), path), dtype="<f4")
             bad = ~np.isfinite(data)
             if bad.any():
                 raise DataError(f"{path}: parameter {name!r} has a non-finite value "
                                 f"at flat index {int(np.argmax(bad))}")
             params[name] = Tensor(data.reshape(shape).astype(PARAM_DTYPE), requires_grad=True)
-        end = fh.tell()
-        if fh.read(1):
-            raise DataError(f"{path}: unexpected bytes after the last of {count} "
-                            f"parameters, from byte {end}")
-    missing = expected.keys() - params.keys()
-    if missing:
-        raise DataError(f"{path}: missing parameters {sorted(missing)} for {cfg}")
+        if bytes_left(fh):
+            raise DataError(f"{path}: unexpected bytes after the last of {len(params)} "
+                            f"parameters, from byte {fh.tell()}")
     return Model(config=cfg, params=params)

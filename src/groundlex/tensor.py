@@ -140,9 +140,9 @@ class Tensor:
             node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
-                node._backward, node._parents = None, ()
-                if node is not self:
-                    node.grad = None
+                node._backward, node._parents, node.grad = None, (), None
+        # An op may overwrite the gradient it is passed, so the root keeps a new seed.
+        self.grad = np.ones_like(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -299,11 +299,11 @@ def embed(table: Tensor, pos: Tensor, ids: np.ndarray, keep_prob: float = 1.0,
           rng: np.random.Generator | None = None) -> Tensor:
     """dropout(table[ids] + pos[:T]) as one node: ids (N, T) -> (N, T, D).
 
-    The decoder's input. Its gradient is copied before the mask multiplies
-    it, so the output's own gradient is left as the tape passed it.
+    The decoder's input. The mask multiplies the gradient in place: the
+    tape passes each op a buffer that it drops after the op's backward.
     """
     buf, scatter = _embed_rows("embed", table, pos, ids, keep_prob, rng)
-    return _make(buf, "embed", (table, pos), lambda g: scatter(g.copy()))
+    return _make(buf, "embed", (table, pos), scatter)
 
 
 def embedding_mean(table: Tensor, pos: Tensor, ids: np.ndarray, valid: np.ndarray,

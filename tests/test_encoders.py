@@ -399,9 +399,11 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
         for name, p in model.params.items():
             assert loaded.params[name].data.dtype == np.float32, name
             assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
-        # values are stored little-endian float32, names in order
-        last = model.params[max(model.params)].data
-        assert path.read_bytes().endswith(last.astype("<f4").tobytes())
+        # after the header, only the little-endian float32 values, in name order
+        blob = path.read_bytes()
+        (clen,) = struct.unpack("<I", blob[8:12])
+        assert blob[12 + clen:] == b"".join(
+            model.params[name].data.astype("<f4").tobytes() for name in sorted(model.params))
         ids = [[3, 4, EOS_ID]]
         np.testing.assert_array_equal(encode_utterances(model, ids).data,
                                       encode_utterances(loaded, ids).data)
@@ -429,6 +431,16 @@ def test_version_2_checkpoint_is_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_version_3_checkpoint_is_refused(tmp_path):
+    # v3 restated every parameter's name, ndim and shape, and their count.
+    path = tmp_path / "model.glck"
+    save_checkpoint(toy_model("cvcl", seed=3), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + struct.pack("<I", 3) + blob[8:])
+    with pytest.raises(DataError, match="unsupported checkpoint version 3$"):
+        load_checkpoint(path)
+
+
 def test_float32_checkpoint_cut_inside_values_names_the_offset(tmp_path):
     model = toy_model("cvcl", seed=3)
     path = tmp_path / "model.glck"
@@ -444,23 +456,14 @@ def test_float32_checkpoint_cut_inside_values_names_the_offset(tmp_path):
                             f"(needed {4 * last.size} bytes from byte {start})")
 
 
-def glck_record(name, data):
-    """One GLCK parameter record: name, ndim, shape, little-endian f32 values."""
-    name_b = name.encode("utf-8")
-    return (struct.pack("<I", len(name_b)) + name_b + struct.pack("<I", data.ndim)
-            + struct.pack(f"<{data.ndim}Q", *data.shape) + data.astype("<f4").tobytes())
-
-
-@pytest.mark.parametrize("extra", ["byte", "record"])
+@pytest.mark.parametrize("extra", ["byte", "block"])
 def test_checkpoint_with_bytes_after_the_last_parameter_is_rejected(tmp_path, extra):
     model = toy_model("cvcl", seed=3)
     path = tmp_path / "model.glck"
     save_checkpoint(model, path)
     blob = path.read_bytes()
-    last = max(model.params)
-    record = glck_record(last, model.params[last].data)
-    assert blob.endswith(record)
-    path.write_bytes(blob + (b"\x00" if extra == "byte" else record))
+    block = model.params[max(model.params)].data.astype("<f4").tobytes()
+    path.write_bytes(blob + (b"\x00" if extra == "byte" else block))
     with pytest.raises(DataError) as e:
         load_checkpoint(path)
     assert str(e.value) == (f"{path}: unexpected bytes after the last of "
@@ -491,7 +494,7 @@ def test_truncated_checkpoint_raises_data_error_with_offset(tmp_path):
 def test_huge_declared_config_fails_without_allocating_it(tmp_path):
     # A 14-byte GLCK whose header declares a 100 MB config.
     path = tmp_path / "model.glck"
-    path.write_bytes(b"GLCK" + struct.pack("<II", 3, 100_000_000) + b"{}")
+    path.write_bytes(b"GLCK" + struct.pack("<II", 4, 100_000_000) + b"{}")
     tracemalloc.start()
     try:
         with pytest.raises(DataError) as e:
@@ -513,12 +516,12 @@ def test_checkpoint_keeps_the_whole_config(tmp_path):
     assert loaded.config.dropout == 0.3
 
 
-@pytest.mark.parametrize("offset", ["config", "name"])
+@pytest.mark.parametrize("offset", ["config"])
 def test_corrupt_checkpoint_text_raises_data_error_with_offset(tmp_path, offset):
     path = tmp_path / "model.glck"
     save_checkpoint(toy_model("cvcl_t", seed=7), path)
     blob = bytearray(path.read_bytes())
-    at = 12 if offset == "config" else blob.index(b"lang.layer1.wq")
+    at = 12  # the first byte of the config text
     blob[at] = 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(DataError, match=f"invalid UTF-8 at byte {at}$") as e:
@@ -537,10 +540,11 @@ def test_checkpoint_with_bad_config_raises_data_error(tmp_path):
 
 @pytest.mark.parametrize("change,expected", [
     ("shape", r"'vis\.proj_b' has shape \(9,\), config expects \(8,\)"),
-    ("missing", r"missing parameters \['vis\.ln_g'\]"),
-    ("extra", r"unexpected parameter 'vis\.extra'"),
+    ("missing", r"'vis\.ln_g' has shape None, config expects \(8,\)"),
+    ("extra", r"'vis\.extra' has shape \(8,\), config expects None"),
 ])
 def test_checkpoint_parameters_must_match_config(tmp_path, change, expected):
+    # The writer is the one place where parameters can disagree with the config.
     model = toy_model("cvcl", seed=8)
     if change == "shape":
         model.params["vis.proj_b"] = Tensor(np.zeros(9), requires_grad=True)
@@ -549,9 +553,28 @@ def test_checkpoint_parameters_must_match_config(tmp_path, change, expected):
     else:
         model.params["vis.extra"] = Tensor(np.zeros(8), requires_grad=True)
     path = tmp_path / "model.glck"
+    with pytest.raises(ShapeError, match="^save_checkpoint: parameter " + expected):
+        save_checkpoint(model, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_checkpoint_whose_config_disagrees_with_its_values_is_rejected(tmp_path, delta):
+    # A config with one token more asks for a longer table than the file holds;
+    # one token fewer leaves the file's last D values unread.
+    model = toy_model("cvcl_t_lm", seed=5)
+    path = tmp_path / "model.glck"
     save_checkpoint(model, path)
-    with pytest.raises(DataError, match=expected):
+    vocab, d = model.config.vocab_size, model.config.embed_dim
+    blob = with_config(path.read_bytes(), vocab_size=vocab + delta)
+    path.write_bytes(blob)
+    with pytest.raises(DataError) as e:
         load_checkpoint(path)
+    if delta > 0:
+        assert str(e.value).startswith(f"{path}: file truncated at byte {len(blob)} ")
+    else:
+        assert str(e.value) == (f"{path}: unexpected bytes after the last of "
+                                f"{len(model.params)} parameters, from byte {len(blob) - 4 * d}")
 
 
 def test_init_params_draw_order_is_unchanged():

@@ -3,6 +3,8 @@ and every public function, class and method of the package has a caller."""
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -27,19 +29,35 @@ def test_console_scripts_resolve():
         assert callable(obj), f"console script {name} -> {target} is not callable"
 
 
-def names_used(tree):
+def test_python_m_groundlex_cli_prints_the_usage():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-m", "groundlex.cli", "--help"], env=env,
+                         capture_output=True, text=True, check=False)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: groundlex "), run.stdout
+
+
+def names_used(tree, known):
     """How often each identifier is used in an AST, keyed by (is_attribute,
-    name): read or imported, (False, name); looked up as an attribute,
-    (True, name)."""
+    name): imported, or read as a bare name that `known` holds, (False, name);
+    looked up as an attribute, (True, name)."""
     names = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and node.id in known:
             names[False, node.id] += 1
         elif isinstance(node, ast.Attribute):
             names[True, node.attr] += 1
         elif isinstance(node, ast.alias):
             names[False, node.name] += 1
     return names
+
+
+def module_names(tree):
+    """The names a module defines at its top level or imports: only these can
+    be a bare-name use of a package function or class."""
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    return ({node.name for node in tree.body if isinstance(node, defs)}
+            | {node.asname or node.name for node in ast.walk(tree) if isinstance(node, ast.alias)})
 
 
 def public_definitions(tree):
@@ -58,17 +76,20 @@ def test_every_public_name_has_a_caller():
     # A public function or class of any groundlex module that nothing in the
     # package or the benchmark names or imports, or a public method that
     # nothing looks up as an attribute, outside its own definition, is dead
-    # code. A local variable that shares a method's name is no caller.
+    # code. A local variable that shares a method's name is no caller, and
+    # neither is one that shares a function's name in a module that neither
+    # defines nor imports that function.
     modules = sorted(PACKAGE.glob("*.py"))
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in modules]
     trees += [ast.parse(p.read_text(encoding="utf-8"))
               for p in sorted((ROOT / "bench").glob("*.py"))]
     assert len(modules) > 5 and len(trees) > len(modules) + 3
-    used = sum((names_used(t) for t in trees), Counter())
+    known = [module_names(t) for t in trees]
+    used = sum((names_used(t, k) for t, k in zip(trees, known)), Counter())
     callerless = set()
-    for tree in trees[:len(modules)]:
+    for tree, names in zip(trees[:len(modules)], known):
         for is_method, node in public_definitions(tree):
             key = is_method, node.name
-            if used[key] - names_used(node)[key] == 0:
+            if used[key] - names_used(node, names)[key] == 0:
                 callerless.add(node.name)
     assert not callerless, sorted(callerless)

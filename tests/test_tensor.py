@@ -451,7 +451,8 @@ def test_embed_grad_check_with_pads_and_dropout():
 
 def test_embed_backward_leaves_the_output_gradient_unchanged():
     # A one-value output can be the root of backward(), which keeps its
-    # gradient: the mask (0 or 2 here) multiplies a copy of it.
+    # gradient of 1 although the mask (0 or 2 here) multiplies in place the
+    # gradient that backward() passed to embed.
     table, pos = Tensor(np.ones((5, 1)), requires_grad=True), Tensor(np.zeros((1, 1)))
     out = embed(table, pos, np.array([[3]]), 0.5, rng(0))
     out.backward()
