@@ -18,6 +18,16 @@ T <= ``max_len``; a single row is a batch of one, and a bare row raises.
 A decoder row is tokens, <eos>, then only pads, so under the causal rule no
 query at or before <eos> sees a pad and the decoder needs no pad mask.
 
+A ``cvcl_t_lm`` training step runs the decoder once. A train-mode call of
+``encode_utterances`` or ``lm_logits`` reuses the decoder pass of the
+train-mode call before it when the ids are equal, the `rng` is the same
+object and that pass is still on a live tape: ``backward()`` has not consumed
+it and its loss has not been dropped. A pass is reused once, and the reusing
+call draws nothing from `rng`. The shared hidden states sum the gradients of
+both heads. A parameter edited in place between the two calls is not seen by
+the second, the contract ``backward()`` already has for an edit between the
+forward pass and it.
+
 All parameters live in a flat name -> Tensor dict so the optimizer and the
 checkpoint format stay trivial. Parameters are float32, and every
 activation, gradient and optimizer moment keeps the parameters' dtype.
@@ -28,11 +38,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+import weakref
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import tensor
 from .binio import bytes_left, read_exact, read_utf8, unpack
 from .corpus import EOS_ID, PAD_ID
 from .errors import DataError, ShapeError
@@ -118,10 +130,12 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class Model:
-    """Parameter bundle plus its configuration."""
+    """Parameter bundle plus its configuration, and the record of its last
+    train-mode decoder pass (see ``lm_logits``)."""
 
     config: ModelConfig
     params: dict[str, Tensor]
+    _last_pass: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def init(cls, cfg: ModelConfig, rng: np.random.Generator) -> "Model":
@@ -214,6 +228,29 @@ def _transformer_hidden(model: Model, ids: np.ndarray, keep: float,
     return layer_norm(h, p["lang.lnf_g"], p["lang.lnf_b"])
 
 
+def _decoder_pass(model: Model, ids: np.ndarray, train: bool,
+                  rng: np.random.Generator | None) -> Tensor:
+    """``_transformer_hidden``, run once per live train-mode tape (see the
+    module docstring). A train-mode pass on a live tape leaves a record on the
+    model: a copy of the ids, the `rng` object and a weak reference to the
+    hidden states, so that the record keeps no activation alive. Using the
+    record clears it. Eval and ``no_grad`` calls never leave or use one."""
+    keep = _keep_prob(model.config, train)
+    if not (train and tensor._grad_enabled):
+        return _transformer_hidden(model, ids, keep, rng)
+    last, model._last_pass = model._last_pass, None
+    if last is not None:
+        last_ids, last_rng, ref = last
+        hidden = ref()
+        if (hidden is not None and hidden._backward is not None and last_rng is rng
+                and np.array_equal(last_ids, ids)):
+            return hidden
+    hidden = _transformer_hidden(model, ids, keep, rng)
+    if hidden._backward is not None:
+        model._last_pass = (ids.copy(), rng, weakref.ref(hidden))
+    return hidden
+
+
 def _token_ids(ids_batch, op: str) -> np.ndarray:
     """Integer ids (N, T) as intp; floats and bools raise DataError."""
     ids = np.asarray(ids_batch)
@@ -243,24 +280,30 @@ def encode_utterances(model: Model, ids_batch, train: bool = False,
     ``corpus.encode``, as training does."""
     cfg, p = model.config, model.params
     ids = _token_ids(ids_batch, "encode_utterances")
-    keep = _keep_prob(cfg, train)
     if cfg.uses_transformer:
-        hidden = _transformer_hidden(model, ids, keep, rng)
+        hidden = _decoder_pass(model, ids, train, rng)
         return take_per_row(hidden, _eos_positions(ids))
     not_pad = ids != PAD_ID
     if not not_pad.any(axis=1).all():
         raise DataError("utterance with only <pad> tokens")
-    return embedding_mean(p["lang.tok_emb"], p["lang.pos_emb"], ids, not_pad, keep, rng)
+    return embedding_mean(p["lang.tok_emb"], p["lang.pos_emb"], ids, not_pad,
+                          _keep_prob(cfg, train), rng)
 
 
 def lm_logits(model: Model, ids_batch, train: bool = False,
               rng: np.random.Generator | None = None) -> Tensor:
-    """Next-word logits (N, T, V); the unembedding shares the token table."""
+    """Next-word logits (N, T, V); the unembedding shares the token table.
+
+    In train mode this reuses the decoder pass of the ``encode_utterances``
+    call before it on equal ids with the same `rng`, while that pass is on a
+    live tape, and then draws nothing from `rng` (see the module docstring).
+    A parameter edited in place between the two calls is not seen by this
+    one, the contract ``backward()`` already has."""
     if not model.config.uses_transformer:
         raise ValueError("language-model logits need a transformer variant")
     ids = _token_ids(ids_batch, "lm_logits")
     _eos_positions(ids)  # same precondition as encoding
-    hidden = _transformer_hidden(model, ids, _keep_prob(model.config, train), rng)
+    hidden = _decoder_pass(model, ids, train, rng)
     tok = model.params["lang.tok_emb"]
     return matmul(hidden, transpose(tok))
 
@@ -293,8 +336,9 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> Model:
     """Read a GLCK file. A short file, a bad config or text field, a NaN or
     infinite value, or bytes after the last parameter raise DataError naming
-    the path; values that disagree with the stored config show as a short
-    file or as bytes left over."""
+    the path, and a short parameter block names its parameter too; values
+    that disagree with the stored config show as a short file or as bytes
+    left over."""
     with open(path, "rb") as fh:
         if read_exact(fh, 4, path) != GLCK_MAGIC:
             raise DataError(f"{path}: not a checkpoint (bad magic)")
@@ -308,7 +352,10 @@ def load_checkpoint(path: str | Path) -> Model:
             raise DataError(f"{path}: bad config header {config!r} ({exc})") from None
         params: dict[str, Tensor] = {}
         for name, shape in sorted(param_shapes(cfg).items()):
-            data = np.frombuffer(read_exact(fh, 4 * math.prod(shape), path), dtype="<f4")
+            try:
+                data = np.frombuffer(read_exact(fh, 4 * math.prod(shape), path), dtype="<f4")
+            except DataError as exc:
+                raise DataError(f"{exc}, in parameter {name!r}") from None
             bad = ~np.isfinite(data)
             if bad.any():
                 raise DataError(f"{path}: parameter {name!r} has a non-finite value "

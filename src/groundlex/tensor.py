@@ -74,7 +74,7 @@ class Tensor:
     zeroes it in place and each backward adds into it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)

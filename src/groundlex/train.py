@@ -20,9 +20,11 @@ CANDIDATES = 4  # frames per trial; chance is one in CANDIDATES
 def loss(model: Model, feats: np.ndarray, ids: np.ndarray,
          rng: np.random.Generator) -> Tensor:
     """The loss of frame features (N, F) and right-padded integer ids (N, T),
-    with dropout drawn from `rng` for frames, utterances, then the LM pass:
-    contrastive, and for ``cvcl_t_lm`` ``joint_loss`` of it and the loss of
-    predicting token t + 1 at position t (``<pad>`` at the last, left out)."""
+    with dropout drawn from `rng` for frames, then for utterances; the
+    ``cvcl_t_lm`` LM logits reuse the utterance encoding's one decoder pass
+    and draw nothing. The loss is contrastive, and for ``cvcl_t_lm``
+    ``joint_loss`` of it and the loss of predicting token t + 1 at position t
+    (``<pad>`` at the last, left out)."""
     frames = encode_frames(model, feats, train=True, rng=rng)
     utterances = encode_utterances(model, ids, train=True, rng=rng)
     value, _ = contrastive_loss(frames, utterances)

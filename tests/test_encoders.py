@@ -4,6 +4,7 @@ import gc
 import json
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from groundlex.encoders import (
     load_checkpoint, save_checkpoint,
 )
 from groundlex.errors import DataError, ShapeError
+from groundlex.objectives import LAMBDA_C, contrastive_loss, lm_loss
 from groundlex.optim import AdamWState, adamw_step
 from groundlex import tensor, train
 from groundlex.tensor import Tensor, layer_norm, mul
@@ -453,7 +455,8 @@ def test_float32_checkpoint_cut_inside_values_names_the_offset(tmp_path):
     with pytest.raises(DataError) as e:
         load_checkpoint(path)
     assert str(e.value) == (f"{path}: file truncated at byte {cut} "
-                            f"(needed {4 * last.size} bytes from byte {start})")
+                            f"(needed {4 * last.size} bytes from byte {start}), "
+                            f"in parameter {max(model.params)!r}")
 
 
 @pytest.mark.parametrize("extra", ["byte", "block"])
@@ -571,7 +574,10 @@ def test_checkpoint_whose_config_disagrees_with_its_values_is_rejected(tmp_path,
     with pytest.raises(DataError) as e:
         load_checkpoint(path)
     if delta > 0:
+        # Each block after the table that grew starts D values late, so the
+        # file runs out in the last block in sorted name order.
         assert str(e.value).startswith(f"{path}: file truncated at byte {len(blob)} ")
+        assert str(e.value).endswith(f", in parameter {max(model.params)!r}")
     else:
         assert str(e.value) == (f"{path}: unexpected bytes after the last of "
                                 f"{len(model.params)} parameters, from byte {len(blob) - 4 * d}")
@@ -652,10 +658,12 @@ def test_seeded_training_is_bit_identical(dtype):
 
 # --- precision ---------------------------------------------------------------------
 
+STEP_IDS = np.array([[5, 6, 7, EOS_ID], [8, 9, EOS_ID, PAD_ID], [4, EOS_ID, PAD_ID, PAD_ID]])
+
+
 def joint_step_loss(model, rng):
     """The loss of one training step on three fixed utterances."""
-    ids = np.array([[5, 6, 7, EOS_ID], [8, 9, EOS_ID, PAD_ID], [4, EOS_ID, PAD_ID, PAD_ID]])
-    return train.loss(model, rng.normal(size=(3, model.config.feature_dim)), ids, rng)
+    return train.loss(model, rng.normal(size=(3, model.config.feature_dim)), STEP_IDS, rng)
 
 
 @pytest.mark.parametrize("variant", ["cvcl", "cvcl_t", "cvcl_t_lm"])
@@ -702,21 +710,22 @@ def record_ops(monkeypatch):
 
 
 def test_training_step_tape_has_one_attention_node_per_layer_pass(monkeypatch):
-    # One cvcl_t_lm step runs the decoder twice (utterance encoding and LM
-    # logits), so each layer's attention is one node per pass, and so is the
-    # decoder's input (one embed in place of 2 gathers, add and dropout).
-    # Every affine layer is one matmul node that adds its own bias.
+    # One cvcl_t_lm step runs the decoder once: the LM logits read the hidden
+    # states of the utterance encoding's pass. So each layer's attention is
+    # one node, and so is the decoder's input (one embed in place of 2
+    # gathers, add and dropout). Every affine layer is one matmul node that
+    # adds its own bias.
     made = record_ops(monkeypatch)
     model = toy_model("cvcl_t_lm", seed=15, dropout=0.3)
     assert model.config.n_layers == 2
     model.zero_grad()
     loss = joint_step_loss(model, np.random.default_rng(16))
-    assert len(made) == 79
-    assert made.count("attention") == 2 * model.config.n_layers
-    assert made.count("embed") == 2 and "embedding" not in made
+    assert len(made) == 49
+    assert made.count("attention") == model.config.n_layers
+    assert made.count("embed") == 1 and "embedding" not in made
     loss.backward()
     adamw_step(model.params, AdamWState(), lr=1e-2)
-    assert len(made) == 79
+    assert len(made) == 49
 
 
 def test_cvcl_training_step_tape_has_one_embedding_mean_node(monkeypatch):
@@ -755,6 +764,70 @@ def test_float32_step_agrees_with_float64():
         assert np.abs(grads[0][name] - g64).max() <= 1e-4 * scale, name
 
 
+def test_one_pass_joint_loss_matches_its_terms_on_separate_tapes():
+    # train.loss runs the decoder once and its hidden states sum the gradients
+    # of both heads; each term on its own tape, with its own pass, is the
+    # reference. At dropout 0 the two differ only in summation order.
+    model = toy_model("cvcl_t_lm", seed=23, dropout=0.0, dtype="float64")
+    feats = np.random.default_rng(24).normal(size=(3, model.config.feature_dim))
+    targets = np.concatenate([STEP_IDS[:, 1:], np.full((3, 1), PAD_ID)], axis=1)
+
+    def grads_of(loss_fn):
+        model.zero_grad()
+        loss = loss_fn()
+        loss.backward()
+        return loss.item(), {name: p.grad.copy() for name, p in model.params.items()}
+
+    joint, joint_grads = grads_of(lambda: train.loss(model, feats, STEP_IDS,
+                                                     np.random.default_rng(25)))
+    con, con_grads = grads_of(lambda: contrastive_loss(
+        encode_frames(model, feats), encode_utterances(model, STEP_IDS))[0])
+    lm, lm_grads = grads_of(lambda: lm_loss(lm_logits(model, STEP_IDS), targets))
+    assert joint == pytest.approx(lm + LAMBDA_C * con, rel=1e-12)
+    # Relative to the largest gradient, as the key-bias gradients are zero in
+    # exact arithmetic.
+    scale = max(np.abs(g).max() for g in joint_grads.values())
+    for name, g in joint_grads.items():
+        np.testing.assert_allclose(g, lm_grads[name] + LAMBDA_C * con_grads[name],
+                                   rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+
+
+@pytest.mark.parametrize("second,passes", [
+    ("reuse", 1), ("third_call", 2), ("eval", 2), ("no_grad", 2), ("ids_edited", 2),
+    ("other_rng", 2), ("after_backward", 2),
+])
+def test_decoder_pass_is_reused_only_by_the_next_train_call_on_its_tape(
+        monkeypatch, second, passes):
+    # Each decoder pass is one embed node. The first call is a train-mode
+    # utterance encoding; the second LM call reuses its pass only when it is
+    # in train mode with grad on, on equal ids and the same rng object, and
+    # before backward() has consumed the pass.
+    made = record_ops(monkeypatch)
+    model = toy_model("cvcl_t_lm", seed=19, dropout=0.3)
+    rng = np.random.default_rng(20)
+    ids = STEP_IDS.astype(np.intp)
+    utterances = encode_utterances(model, ids, train=True, rng=rng)
+    hidden = utterances._parents[0]
+    if second == "third_call":
+        assert lm_logits(model, ids, train=True, rng=rng)._parents[0] is hidden
+    elif second == "ids_edited":
+        ids[2, 0] = 5  # in place: the record holds its own copy of the ids
+    elif second == "other_rng":
+        rng = np.random.default_rng(20)
+    elif second == "after_backward":
+        tsum(utterances).backward()  # `hidden` stays alive, its tape consumed
+    if second == "eval":
+        logits = lm_logits(model, ids)
+    elif second == "no_grad":
+        with tensor.no_grad():
+            logits = lm_logits(model, ids, train=True, rng=rng)
+        assert not logits.requires_grad
+    else:
+        logits = lm_logits(model, ids, train=True, rng=rng)
+    assert made.count("embed") == passes
+    assert (logits._parents[:1] == (hidden,)) == (passes == 1)
+
+
 # --- autograd graph lifetime ---------------------------------------------------
 
 @pytest.mark.parametrize("run_backward", [True, False])
@@ -772,5 +845,35 @@ def test_training_graph_is_freed_without_the_cycle_collector(run_backward):
             loss.backward()
         del loss
         assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("variant", ["cvcl_t", "cvcl_t_lm"])
+@pytest.mark.parametrize("run_backward", [True, False])
+def test_model_keeps_no_tensor_of_a_step_alive(monkeypatch, variant, run_backward):
+    # The model's record of its last decoder pass refers to the hidden states
+    # weakly. A cvcl_t step leaves that record unused, so a strong reference
+    # would keep the step's whole decoder graph alive.
+    made = []
+    make = tensor._make
+
+    def spy_make(data, op, parents, backward):
+        out = make(data, op, parents, backward)
+        made.append((op, weakref.ref(out)))
+        return out
+
+    monkeypatch.setattr(tensor, "_make", spy_make)
+    model = toy_model(variant, seed=21, dropout=0.3)
+    gc.collect()
+    gc.disable()
+    try:
+        loss = joint_step_loss(model, np.random.default_rng(22))
+        assert model._last_pass is None or model._last_pass[2]() is not None
+        if run_backward:
+            loss.backward()
+            assert [op for op, ref in made if ref() not in (None, loss)] == []
+        del loss
+        assert [op for op, ref in made if ref() is not None] == []
     finally:
         gc.enable()

@@ -6,11 +6,13 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from groundlex import cli
-from groundlex.encoders import load_checkpoint
+from groundlex import cli, tensor
+from groundlex.corpus import EOS_ID, PAD_ID
+from groundlex.encoders import Model, ModelConfig, load_checkpoint
 from groundlex.errors import DataError
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -71,6 +73,21 @@ def test_train_writes_the_bench_checkpoint_bit_for_bit(bench_runs, tmp_path, var
     assert sum(p["utterances"] for p in run["split_stats"]["partitions"].values()) \
         == info["pairs"]["paired"] + info["pairs"]["dropped_unknown_video"] \
         + info["pairs"]["dropped_no_frames"]
+
+
+def test_the_bench_step_runs_the_decoder_once(monkeypatch):
+    # Each decoder pass makes one embed node: the bench's LM logits read the
+    # pass its utterance encoding ran, as the library's step does.
+    made = []
+    make = tensor._make
+    monkeypatch.setattr(tensor, "_make", lambda data, op, parents, backward: (
+        made.append(op) or make(data, op, parents, backward)))
+    cfg = ModelConfig("cvcl_t_lm", feature_dim=6, embed_dim=8, vocab_size=11, max_len=8,
+                      n_heads=2)
+    rng = np.random.default_rng(SEED)
+    ids = np.array([[5, 6, 7, EOS_ID], [8, EOS_ID, PAD_ID, PAD_ID]])
+    workloads.forward_loss(Model.init(cfg, rng), rng.normal(size=(2, 6)), ids, rng, NullTracer())
+    assert made.count("embed") == 1 and made.count("attention") == cfg.n_layers
 
 
 def test_a_seed_fixes_the_checkpoint(bench_runs, tmp_path):
