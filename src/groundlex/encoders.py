@@ -50,13 +50,13 @@ from .corpus import EOS_ID, PAD_ID
 from .errors import DataError, ShapeError
 from .tensor import (
     Tensor, add, attention, dropout, embed, embedding_mean, gelu, layer_norm, matmul,
-    take_per_row, transpose,
+    take_per_row,
 )
 
 VARIANTS = ("cvcl", "cvcl_t", "cvcl_t_lm")
 
 GLCK_MAGIC = b"GLCK"
-GLCK_VERSION = 4
+GLCK_VERSION = 5
 PARAM_DTYPE = np.dtype(np.float32)
 
 
@@ -102,15 +102,15 @@ class ModelConfig:
         return asdict(self)
 
 
-def _xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def _xavier_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out)).T
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every trainable parameter, in initialisation order."""
+    """Name -> shape of every trainable parameter, in init order; weights are (out, in)."""
     d = cfg.embed_dim
-    shapes = {"vis.proj_w": (cfg.feature_dim, d), "vis.proj_b": (d,),
+    shapes = {"vis.proj_w": (d, cfg.feature_dim), "vis.proj_b": (d,),
               "vis.ln_g": (d,), "vis.ln_b": (d,),
               "lang.tok_emb": (cfg.vocab_size, d), "lang.pos_emb": (cfg.max_len, d)}
     if cfg.uses_transformer:
@@ -122,8 +122,8 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
                 shapes[pre + name] = (d, d)
                 shapes[pre + name[1] + "b"] = (d,)
             shapes[pre + "ln2_g"] = shapes[pre + "ln2_b"] = (d,)
-            shapes[pre + "ff1_w"], shapes[pre + "ff1_b"] = (d, ff), (ff,)
-            shapes[pre + "ff2_w"], shapes[pre + "ff2_b"] = (ff, d), (d,)
+            shapes[pre + "ff1_w"], shapes[pre + "ff1_b"] = (ff, d), (ff,)
+            shapes[pre + "ff2_w"], shapes[pre + "ff2_b"] = (d, ff), (d,)
         shapes["lang.lnf_g"] = shapes["lang.lnf_b"] = (d,)
     return shapes
 
@@ -140,8 +140,9 @@ class Model:
     @classmethod
     def init(cls, cfg: ModelConfig, rng: np.random.Generator) -> "Model":
         """Fresh trainable parameters: embeddings ~ N(0, 0.02^2), projections
-        Xavier-uniform, layer-norm affines at (1, 0). Random draws follow the
-        ``param_shapes`` order and are made in float64, then cast to float32."""
+        Xavier-uniform, each drawn (in, out), the draw every seed depends on, and
+        stored (out, in); layer-norm affines at (1, 0). Draws follow the
+        ``param_shapes`` order, in float64; then each is cast to C-order float32."""
         if cfg.vocab_size < 4:
             raise ValueError("vocab_size must cover the reserved specials")
         p: dict[str, np.ndarray] = {}
@@ -159,7 +160,7 @@ class Model:
         # arrays elsewhere in the heap: the cvcl_t_lm bench step went from 126.4
         # to 138.2 ms (medians of 4 alternating pairs, slower in all 4; 2-core
         # Xeon, 2 BLAS threads), though peak RSS fell by 5.6 MB.
-        params = {name: Tensor(arr.astype(PARAM_DTYPE), requires_grad=True)
+        params = {name: Tensor(arr.astype(PARAM_DTYPE, order="C"), requires_grad=True)
                   for name, arr in p.items()}
         return cls(config=cfg, params=params)
 
@@ -292,7 +293,7 @@ def encode_utterances(model: Model, ids_batch, train: bool = False,
 
 def lm_logits(model: Model, ids_batch, train: bool = False,
               rng: np.random.Generator | None = None) -> Tensor:
-    """Next-word logits (N, T, V); the unembedding shares the token table.
+    """Next-word logits (N, T, V): a bias-free linear layer whose weight is the token table.
 
     In train mode this reuses the decoder pass of the ``encode_utterances``
     call before it on equal ids with the same `rng`, while that pass is on a
@@ -304,8 +305,7 @@ def lm_logits(model: Model, ids_batch, train: bool = False,
     ids = _token_ids(ids_batch, "lm_logits")
     _eos_positions(ids)  # same precondition as encoding
     hidden = _decoder_pass(model, ids, train, rng)
-    tok = model.params["lang.tok_emb"]
-    return matmul(hidden, transpose(tok))
+    return matmul(hidden, model.params["lang.tok_emb"])
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +313,11 @@ def lm_logits(model: Model, ids_batch, train: bool = False,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    """Versioned binary: magic, version u32, the config as u32-length-prefixed
-    UTF-8 JSON of ``ModelConfig.as_dict()``, then the little-endian f32 values
-    of every parameter that ``param_shapes`` names, in sorted name order. A
-    parameter missing, extra or misshapen against the config raises
-    ShapeError naming the first such name."""
+    """GLCK v5: magic, version u32, the config as u32-length-prefixed UTF-8
+    JSON of ``ModelConfig.as_dict()``, then the little-endian f32 values of
+    every parameter ``param_shapes`` names (weights (out, in); v4 held them
+    (in, out)), in sorted name order. A parameter missing, extra or misshapen
+    against the config raises ShapeError naming the first such name."""
     shapes = param_shapes(model.config)
     found = {name: p.shape for name, p in model.params.items()}
     if found != shapes:

@@ -35,7 +35,7 @@ def contrastive_loss(frame_embs: Tensor, utt_embs: Tensor) -> tuple[Tensor, dict
         raise ShapeError("contrastive_loss", frame_embs.shape, utt_embs.shape)
     frame_embs = l2_normalize(frame_embs)
     utt_embs = l2_normalize(utt_embs)
-    sims = mul(matmul(frame_embs, transpose(utt_embs)), 1.0 / TEMPERATURE)
+    sims = mul(matmul(frame_embs, utt_embs), 1.0 / TEMPERATURE)
     # rows: one frame vs all utterances; columns: one utterance vs all frames
     matched = np.arange(sims.shape[0])
     loss_frame = cross_entropy(sims, matched)

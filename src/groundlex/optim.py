@@ -30,8 +30,9 @@ PEAK_LR = 1e-3
 
 @dataclass
 class AdamWState:
-    """Per-parameter moment buffers, the step count and the default
-    learning rate."""
+    """Per-parameter moment buffers and the step count. Nothing reads
+    ``learning_rate``: ``bench/workloads.py`` still sets it, and ROADMAP
+    item 1b deletes it."""
 
     learning_rate: float = 1e-4
     step_count: int = 0
@@ -39,8 +40,7 @@ class AdamWState:
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adamw_step(params: dict[str, Tensor], state: AdamWState,
-               lr: float | None = None) -> AdamWState:
+def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float) -> AdamWState:
     """One AdamW update in place, reading gradients from ``param.grad``.
 
     Weight decay is decoupled: parameters shrink by (1 - lr * WEIGHT_DECAY)
@@ -61,8 +61,6 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState,
     elementwise operations and their order match the unblocked formula, so
     results are bit-identical to it.
     """
-    if lr is None:
-        lr = state.learning_rate
     if isinstance(lr, bool) or not isinstance(lr, numbers.Real):
         raise ValueError(f"lr must be a real number, got {lr!r}")
     if not (math.isfinite(lr) and lr >= 0.0):

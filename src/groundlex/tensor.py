@@ -10,8 +10,9 @@ in reverse topological order and consumes it, like PyTorch's default
 gradient buffer exists only once a gradient or ``zero_grad()`` makes it.
 
 No higher-order gradients, no views: every op materialises its output.
-``matmul`` takes a 2-D right operand and an optional bias, ``transpose`` a
-matrix; ``attention`` is always causal and splits heads in its own passes.
+``matmul(a, w, bias)`` is ``a @ w.T + bias``, ``w`` stored (out, in) as in
+``torch.nn.functional.linear``; ``attention`` is always causal and splits heads
+in its own passes.
 ``embed`` (token gather, position add, dropout) is the decoder's input as one
 node, and ``embedding_mean`` is the whole ``cvcl`` utterance encoder (the same
 gather, add and dropout, then the masked mean) as one node; both run on one
@@ -202,29 +203,29 @@ def mul(a: Tensor, b) -> Tensor:
     return _make(a.data * c, "mul", (a, b) if tracked else (a,), bw)
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """`a` (..., K) @ a matrix `b` (K, M), plus an optional `bias` (M,) added
-    in place, as one (rows, K) @ (K, M) GEMM.
+def matmul(a: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a @ w.T + bias`` as in ``torch.nn.functional.linear``: `a` (..., K), a
+    weight `w` (M, K) stored (out, in), an optional `bias` (M,) added in place.
 
-    With ``a2 = a.reshape(-1, K)`` and ``g2 = grad.reshape(-1, M)`` the input
-    gradient is ``g2 @ b.T``, the weight gradient ``a2.T @ g2``, and the bias
-    gradient the output gradient summed over axis 0 until it is (M,).
+    One GEMM over ``a2 = a.reshape(-1, K)``. With ``g2 = grad.reshape(-1, M)``
+    the input gradient is ``g2 @ w``, the weight gradient ``g2.T @ a2``, and
+    the bias gradient the output gradient summed over axis 0 until it is (M,).
     """
-    parents = (a, b) if bias is None else (a, b, bias)
-    if (a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]
-            or (bias is not None and bias.shape != (b.shape[1],))):
+    parents = (a, w) if bias is None else (a, w, bias)
+    if (a.ndim < 2 or w.ndim != 2 or a.shape[-1] != w.shape[1]
+            or (bias is not None and bias.shape != (w.shape[0],))):
         raise ShapeError("matmul", *(t.shape for t in parents))
     a2 = a.data.reshape(-1, a.shape[-1])
-    data = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
+    data = (a2 @ w.data.T).reshape(a.shape[:-1] + (w.shape[0],))
     if bias is not None:
         data += bias.data
 
     def bw(g):
-        g2 = g.reshape(-1, b.shape[1])
+        g2 = g.reshape(-1, w.shape[0])
         if a.requires_grad:
-            _accum(a, (g2 @ b.data.T).reshape(a.shape))
-        if b.requires_grad:
-            _accum(b, a2.T @ g2)
+            _accum(a, (g2 @ w.data).reshape(a.shape))
+        if w.requires_grad:
+            _accum(w, g2.T @ a2)
         if bias is not None and bias.requires_grad:
             while g.ndim > 1:
                 g = g.sum(axis=0)

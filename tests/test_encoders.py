@@ -11,7 +11,7 @@ import pytest
 
 from groundlex.corpus import EOS_ID, PAD_ID
 from groundlex.encoders import (
-    Model, ModelConfig, encode_frames, encode_utterances, lm_logits,
+    GLCK_VERSION, Model, ModelConfig, encode_frames, encode_utterances, lm_logits,
     load_checkpoint, save_checkpoint,
 )
 from groundlex.errors import DataError, ShapeError
@@ -260,20 +260,20 @@ def reference_single_head_layer(p, pre, x):
 
     g1, b1 = p[pre + "ln1_g"].data, p[pre + "ln1_b"].data
     h = ln(x, g1, b1)
-    q = h @ p[pre + "wq"].data + p[pre + "qb"].data
-    k = h @ p[pre + "wk"].data + p[pre + "kb"].data
-    v = h @ p[pre + "wv"].data + p[pre + "vb"].data
+    q = h @ p[pre + "wq"].data.T + p[pre + "qb"].data
+    k = h @ p[pre + "wk"].data.T + p[pre + "kb"].data
+    v = h @ p[pre + "wv"].data.T + p[pre + "vb"].data
     t, d = q.shape
     scores = q @ k.T / np.sqrt(d)
     scores[0, 1] = -1e30  # causal: position 0 cannot see position 1
     ctx = sm(scores) @ v
-    out = ctx @ p[pre + "wo"].data + p[pre + "ob"].data
+    out = ctx @ p[pre + "wo"].data.T + p[pre + "ob"].data
     x = x + out
     h = ln(x, p[pre + "ln2_g"].data, p[pre + "ln2_b"].data)
     from scipy.special import erf
-    act = h @ p[pre + "ff1_w"].data + p[pre + "ff1_b"].data
+    act = h @ p[pre + "ff1_w"].data.T + p[pre + "ff1_b"].data
     act = 0.5 * act * (1 + erf(act / np.sqrt(2)))
-    return x + act @ p[pre + "ff2_w"].data + p[pre + "ff2_b"].data
+    return x + act @ p[pre + "ff2_w"].data.T + p[pre + "ff2_b"].data
 
 
 def test_transformer_matches_reference_recomputation():
@@ -299,10 +299,15 @@ def test_lm_logits_tied_weights_same_object():
     ids = [[3, 4, EOS_ID]]
     before = lm_logits(model, ids).data.copy()
     model.params["lang.tok_emb"].data[4] += 0.5
-    after = lm_logits(model, ids).data
+    logits = lm_logits(model, ids)
+    after = logits.data
     assert np.abs(after - before).max() > 0
     # unembedding column 4 moved together with embedding row 4
     assert np.abs(after[..., 4] - before[..., 4]).max() > 0
+    # the head's matmul reads the table as stored, not a transposed copy
+    hidden, table = logits._parents
+    assert hidden.shape == (1, 3, model.config.embed_dim)
+    assert table is model.params["lang.tok_emb"]
 
 
 def test_lm_logits_requires_transformer():
@@ -417,7 +422,7 @@ def test_checkpoint_with_a_non_finite_value_is_rejected(tmp_path, value, index):
     model.params["vis.proj_w"].data[index] = value
     path = tmp_path / "model.glck"
     save_checkpoint(model, path)
-    flat = index[0] * model.config.embed_dim + index[1]
+    flat = index[0] * model.params["vis.proj_w"].shape[1] + index[1]
     with pytest.raises(DataError, match=f"parameter 'vis.proj_w' has a non-finite value "
                                         f"at flat index {flat}$") as e:
         load_checkpoint(path)
@@ -435,12 +440,14 @@ def test_version_2_checkpoint_is_rejected(tmp_path):
 
 def test_version_3_checkpoint_is_refused(tmp_path):
     # v3 restated every parameter's name, ndim and shape, and their count.
+    # v4 held the weights (in, out): a square one would load transposed.
     path = tmp_path / "model.glck"
     save_checkpoint(toy_model("cvcl", seed=3), path)
     blob = path.read_bytes()
-    path.write_bytes(blob[:4] + struct.pack("<I", 3) + blob[8:])
-    with pytest.raises(DataError, match="unsupported checkpoint version 3$"):
-        load_checkpoint(path)
+    for version in (3, 4):
+        path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+        with pytest.raises(DataError, match=f"unsupported checkpoint version {version}$"):
+            load_checkpoint(path)
 
 
 def test_float32_checkpoint_cut_inside_values_names_the_offset(tmp_path):
@@ -497,7 +504,7 @@ def test_truncated_checkpoint_raises_data_error_with_offset(tmp_path):
 def test_huge_declared_config_fails_without_allocating_it(tmp_path):
     # A 14-byte GLCK whose header declares a 100 MB config.
     path = tmp_path / "model.glck"
-    path.write_bytes(b"GLCK" + struct.pack("<II", 4, 100_000_000) + b"{}")
+    path.write_bytes(b"GLCK" + struct.pack("<II", GLCK_VERSION, 100_000_000) + b"{}")
     tracemalloc.start()
     try:
         with pytest.raises(DataError) as e:
@@ -585,14 +592,15 @@ def test_checkpoint_whose_config_disagrees_with_its_values_is_rejected(tmp_path,
 
 def test_init_params_draw_order_is_unchanged():
     # The draw sequence every seeded run and checkpoint depends on: float64
-    # draws, as before float32 training, then cast to float32.
+    # draws, as before float32 training, then cast to float32. Weights are
+    # drawn (in, out), as when they were stored that way, and stored (out, in).
     cfg = toy_config("cvcl_t_lm")
     d, ff = cfg.embed_dim, cfg.ff_mult * cfg.embed_dim
     rng = np.random.default_rng(9)
 
     def xavier(fan_in, fan_out):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        return rng.uniform(-bound, bound, size=(fan_in, fan_out)).T
 
     expected = {"vis.proj_w": xavier(cfg.feature_dim, d),
                 "lang.tok_emb": rng.normal(0.0, 0.02, size=(cfg.vocab_size, d)),
@@ -607,6 +615,7 @@ def test_init_params_draw_order_is_unchanged():
     for name, p in params.items():
         assert p.data.dtype == np.float32, name
         if name in expected:
+            assert p.data.flags.c_contiguous, name
             assert p.data.tobytes() == expected[name].astype(np.float32).tobytes(), name
         else:
             fill = 1.0 if name.endswith("_g") else 0.0
@@ -720,12 +729,13 @@ def test_training_step_tape_has_one_attention_node_per_layer_pass(monkeypatch):
     assert model.config.n_layers == 2
     model.zero_grad()
     loss = joint_step_loss(model, np.random.default_rng(16))
-    assert len(made) == 49
+    assert len(made) == 47
     assert made.count("attention") == model.config.n_layers
+    assert made.count("transpose") == 1  # the utterance side of the contrastive loss
     assert made.count("embed") == 1 and "embedding" not in made
     loss.backward()
     adamw_step(model.params, AdamWState(), lr=1e-2)
-    assert len(made) == 49
+    assert len(made) == 47
 
 
 def test_cvcl_training_step_tape_has_one_embedding_mean_node(monkeypatch):
@@ -737,12 +747,13 @@ def test_cvcl_training_step_tape_has_one_embedding_mean_node(monkeypatch):
     model = toy_model("cvcl", seed=17, dropout=0.3)
     model.zero_grad()
     loss = joint_step_loss(model, np.random.default_rng(18))
-    assert len(made) == 14
+    assert len(made) == 13
     assert made.count("embedding_mean") == 1
+    assert made.count("transpose") == 1
     assert "embedding" not in made and "sum" not in made
     loss.backward()
     adamw_step(model.params, AdamWState(), lr=1e-2)
-    assert len(made) == 14
+    assert len(made) == 13
 
 
 def test_float32_step_agrees_with_float64():

@@ -133,10 +133,16 @@ def test_adamw_rejects_an_lr_that_is_not_a_real_number(lr):
     state = AdamWState()
     with pytest.raises(ValueError, match=re.escape(f"lr must be a real number, got {lr!r}")):
         adamw_step({"p": p}, state, lr)
-    with pytest.raises(ValueError, match=re.escape(f"lr must be a real number, got {lr!r}")):
-        adamw_step({"p": p}, AdamWState(learning_rate=lr))
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
     assert state.step_count == 0 and state.first_moment == {}
+
+
+def test_adamw_step_has_no_default_lr():
+    # A call that left lr out used to train at AdamWState.learning_rate, 1e-4.
+    p = make_param([1.0, -2.0])
+    with pytest.raises(TypeError, match="lr"):
+        adamw_step({"p": p}, AdamWState(learning_rate=0.5))
+    np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
 
 @pytest.mark.parametrize("peak_lr", NOT_A_RATE + [None])

@@ -77,7 +77,7 @@ def test_backward_consumes_the_tape():
 
 def test_second_backward_leaves_leaf_grads_unchanged():
     w = Tensor(rng(5).normal(size=(3, 4)), requires_grad=True)
-    loss = tsum(gelu(matmul(w, transpose(w))))
+    loss = tsum(gelu(matmul(w, w)))
     loss.backward()
     first = w.grad.copy()
     loss.backward()
@@ -107,7 +107,7 @@ def test_grad_check_sum_of_squares():
 def test_grad_check_op_compositions(seed):
     r = rng(seed)
     a = Tensor(r.normal(size=(1, 3, 5)), requires_grad=True)
-    b = Tensor(r.normal(size=(5, 4)), requires_grad=True)
+    b = Tensor(r.normal(size=(4, 5)), requires_grad=True)
     g = Tensor(r.normal(size=4) + 1.0, requires_grad=True)
     c = Tensor(r.normal(size=4), requires_grad=True)
 
@@ -150,28 +150,26 @@ def test_backward_random_compositions_match_finite_differences():
     assert max(errs) < 1e-4
 
 
-def _matmul_batched_reference(a, b, g):
-    """The batched matmul path every product once took: forward, then the
-    input and weight gradients summed down to their operand shapes."""
-    return a @ b, g @ b.swapaxes(-1, -2), (a.swapaxes(-1, -2) @ g).sum(axis=0)
+def _matmul_batched_reference(a, w, g):
+    """The batched matmul path every product once took, on the (out, in)
+    weight `w`: forward, then the input and weight gradients summed down to
+    their operand shapes."""
+    return a @ w.T, g @ w, (g.swapaxes(-1, -2) @ a).sum(axis=0)
 
 
-@pytest.mark.parametrize("a_shape,w_shape,tied", [
-    ((8, 24, 512), (512, 2048), False),   # ff1
-    ((8, 24, 2048), (2048, 512), False),  # ff2
-    ((8, 24, 512), (2003, 512), True),    # tied LM head: hidden @ tok_emb.T
+@pytest.mark.parametrize("a_shape,w_shape", [
+    ((8, 24, 512), (2048, 512)),  # ff1
+    ((8, 24, 2048), (512, 2048)),  # ff2
+    ((8, 24, 512), (2003, 512)),  # tied LM head: hidden @ tok_emb.T
 ])
-def test_matmul_2d_right_operand_matches_batched_reference(a_shape, w_shape, tied):
+def test_matmul_2d_right_operand_matches_batched_reference(a_shape, w_shape):
     r = rng(21)
     a = Tensor(r.normal(size=a_shape), requires_grad=True)
     w = Tensor(r.normal(size=w_shape), requires_grad=True)
-    b = transpose(w) if tied else w
-    out = matmul(a, b)
+    out = matmul(a, w)
     g = r.normal(size=out.shape)
     tsum(mul(out, Tensor(g))).backward()
-    ref_out, ref_ga, ref_gb = _matmul_batched_reference(a.data, b.data, g)
-    if tied:
-        ref_gb = ref_gb.T
+    ref_out, ref_ga, ref_gb = _matmul_batched_reference(a.data, w.data, g)
     # The weight gradient sums N*T rows in one GEMM instead of N batched
     # products plus a sum, so entries near zero differ by rounding only.
     for got, ref in ((out.data, ref_out), (a.grad, ref_ga), (w.grad, ref_gb)):
@@ -182,13 +180,13 @@ def test_matmul_2d_right_operand_matches_batched_reference(a_shape, w_shape, tie
 def test_grad_check_3d_activation_through_2d_weights():
     r = rng(13)
     x = Tensor(r.normal(size=(2, 3, 4)), requires_grad=True)
-    w1 = Tensor(r.normal(size=(4, 5)), requires_grad=True)
+    w1 = Tensor(r.normal(size=(5, 4)), requires_grad=True)
     b1 = Tensor(r.normal(size=5), requires_grad=True)
     tok = Tensor(r.normal(size=(6, 5)), requires_grad=True)
 
     def f(ts):
         h = gelu(matmul(ts[0], ts[1], ts[2]))
-        logits = matmul(h, transpose(ts[3]))
+        logits = matmul(h, ts[3])
         return tsum(mul(logits, logits))
 
     assert grad_check(f, [x, w1, b1, tok]) < 1e-6
@@ -198,7 +196,7 @@ def test_grad_check_3d_activation_through_2d_weights():
 def test_grad_check_matmul_with_bias(a_shape):
     r = rng(22)
     x = Tensor(r.normal(size=a_shape), requires_grad=True)
-    w = Tensor(r.normal(size=(4, 5)), requires_grad=True)
+    w = Tensor(r.normal(size=(5, 4)), requires_grad=True)
     b = Tensor(r.normal(size=5), requires_grad=True)
 
     def f(ts):
@@ -209,8 +207,8 @@ def test_grad_check_matmul_with_bias(a_shape):
 
 
 @pytest.mark.parametrize("a_shape,w_shape", [
-    ((8, 24, 512), (512, 2048)),  # ff1 at the cvcl_t_lm bench shape
-    ((128, 64), (64, 512)),       # a 2-D vision projection
+    ((8, 24, 512), (2048, 512)),  # ff1 at the cvcl_t_lm bench shape
+    ((128, 64), (512, 64)),       # a 2-D vision projection
 ])
 def test_matmul_bias_bit_equal_to_matmul_then_add_in_float32(a_shape, w_shape):
     # The chain every affine layer ran before the bias moved into matmul:
@@ -218,17 +216,17 @@ def test_matmul_bias_bit_equal_to_matmul_then_add_in_float32(a_shape, w_shape):
     # axis 0 until it is 1-D.
     r = rng(23)
     a, w, b, g = (r.normal(size=s).astype(np.float32)
-                  for s in (a_shape, w_shape, w_shape[1:], a_shape[:-1] + w_shape[1:]))
+                  for s in (a_shape, w_shape, w_shape[:1], a_shape[:-1] + w_shape[:1]))
     ta, tw, tb = (Tensor(x, requires_grad=True) for x in (a, w, b))
     out = matmul(ta, tw, tb)
     tsum(mul(out, Tensor(g))).backward()
-    a2, g2 = a.reshape(-1, a_shape[-1]), g.reshape(-1, w_shape[1])
+    a2, g2 = a.reshape(-1, a_shape[-1]), g.reshape(-1, w_shape[0])
     ref_gb = g
     while ref_gb.ndim > 1:
         ref_gb = ref_gb.sum(axis=0)
-    for got, ref in ((out.data, (a2 @ w).reshape(g.shape) + b),
-                     (ta.grad, (g2 @ w.T).reshape(a_shape)),
-                     (tw.grad, a2.T @ g2), (tb.grad, ref_gb)):
+    for got, ref in ((out.data, (a2 @ w.T).reshape(g.shape) + b),
+                     (ta.grad, (g2 @ w).reshape(a_shape)),
+                     (tw.grad, g2.T @ a2), (tb.grad, ref_gb)):
         assert got.dtype == ref.dtype == np.float32
         assert got.tobytes() == ref.tobytes()
 
@@ -242,8 +240,8 @@ def test_matmul_shape_error_names_op_and_shapes():
 
 @pytest.mark.parametrize("bias_shape", [(1, 4), (3,), (4, 1)])
 def test_matmul_rejects_a_bias_that_is_not_one_row_of_the_output(bias_shape):
-    with pytest.raises(ShapeError, match=r"matmul: .* vs \(3, 4\) vs "):
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(bias_shape)))
+    with pytest.raises(ShapeError, match=r"matmul: .* vs \(4, 3\) vs "):
+        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(bias_shape)))
 
 
 def test_add_takes_two_tensors_of_one_shape():
