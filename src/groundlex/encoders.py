@@ -142,7 +142,7 @@ class Model:
         """Fresh trainable parameters: embeddings ~ N(0, 0.02^2), projections
         Xavier-uniform, each drawn (in, out), the draw every seed depends on, and
         stored (out, in); layer-norm affines at (1, 0). Draws follow the
-        ``param_shapes`` order, in float64; then each is cast to C-order float32."""
+        ``param_shapes`` order, in float64; then cast to C-order float32 in slabs."""
         if cfg.vocab_size < 4:
             raise ValueError("vocab_size must cover the reserved specials")
         p: dict[str, np.ndarray] = {}
@@ -160,8 +160,11 @@ class Model:
         # arrays elsewhere in the heap: the cvcl_t_lm bench step went from 126.4
         # to 138.2 ms (medians of 4 alternating pairs, slower in all 4; 2-core
         # Xeon, 2 BLAS threads), though peak RSS fell by 5.6 MB.
-        params = {name: Tensor(arr.astype(PARAM_DTYPE, order="C"), requires_grad=True)
+        params = {name: Tensor(np.empty(arr.shape, PARAM_DTYPE), requires_grad=True)
                   for name, arr in p.items()}
+        for name, arr in p.items():  # 64 columns at a time: 64 whole rows of an (in, out) draw
+            for i in range(0, arr.shape[-1], 64):
+                params[name].data[..., i:i + 64] = arr[..., i:i + 64]
         return cls(config=cfg, params=params)
 
     def zero_grad(self) -> None:
@@ -253,12 +256,15 @@ def _decoder_pass(model: Model, ids: np.ndarray, train: bool,
 
 
 def _token_ids(ids_batch, op: str) -> np.ndarray:
-    """Integer ids (N, T) as intp; floats and bools raise DataError."""
+    """Integer ids (N, T) as intp; floats and bools, even in a list, raise DataError."""
     ids = np.asarray(ids_batch)
     if ids.dtype.kind not in "iu":
         raise DataError(f"{op}: token ids must be integers, got dtype {ids.dtype}")
     if ids.ndim != 2:
         raise ShapeError(op, ids.shape)
+    if not isinstance(ids_batch, np.ndarray) and any(
+            isinstance(t, (bool, np.bool_)) for row in ids_batch for t in row):
+        raise DataError(f"{op}: token ids must be integers, got a bool")
     return ids.astype(np.intp, copy=False)
 
 
@@ -276,9 +282,7 @@ def encode_utterances(model: Model, ids_batch, train: bool = False,
     non-pad positions of token + position embeddings, with dropout before the
     mean at train time. The transformer variants: the final hidden state at
     <eos>. Ids that are not 2-D, or T > ``max_len``, raise ShapeError, and a
-    non-integer dtype DataError. numpy infers int for a list that mixes bools
-    with ints, so True and False pass as ids 1 and 0: pass ids from
-    ``corpus.encode``, as training does."""
+    non-integer dtype or a bool among the ids DataError."""
     cfg, p = model.config, model.params
     ids = _token_ids(ids_batch, "encode_utterances")
     if cfg.uses_transformer:

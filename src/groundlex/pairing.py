@@ -1,13 +1,14 @@
 """Frame-feature stores and utterance/frame pairing.
 
-Frames are precomputed feature vectors read from a GLFX file. A store keeps
-each video's frames as two arrays sorted by time; a store video has at least
-one frame, since GLFX writes a video only through its frames. A frame is
-found by its video and an instant through `FeatureStore.resolve`. Each
-utterance is paired with up to 16 frames sampled at 3.75 fps starting at the
-utterance's start timestamp; schedule instants resolve to the nearest stored
-frame within half a frame period, and a pair holds the resolved frames as
-rows into the video's feature array. A frame is its feature vector alone.
+Frames are precomputed feature vectors read from a GLFX file, one read per
+run of same-id frames. A store keeps each video's frames as two arrays sorted
+by time (a loaded video's features are a field view of its records); a video
+has at least one frame, since GLFX writes a video only through its frames. A
+frame is found by its video and an instant through `FeatureStore.resolve`.
+Each utterance is paired with up to 16 frames sampled at 3.75 fps from its
+start timestamp; schedule instants resolve to the nearest stored frame within
+half a frame period, and a pair holds the resolved frames as rows into the
+video's feature array. A frame is its feature vector alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ RESOLVE_TOLERANCE = 0.5 * FRAME_PERIOD
 
 GLFX_MAGIC = b"GLFX"
 GLFX_VERSION = 1
-_READ_BLOCK = 1 << 20  # bytes of frames parsed at a time by load_feature_store
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class FeatureStore:
 
     Per-video timestamps are kept sorted for nearest-neighbour resolution;
     frames of one video may share or nearly share a timestamp. Feature arrays
-    are flagged non-writeable so training can never mutate stored frames.
-    GLFX (`save`, `load_feature_store`) is the one file format.
+    are float64, read-only and contiguous by row; training can never mutate
+    them. GLFX (`save`, `load_feature_store`) is the one file format.
     """
 
     def __init__(self, feature_dim: int):
@@ -74,6 +74,13 @@ class FeatureStore:
 
     def add_video(self, video_id: str, timestamps: np.ndarray,
                   features: np.ndarray) -> None:
+        """Add a video's frames in time order (a stable sort) as read-only
+        copies: the caller's arrays stay its own, unshared and writeable."""
+        self._add(video_id, np.array(timestamps, dtype=np.float64),
+                  np.array(features, dtype=np.float64, order="C"))
+
+    def _add(self, video_id: str, timestamps: np.ndarray, features: np.ndarray) -> None:
+        """`add_video` for float64 arrays that nothing else holds."""
         if timestamps.ndim != 1:
             raise DataError(f"timestamps for {video_id!r} have shape "
                             f"{timestamps.shape}, expected one dimension")
@@ -89,13 +96,13 @@ class FeatureStore:
         if bad.any():
             raise DataError(f"non-finite timestamp or feature in video {video_id!r} "
                             f"at frame {int(np.argmax(bad))}")
-        order = np.argsort(timestamps, kind="stable")
-        ts = np.ascontiguousarray(timestamps[order], dtype=np.float64)
-        feats = np.ascontiguousarray(features[order], dtype=np.float64)
-        ts.setflags(write=False)
-        feats.setflags(write=False)
-        self._timestamps[video_id] = ts
-        self._features[video_id] = feats
+        if not (timestamps[1:] >= timestamps[:-1]).all():
+            order = np.argsort(timestamps, kind="stable")
+            timestamps, features = timestamps[order], features[order]
+        timestamps.setflags(write=False)
+        features.setflags(write=False)
+        self._timestamps[video_id] = timestamps
+        self._features[video_id] = features
 
     def resolve(self, video_id: str, timestamp_s: float) -> FrameFeature | None:
         """Nearest stored frame within `RESOLVE_TOLERANCE` seconds (bound
@@ -129,17 +136,29 @@ class FeatureStore:
                 fh.write(frames)
 
 
+def _run_guess(fh, start: int, itemsize: int, head: bytes, n: int) -> int:
+    """How many of the `n` frames of `itemsize` bytes from byte `start` open with
+    `head`, judged by probing frames 1, 3, 7, ... then bisecting: a guess."""
+    lo, hi = 1, n  # frames before lo judged the same; hi judged foreign, or n
+    while lo < hi:
+        mid = min(2 * lo - 1, (lo + hi) // 2)
+        fh.seek(start + mid * itemsize)
+        lo, hi = (mid + 1, hi) if fh.read(len(head)) == head else (lo, mid)
+    return lo
+
+
 def load_feature_store(path: str | Path) -> FeatureStore:
     """Read a GLFX file into per-video arrays, one row per frame.
 
-    Each run of frames that share a video id is parsed with one structured
-    view of a read block of at most `_READ_BLOCK` bytes (or one frame), and
-    copied out of it, so the file's frames are never all held twice. No
-    read asks for more than the file holds, whatever its header declares.
-    A short file raises DataError naming the byte offset, as do bytes
-    after the last frame.
+    Each run of same-id frames, sized by `_run_guess`, is read with one
+    `readinto` into a record array, whose every header is checked: the run
+    ends at the first foreign frame. A video's features are the `f` field of
+    its records, and only a video split over several runs is concatenated.
+    No read asks for more than the file holds, whatever its header declares.
+    A short file raises DataError naming the byte offset, as do bytes after
+    the last frame.
     """
-    per_video: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+    runs: dict[str, list[np.ndarray]] = {}
     with open(path, "rb") as fh:
         magic = read_exact(fh, 4, path)
         if magic != GLFX_MAGIC:
@@ -157,16 +176,17 @@ def load_feature_store(path: str | Path) -> FeatureStore:
                 unpack(fh, "<d", path)
                 read_exact(fh, 8 * dim, path)
             frame = _glfx_frame(vid_len, dim)
+            head = struct.pack("<I", vid_len) + vid.encode("utf-8")
+            n = _run_guess(fh, start, frame.itemsize, head,
+                           min(left, (len(head) + bytes_left(fh)) // frame.itemsize))
             fh.seek(start)
-            want = min(left, max(1, _READ_BLOCK // frame.itemsize)) * frame.itemsize
-            block = fh.read(min(want, bytes_left(fh)))
-            frames = np.frombuffer(block, dtype=frame, count=len(block) // frame.itemsize)
-            same = ((frames["vid_len"] == vid_len)
-                    & (frames["vid"] == np.frombuffer(vid.encode("utf-8"), np.uint8)).all(axis=1))
-            run = len(frames) if same.all() else int(np.argmin(same))
-            ts, vecs = per_video.setdefault(vid, ([], []))
-            ts.append(frames["t"][:run].copy())
-            vecs.append(frames["f"][:run].copy())
+            buf = np.empty(n * frame.itemsize, np.uint8)
+            if fh.readinto(buf) != len(buf):
+                raise DataError(f"{path}: file truncated at byte {fh.tell()}")
+            same = (buf.reshape(n, -1)[:, :len(head)] == np.frombuffer(head, np.uint8)).all(axis=1)
+            run = n if same.all() else int(np.argmin(same))
+            frames = buf.view(frame)[:run]
+            runs.setdefault(vid, []).append(frames if run == n else frames.copy())
             fh.seek(start + run * frame.itemsize)
             left -= run
         end = fh.tell()
@@ -174,9 +194,10 @@ def load_feature_store(path: str | Path) -> FeatureStore:
             raise DataError(f"{path}: unexpected bytes after the last of {count} "
                             f"frames, from byte {end}")
     store = FeatureStore(dim)
-    for vid in list(per_video):
-        ts, vecs = per_video.pop(vid)
-        store.add_video(vid, np.concatenate(ts), np.concatenate(vecs))
+    for vid in list(runs):
+        parts = runs.pop(vid)
+        frames = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        store._add(vid, np.ascontiguousarray(frames["t"]), frames["f"])
     return store
 
 

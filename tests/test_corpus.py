@@ -459,6 +459,44 @@ def test_record_jsonl_roundtrip(tmp_path):
     assert loaded == records
 
 
+@pytest.mark.parametrize("records", [
+    [rec("v1", 0.0, "look a ball"), rec("küche-日本", 3, 'say "hi"\\  ', speaker="mom"),
+     UtteranceRecord("v2", 1e-7, 12345678.125, "", "")],
+    [],
+], ids=["mixed", "empty"])
+def test_save_records_bytes_equal_the_per_record_formula(tmp_path, records):
+    path = tmp_path / "t.jsonl"
+    save_records(records, path)
+    want = "".join(json.dumps(vars(r), sort_keys=True) + "\n" for r in records)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_load_records_skips_blank_lines_and_carriage_returns(tmp_path):
+    records = [rec("v1", 0.0, "look a ball"), rec("v2", 3.5, "hi")]
+    path = tmp_path / "t.jsonl"
+    lines = [json.dumps(vars(r)) for r in records]
+    path.write_bytes(f"\r\n  \n{lines[0]}\r\n\n\t{lines[1]} \r\n\n".encode())
+    assert load_records(path) == records
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ('{"video_id": "v", "start_s": 0.0,\n"end_s": 1.0, "speaker": "s", "text": "x"}\n',
+     1, "Expecting property name"),
+    ('{"video_id": "v", "start_s": 0.0, "end_s": 1.0, "speaker": "s", "text": "x"} []\n',
+     1, "Extra data"),
+    ('\n[]\n', 2, "list indices must be integers"),
+    ('\ufeff{"video_id": "v", "start_s": 0.0, "end_s": 1.0, "speaker": "s", "text": "x"}\n',
+     1, "Unexpected UTF-8 BOM"),
+], ids=["object-over-two-lines", "two-values-on-a-line", "not-an-object", "byte-order-mark"])
+def test_load_records_parses_each_line_on_its_own(tmp_path, text, lineno, message):
+    path = tmp_path / "bad.jsonl"
+    good = json.dumps({"video_id": "v", "start_s": 0.0, "end_s": 1.0,
+                       "speaker": "s", "text": "x"})
+    path.write_text(good + "\n" + text + good + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{path}:{lineno + 1}: bad record \\({message}"):
+        load_records(path)
+
+
 def test_load_records_rejects_bad_timestamps(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps({"video_id": "v", "start_s": 5.0, "end_s": 1.0,

@@ -246,6 +246,18 @@ def test_token_ids_must_have_an_integer_dtype(variant, dtype):
         encode_utterances(model, [[3.7, EOS_ID]])
 
 
+@pytest.mark.parametrize("variant", ["cvcl", "cvcl_t", "cvcl_t_lm"])
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_a_bool_in_a_list_of_ids_raises(variant, flag):
+    # numpy reads [[True, EOS_ID]] as int64 [[1, 2]]: UNK_ID, then <eos>.
+    model = toy_model(variant)
+    calls = [encode_utterances] + ([lm_logits] if model.config.uses_transformer else [])
+    for call in calls:
+        with pytest.raises(DataError, match="token ids must be integers, got a bool$"):
+            call(model, [[flag, EOS_ID]])
+        call(model, [[1, EOS_ID]])
+
+
 def reference_single_head_layer(p, pre, x):
     """Straight-line single-head attention + feed-forward block, written
     independently of the tensor engine (plain numpy, no reshapes)."""

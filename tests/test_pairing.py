@@ -241,8 +241,21 @@ def test_glfx_writer_bytes_equal_the_per_frame_writer(tmp_path, dim):
     assert (tmp_path / "again.glfx").read_bytes() == (tmp_path / "old.glfx").read_bytes()
 
 
-@pytest.mark.parametrize("block_frames", [None, 1, 2.5])
-def test_load_merges_interleaved_runs_across_read_blocks(tmp_path, monkeypatch, block_frames):
+def assert_loads_like_add_video(path, dim, frames):
+    """`load_feature_store(path)` saves the bytes of a store built by
+    `add_video` from each video's frames, in file order."""
+    loaded = load_feature_store(path)
+    expected = FeatureStore(dim)
+    for vid in dict.fromkeys(f[0] for f in frames):
+        mine = [f for f in frames if f[0] == vid]
+        expected.add_video(vid, np.array([f[1] for f in mine]), np.array([f[2] for f in mine]))
+    assert len(loaded) == len(expected)
+    loaded.save(path.with_suffix(".a"))
+    expected.save(path.with_suffix(".b"))
+    assert path.with_suffix(".a").read_bytes() == path.with_suffix(".b").read_bytes()
+
+
+def test_load_merges_interleaved_runs(tmp_path):
     # The first half of every video's frames, then the second halves: runs of
     # up to four frames, and each video in two runs.
     dim = 4
@@ -253,18 +266,71 @@ def test_load_merges_interleaved_runs_across_read_blocks(tmp_path, monkeypatch, 
             frames += [(vid, t, vec) for t, vec in zip(ts[part], feats[part])]
     path = tmp_path / "mixed.glfx"
     write_glfx_frames(path, dim, frames)
-    if block_frames is not None:
-        monkeypatch.setattr(pairing, "_READ_BLOCK", int(block_frames * (12 + 1 + 8 * dim)))
-    loaded = load_feature_store(path)
+    assert_loads_like_add_video(path, dim, frames)
 
-    expected = FeatureStore(dim)
-    for vid in dict.fromkeys(f[0] for f in frames):
-        mine = [f for f in frames if f[0] == vid]
-        expected.add_video(vid, np.array([f[1] for f in mine]), np.array([f[2] for f in mine]))
-    assert len(loaded) == len(expected)
-    loaded.save(tmp_path / "a.glfx")
-    expected.save(tmp_path / "b.glfx")
-    assert (tmp_path / "a.glfx").read_bytes() == (tmp_path / "b.glfx").read_bytes()
+
+def runs_of(layout, dim=3, seed=0):
+    """Frames (video_id, timestamp, features) of runs (video_id, length), each
+    video's timestamps rising across its runs."""
+    rng = np.random.default_rng(seed)
+    frames, seen = [], {}
+    for vid, n in layout:
+        for _ in range(n):
+            seen[vid] = seen.get(vid, -1) + 1
+            frames.append((vid, seen[vid] * FRAME_PERIOD, rng.normal(size=dim)))
+    return frames
+
+
+@pytest.mark.parametrize("layout", [
+    [("a", 2), ("b", 1), ("a", 5)],
+    [("a", 3), ("bbbb", 2), ("", 4), ("a", 1), ("küche", 6)],
+    [("a", 4), ("b", 1), ("c", 3)],
+    [("a", 5), ("b", 7)],
+    [("a", 6), ("b", 1)],
+    [("a", 1)],
+], ids=["probe-past-a-foreign-frame", "id-lengths-differ", "one-frame-video",
+        "run-ends-at-the-last-frame", "one-frame-run-at-the-end", "one-frame-file"])
+def test_load_finds_every_run(tmp_path, layout):
+    frames = runs_of(layout)
+    path = tmp_path / "runs.glfx"
+    write_glfx_frames(path, 3, frames)
+    assert_loads_like_add_video(path, 3, frames)
+
+
+def test_run_guess_can_reach_past_a_foreign_frame(tmp_path):
+    # Probes read frames 1, 3 and 7 of a, a, b, a, a, a, a, a: all are a's,
+    # so the guess spans the b; the loader's header check must cut it.
+    path = tmp_path / "runs.glfx"
+    write_glfx_frames(path, 3, runs_of([("a", 2), ("b", 1), ("a", 5)]))
+    itemsize = 4 + 1 + 8 + 8 * 3
+    with open(path, "rb") as fh:
+        assert pairing._run_guess(fh, 20, itemsize, struct.pack("<I", 1) + b"a", 8) == 8
+    assert len(load_feature_store(path)._timestamps["a"]) == 7
+
+
+def test_loaded_features_are_a_read_only_view_of_the_records(tmp_path):
+    path = tmp_path / "feat.glfx"
+    make_store(n_videos=2, frames_per_video=5, dim=4).save(path)
+    feats = load_feature_store(path)._features["v1"]
+    assert feats.dtype == np.float64 and not feats.flags.writeable
+    assert feats.strides == (4 + 2 + 8 + 8 * 4, 8)  # one GLFX frame per row, no copy
+    assert all(row.flags.c_contiguous for row in feats)
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_add_video_keeps_the_callers_arrays_writeable_and_unshared(order):
+    ts = np.arange(6) * FRAME_PERIOD
+    if order == "shuffled":
+        ts = ts[[3, 0, 5, 1, 4, 2]]
+    feats = np.arange(18.0).reshape(6, 3)
+    before = feats[np.argsort(ts, kind="stable")].copy()
+    store = FeatureStore(3)
+    store.add_video("v", ts, feats)
+    assert ts.flags.writeable and feats.flags.writeable
+    assert not np.shares_memory(store._timestamps["v"], ts)
+    assert not np.shares_memory(store._features["v"], feats)
+    feats[:] = -1.0
+    np.testing.assert_array_equal(store._features["v"], before)
 
 
 @pytest.mark.parametrize("extra", ["one byte", "one frame"])
