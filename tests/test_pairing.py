@@ -255,7 +255,8 @@ def assert_loads_like_add_video(path, dim, frames):
     assert path.with_suffix(".a").read_bytes() == path.with_suffix(".b").read_bytes()
 
 
-def test_load_merges_interleaved_runs(tmp_path):
+@pytest.mark.parametrize("block_frames", [None, 1, 2.5])
+def test_load_merges_interleaved_runs_across_read_blocks(tmp_path, monkeypatch, block_frames):
     # The first half of every video's frames, then the second halves: runs of
     # up to four frames, and each video in two runs.
     dim = 4
@@ -266,6 +267,11 @@ def test_load_merges_interleaved_runs(tmp_path):
             frames += [(vid, t, vec) for t, vec in zip(ts[part], feats[part])]
     path = tmp_path / "mixed.glfx"
     write_glfx_frames(path, dim, frames)
+    if block_frames is not None:
+        # Reads of at most `block_frames` whole frames: every run longer than
+        # that is read in several blocks and must still come back whole.
+        guess = pairing._run_guess
+        monkeypatch.setattr(pairing, "_run_guess", lambda *a: min(guess(*a), int(block_frames)))
     assert_loads_like_add_video(path, dim, frames)
 
 
