@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
-    SplitManifest, Vocabulary, build_vocabulary, dedup_filter, load_records, pad_batch,
-    split_stats,
+    MIN_FREQUENCY, SplitManifest, Vocabulary, build_vocabulary, dedup_filter, load_records,
+    pad_batch, split_stats,
 )
 from .encoders import VARIANTS, Model, ModelConfig, load_checkpoint, save_checkpoint
 from .errors import DataError
@@ -30,6 +30,8 @@ from .train import CANDIDATES, evaluate, step
 def _train(args: argparse.Namespace) -> None:
     kept, dedup = dedup_filter(load_records(args.records))
     vocab = build_vocabulary([r.text for r in kept])
+    if not vocab.token_to_id:
+        raise DataError(f"{args.records}: no word occurs more than {MIN_FREQUENCY} times")
     store = load_feature_store(args.features)
     pairs, pair_report = build_pairs(kept, store, vocab, args.max_len)
     manifest = SplitManifest.load(args.manifest)
@@ -92,7 +94,11 @@ def _eval(args: argparse.Namespace) -> None:
     if model.config.vocab_size != len(vocab):
         raise DataError(f"{run}: model.glck has {model.config.vocab_size} tokens, vocab.json "
                         f"{len(vocab)}")
-    trials = _read_trials(args.trials, load_feature_store(args.features))
+    store = load_feature_store(args.features)
+    if store.feature_dim != model.config.feature_dim:
+        raise DataError(f"{args.features}: frames have {store.feature_dim} features, "
+                        f"{run / 'model.glck'} takes {model.config.feature_dim}")
+    trials = _read_trials(args.trials, store)
     try:
         result = evaluate(model, vocab, trials)
     except DataError as exc:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import PAD_ID
 from .errors import DataError, ShapeError
-from .tensor import Tensor, add, cross_entropy, l2_normalize, matmul, mul, transpose
+from .tensor import Tensor, add, cross_entropy, l2_normalize, matmul, mul
 
 
 # The contrastive softmax temperature: fixed, never trained.
@@ -25,11 +25,11 @@ def contrastive_loss(frame_embs: Tensor, utt_embs: Tensor) -> tuple[Tensor, dict
     """Symmetric in-batch contrastive loss over matched rows.
 
     Rows are L2-normalized first (so logits are cosine similarities over the
-    temperature). Each direction is one N-way ``cross_entropy`` against the
-    batch with row i matched to column i: ``cross_entropy(S, arange(N))`` for
-    frames and ``cross_entropy(S.T, arange(N))`` for utterances. The two
-    average: 1/2 frame-side + 1/2 utterance-side. Returns the scalar loss
-    plus per-direction values for logging.
+    temperature). Each direction is one N-way ``cross_entropy`` of S with row
+    i matched to column i, as in CLIP: along the rows (the default axis) for
+    frames, down the columns (``axis=0``) for utterances. The two average:
+    1/2 frame-side + 1/2 utterance-side. Returns the scalar loss plus
+    per-direction values for logging.
     """
     if frame_embs.shape != utt_embs.shape or frame_embs.ndim != 2:
         raise ShapeError("contrastive_loss", frame_embs.shape, utt_embs.shape)
@@ -39,7 +39,7 @@ def contrastive_loss(frame_embs: Tensor, utt_embs: Tensor) -> tuple[Tensor, dict
     # rows: one frame vs all utterances; columns: one utterance vs all frames
     matched = np.arange(sims.shape[0])
     loss_frame = cross_entropy(sims, matched)
-    loss_utterance = cross_entropy(transpose(sims), matched)
+    loss_utterance = cross_entropy(sims, matched, axis=0)
     loss = mul(add(loss_frame, loss_utterance), 0.5)
     return loss, {"frame": loss_frame.item(), "utterance": loss_utterance.item()}
 

@@ -234,19 +234,6 @@ def matmul(a: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(data, "matmul", parents, bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """The transpose of a matrix, materialised."""
-    if a.ndim != 2:
-        raise ShapeError("transpose", a.shape)
-    data = np.ascontiguousarray(a.data.T)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g.T)
-
-    return _make(data, "transpose", (a,), bw)
-
-
 # ---------------------------------------------------------------------------
 # lookup / gather ops
 # ---------------------------------------------------------------------------
@@ -416,21 +403,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return _make(merge(p @ vh), "attention", (q, k, v), bw)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray,
-                  valid: np.ndarray | None = None) -> Tensor:
-    """Mean of -log softmax(logits)[target] along the last axis, in nats.
+def cross_entropy(logits: Tensor, targets: np.ndarray, valid: np.ndarray | None = None,
+                  axis: int = -1) -> Tensor:
+    """Mean of -log softmax(logits)[target] along ``axis``, in nats.
 
-    logits (..., C), targets (...) integer classes in [0, C). ``valid``
-    (boolean, shaped like targets) keeps the rows that count; every row
-    counts when it is None. The mean runs over the n kept rows. With
-    p = softmax(logits) the gradient is ``(p - onehot(target)) * valid * g / n``,
-    computed in place in the forward's exponentials.
+    targets (logits' shape without ``axis``) are integer classes in [0, C),
+    C = logits.shape[axis]. ``valid`` (boolean, shaped like targets) keeps the
+    rows that count; every row counts when it is None. The mean runs over the
+    n kept rows. With p = softmax(logits) the gradient is ``(p - onehot(target))
+    * valid * g / n``, computed in place in the exponentials of a C-order copy
+    with ``axis`` last: none when it is last already, Sᵀ at axis 0 of a matrix S.
     """
     targets = np.asarray(targets, dtype=np.intp)
     keep = np.ones(targets.shape, bool) if valid is None else np.asarray(valid, bool)
-    if logits.ndim < 1 or targets.shape != logits.shape[:-1] or keep.shape != targets.shape:
+    if not -logits.ndim <= axis < logits.ndim:
+        raise ShapeError(f"cross_entropy: axis {axis} is out of range for {logits.shape}")
+    x = np.ascontiguousarray(np.moveaxis(logits.data, axis, -1))
+    moved = x.shape
+    if targets.shape != moved[:-1] or keep.shape != targets.shape:
         raise ShapeError("cross_entropy", logits.shape, targets.shape, keep.shape)
-    classes = logits.shape[-1]
+    classes = moved[-1]
     t, keep = targets.reshape(-1), keep.reshape(-1)
     if t.size and (t.min() < 0 or t.max() >= classes):
         raise ShapeError("cross_entropy", logits.shape, targets.shape)
@@ -438,7 +430,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     if n == 0:
         raise NumericsError("cross_entropy", "no row to average over")
     rows = np.arange(t.size)
-    x = logits.data.reshape(-1, classes)
+    x = x.reshape(-1, classes)
     e = x - x.max(axis=-1, keepdims=True)
     picked = e[rows, t]
     np.exp(e, out=e)
@@ -453,7 +445,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
             np.divide(e, s, out=e)
             e[rows, t] -= 1.0
             np.multiply(e, (keep * (g / n))[:, None], out=e)
-            _accum(logits, e.reshape(logits.shape))
+            _accum(logits, np.moveaxis(e.reshape(moved), -1, axis))
 
     return _make(data, "cross_entropy", (logits,), bw)
 

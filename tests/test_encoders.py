@@ -735,19 +735,20 @@ def test_training_step_tape_has_one_attention_node_per_layer_pass(monkeypatch):
     # states of the utterance encoding's pass. So each layer's attention is
     # one node, and so is the decoder's input (one embed in place of 2
     # gathers, add and dropout). Every affine layer is one matmul node that
-    # adds its own bias.
+    # adds its own bias. The contrastive loss's column direction is
+    # cross_entropy down axis 0, with no transpose node.
     made = record_ops(monkeypatch)
     model = toy_model("cvcl_t_lm", seed=15, dropout=0.3)
     assert model.config.n_layers == 2
     model.zero_grad()
     loss = joint_step_loss(model, np.random.default_rng(16))
-    assert len(made) == 47
+    assert len(made) == 46
     assert made.count("attention") == model.config.n_layers
-    assert made.count("transpose") == 1  # the utterance side of the contrastive loss
+    assert "transpose" not in made
     assert made.count("embed") == 1 and "embedding" not in made
     loss.backward()
     adamw_step(model.params, AdamWState(), lr=1e-2)
-    assert len(made) == 47
+    assert len(made) == 46
 
 
 def test_cvcl_training_step_tape_has_one_embedding_mean_node(monkeypatch):
@@ -759,13 +760,13 @@ def test_cvcl_training_step_tape_has_one_embedding_mean_node(monkeypatch):
     model = toy_model("cvcl", seed=17, dropout=0.3)
     model.zero_grad()
     loss = joint_step_loss(model, np.random.default_rng(18))
-    assert len(made) == 13
+    assert len(made) == 12
     assert made.count("embedding_mean") == 1
-    assert made.count("transpose") == 1
+    assert "transpose" not in made
     assert "embedding" not in made and "sum" not in made
     loss.backward()
     adamw_step(model.params, AdamWState(), lr=1e-2)
-    assert len(made) == 13
+    assert len(made) == 12
 
 
 def test_float32_step_agrees_with_float64():

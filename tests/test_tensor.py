@@ -11,7 +11,7 @@ from groundlex.errors import NumericsError, ShapeError
 from groundlex.objectives import contrastive_loss
 from groundlex.tensor import (
     Tensor, add, attention, cross_entropy, dropout, embed, embedding_mean, gelu,
-    l2_normalize, layer_norm, matmul, mul, no_grad, take_per_row, transpose,
+    l2_normalize, layer_norm, matmul, mul, no_grad, take_per_row,
 )
 from gradcheck import grad_check, tsum
 
@@ -130,7 +130,8 @@ def test_backward_random_compositions_match_finite_differences():
         # attention takes (N, T, D): the same six draws as one (1, 2, 3) batch
         x = Tensor(r.normal(size=(1, 2, 3) if pick == 0 else (2, 3)), requires_grad=True)
         w = Tensor(r.normal(size=(3, 3)), requires_grad=True)
-        targets = r.integers(3, size=2)
+        # 2 rows of 3 classes; pick 4 takes its classes down axis 0: 3 columns of 2
+        targets = r.integers(3, size=2) if pick != 4 else r.integers(2, size=3)
 
         def f(ts):
             h = matmul(ts[0], ts[1])
@@ -143,7 +144,7 @@ def test_backward_random_compositions_match_finite_differences():
             elif pick == 3:
                 h = l2_normalize(h)
             else:
-                h = transpose(h)
+                h = cross_entropy(h, targets, axis=0)
             return tsum(mul(h, h))
 
         errs.append(grad_check(f, [x, w]))
@@ -839,14 +840,24 @@ def test_cross_entropy_matches_old_contrastive_composition_at_model_shape(axis):
     sims = rng(13).uniform(-1.0, 1.0, size=(128, 128)) / 0.07
     matched = np.arange(128)
 
-    def new(x):
-        return cross_entropy(x if axis == 1 else transpose(x), matched)
-
-    loss, grad = loss_and_grad(new, sims)
+    loss, grad = loss_and_grad(lambda x: cross_entropy(x, matched, axis=axis), sims)
     ref_loss, ref_grad = loss_and_grad(
         lambda x: mul(tsum(ref_diagonal(ref_logprobs(x, axis=axis))), -1.0 / 128), sims)
     assert_close_to_reference(loss, ref_loss)
     assert_close_to_reference(grad, ref_grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [8, 128])
+def test_cross_entropy_down_axis_0_is_the_contiguous_transpose_bit_for_bit(n, dtype):
+    # contrastive_loss's utterance direction: the column softmax runs on the
+    # rows of a contiguous Sᵀ, so its loss and gradient keep those bytes.
+    sims = (rng(23).uniform(-1.0, 1.0, size=(n, n)) / 0.07).astype(dtype)
+    matched = np.arange(n)
+    loss, grad = loss_and_grad(lambda x: cross_entropy(x, matched, axis=0), sims)
+    ref_loss, ref_grad = loss_and_grad(lambda x: cross_entropy(x, matched), sims.T.copy())
+    assert np.asarray(loss, dtype).tobytes() == np.asarray(ref_loss, dtype).tobytes()
+    assert grad.dtype == dtype and grad.tobytes() == ref_grad.T.tobytes()
 
 
 @pytest.mark.parametrize("shape,valid", [
@@ -859,6 +870,23 @@ def test_cross_entropy_grad_check(shape, valid):
     x = Tensor(r.normal(size=shape), requires_grad=True)
     targets = r.integers(shape[-1], size=shape[:-1])
     assert grad_check(lambda ts: cross_entropy(ts[0], targets, valid), [x]) < 1e-7
+
+
+@pytest.mark.parametrize("shape,valid,axis", [
+    ((5, 5), None, 0),
+    ((2, 3, 4), np.array([[True, False, True, True], [False, True, True, False]]), 1),
+])
+def test_cross_entropy_grad_check_along_a_leading_axis(shape, valid, axis):
+    r = rng(14)
+    x = Tensor(r.normal(size=shape), requires_grad=True)
+    targets = r.integers(shape[axis], size=np.delete(shape, axis))
+    assert grad_check(lambda ts: cross_entropy(ts[0], targets, valid, axis), [x]) < 1e-7
+
+
+@pytest.mark.parametrize("axis", [2, -3])
+def test_cross_entropy_rejects_an_axis_out_of_range(axis):
+    with pytest.raises(ShapeError, match=f"^cross_entropy: axis {axis} is out of range"):
+        cross_entropy(Tensor(np.zeros((2, 4))), np.array([0, 1]), axis=axis)
 
 
 @pytest.mark.parametrize("targets,valid,error", [

@@ -4,6 +4,7 @@ to the benchmark's own loop in ``bench/workloads.py`` on a tiny world."""
 import json
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from scipy.stats import binomtest
 
 from groundlex import cli, tensor
-from groundlex.corpus import EOS_ID, PAD_ID
+from groundlex.corpus import EOS_ID, MIN_FREQUENCY, PAD_ID
 from groundlex.encoders import Model, ModelConfig, load_checkpoint
 from groundlex.errors import DataError
 
@@ -176,3 +177,31 @@ def test_eval_refuses_a_vocabulary_that_is_not_the_models(bench_runs, tmp_path):
     with pytest.raises(DataError, match=f"model.glck has {len(tokens)} tokens, "
                                         f"vocab.json {len(tokens) - 1}$"):
         cli.main(["eval", str(tmp_path), str(work / "world" / "features.glfx"), str(trials)])
+
+
+def test_eval_refuses_features_of_another_width(bench_runs, tmp_path):
+    work, _, world = bench_runs["cvcl"]
+    cli.main(train_args(work, tmp_path, "cvcl"))
+    features = tmp_path / "narrow.glfx"
+    build(replace(TINY_WORLD, feature_dim=TINY_WORLD.feature_dim - 1), SEED).store.save(features)
+    trials = write_trials(tmp_path / "trials.jsonl", world.trials)
+    message = (f"{features}: frames have {TINY_WORLD.feature_dim - 1} features, "
+               f"{tmp_path / 'model.glck'} takes {TINY_WORLD.feature_dim}")
+    with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+        cli.main(["eval", str(tmp_path), str(features), str(trials)])
+
+
+def test_train_refuses_records_with_no_word_above_the_frequency_floor(bench_runs, tmp_path):
+    # "the" occurs MIN_FREQUENCY times and every other word once, so the
+    # vocabulary would hold the specials alone.
+    args = train_args(bench_runs["cvcl"][0], tmp_path / "run", "cvcl")
+    records = tmp_path / "records.jsonl"
+    records.write_text("".join(json.dumps({"video_id": "v000", "start_s": 1.0 + 2 * i,
+                                           "end_s": 2.0 + 2 * i, "speaker": "mother",
+                                           "text": f"the {word}"}) + "\n"
+                               for i, word in enumerate(["ball", "dog"])))
+    args[1] = str(records)
+    message = f"{records}: no word occurs more than {MIN_FREQUENCY} times"
+    with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+        cli.main(args)
+    assert not (tmp_path / "run").exists()
