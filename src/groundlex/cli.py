@@ -28,7 +28,11 @@ from .train import CANDIDATES, evaluate, step
 
 
 def _train(args: argparse.Namespace) -> None:
-    kept, dedup = dedup_filter(load_records(args.records))
+    records = load_records(args.records)
+    kept, dedup = dedup_filter(records)
+    if not kept:
+        raise DataError(f"{args.records}: no record has text left after cleaning "
+                        f"({len(records)} read)")
     vocab = build_vocabulary([r.text for r in kept])
     if not vocab.token_to_id:
         raise DataError(f"{args.records}: no word occurs more than {MIN_FREQUENCY} times")

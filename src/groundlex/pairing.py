@@ -1,10 +1,12 @@
 """Frame-feature stores and utterance/frame pairing.
 
-Frames are precomputed feature vectors read from a GLFX file, one read per
-run of same-id frames. A store keeps each video's frames as two arrays sorted
-by time (a loaded video's features are a field view of its records); a video
-has at least one frame, since GLFX writes a video only through its frames. A
-frame is found by its video and an instant through `FeatureStore.resolve`.
+Frames are precomputed feature vectors in a GLFX file, which a load maps
+read-only. A store keeps each video's frames as two arrays sorted by time (a
+loaded video's features are a field view of its records in the mapped file,
+which therefore must not be rewritten in place while the store lives:
+`FeatureStore.save` replaces a file, never rewrites it); a video has at
+least one frame, since GLFX writes a video only through its frames. A frame
+is found by its video and an instant through `FeatureStore.resolve`.
 Each utterance is paired with up to 16 frames sampled at 3.75 fps from its
 start timestamp; schedule instants resolve to the nearest stored frame within
 half a frame period, and a pair holds the resolved frames as rows into the
@@ -13,6 +15,8 @@ video's feature array. A frame is its feature vector alone.
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -56,12 +60,14 @@ def _nearest_rows(ts: np.ndarray, instants: np.ndarray) -> np.ndarray:
 
 
 class FeatureStore:
-    """In-memory, read-only collection of frame features.
+    """Read-only collection of frame features.
 
     Per-video timestamps are kept sorted for nearest-neighbour resolution;
     frames of one video may share or nearly share a timestamp. Feature arrays
     are float64, read-only and contiguous by row; training can never mutate
-    them. GLFX (`save`, `load_feature_store`) is the one file format.
+    them. GLFX (`save`, `load_feature_store`) is the one file format. A store
+    that `load_feature_store` returns views the mapped file, which must not
+    be rewritten in place while the store lives; `save` replaces a file.
     """
 
     def __init__(self, feature_dim: int):
@@ -121,42 +127,59 @@ class FeatureStore:
         """Little-endian binary: header {magic, version u32, F u32, count u64},
         then per frame {video_id u32-length-prefixed UTF-8, timestamp f64,
         F x f64}. Videos go in sorted id order; the rows of a video's arrays
-        are written as one packed structured array, in time order."""
-        with open(path, "wb") as fh:
-            fh.write(GLFX_MAGIC)
-            fh.write(struct.pack("<IIQ", GLFX_VERSION, self.feature_dim, len(self)))
-            for vid in sorted(self._timestamps):
-                vid_bytes = vid.encode("utf-8")
-                ts = self._timestamps[vid]
-                frames = np.empty(len(ts), _glfx_frame(len(vid_bytes), self.feature_dim))
-                frames["vid_len"] = len(vid_bytes)
-                frames["vid"] = np.frombuffer(vid_bytes, dtype=np.uint8)
-                frames["t"] = ts
-                frames["f"] = self._features[vid]
-                fh.write(frames)
+        are written as one packed structured array, in time order.
+
+        The bytes go to a new file beside `path`, which then replaces it, so
+        a store loaded from `path` keeps viewing the old file's bytes; a
+        failed write removes the new file and leaves `path` as it was."""
+        path = Path(path)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.write(GLFX_MAGIC)
+                fh.write(struct.pack("<IIQ", GLFX_VERSION, self.feature_dim, len(self)))
+                for vid in sorted(self._timestamps):
+                    vid_bytes = vid.encode("utf-8")
+                    ts = self._timestamps[vid]
+                    frames = np.empty(len(ts), _glfx_frame(len(vid_bytes), self.feature_dim))
+                    frames["vid_len"] = len(vid_bytes)
+                    frames["vid"] = np.frombuffer(vid_bytes, dtype=np.uint8)
+                    frames["t"] = ts
+                    frames["f"] = self._features[vid]
+                    fh.write(frames)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink()
+            raise
 
 
-def _run_guess(fh, start: int, itemsize: int, head: bytes, n: int) -> int:
-    """How many of the `n` frames of `itemsize` bytes from byte `start` open with
-    `head`, judged by probing frames 1, 3, 7, ... then bisecting: a guess."""
+def _run_guess(mapped, start: int, itemsize: int, head: bytes, n: int) -> int:
+    """How many of the `n` frames of `itemsize` bytes from byte `start` of the
+    bytes `mapped` open with `head`, judged by probing frames 1, 3, 7, ...
+    then bisecting: a guess."""
     lo, hi = 1, n  # frames before lo judged the same; hi judged foreign, or n
     while lo < hi:
         mid = min(2 * lo - 1, (lo + hi) // 2)
-        fh.seek(start + mid * itemsize)
-        lo, hi = (mid + 1, hi) if fh.read(len(head)) == head else (lo, mid)
+        at = start + mid * itemsize
+        lo, hi = (mid + 1, hi) if mapped[at:at + len(head)] == head else (lo, mid)
     return lo
 
 
 def load_feature_store(path: str | Path) -> FeatureStore:
-    """Read a GLFX file into per-video arrays, one row per frame.
+    """Map a GLFX file read-only and view it as per-video arrays, one row per
+    frame.
 
-    Each run of same-id frames, sized by `_run_guess`, is read with one
-    `readinto` into a record array, whose every header is checked: the run
-    ends at the first foreign frame. A video's features are the `f` field of
-    its records, and only a video split over several runs is concatenated.
-    No read asks for more than the file holds, whatever its header declares.
-    A short file raises DataError naming the byte offset, as do bytes after
-    the last frame.
+    The header is read and checked through the file before the file is
+    mapped. Each run of same-id frames, sized by `_run_guess`, is a record
+    array viewing the map, whose every header is checked: the run ends at the
+    first foreign frame. A video's features are the `f` field of its records,
+    so no feature is copied, except that a video split over several runs is
+    concatenated. The map closes when the last array viewing it goes; the
+    file must not be rewritten in place while the store lives (`save`
+    replaces it). No read asks for more than the file holds, whatever its
+    header declares. A short file raises DataError naming the byte offset,
+    as do bytes after the last frame.
     """
     runs: dict[str, list[np.ndarray]] = {}
     with open(path, "rb") as fh:
@@ -166,6 +189,8 @@ def load_feature_store(path: str | Path) -> FeatureStore:
         version, dim, count = unpack(fh, "<IIQ", path)
         if version != GLFX_VERSION:
             raise DataError(f"{path}: unsupported version {version}")
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        data = np.frombuffer(mapped, np.uint8)
         left = count
         while left:
             start = fh.tell()
@@ -176,17 +201,13 @@ def load_feature_store(path: str | Path) -> FeatureStore:
                 unpack(fh, "<d", path)
                 read_exact(fh, 8 * dim, path)
             frame = _glfx_frame(vid_len, dim)
-            head = struct.pack("<I", vid_len) + vid.encode("utf-8")
-            n = _run_guess(fh, start, frame.itemsize, head,
-                           min(left, (len(head) + bytes_left(fh)) // frame.itemsize))
-            fh.seek(start)
-            buf = np.empty(n * frame.itemsize, np.uint8)
-            if fh.readinto(buf) != len(buf):
-                raise DataError(f"{path}: file truncated at byte {fh.tell()}")
-            same = (buf.reshape(n, -1)[:, :len(head)] == np.frombuffer(head, np.uint8)).all(axis=1)
+            head = mapped[start:fh.tell()]
+            n = _run_guess(mapped, start, frame.itemsize, head,
+                           min(left, (len(data) - start) // frame.itemsize))
+            block = data[start:start + n * frame.itemsize].reshape(n, -1)
+            same = (block[:, :len(head)] == np.frombuffer(head, np.uint8)).all(axis=1)
             run = n if same.all() else int(np.argmin(same))
-            frames = buf.view(frame)[:run]
-            runs.setdefault(vid, []).append(frames if run == n else frames.copy())
+            runs.setdefault(vid, []).append(block[:run].reshape(-1).view(frame))
             fh.seek(start + run * frame.itemsize)
             left -= run
         end = fh.tell()

@@ -173,6 +173,18 @@ def test_dedup_drops_empty_after_clean_with_reason():
     assert report.empty_after_clean_dropped == 1
 
 
+def test_dedup_keeps_the_callers_record_when_its_text_is_unchanged():
+    records = [rec("v1", 0.0, "look a ball"), rec("v1", 2.0, "Look, a cup!"),
+               rec("v1", 4.0, "no no no"), rec("v1", 6.0, "a dog")]
+    kept, report = dedup_filter(records)
+    assert [r.text for r in kept] == ["look a ball", "look a cup", "no", "a dog"]
+    assert kept[0] is records[0] and kept[3] is records[3]
+    assert kept[1] is not records[1] and kept[2] is not records[2]
+    assert [r.text for r in records] == ["look a ball", "Look, a cup!", "no no no", "a dog"]
+    assert report == DedupReport(adjacent_duplicates_dropped=0, phrase_collapsed_utterances=1,
+                                 empty_after_clean_dropped=0)
+
+
 def test_dedup_rejects_records_out_of_order():
     records = [rec("v1", 0.0, "the ball"), rec("v1", 2.0, "a cup"),
                rec("v1", 4.0, "the ball")]
@@ -451,6 +463,13 @@ def test_split_stats_unknown_video_errors():
 
 # --- record IO ------------------------------------------------------------------
 
+def with_attributes(record, **attributes):
+    """`record` carrying `attributes` beside its fields."""
+    for name, value in attributes.items():
+        setattr(record, name, value)
+    return record
+
+
 def test_record_jsonl_roundtrip(tmp_path):
     records = [rec("v1", 0.0, "look a ball"), rec("v2", 3.5, "hi")]
     path = tmp_path / "t.jsonl"
@@ -462,13 +481,28 @@ def test_record_jsonl_roundtrip(tmp_path):
 @pytest.mark.parametrize("records", [
     [rec("v1", 0.0, "look a ball"), rec("küche-日本", 3, 'say "hi"\\  ', speaker="mom"),
      UtteranceRecord("v2", 1e-7, 12345678.125, "", "")],
+    [UtteranceRecord("v1", np.float64(0.5), np.float64(1e300), "mom", "ok"),
+     UtteranceRecord("v1", 7, -0.0, "dad", 'q"uote \\back\\\\slash'),
+     UtteranceRecord("v2", math.nan, math.inf, "", "\x00\x01\t\n\r\x1f\x7f "),
+     UtteranceRecord("v3", -math.inf, 2**70, "\\", "\ud800 日本"),
+     with_attributes(rec("v4", 1.0, "extra"), notes={"b": [1, 2.5], "a": None}, flag=True)],
     [],
-], ids=["mixed", "empty"])
+], ids=["mixed", "numbers-escapes-and-an-extra-attribute", "empty"])
 def test_save_records_bytes_equal_the_per_record_formula(tmp_path, records):
     path = tmp_path / "t.jsonl"
     save_records(records, path)
     want = "".join(json.dumps(vars(r), sort_keys=True) + "\n" for r in records)
     assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_save_records_refuses_a_circular_record_as_json_dumps_does(tmp_path):
+    loop = []
+    loop.append(loop)
+    records = [rec("v1", 0.0, "fine"), with_attributes(rec("v1", 1.0, "loops"), loop=loop)]
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        json.dumps(vars(records[1]), sort_keys=True)
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        save_records(records, tmp_path / "t.jsonl")
 
 
 def test_load_records_skips_blank_lines_and_carriage_returns(tmp_path):

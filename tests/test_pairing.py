@@ -1,6 +1,8 @@
 """Frame schedules, feature stores, and episode pairing."""
 
 import dataclasses
+import mmap
+import os
 import struct
 import tracemalloc
 
@@ -309,8 +311,8 @@ def test_run_guess_can_reach_past_a_foreign_frame(tmp_path):
     path = tmp_path / "runs.glfx"
     write_glfx_frames(path, 3, runs_of([("a", 2), ("b", 1), ("a", 5)]))
     itemsize = 4 + 1 + 8 + 8 * 3
-    with open(path, "rb") as fh:
-        assert pairing._run_guess(fh, 20, itemsize, struct.pack("<I", 1) + b"a", 8) == 8
+    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+        assert pairing._run_guess(mapped, 20, itemsize, struct.pack("<I", 1) + b"a", 8) == 8
     assert len(load_feature_store(path)._timestamps["a"]) == 7
 
 
@@ -363,7 +365,46 @@ def test_load_does_not_hold_every_frame_twice(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(loaded) == len(store)
-    assert peak < 1.5 * frame_bytes, (peak, frame_bytes)
+    assert peak < 0.1 * frame_bytes, (peak, frame_bytes)  # no frame is copied
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_dropped_store_closes_its_map(tmp_path):
+    path = tmp_path / "feat.glfx"
+    make_store(n_videos=3, frames_per_video=4).save(path)
+    load_feature_store(path)
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(200):
+        store = load_feature_store(path)
+        assert len(store) == 12
+        del store
+    assert len(os.listdir("/proc/self/fd")) <= before
+
+
+def test_save_replaces_the_file_a_loaded_store_views(tmp_path):
+    path = tmp_path / "feat.glfx"
+    a, b = make_store(seed=0), make_store(seed=1, frames_per_video=7)
+    b.save(tmp_path / "b.glfx")
+    a.save(path)
+    loaded = load_feature_store(path)
+    b.save(path)
+    for vid in a._timestamps:
+        np.testing.assert_array_equal(loaded._timestamps[vid], a._timestamps[vid])
+        np.testing.assert_array_equal(loaded._features[vid], a._features[vid])
+    assert path.read_bytes() == (tmp_path / "b.glfx").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.glfx", "feat.glfx"]
+
+
+def test_a_failed_save_leaves_the_file_and_no_other(tmp_path):
+    path = tmp_path / "feat.glfx"
+    make_store().save(path)
+    before = path.read_bytes()
+    broken = make_store(seed=1)
+    broken._features["v1"] = np.zeros((3, 5))  # too few rows for its timestamps
+    with pytest.raises(ValueError):
+        broken.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["feat.glfx"]
 
 
 def test_resolve_returns_the_first_of_float_rounding_twins():

@@ -191,6 +191,23 @@ def test_eval_refuses_features_of_another_width(bench_runs, tmp_path):
         cli.main(["eval", str(tmp_path), str(features), str(trials)])
 
 
+@pytest.mark.parametrize("text,read", [
+    ("", 0),
+    ("\n  \r\n\n", 0),
+    (json.dumps({"video_id": "v000", "start_s": 1.0, "end_s": 2.0, "speaker": "mother",
+                 "text": "?!"}) + "\n", 1),
+], ids=["empty", "blank-lines", "punctuation-only"])
+def test_train_refuses_records_with_no_text_naming_the_file(bench_runs, tmp_path, text, read):
+    args = train_args(bench_runs["cvcl"][0], tmp_path / "run", "cvcl")
+    records = tmp_path / "records.jsonl"
+    records.write_text(text)
+    args[1] = str(records)
+    message = f"{records}: no record has text left after cleaning ({read} read)"
+    with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+        cli.main(args)
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_refuses_records_with_no_word_above_the_frequency_floor(bench_runs, tmp_path):
     # "the" occurs MIN_FREQUENCY times and every other word once, so the
     # vocabulary would hold the specials alone.
