@@ -5,7 +5,9 @@ read-only. A store keeps each video's frames as two arrays sorted by time (a
 loaded video's features are a field view of its records in the mapped file,
 which therefore must not be rewritten in place while the store lives:
 `FeatureStore.save` replaces a file, never rewrites it); a video has at
-least one frame, since GLFX writes a video only through its frames. A frame
+least one frame, since GLFX writes a video only through its frames. The load
+drops each run's pages from memory once it has checked them, so a loaded
+store holds no page resident: a reader faults back in what it touches. A frame
 is found by its video and an instant through `FeatureStore.resolve`.
 Each utterance is paired with up to 16 frames sampled at 3.75 fps from its
 start timestamp; schedule instants resolve to the nearest stored frame within
@@ -67,7 +69,9 @@ class FeatureStore:
     are float64, read-only and contiguous by row; training can never mutate
     them. GLFX (`save`, `load_feature_store`) is the one file format. A store
     that `load_feature_store` returns views the mapped file, which must not
-    be rewritten in place while the store lives; `save` replaces a file.
+    be rewritten in place while the store lives; `save` replaces a file. The
+    load leaves none of the map's pages resident, so training, `resolve` and
+    `save` fault back in the frames they read.
     """
 
     def __init__(self, feature_dim: int):
@@ -82,11 +86,15 @@ class FeatureStore:
                   features: np.ndarray) -> None:
         """Add a video's frames in time order (a stable sort) as read-only
         copies: the caller's arrays stay its own, unshared and writeable."""
-        self._add(video_id, np.array(timestamps, dtype=np.float64),
-                  np.array(features, dtype=np.float64, order="C"))
+        timestamps = np.array(timestamps, dtype=np.float64)
+        features = np.array(features, dtype=np.float64, order="C")
+        if timestamps.ndim == 1 and features.shape == (len(timestamps), self.feature_dim):
+            _check_finite(video_id, timestamps, features)  # `_add` rejects other shapes
+        self._add(video_id, timestamps, features)
 
     def _add(self, video_id: str, timestamps: np.ndarray, features: np.ndarray) -> None:
-        """`add_video` for float64 arrays that nothing else holds."""
+        """`add_video` for float64 arrays that nothing else holds and whose
+        values the caller has checked finite (`_check_finite`)."""
         if timestamps.ndim != 1:
             raise DataError(f"timestamps for {video_id!r} have shape "
                             f"{timestamps.shape}, expected one dimension")
@@ -98,10 +106,6 @@ class FeatureStore:
                             f"({len(timestamps)}, {self.feature_dim})")
         if video_id in self._timestamps:
             raise DataError(f"duplicate video {video_id!r} in feature store")
-        bad = ~(np.isfinite(timestamps) & np.isfinite(features).all(axis=1))
-        if bad.any():
-            raise DataError(f"non-finite timestamp or feature in video {video_id!r} "
-                            f"at frame {int(np.argmax(bad))}")
         if not (timestamps[1:] >= timestamps[:-1]).all():
             order = np.argsort(timestamps, kind="stable")
             timestamps, features = timestamps[order], features[order]
@@ -154,6 +158,17 @@ class FeatureStore:
             raise
 
 
+def _check_finite(video_id: str, timestamps: np.ndarray, features: np.ndarray,
+                  first: int = 0) -> None:
+    """Raise DataError naming the first frame of (n,) `timestamps` and (n, F)
+    `features` whose timestamp or a feature is not finite; frames of the
+    video are counted from `first`."""
+    bad = ~(np.isfinite(timestamps) & np.isfinite(features).all(axis=1))
+    if bad.any():
+        raise DataError(f"non-finite timestamp or feature in video {video_id!r} "
+                        f"at frame {first + int(np.argmax(bad))}")
+
+
 def _run_guess(mapped, start: int, itemsize: int, head: bytes, n: int) -> int:
     """How many of the `n` frames of `itemsize` bytes from byte `start` of the
     bytes `mapped` open with `head`, judged by probing frames 1, 3, 7, ...
@@ -173,15 +188,22 @@ def load_feature_store(path: str | Path) -> FeatureStore:
     The header is read and checked through the file before the file is
     mapped. Each run of same-id frames, sized by `_run_guess`, is a record
     array viewing the map, whose every header is checked: the run ends at the
-    first foreign frame. A video's features are the `f` field of its records,
-    so no feature is copied, except that a video split over several runs is
-    concatenated. The map closes when the last array viewing it goes; the
-    file must not be rewritten in place while the store lives (`save`
-    replaces it). No read asks for more than the file holds, whatever its
-    header declares. A short file raises DataError naming the byte offset,
-    as do bytes after the last frame.
+    first foreign frame. The run's timestamps are copied out and its values
+    checked finite, then its pages are dropped from memory (`madvise`
+    MADV_DONTNEED, where the OS has it): they stay in the page cache, and a
+    later read of the store faults back in what it touches. So the load holds
+    about one run resident, not the file. A video's features are the `f`
+    field of its records, so no feature is copied, except that a video split
+    over several runs is concatenated. The map closes when the last array
+    viewing it goes; the file must not be rewritten in place while the store
+    lives (`save` replaces it). No read asks for more than the file holds,
+    whatever its header declares. A short file raises DataError naming the
+    byte offset, as do bytes after the last frame; a non-finite value names
+    its video and frame, and is found before any fault in a later run.
     """
     runs: dict[str, list[np.ndarray]] = {}
+    times: dict[str, list[np.ndarray]] = {}
+    seen: dict[str, int] = {}  # frames of each video in the runs before
     with open(path, "rb") as fh:
         magic = read_exact(fh, 4, path)
         if magic != GLFX_MAGIC:
@@ -190,6 +212,7 @@ def load_feature_store(path: str | Path) -> FeatureStore:
         if version != GLFX_VERSION:
             raise DataError(f"{path}: unsupported version {version}")
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        drop = getattr(mapped, "madvise", None)
         data = np.frombuffer(mapped, np.uint8)
         left = count
         while left:
@@ -207,8 +230,17 @@ def load_feature_store(path: str | Path) -> FeatureStore:
             block = data[start:start + n * frame.itemsize].reshape(n, -1)
             same = (block[:, :len(head)] == np.frombuffer(head, np.uint8)).all(axis=1)
             run = n if same.all() else int(np.argmin(same))
-            runs.setdefault(vid, []).append(block[:run].reshape(-1).view(frame))
-            fh.seek(start + run * frame.itemsize)
+            records = block[:run].reshape(-1).view(frame)
+            ts = np.ascontiguousarray(records["t"])
+            _check_finite(vid, ts, records["f"], seen.get(vid, 0))
+            seen[vid] = seen.get(vid, 0) + run
+            times.setdefault(vid, []).append(ts)
+            runs.setdefault(vid, []).append(records)
+            end = start + run * frame.itemsize
+            if drop is not None:
+                lo = start - start % mmap.PAGESIZE
+                drop(mmap.MADV_DONTNEED, lo, end - lo)
+            fh.seek(end)
             left -= run
         end = fh.tell()
         if fh.read(1):
@@ -216,9 +248,11 @@ def load_feature_store(path: str | Path) -> FeatureStore:
                             f"frames, from byte {end}")
     store = FeatureStore(dim)
     for vid in list(runs):
-        parts = runs.pop(vid)
-        frames = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        store._add(vid, np.ascontiguousarray(frames["t"]), frames["f"])
+        parts, ts = runs.pop(vid), times.pop(vid)
+        if len(parts) == 1:
+            store._add(vid, ts[0], parts[0]["f"])
+        else:
+            store._add(vid, np.concatenate(ts), np.concatenate(parts)["f"])
     return store
 
 

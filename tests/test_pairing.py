@@ -4,7 +4,10 @@ import dataclasses
 import mmap
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,7 +171,11 @@ def test_add_video_rejects_non_finite_values(field):
      r"timestamps for 'v7' have shape \(2, 1\), expected one dimension$"),
     (np.zeros(2), np.zeros((2, 4)),
      r"feature block for 'v7' has shape \(2, 4\), expected \(2, 3\)$"),
-], ids=["no-frames", "2-d-timestamps", "feature-shape"])
+    (np.zeros(3), np.zeros((2, 3)),
+     r"feature block for 'v7' has shape \(2, 3\), expected \(3, 3\)$"),
+    (np.zeros(()), np.zeros(3),
+     r"timestamps for 'v7' have shape \(\), expected one dimension$"),
+], ids=["no-frames", "2-d-timestamps", "feature-shape", "feature-rows", "0-d-timestamps"])
 def test_add_video_rejects_a_malformed_video(timestamps, features, message):
     # An empty video would vanish on a GLFX round trip, which writes a video
     # only through its frames; (2, 1) timestamps used to count as 2 frames.
@@ -305,6 +312,43 @@ def test_load_finds_every_run(tmp_path, layout):
     assert_loads_like_add_video(path, 3, frames)
 
 
+@pytest.mark.parametrize("layout,bad,field,frame", [
+    ([("v", 5)], 2, "feature", 2),
+    ([("v", 5)], 3, "timestamp", 3),
+    ([("v", 3), ("w", 2), ("v", 4)], 6, "feature", 4),
+    ([("v", 3), ("w", 2), ("v", 4)], 7, "timestamp", 5),
+], ids=["nan-feature", "inf-timestamp", "nan-feature-in-a-second-run",
+        "inf-timestamp-in-a-second-run"])
+def test_load_rejects_non_finite_values(tmp_path, layout, bad, field, frame):
+    # `bad` indexes the file's frames; `frame` counts the frames of video v
+    # in every run before the bad one.
+    frames = runs_of(layout)
+    vid, t, vec = frames[bad]
+    if field == "timestamp":
+        t = np.inf
+    else:
+        vec = vec.copy()
+        vec[1] = np.nan
+    frames[bad] = (vid, t, vec)
+    path = tmp_path / "bad.glfx"
+    write_glfx_frames(path, 3, frames)
+    with pytest.raises(DataError, match=f"^non-finite timestamp or feature in video 'v' "
+                                        f"at frame {frame}$"):
+        load_feature_store(path)
+
+
+def test_a_non_finite_value_is_reported_before_a_later_fault(tmp_path):
+    # Each run is checked when the scan reaches it, so a NaN in the first
+    # run comes before the bytes after the last frame.
+    frames = runs_of([("v", 2), ("w", 3)])
+    frames[1] = ("v", frames[1][1], np.full(3, np.nan))
+    path = tmp_path / "bad.glfx"
+    write_glfx_frames(path, 3, frames)
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(DataError, match="in video 'v' at frame 1$"):
+        load_feature_store(path)
+
+
 def test_run_guess_can_reach_past_a_foreign_frame(tmp_path):
     # Probes read frames 1, 3 and 7 of a, a, b, a, a, a, a, a: all are a's,
     # so the guess spans the b; the loader's header check must cut it.
@@ -366,6 +410,40 @@ def test_load_does_not_hold_every_frame_twice(tmp_path):
         tracemalloc.stop()
     assert len(loaded) == len(store)
     assert peak < 0.1 * frame_bytes, (peak, frame_bytes)  # no frame is copied
+
+
+HWM_GROWTH = """
+import sys
+from groundlex.pairing import load_feature_store
+
+def vm_hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+before = vm_hwm()
+store = load_feature_store(sys.argv[1])
+print(vm_hwm() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_a_load_leaves_the_store_out_of_resident_memory(tmp_path):
+    # A fresh process, so that the high-water mark is the load's own; VmHWM,
+    # not ru_maxrss, which Linux carries over from the parent across exec.
+    store = make_store(n_videos=16, frames_per_video=500, dim=768)
+    path = tmp_path / "feat.glfx"
+    store.save(path)
+    src = Path(pairing.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", HWM_GROWTH, str(path)], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    growth, size = int(out.stdout), path.stat().st_size
+    assert growth < 0.25 * size, (growth, size)
+    # The dropped pages read back as the frames that were saved.
+    loaded = load_feature_store(path)
+    for vid in store._timestamps:
+        np.testing.assert_array_equal(loaded._timestamps[vid], store._timestamps[vid])
+        np.testing.assert_array_equal(loaded._features[vid], store._features[vid])
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
