@@ -1,14 +1,14 @@
 """Frame-feature stores and utterance/frame pairing.
 
-Frames are precomputed feature vectors in a GLFX file, which a load maps
-read-only. A store keeps each video's frames as two arrays sorted by time (a
-loaded video's features are a field view of its records in the mapped file,
-which therefore must not be rewritten in place while the store lives:
-`FeatureStore.save` replaces a file, never rewrites it); a video has at
-least one frame, since GLFX writes a video only through its frames. The load
-drops each run's pages from memory once it has checked them, so a loaded
-store holds no page resident: a reader faults back in what it touches. A frame
-is found by its video and an instant through `FeatureStore.resolve`.
+Frames are precomputed feature vectors in a GLFX file. A store keeps each
+video's frames sorted by time: timestamps as an array, and features as an
+(n, F) array or, for a loaded video, as the byte offset of each row in the
+file, which a reader reads through the page cache (`_FileRows`). So a loaded
+store maps none of the file, which must not be rewritten in place while the
+store or a pair lives: `FeatureStore.save` replaces a file, never rewrites
+it. A video has at least one frame, since GLFX writes a video only through
+its frames. A frame is found by its video and an instant through
+`FeatureStore.resolve`.
 Each utterance is paired with up to 16 frames sampled at 3.75 fps from its
 start timestamp; schedule instants resolve to the nearest stored frame within
 half a frame period, and a pair holds the resolved frames as rows into the
@@ -20,6 +20,7 @@ from __future__ import annotations
 import mmap
 import os
 import struct
+import weakref
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -40,7 +41,7 @@ GLFX_VERSION = 1
 
 @dataclass(frozen=True)
 class FrameFeature:
-    features: np.ndarray  # (F,), float64, read-only
+    features: np.ndarray  # (F,), float64, read-only; a loaded store's is a fresh read
 
 
 def _glfx_frame(vid_len: int, dim: int) -> np.dtype:
@@ -61,23 +62,57 @@ def _nearest_rows(ts: np.ndarray, instants: np.ndarray) -> np.ndarray:
     return np.where(take_hi, hi, np.where(d_lo <= RESOLVE_TOLERANCE, lo, -1))
 
 
+class _File:
+    """A read-only descriptor of the file at `path`, closed when the object goes."""
+
+    def __init__(self, fd: int, path):
+        self.fd, self.path = fd, path
+        weakref.finalize(self, os.close, fd)
+
+
+class _FileRows:
+    """The (n, F) float64 features of one loaded video: row i is the 8·F
+    bytes at byte `offsets[i]` of `file`, read with one `os.lseek` and one
+    `os.read` (not thread-safe: the rows of one file share its position) into
+    a new read-only array, so no read maps the file. A file cut short since
+    the load raises DataError naming the byte offset."""
+
+    def __init__(self, file: _File, offsets: np.ndarray, dim: int):
+        self._file, self._offsets = file, offsets
+        self.shape = (len(offsets), dim)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, row) -> np.ndarray:
+        at, n = int(self._offsets[row]), 8 * self.shape[1]
+        os.lseek(self._file.fd, at, os.SEEK_SET)
+        buf = os.read(self._file.fd, n)
+        if len(buf) != n:
+            raise DataError(f"{self._file.path}: file truncated at byte {at + len(buf)} "
+                            f"(needed {n} bytes from byte {at})")
+        return np.frombuffer(buf, "<f8")
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array([self[i] for i in range(len(self))], dtype)
+
+
 class FeatureStore:
     """Read-only collection of frame features.
 
     Per-video timestamps are kept sorted for nearest-neighbour resolution;
-    frames of one video may share or nearly share a timestamp. Feature arrays
-    are float64, read-only and contiguous by row; training can never mutate
-    them. GLFX (`save`, `load_feature_store`) is the one file format. A store
-    that `load_feature_store` returns views the mapped file, which must not
-    be rewritten in place while the store lives; `save` replaces a file. The
-    load leaves none of the map's pages resident, so training, `resolve` and
-    `save` fault back in the frames they read.
+    frames of one video may share or nearly share a timestamp. Feature rows
+    are float64, read-only and contiguous; training can never mutate them.
+    GLFX (`save`, `load_feature_store`) is the one file format. A store that
+    `load_feature_store` returns reads each row from the file when asked
+    (`_FileRows`), so the file must not be rewritten in place while the store
+    or its pairs live; `save` replaces a file.
     """
 
     def __init__(self, feature_dim: int):
         self.feature_dim = int(feature_dim)
         self._timestamps: dict[str, np.ndarray] = {}
-        self._features: dict[str, np.ndarray] = {}
+        self._features: dict[str, np.ndarray | _FileRows] = {}
 
     def __len__(self) -> int:
         return sum(len(t) for t in self._timestamps.values())
@@ -88,13 +123,6 @@ class FeatureStore:
         copies: the caller's arrays stay its own, unshared and writeable."""
         timestamps = np.array(timestamps, dtype=np.float64)
         features = np.array(features, dtype=np.float64, order="C")
-        if timestamps.ndim == 1 and features.shape == (len(timestamps), self.feature_dim):
-            _check_finite(video_id, timestamps, features)  # `_add` rejects other shapes
-        self._add(video_id, timestamps, features)
-
-    def _add(self, video_id: str, timestamps: np.ndarray, features: np.ndarray) -> None:
-        """`add_video` for float64 arrays that nothing else holds and whose
-        values the caller has checked finite (`_check_finite`)."""
         if timestamps.ndim != 1:
             raise DataError(f"timestamps for {video_id!r} have shape "
                             f"{timestamps.shape}, expected one dimension")
@@ -104,12 +132,10 @@ class FeatureStore:
             raise DataError(f"feature block for {video_id!r} has shape "
                             f"{features.shape}, expected "
                             f"({len(timestamps)}, {self.feature_dim})")
+        _check_finite(video_id, timestamps, features)
         if video_id in self._timestamps:
             raise DataError(f"duplicate video {video_id!r} in feature store")
-        if not (timestamps[1:] >= timestamps[:-1]).all():
-            order = np.argsort(timestamps, kind="stable")
-            timestamps, features = timestamps[order], features[order]
-        timestamps.setflags(write=False)
+        timestamps, features = _in_time_order(timestamps, features)
         features.setflags(write=False)
         self._timestamps[video_id] = timestamps
         self._features[video_id] = features
@@ -134,7 +160,7 @@ class FeatureStore:
         are written as one packed structured array, in time order.
 
         The bytes go to a new file beside `path`, which then replaces it, so
-        a store loaded from `path` keeps viewing the old file's bytes; a
+        a store loaded from `path` keeps reading the old file's bytes; a
         failed write removes the new file and leaves `path` as it was."""
         path = Path(path)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -156,6 +182,16 @@ class FeatureStore:
         except BaseException:
             tmp.unlink()
             raise
+
+
+def _in_time_order(ts: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n,) `ts`, made read-only, and the n `rows` in time order (a stable
+    sort); each array itself when `ts` is already sorted."""
+    if not (ts[1:] >= ts[:-1]).all():
+        order = np.argsort(ts, kind="stable")
+        ts, rows = ts[order], rows[order]
+    ts.setflags(write=False)
+    return ts, rows
 
 
 def _check_finite(video_id: str, timestamps: np.ndarray, features: np.ndarray,
@@ -182,27 +218,26 @@ def _run_guess(mapped, start: int, itemsize: int, head: bytes, n: int) -> int:
 
 
 def load_feature_store(path: str | Path) -> FeatureStore:
-    """Map a GLFX file read-only and view it as per-video arrays, one row per
-    frame.
+    """Check a GLFX file through a read-only map of it, and return a store
+    that reads each video's feature rows from the file (`_FileRows`).
 
     The header is read and checked through the file before the file is
     mapped. Each run of same-id frames, sized by `_run_guess`, is a record
     array viewing the map, whose every header is checked: the run ends at the
     first foreign frame. The run's timestamps are copied out and its values
     checked finite, then its pages are dropped from memory (`madvise`
-    MADV_DONTNEED, where the OS has it): they stay in the page cache, and a
-    later read of the store faults back in what it touches. So the load holds
-    about one run resident, not the file. A video's features are the `f`
-    field of its records, so no feature is copied, except that a video split
-    over several runs is concatenated. The map closes when the last array
-    viewing it goes; the file must not be rewritten in place while the store
-    lives (`save` replaces it). No read asks for more than the file holds,
-    whatever its header declares. A short file raises DataError naming the
-    byte offset, as do bytes after the last frame; a non-finite value names
-    its video and frame, and is found before any fault in a later run.
+    MADV_DONTNEED, where the OS has it), so the load holds about one run
+    resident. The store keeps each frame's timestamp and the byte offset of
+    its features, in time order, and no feature. The map is unmapped when the
+    load returns; the store's one descriptor of the file closes when the last
+    of its rows goes, and the file must not be rewritten in place before
+    (`save` replaces it). No read asks for more than the file holds, whatever
+    its header declares. A short file raises DataError naming the byte
+    offset, as do bytes after the last frame; a non-finite value names its
+    video and frame, and is found before any fault in a later run.
     """
-    runs: dict[str, list[np.ndarray]] = {}
     times: dict[str, list[np.ndarray]] = {}
+    offsets: dict[str, list[np.ndarray]] = {}  # of each frame's features
     seen: dict[str, int] = {}  # frames of each video in the runs before
     with open(path, "rb") as fh:
         magic = read_exact(fh, 4, path)
@@ -231,11 +266,12 @@ def load_feature_store(path: str | Path) -> FeatureStore:
             same = (block[:, :len(head)] == np.frombuffer(head, np.uint8)).all(axis=1)
             run = n if same.all() else int(np.argmin(same))
             records = block[:run].reshape(-1).view(frame)
-            ts = np.ascontiguousarray(records["t"])
+            ts = records["t"].copy()
             _check_finite(vid, ts, records["f"], seen.get(vid, 0))
             seen[vid] = seen.get(vid, 0) + run
             times.setdefault(vid, []).append(ts)
-            runs.setdefault(vid, []).append(records)
+            offsets.setdefault(vid, []).append(
+                start + frame.fields["f"][1] + frame.itemsize * np.arange(run, dtype=np.int64))
             end = start + run * frame.itemsize
             if drop is not None:
                 lo = start - start % mmap.PAGESIZE
@@ -246,13 +282,11 @@ def load_feature_store(path: str | Path) -> FeatureStore:
         if fh.read(1):
             raise DataError(f"{path}: unexpected bytes after the last of {count} "
                             f"frames, from byte {end}")
+        file = _File(os.dup(fh.fileno()), path)
     store = FeatureStore(dim)
-    for vid in list(runs):
-        parts, ts = runs.pop(vid), times.pop(vid)
-        if len(parts) == 1:
-            store._add(vid, ts[0], parts[0]["f"])
-        else:
-            store._add(vid, np.concatenate(ts), np.concatenate(parts)["f"])
+    for vid, parts in times.items():
+        ts, at = _in_time_order(np.concatenate(parts), np.concatenate(offsets[vid]))
+        store._timestamps[vid], store._features[vid] = ts, _FileRows(file, at, dim)
     return store
 
 
@@ -272,13 +306,14 @@ def _schedule(starts: np.ndarray, durations: np.ndarray) -> tuple[np.ndarray, np
 class EpisodePair:
     """One tokenized utterance joined to its scheduled frames.
 
-    `frame_rows` are rows into the video's feature array, in strictly
-    increasing time; the pair refers to that array, not a copy.
+    `frame_rows` are rows into the video's features, in strictly increasing
+    time; the pair refers to the store's features of the video (an array, or
+    a loaded store's `_FileRows`), not a copy.
     """
 
     token_ids: list[int]
     frame_rows: list[int]
-    video_features: np.ndarray
+    video_features: np.ndarray | _FileRows
     video_id: str
 
 

@@ -360,13 +360,39 @@ def test_run_guess_can_reach_past_a_foreign_frame(tmp_path):
     assert len(load_feature_store(path)._timestamps["a"]) == 7
 
 
-def test_loaded_features_are_a_read_only_view_of_the_records(tmp_path):
+def test_loaded_rows_are_read_only_arrays_read_from_the_file(tmp_path):
     path = tmp_path / "feat.glfx"
-    make_store(n_videos=2, frames_per_video=5, dim=4).save(path)
-    feats = load_feature_store(path)._features["v1"]
-    assert feats.dtype == np.float64 and not feats.flags.writeable
-    assert feats.strides == (4 + 2 + 8 + 8 * 4, 8)  # one GLFX frame per row, no copy
-    assert all(row.flags.c_contiguous for row in feats)
+    store = make_store(n_videos=2, frames_per_video=5, dim=4)
+    store.save(path)
+    loaded = load_feature_store(path)
+    for vid, feats in store._features.items():
+        rows = loaded._features[vid]
+        assert rows.shape == feats.shape and len(rows) == len(feats)
+        for i, want in enumerate(feats):
+            row = rows[i]
+            assert row.dtype == np.float64 and row.shape == (4,)
+            assert not row.flags.writeable and row.flags.c_contiguous
+            np.testing.assert_array_equal(row, want)
+        np.testing.assert_array_equal(np.asarray(rows), feats)
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("needs /proc/self/maps")
+    with open("/proc/self/maps") as fh:
+        assert os.path.realpath(path) not in fh.read()  # the load's map is gone
+
+
+def test_a_row_cut_off_after_the_load_raises_data_error(tmp_path):
+    path = tmp_path / "feat.glfx"
+    store = make_store(n_videos=1, frames_per_video=8, dim=4)
+    store.save(path)
+    loaded = load_feature_store(path)
+    frame = 4 + 2 + 8 + 8 * 4
+    os.truncate(path, 20 + 8 * frame - 10)
+    last = 20 + 7 * frame + 4 + 2 + 8  # the last frame's features
+    with pytest.raises(DataError, match=f"file truncated at byte {last + 22} "
+                                        rf"\(needed 32 bytes from byte {last}\)$") as e:
+        loaded.resolve("v0", stored_times()[-1])
+    assert str(e.value).startswith(f"{path}: ")
+    np.testing.assert_array_equal(loaded.resolve("v0", 0.0).features, store._features["v0"][0])
 
 
 @pytest.mark.parametrize("order", ["sorted", "shuffled"])
@@ -439,11 +465,74 @@ def test_a_load_leaves_the_store_out_of_resident_memory(tmp_path):
                          env={**os.environ, "PYTHONPATH": str(src)})
     growth, size = int(out.stdout), path.stat().st_size
     assert growth < 0.25 * size, (growth, size)
-    # The dropped pages read back as the frames that were saved.
+    # The rows read back as the frames that were saved.
     loaded = load_feature_store(path)
     for vid in store._timestamps:
         np.testing.assert_array_equal(loaded._timestamps[vid], store._timestamps[vid])
         np.testing.assert_array_equal(loaded._features[vid], store._features[vid])
+
+
+READ_HWM_GROWTH = """
+import sys
+import numpy as np
+from groundlex.pairing import EpisodePair, load_feature_store, sample_frame
+
+def vm_hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+def read_every(path, step):
+    store = load_feature_store(path)
+    rng = np.random.default_rng(0)
+    for vid, ts in store._timestamps.items():
+        for row in range(0, len(ts), step):
+            pair = EpisodePair([2], [row], store._features[vid], vid)
+            frames = store.resolve(vid, ts[row]), sample_frame(pair, rng)
+            assert (frames[0].features == frames[1].features).all()
+
+read_every(sys.argv[1], 1)  # a small store first, so that the code's own pages are in
+before = vm_hwm()
+read_every(sys.argv[2], 8)
+print(vm_hwm() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_reading_frames_leaves_the_store_out_of_resident_memory(tmp_path):
+    # Every 8th frame is 49 KB apart, closer than the 64 KB a mapped read
+    # faults in around it, so a store read through a map would come back
+    # whole. Runs of 250 frames: at its peak the load holds about two runs
+    # of the file (6%), the rest of the bound is left to the reads.
+    make_store(n_videos=2, frames_per_video=8, dim=768).save(tmp_path / "small.glfx")
+    path = tmp_path / "feat.glfx"
+    make_store(n_videos=32, frames_per_video=250, dim=768).save(path)
+    src = Path(pairing.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", READ_HWM_GROWTH, str(tmp_path / "small.glfx"),
+                          str(path)], check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    growth, size = int(out.stdout), path.stat().st_size
+    assert growth < 0.1 * size, (growth, size)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_pairs_that_outlive_their_store_read_frames_until_dropped(tmp_path, vocab):
+    path = tmp_path / "feat.glfx"
+    store = make_store(n_videos=2, frames_per_video=30)
+    store.save(path)
+    before = len(os.listdir("/proc/self/fd"))
+    loaded = load_feature_store(path)
+    records = [UtteranceRecord("v0", 1.0, 2.0, "s", "ball"),
+               UtteranceRecord("v1", 2.0, 3.0, "s", "ball")]
+    pairs, _ = build_pairs(records, loaded, vocab)
+    del loaded
+    assert len(os.listdir("/proc/self/fd")) == before + 1  # one descriptor for the file
+    rng = np.random.default_rng(0)
+    for p in pairs:
+        want = store._features[p.video_id][p.frame_rows]
+        np.testing.assert_array_equal([p.video_features[row] for row in p.frame_rows], want)
+        assert (sample_frame(p, rng).features == want).all(axis=1).any()
+    del pairs, p
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
