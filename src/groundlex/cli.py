@@ -2,7 +2,8 @@
 manifest as the library's stages do, trains on the manifest's train videos
 (linear warm-up over a tenth of the steps, cosine decay from ``PEAK_LR``;
 parameters, batches and dropout each draw from a generator of the seed) and
-writes ``model.glck``, ``vocab.json`` and ``run.json`` into RUN_DIR.
+writes ``model.glck``, ``vocab.json`` and ``run.json`` into RUN_DIR (with the
+peak RSS and the median minor faults per step after the first, via ``resource``).
 ``eval`` scores TRIALS, JSON Lines of ``{"word": w, "frames": [[video_id,
 t_s], x4], "answer": i}`` (trial n is line n), and prints the result of
 ``train.evaluate`` as one JSON object.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,11 @@ from .errors import DataError
 from .optim import PEAK_LR, AdamWState, LRSchedule, lr_at
 from .pairing import FeatureStore, build_pairs, load_feature_store, sample_frame
 from .train import CANDIDATES, evaluate, step
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 
 def _train(args: argparse.Namespace) -> None:
@@ -52,12 +59,14 @@ def _train(args: argparse.Namespace) -> None:
     drop_rng = np.random.default_rng((args.seed, 13))
     schedule = LRSchedule(PEAK_LR, max(1, args.steps // 10), args.steps)
     state = AdamWState()
-    losses = []
+    losses, faults = [], []  # faults: the process's count after each step
     for i in range(args.steps):
         rows = [pairs[j] for j in batch_rng.choice(len(pairs), size=args.batch, replace=False)]
         feats = np.stack([sample_frame(p, batch_rng).features for p in rows])
         ids = np.asarray(pad_batch([p.token_ids for p in rows]), dtype=np.intp)
         losses.append(step(model, state, feats, ids, lr_at(schedule, i), drop_rng))
+        if resource:
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
     out = Path(args.run_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "model.glck")
@@ -66,6 +75,10 @@ def _train(args: argparse.Namespace) -> None:
            "steps": args.steps, "train_pairs": len(pairs), "dedup": dedup.as_dict(),
            "pairs": pair_report.as_dict(), "split_stats": stats,
            "first_loss": losses[0], "final_loss": losses[-1]}
+    if resource:  # ru_maxrss counts KiB on Linux and bytes on macOS
+        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        run["peak_rss_mb"] = maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+        run["minor_faults_per_step"] = float(np.median(np.diff(faults))) if args.steps > 1 else None
     (out / "run.json").write_text(json.dumps(run, indent=1, sort_keys=True), encoding="utf-8")
 
 

@@ -142,34 +142,33 @@ class Model:
         """Fresh trainable parameters: embeddings ~ N(0, 0.02^2), projections
         Xavier-uniform, each drawn (in, out), the draw every seed depends on, and
         stored (out, in); layer-norm affines at (1, 0). Draws follow the
-        ``param_shapes`` order, in float64; then cast to C-order float32 in slabs."""
+        ``param_shapes`` order, in float64, each cast to C-order float32 in slabs
+        before the next, so init holds one float64 draw at a time."""
         if cfg.vocab_size < 4:
             raise ValueError("vocab_size must cover the reserved specials")
-        p: dict[str, np.ndarray] = {}
+        params: dict[str, Tensor] = {}
         for name, shape in param_shapes(cfg).items():
             if name.endswith("_emb"):
-                p[name] = rng.normal(0.0, 0.02, size=shape)
+                arr = rng.normal(0.0, 0.02, size=shape)
             elif len(shape) == 2:
-                p[name] = _xavier_uniform(rng, *shape)
-            elif name.endswith("_g"):
-                p[name] = np.ones(shape)
+                arr = _xavier_uniform(rng, *shape)
             else:
-                p[name] = np.zeros(shape)
-        # Every draw comes before every cast on purpose. Casting each parameter
-        # right after its draw writes the same checkpoint but places the float32
-        # arrays elsewhere in the heap: the cvcl_t_lm bench step went from 126.4
-        # to 138.2 ms (medians of 4 alternating pairs, slower in all 4; 2-core
-        # Xeon, 2 BLAS threads), though peak RSS fell by 5.6 MB.
-        params = {name: Tensor(np.empty(arr.shape, PARAM_DTYPE), requires_grad=True)
-                  for name, arr in p.items()}
-        for name, arr in p.items():  # 64 columns at a time: 64 whole rows of an (in, out) draw
-            for i in range(0, arr.shape[-1], 64):
-                params[name].data[..., i:i + 64] = arr[..., i:i + 64]
+                arr = np.full(shape, 1.0 if name.endswith("_g") else 0.0)
+            # Casting each draw before the next once slowed the cvcl_t_lm step by
+            # ~10%. The cause was glibc's moving malloc thresholds: a step grew the
+            # heap by tens of MiB, returned it on freeing it and faulted it back
+            # in the next (up to 5.3K faults a step with this init, 12K with every
+            # draw first). tensor.py fixes the thresholds.
+            data = np.empty(shape, PARAM_DTYPE)
+            for i in range(0, shape[-1], 64):  # 64 columns: 64 whole rows of an (in, out) draw
+                data[..., i:i + 64] = arr[..., i:i + 64]
+            params[name] = Tensor(data, requires_grad=True)
         return cls(config=cfg, params=params)
 
     def zero_grad(self) -> None:
+        """Drop every gradient; the next backward makes new ones."""
         for p in self.params.values():
-            p.zero_grad()
+            p.grad = None
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())

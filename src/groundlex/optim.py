@@ -50,6 +50,10 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float) -> AdamW
     negative or non-finite raises ValueError; a missing or misshapen gradient
     ShapeError, and a NaN or Inf in one NumericsError, naming the parameter.
 
+    Once the whole update has run, every ``param.grad`` is None: read a
+    gradient (its norm, say) between the backward and this call. A call that
+    raises changes nothing, gradients included.
+
     Each parameter, its gradient and its two moments are walked as flat views
     in blocks of ``_BLOCK_BYTES`` bytes, so a block's whole update chain stays
     in cache. Parameters and moments are updated in place (``Tensor`` data is
@@ -115,6 +119,8 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float) -> AdamW
             t2 *= lr
             t2 /= t1
             pb -= t2
+    for p in params.values():
+        p.grad = None
     return state
 
 

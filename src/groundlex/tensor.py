@@ -6,8 +6,9 @@ output's gradient as its argument and never refers to the output, so the
 tape holds no reference cycles: dropping the loss frees its graph at once,
 whether or not ``backward()`` ran. ``backward()`` on a scalar walks the graph
 in reverse topological order and consumes it, like PyTorch's default
-``retain_graph=False``. The graph is rebuilt on every forward pass. A
-gradient buffer exists only once a gradient or ``zero_grad()`` makes it.
+``retain_graph=False``. The graph is rebuilt on every forward pass. A leaf's
+gradient lives from the backward that makes it to ``Model.zero_grad()`` or
+the ``adamw_step`` that uses it, which drop it.
 
 No higher-order gradients, no views: every op materialises its output.
 ``matmul(a, w, bias)`` is ``a @ w.T + bias``, ``w`` stored (out, in) as in
@@ -33,6 +34,7 @@ Eval passes keep_prob 1, at which dropout is the identity and draws nothing;
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Callable, Sequence
 
@@ -50,6 +52,19 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 # The variance floor of ``layer_norm``.
 LAYER_NORM_EPS = 1e-5
+
+# glibc's mmap and trim thresholds rise with the largest mapped block freed so
+# far; below a step's heap growth, each step returns it to the OS and faults it
+# back. Fixed once per process (mmap at glibc's 32 MiB ceiling, trim at 1 GiB),
+# a step's memory stays in the heap. Without mallopt, nothing changes.
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):
+    pass
+else:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
 class no_grad:
@@ -71,8 +86,8 @@ class Tensor:
     """A float32 or float64 array (other data becomes float64) and ``grad``.
 
     ``grad`` starts as None. The first gradient ``backward()`` passes the
-    tensor, or ``zero_grad()``, allocates it; after that ``zero_grad()``
-    zeroes it in place and each backward adds into it.
+    tensor becomes a C-contiguous copy of its own, and later ones add into
+    it; ``zero_grad()`` zeroes a bare leaf's buffer, making it if need be.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
@@ -150,9 +165,13 @@ class Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    """Add ``g`` into ``t.grad``; a first ``g`` is copied, as ops overwrite theirs."""
+    if t.grad is not None:
+        t.grad += g
+    elif g.shape != t.shape:
+        raise ShapeError("gradient", t.shape, g.shape)
+    else:
+        t.grad = np.array(g, dtype=t.data.dtype, order="C")
 
 
 def _make(data: np.ndarray, op: str, parents: Sequence[Tensor],

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import struct
 import tracemalloc
 import weakref
@@ -12,9 +13,9 @@ import pytest
 from groundlex.corpus import EOS_ID, PAD_ID
 from groundlex.encoders import (
     GLCK_VERSION, Model, ModelConfig, encode_frames, encode_utterances, lm_logits,
-    load_checkpoint, save_checkpoint,
+    load_checkpoint, param_shapes, save_checkpoint,
 )
-from groundlex.errors import DataError, ShapeError
+from groundlex.errors import DataError, NumericsError, ShapeError
 from groundlex.objectives import LAMBDA_C, contrastive_loss, lm_loss
 from groundlex.optim import AdamWState, adamw_step
 from groundlex import tensor, train
@@ -634,22 +635,49 @@ def test_init_params_draw_order_is_unchanged():
             assert p.data.ndim == 1 and np.all(p.data == fill), name
 
 
-def test_parameters_hold_no_gradient_until_zero_grad(tmp_path):
-    # A model that only scores allocates no gradient; zero_grad() makes one
-    # buffer per parameter and then reuses it.
+def test_init_holds_one_float64_draw_at_a_time():
+    # At the bench's cvcl_t_lm shapes: the float32 parameters (31 MB), the
+    # largest single float64 draw (an (in, out) ff1_w, 8.4 MB) and 1 MiB of
+    # slack. Drawing every parameter before casting any held all 62 MB of draws.
+    cfg = ModelConfig("cvcl_t_lm", feature_dim=768, embed_dim=512, vocab_size=2003, max_len=24)
+    shapes = param_shapes(cfg).values()
+    bound = sum(4 * math.prod(s) for s in shapes) + max(8 * math.prod(s) for s in shapes) + 2**20
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        Model.init(cfg, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
+def test_a_gradient_lives_from_backward_to_update(tmp_path):
+    # A model that only scores holds no gradient. Each backward gives every
+    # parameter it reaches a C-contiguous buffer of its own; zero_grad() and
+    # the update drop them all, and an update that fails a check drops none.
     path = tmp_path / "m.glck"
     save_checkpoint(toy_model("cvcl_t_lm"), path)
     for model in (toy_model("cvcl_t_lm"), load_checkpoint(path)):
-        assert all(p.grad is None for p in model.params.values())
-        model.zero_grad()
-        buffers = {name: p.grad for name, p in model.params.items()}
-        for name, p in model.params.items():
-            assert p.grad.shape == p.shape and p.grad.dtype == p.data.dtype, name
-            assert not p.grad.any(), name
+        params = model.params
+        assert all(p.grad is None for p in params.values())
+        for finish in ("zero_grad", "update"):
+            joint_step_loss(model, np.random.default_rng(3)).backward()
+            grads = [p.grad for p in params.values()]
+            assert all(g is not None for g in grads)
+            assert all(g.flags.c_contiguous and g.flags.owndata for g in grads)
+            assert len({id(g) for g in grads}) == len(grads)
+            if finish == "zero_grad":
+                model.zero_grad()
+            else:
+                adamw_step(params, AdamWState(), lr=1e-3)
+            assert all(p.grad is None for p in params.values()), finish
         joint_step_loss(model, np.random.default_rng(3)).backward()
-        model.zero_grad()
-        for name, p in model.params.items():
-            assert p.grad is buffers[name] and not p.grad.any(), name
+        params["lang.lnf_b"].grad[0] = np.nan
+        grads = {name: p.grad for name, p in params.items()}
+        with pytest.raises(NumericsError, match="'lang.lnf_b'"):
+            adamw_step(params, AdamWState(), lr=1e-3)
+        assert all(p.grad is grads[name] for name, p in params.items())
 
 
 # --- seeded training ---------------------------------------------------------------
@@ -708,11 +736,13 @@ def test_float32_training_step_stays_float32(monkeypatch, variant):
     model.zero_grad()
     loss = joint_step_loss(model, np.random.default_rng(12))
     loss.backward()
+    for name, p in model.params.items():
+        assert p.data.dtype == p.grad.dtype == np.float32, name
     adamw_step(model.params, state, lr=1e-2)
     assert {op for op, _ in seen} >= {"matmul", "layer_norm", "mul", "cross_entropy", "gradient"}
     assert [(op, dt) for op, dt in seen if dt != np.float32] == []
     for name, p in model.params.items():
-        assert p.data.dtype == p.grad.dtype == np.float32, name
+        assert p.data.dtype == np.float32, name
         assert state.first_moment[name].dtype == np.float32, name
         assert state.second_moment[name].dtype == np.float32, name
 
@@ -800,7 +830,9 @@ def test_one_pass_joint_loss_matches_its_terms_on_separate_tapes():
         model.zero_grad()
         loss = loss_fn()
         loss.backward()
-        return loss.item(), {name: p.grad.copy() for name, p in model.params.items()}
+        # A parameter that the loss never reaches has no gradient: it reads as zero.
+        return loss.item(), {name: np.zeros_like(p.data) if p.grad is None else p.grad
+                             for name, p in model.params.items()}
 
     joint, joint_grads = grads_of(lambda: train.loss(model, feats, STEP_IDS,
                                                      np.random.default_rng(25)))

@@ -77,9 +77,11 @@ def test_adamw_bad_later_gradient_changes_nothing(bad_grad, expected):
     saved = ([first.data.copy(), second.data.copy()],
              {k: v.copy() for k, v in state.first_moment.items()},
              {k: v.copy() for k, v in state.second_moment.items()})
+    first.grad = good = np.ones(2)  # the update dropped both gradients
     second.grad = bad_grad
     with pytest.raises(ShapeError, match=expected):
         adamw_step({"a": first, "b": second}, state, lr=0.1)
+    assert first.grad is good and second.grad is bad_grad
     params, m, v = saved
     np.testing.assert_array_equal(first.data, params[0])
     np.testing.assert_array_equal(second.data, params[1])
@@ -109,11 +111,14 @@ def test_adamw_non_finite_later_gradient_changes_nothing(value, index):
     saved = ([first.data.copy(), second.data.copy()],
              {k: v.copy() for k, v in state.first_moment.items()},
              {k: v.copy() for k, v in state.second_moment.items()})
-    second.grad[index] = value
+    good, bad = np.ones(2), np.ones(70_000)  # the update dropped both gradients
+    bad[index] = value
+    first.grad, second.grad = good, bad
     expected = (f"^adamw_step: parameter 'b' has a non-finite gradient "
                 f"at flat index {index}$")
     with pytest.raises(NumericsError, match=expected):
         adamw_step({"a": first, "b": second}, state, lr=0.1)
+    assert first.grad is good and second.grad is bad
     params, m, v = saved
     np.testing.assert_array_equal(first.data, params[0])
     np.testing.assert_array_equal(second.data, params[1])
@@ -165,6 +170,7 @@ def test_adamw_step_count_strictly_increases():
     p = make_param([1.0])
     state = AdamWState()
     for expected in range(1, 5):
+        p.grad = np.ones(1)  # each update drops the gradient it used
         adamw_step({"p": p}, state, lr=1e-3)
         assert state.step_count == expected
 
@@ -299,6 +305,7 @@ def test_adamw_step_allocates_no_parameter_sized_temporaries():
     p.grad = rng.normal(size=p.shape)
     state = AdamWState()
     adamw_step({"p": p}, state, lr=1e-3)
+    p.grad = rng.normal(size=p.shape)  # the update dropped the first
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -315,5 +322,6 @@ def test_adamw_moments_are_allocated_once():
     adamw_step({"p": p}, state, lr=1e-3)
     m, v = state.first_moment["p"], state.second_moment["p"]
     for _ in range(3):
+        p.grad = np.ones(5)  # each update drops the gradient it used
         adamw_step({"p": p}, state, lr=1e-3)
         assert state.first_moment["p"] is m and state.second_moment["p"] is v

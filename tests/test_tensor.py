@@ -1,6 +1,7 @@
 """Autodiff engine: op semantics, backward vs finite differences, invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,30 @@ def test_unused_leaf_gets_zero_grad():
     assert u.grad is None
     u.zero_grad()
     np.testing.assert_array_equal(u.grad, [0.0])
+
+
+def test_a_first_gradient_is_a_c_contiguous_copy_in_the_leafs_dtype():
+    # An op may overwrite the gradient array it passes on, so the leaf must
+    # not alias it; a later gradient adds into the leaf's own buffer.
+    w = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
+    g = np.arange(6.0).reshape(3, 2).T
+    gt._accum(w, g)
+    assert w.grad.dtype == np.float32 and w.grad.flags.c_contiguous and w.grad.flags.owndata
+    g[:] = -1.0
+    buffer = w.grad
+    gt._accum(w, np.ones((2, 3)))
+    assert w.grad is buffer
+    np.testing.assert_array_equal(w.grad, [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 2, 3), (2, 1)])
+def test_a_first_gradient_of_another_shape_raises(shape):
+    # (3,) and (2, 1) would broadcast into a (2, 3) buffer.
+    w = Tensor(np.zeros((2, 3)), requires_grad=True)
+    with pytest.raises(ShapeError, match=rf"^gradient: shape mismatch \(2, 3\) vs "
+                                         f"{re.escape(str(shape))}$"):
+        gt._accum(w, np.ones(shape))
+    assert w.grad is None
 
 
 def test_backward_consumes_the_tape():

@@ -2,7 +2,11 @@
 to the benchmark's own loop in ``bench/workloads.py`` on a tiny world."""
 
 import json
+import os
+import platform
 import re
+import statistics
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+import groundlex
 from groundlex import cli, tensor
 from groundlex.corpus import EOS_ID, MIN_FREQUENCY, PAD_ID
 from groundlex.encoders import Model, ModelConfig, load_checkpoint
@@ -74,6 +79,61 @@ def test_train_writes_the_bench_checkpoint_bit_for_bit(bench_runs, tmp_path, var
     assert sum(p["utterances"] for p in run["split_stats"]["partitions"].values()) \
         == info["pairs"]["paired"] + info["pairs"]["dropped_unknown_video"] \
         + info["pairs"]["dropped_no_frames"]
+
+
+@pytest.mark.skipif(cli.resource is None, reason="no resource module")
+def test_train_reports_its_peak_rss_and_minor_faults_per_step(bench_runs, tmp_path):
+    # ru_maxrss counts KiB on Linux and bytes on macOS; either way a Python
+    # process with numpy loaded reads tens to hundreds of MB.
+    args = train_args(bench_runs["cvcl"][0], tmp_path / "a", "cvcl")
+    cli.main(args)
+    run = json.loads((tmp_path / "a" / "run.json").read_text())
+    scale = 2**20 if sys.platform == "darwin" else 2**10
+    maxrss = cli.resource.getrusage(cli.resource.RUSAGE_SELF).ru_maxrss / scale
+    assert 10 < run["peak_rss_mb"] <= maxrss < 10_000
+    assert run["minor_faults_per_step"] >= 0
+    # The median runs over the steps after the first, so one step has none.
+    args[args.index("--steps") + 1] = "1"
+    args[args.index(str(tmp_path / "a"))] = str(tmp_path / "b")
+    cli.main(args)
+    assert json.loads((tmp_path / "b" / "run.json").read_text())["minor_faults_per_step"] is None
+
+
+# One child process trains cvcl_t_lm at the bench's shapes (N=8, T=24, D=512,
+# F=768, V=2003) and prints the minor page faults of each of its 11 steps.
+FAULTS_PER_STEP = """
+import json, resource
+import numpy as np
+from groundlex import train
+from groundlex.corpus import EOS_ID
+from groundlex.encoders import Model, ModelConfig
+from groundlex.optim import AdamWState
+
+cfg = ModelConfig("cvcl_t_lm", feature_dim=768, embed_dim=512, vocab_size=2003, max_len=24)
+rng = np.random.default_rng(0)
+model, state = Model.init(cfg, rng), AdamWState()
+ids = rng.integers(EOS_ID + 1, cfg.vocab_size, size=(8, cfg.max_len))
+ids[:, -1] = EOS_ID
+feats = rng.normal(size=(8, cfg.feature_dim))
+faults = []
+for _ in range(11):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train.step(model, state, feats, ids, 1e-3, rng)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator thresholds are glibc's mallopt")
+def test_a_training_step_faults_in_no_pages_after_warm_up():
+    # Memory a step frees stays in the heap, so once three steps have grown
+    # it the next step faults in nothing.
+    src = str(Path(groundlex.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], check=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True).stdout
+    faults = json.loads(out)
+    assert statistics.median(faults[3:]) == 0, faults
 
 
 def test_the_bench_step_runs_the_decoder_once(monkeypatch):
