@@ -3,7 +3,8 @@ manifest as the library's stages do, trains on the manifest's train videos
 (linear warm-up over a tenth of the steps, cosine decay from ``PEAK_LR``;
 parameters, batches and dropout each draw from a generator of the seed) and
 writes ``model.glck``, ``vocab.json`` and ``run.json`` into RUN_DIR (with the
-peak RSS and the median minor faults per step after the first, via ``resource``).
+median wall time per step after the first, batch assembly included, and via
+``resource`` the peak RSS and the median minor faults per step after the first).
 ``eval`` scores TRIALS, JSON Lines of ``{"word": w, "frames": [[video_id,
 t_s], x4], "answer": i}`` (trial n is line n), and prints the result of
 ``train.evaluate`` as one JSON object.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -59,12 +61,13 @@ def _train(args: argparse.Namespace) -> None:
     drop_rng = np.random.default_rng((args.seed, 13))
     schedule = LRSchedule(PEAK_LR, max(1, args.steps // 10), args.steps)
     state = AdamWState()
-    losses, faults = [], []  # faults: the process's count after each step
+    losses, ends, faults = [], [], []  # the clock and the process's faults after each step
     for i in range(args.steps):
         rows = [pairs[j] for j in batch_rng.choice(len(pairs), size=args.batch, replace=False)]
         feats = np.stack([sample_frame(p, batch_rng).features for p in rows])
         ids = np.asarray(pad_batch([p.token_ids for p in rows]), dtype=np.intp)
         losses.append(step(model, state, feats, ids, lr_at(schedule, i), drop_rng))
+        ends.append(time.perf_counter())
         if resource:
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
     out = Path(args.run_dir)
@@ -74,7 +77,8 @@ def _train(args: argparse.Namespace) -> None:
     run = {"model": config.as_dict(), "seed": args.seed, "batch": args.batch,
            "steps": args.steps, "train_pairs": len(pairs), "dedup": dedup.as_dict(),
            "pairs": pair_report.as_dict(), "split_stats": stats,
-           "first_loss": losses[0], "final_loss": losses[-1]}
+           "first_loss": losses[0], "final_loss": losses[-1],
+           "step_ms_p50": float(np.median(np.diff(ends))) * 1e3 if args.steps > 1 else None}
     if resource:  # ru_maxrss counts KiB on Linux and bytes on macOS
         maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         run["peak_rss_mb"] = maxrss / (2**20 if sys.platform == "darwin" else 2**10)

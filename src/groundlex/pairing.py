@@ -72,10 +72,10 @@ class _File:
 
 class _FileRows:
     """The (n, F) float64 features of one loaded video: row i is the 8·F
-    bytes at byte `offsets[i]` of `file`, read with one `os.lseek` and one
-    `os.read` (not thread-safe: the rows of one file share its position) into
-    a new read-only array, so no read maps the file. A file cut short since
-    the load raises DataError naming the byte offset."""
+    bytes at byte `offsets[i]` of `file`, read with one `os.pread` into a new
+    read-only array, so no read maps the file and no read moves the file's
+    position: threads may read rows at once. A file cut short since the load
+    raises DataError naming the byte offset."""
 
     def __init__(self, file: _File, offsets: np.ndarray, dim: int):
         self._file, self._offsets = file, offsets
@@ -86,8 +86,7 @@ class _FileRows:
 
     def __getitem__(self, row) -> np.ndarray:
         at, n = int(self._offsets[row]), 8 * self.shape[1]
-        os.lseek(self._file.fd, at, os.SEEK_SET)
-        buf = os.read(self._file.fd, n)
+        buf = os.pread(self._file.fd, n, at)
         if len(buf) != n:
             raise DataError(f"{self._file.path}: file truncated at byte {at + len(buf)} "
                             f"(needed {n} bytes from byte {at})")

@@ -747,6 +747,23 @@ def test_float32_training_step_stays_float32(monkeypatch, variant):
         assert state.second_moment[name].dtype == np.float32, name
 
 
+@pytest.mark.parametrize("variant", ["cvcl", "cvcl_t_lm"])
+def test_handed_over_gradients_equal_copied_ones_byte_for_byte(monkeypatch, variant):
+    # _accum keeps a first gradient as the tensor's buffer; an _accum that
+    # copies every first gradient gives the same step's gradients.
+    def gradients():
+        model = toy_model(variant, seed=11, dropout=0.3)
+        model.zero_grad()
+        joint_step_loss(model, np.random.default_rng(12)).backward()
+        return {name: p.grad.tobytes() for name, p in model.params.items()}
+
+    handed = gradients()
+    accum = tensor._accum
+    monkeypatch.setattr(tensor, "_accum", lambda t, g: accum(
+        t, g if t.grad is not None else np.array(g, dtype=t.data.dtype, order="C")))
+    assert gradients() == handed
+
+
 def record_ops(monkeypatch):
     """The list that the name of every op made from now on is appended to."""
     made = []

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -393,6 +394,38 @@ def test_a_row_cut_off_after_the_load_raises_data_error(tmp_path):
         loaded.resolve("v0", stored_times()[-1])
     assert str(e.value).startswith(f"{path}: ")
     np.testing.assert_array_equal(loaded.resolve("v0", 0.0).features, store._features["v0"][0])
+
+
+def test_threads_reading_interleaved_rows_of_one_store_get_the_saved_bytes(tmp_path):
+    # Every read names its own offset, so threads that share the store's
+    # descriptor do not move each other's rows. Four threads, more than the
+    # CPUs of a small runner, and a 1 µs switch interval let a thread switch
+    # fall between any two calls of a row read.
+    path = tmp_path / "feat.glfx"
+    store = make_store(n_videos=1, frames_per_video=64, dim=16)
+    store.save(path)
+    loaded = load_feature_store(path)
+    rows, want = loaded._features["v0"], store._features["v0"]
+    start, wrong = threading.Barrier(4), []
+
+    def read(first):
+        start.wait()
+        for _ in range(400):
+            wrong.extend(i for i in range(first, len(want), 4)
+                         if rows[i].tobytes() != want[i].tobytes())
+
+    threads = [threading.Thread(target=read, args=(first,)) for first in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("order", ["sorted", "shuffled"])

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.special import erf
 
 import groundlex.tensor as gt
 from groundlex.corpus import EOS_ID, PAD_ID
@@ -77,6 +79,29 @@ def test_a_first_gradient_is_a_c_contiguous_copy_in_the_leafs_dtype():
     gt._accum(w, np.ones((2, 3)))
     assert w.grad is buffer
     np.testing.assert_array_equal(w.grad, [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+
+
+def test_a_c_contiguous_first_gradient_in_the_leafs_dtype_is_handed_over():
+    # Every op passes a fresh gradient and never touches it again, so the
+    # leaf keeps the array itself; later gradients add into it.
+    w = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
+    g = np.arange(6, dtype=np.float32).reshape(2, 3)
+    gt._accum(w, g)
+    assert w.grad is g
+    gt._accum(w, np.ones((2, 3), np.float32))
+    assert w.grad is g
+    np.testing.assert_array_equal(g, np.arange(1.0, 7.0).reshape(2, 3))
+
+
+def test_add_gives_its_parents_gradients_of_their_own():
+    a, b = (Tensor(rng(k).normal(size=(2, 3)), requires_grad=True) for k in (40, 41))
+    tsum(add(a, b)).backward()
+    assert a.grad is not b.grad
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+    c = Tensor(np.zeros(4), requires_grad=True)
+    tsum(add(c, c)).backward()
+    np.testing.assert_array_equal(c.grad, np.full(4, 2.0))
 
 
 @pytest.mark.parametrize("shape", [(3,), (1, 2, 3), (2, 1)])
@@ -387,6 +412,25 @@ def test_embedding_grad_bit_equal_to_add_at(case):
         pos.shape, positions(*ids.shape), g))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("existing", [False, True])
+def test_scatter_rows_equals_the_dense_one_hot_product(dtype, existing):
+    # The rows ids touch, 3 and 7 three times each, add into the gradient
+    # byte for byte as the dense (V, M) one-hot product would.
+    r = rng(42)
+    table = Tensor(r.normal(size=(11, 5)).astype(dtype), requires_grad=True)
+    ids = np.array([[3, 7, 3, 0], [7, 7, 10, 3]])
+    g = r.normal(size=(2, 4, 5)).astype(dtype)
+    dense = csr_matrix((np.ones(8, dtype), (ids.reshape(-1), np.arange(8))),
+                       shape=(11, 8)) @ g.reshape(8, 5)
+    want = dense
+    if existing:
+        table.grad = r.normal(size=(11, 5)).astype(dtype)
+        want = table.grad + dense
+    gt._scatter_rows(table, ids, g)
+    assert table.grad.dtype == dtype and table.grad.tobytes() == want.tobytes()
+
+
 # --- embed and embedding_mean against the chains they replaced ------------------------
 
 def embed_chain(table, pos, ids, keep_prob, rng):
@@ -695,6 +739,21 @@ def test_layer_norm_grad_over_batch_time_features():
         return tsum(mul(layer_norm(ts[0], ts[1], ts[2]), w))
 
     assert grad_check(f, [x, g, b]) < 1e-6
+
+
+def test_float32_gelu_stays_within_5e_7_of_float64_exact_gelu():
+    # A dense sweep of [-10, 10] across many erf blocks, the last one partial.
+    x = np.linspace(-10.0, 10.0, 400_001).astype(np.float32)
+    t = Tensor(x, requires_grad=True)
+    out = gelu(t)
+    tsum(out).backward()
+    x64 = x.astype(np.float64)
+    cdf = 0.5 * (1.0 + erf(x64 / math.sqrt(2.0)))
+    bound = 5e-7 * np.maximum(1.0, np.abs(x64))
+    assert out.data.dtype == t.grad.dtype == np.float32
+    assert (np.abs(out.data - x64 * cdf) <= bound).all()
+    derivative = cdf + x64 * np.exp(-0.5 * x64 * x64) / math.sqrt(2.0 * math.pi)
+    assert (np.abs(t.grad - derivative) <= bound).all()
 
 
 def test_gelu_grad_over_batch_time_features():

@@ -8,6 +8,7 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -92,11 +93,22 @@ def test_train_reports_its_peak_rss_and_minor_faults_per_step(bench_runs, tmp_pa
     maxrss = cli.resource.getrusage(cli.resource.RUSAGE_SELF).ru_maxrss / scale
     assert 10 < run["peak_rss_mb"] <= maxrss < 10_000
     assert run["minor_faults_per_step"] >= 0
-    # The median runs over the steps after the first, so one step has none.
+    # The medians run over the steps after the first, so one step has none.
     args[args.index("--steps") + 1] = "1"
     args[args.index(str(tmp_path / "a"))] = str(tmp_path / "b")
     cli.main(args)
-    assert json.loads((tmp_path / "b" / "run.json").read_text())["minor_faults_per_step"] is None
+    one = json.loads((tmp_path / "b" / "run.json").read_text())
+    assert one["minor_faults_per_step"] is None and one["step_ms_p50"] is None
+
+
+def test_train_reports_its_median_step_time(bench_runs, tmp_path):
+    # The median of the STEPS - 1 times between the ends of steps: at least
+    # half of them are as long, and together they fit in the command's wall.
+    start = time.perf_counter()
+    cli.main(train_args(bench_runs["cvcl"][0], tmp_path, "cvcl"))
+    wall_ms = (time.perf_counter() - start) * 1e3
+    p50 = json.loads((tmp_path / "run.json").read_text())["step_ms_p50"]
+    assert 0 < p50 and (STEPS // 2) * p50 <= wall_ms
 
 
 # One child process trains cvcl_t_lm at the bench's shapes (N=8, T=24, D=512,
