@@ -4,7 +4,9 @@ manifest as the library's stages do, trains on the manifest's train videos
 parameters, batches and dropout each draw from a generator of the seed) and
 writes ``model.glck``, ``vocab.json`` and ``run.json`` into RUN_DIR (with the
 median wall time per step after the first, batch assembly included, and via
-``resource`` the peak RSS and the median minor faults per step after the first).
+``resource`` the peak RSS and the median minor faults per step after the first;
+``update_workers``, the threads AdamW's update splits over, and ``blas_parked``,
+whether it can park OpenBLAS's workers first).
 ``eval`` scores TRIALS, JSON Lines of ``{"word": w, "frames": [[video_id,
 t_s], x4], "answer": i}`` (trial n is line n), and prints the result of
 ``train.evaluate`` as one JSON object.
@@ -26,7 +28,7 @@ from .corpus import (
 )
 from .encoders import VARIANTS, Model, ModelConfig, load_checkpoint, save_checkpoint
 from .errors import DataError
-from .optim import PEAK_LR, AdamWState, LRSchedule, lr_at
+from .optim import PEAK_LR, AdamWState, LRSchedule, blas_parkers, lr_at, update_workers
 from .pairing import FeatureStore, build_pairs, load_feature_store, sample_frame
 from .train import CANDIDATES, evaluate, step
 
@@ -78,7 +80,8 @@ def _train(args: argparse.Namespace) -> None:
            "steps": args.steps, "train_pairs": len(pairs), "dedup": dedup.as_dict(),
            "pairs": pair_report.as_dict(), "split_stats": stats,
            "first_loss": losses[0], "final_loss": losses[-1],
-           "step_ms_p50": float(np.median(np.diff(ends))) * 1e3 if args.steps > 1 else None}
+           "step_ms_p50": float(np.median(np.diff(ends))) * 1e3 if args.steps > 1 else None,
+           "update_workers": update_workers(), "blas_parked": bool(blas_parkers())}
     if resource:  # ru_maxrss counts KiB on Linux and bytes on macOS
         maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         run["peak_rss_mb"] = maxrss / (2**20 if sys.platform == "darwin" else 2**10)

@@ -3,12 +3,21 @@
 The AdamW hyperparameters other than the learning rate are constants:
 ``WEIGHT_DECAY`` = 0.1, ``BETA1`` = 0.9, ``BETA2`` = 0.999 and ``EPSILON``
 = 1e-8. Training runs schedule the learning rate up to ``PEAK_LR`` = 1e-3.
+
+``adamw_step`` splits its update over threads after parking OpenBLAS's
+spinning workers, so no other thread may be in a BLAS call meanwhile (the
+library makes none); results are bit-identical at any thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import numbers
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +35,37 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
 PEAK_LR = 1e-3
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_scratch = threading.local()  # dtype -> this thread's (2, block) scratch, kept across calls
+
+
+def update_workers() -> int:
+    """The threads ``adamw_step`` splits over: ``OPENBLAS_NUM_THREADS`` when set,
+    else the CPU affinity count, and never more than that count."""
+    value = os.environ.get("OPENBLAS_NUM_THREADS", "")
+    return max(1, min(int(value), _CPUS)) if value.isdigit() else _CPUS
+
+
+@functools.cache
+def blas_parkers() -> tuple:
+    """``blas_thread_shutdown_`` of each OpenBLAS in the process's maps."""
+    try:  # RTLD_NOLOAD: a library the process has loaded, never a new one
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
+        libs = [ctypes.CDLL(path, mode=os.RTLD_NOLOAD) for path in sorted(paths)]
+    except OSError:  # no /proc
+        libs = []
+    parkers = tuple(lib.blas_thread_shutdown_ for lib in libs
+                    if hasattr(lib, "blas_thread_shutdown_"))
+    for park in parkers:
+        park.argtypes, park.restype = (), ctypes.c_int
+    return parkers
+
+
+@functools.cache
+def _pool(pid: int) -> ThreadPoolExecutor:  # by pid: a forked child starts its own
+    return ThreadPoolExecutor(_CPUS - 1, "groundlex-adamw")
 
 
 @dataclass
@@ -59,11 +99,19 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float) -> AdamW
     in cache. Parameters and moments are updated in place (``Tensor`` data is
     C-contiguous, so the flat views alias it); the moments are allocated on a
     parameter's first update and reused after that. The only other memory a
-    call allocates is a block-sized mask and two scratch arrays per dtype.
+    call allocates is a block-sized mask, and two scratch arrays per dtype
+    that each thread keeps.
     Moments and scratch take each parameter's own dtype, so a float32
     parameter updates in float32 and a float64 one in float64. The
     elementwise operations and their order match the unblocked formula, so
     results are bit-identical to it.
+
+    The checks and moments run on the caller. Then OpenBLAS's workers, which
+    spin after a GEMM, are parked with its ``blas_thread_shutdown_`` (its fork
+    handler's call; the next GEMM restarts them), and the blocks are dealt in
+    turn to ``update_workers()`` threads, the caller and a pool started by the
+    first split, bit-identically at any count. No other thread may be in a
+    BLAS call meanwhile.
     """
     if isinstance(lr, bool) or not isinstance(lr, numbers.Real):
         raise ValueError(f"lr must be a real number, got {lr!r}")
@@ -86,24 +134,21 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float) -> AdamW
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
     decay = 1.0 - lr * WEIGHT_DECAY
-    scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
+    blocks = []
     for name, p in params.items():
-        g = p.grad
         if name not in state.first_moment:
             state.first_moment[name] = np.zeros_like(p.data)
             state.second_moment[name] = np.zeros_like(p.data)
-        dtype = p.data.dtype
-        if dtype not in scratch:
-            n = _BLOCK_BYTES // dtype.itemsize
-            scratch[dtype] = np.empty(n, dtype), np.empty(n, dtype)
-        s1, s2 = scratch[dtype]
-        pf, gf = p.data.reshape(-1), g.reshape(-1)
-        mf = state.first_moment[name].reshape(-1)
-        vf = state.second_moment[name].reshape(-1)
-        for lo in range(0, pf.size, s1.size):
-            hi = lo + s1.size
-            pb, gb, mb, vb = pf[lo:hi], gf[lo:hi], mf[lo:hi], vf[lo:hi]
-            t1, t2 = s1[:pb.size], s2[:pb.size]
+        flat = (p.data, p.grad, state.first_moment[name], state.second_moment[name])
+        n = _BLOCK_BYTES // p.data.dtype.itemsize
+        blocks += [[f.reshape(-1)[lo:lo + n] for f in flat] for lo in range(0, p.data.size, n)]
+
+    def update(share: list) -> None:  # [parameter, gradient, moment 1, moment 2] blocks
+        scratch = _scratch.__dict__
+        for pb, gb, mb, vb in share:
+            if pb.dtype not in scratch:
+                scratch[pb.dtype] = np.empty((2, _BLOCK_BYTES // pb.itemsize), pb.dtype)
+            t1, t2 = scratch[pb.dtype][:, :pb.size]
             mb *= BETA1
             np.multiply(gb, 1.0 - BETA1, out=t1)
             mb += t1
@@ -119,6 +164,14 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float) -> AdamW
             t2 *= lr
             t2 /= t1
             pb -= t2
+
+    workers = max(1, min(update_workers(), len(blocks)))
+    for park in blas_parkers() if workers > 1 else ():
+        park()
+    futures = [_pool(os.getpid()).submit(update, blocks[k::workers]) for k in range(1, workers)]
+    update(blocks[::workers])
+    for f in futures:
+        f.result()
     for p in params.values():
         p.grad = None
     return state

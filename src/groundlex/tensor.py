@@ -424,10 +424,20 @@ def gelu(a: Tensor) -> Tensor:
     cdf = _normal_cdf(a.data)
     data = a.data * cdf
 
-    def bw(g):
+    def bw(g):  # g·(Φ(x) + x·φ(x)), over the forward's blocks
         if a.requires_grad:
-            pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-            _accum(a, g * (cdf + a.data * pdf))
+            out = np.empty_like(a.data)
+            x, c, gf, o = (v.reshape(-1) for v in (a.data, cdf, g, out))
+            for lo in range(0, x.size, _ERF_BLOCK):
+                ob, xb = o[lo:lo + _ERF_BLOCK], x[lo:lo + _ERF_BLOCK]
+                np.multiply(xb, -0.5, out=ob)
+                ob *= xb
+                np.exp(ob, out=ob)
+                ob *= _INV_SQRT_2PI
+                ob *= xb
+                ob += c[lo:lo + _ERF_BLOCK]
+                ob *= gf[lo:lo + _ERF_BLOCK]
+            _accum(a, out)
 
     return _make(data, "gelu", (a,), bw)
 

@@ -1,15 +1,21 @@
 """AdamW and learning-rate schedule contracts."""
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import groundlex
 from groundlex.optim import (
     _BLOCK_BYTES, BETA1, BETA2, EPSILON, WEIGHT_DECAY, AdamWState, LRSchedule, adamw_step,
-    lr_at,
+    blas_parkers, lr_at, update_workers,
 )
 from groundlex.errors import NumericsError, ShapeError
 from groundlex.tensor import Tensor
@@ -297,6 +303,115 @@ def test_adamw_mixed_dtypes_update_each_parameter_in_its_own_dtype():
     # float32 parameters first: scratch taken from the first parameter's dtype
     # would run the float64 ones through float32 and miss by ~1e-10.
     check_blocked_against_whole_array([np.float32, np.float64])
+
+
+# --- the update split over threads -------------------------------------------
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.parametrize("env, workers", [
+    (None, CPUS), ("1", 1), ("2", min(2, CPUS)), (str(CPUS + 1), CPUS), ("0", 1), ("many", CPUS),
+])
+def test_update_workers_follow_the_blas_thread_count_up_to_the_cpus(monkeypatch, env, workers):
+    if env is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", env)
+    assert update_workers() == workers
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("dtypes", [[np.float32], [np.float64], [np.float32, np.float64]],
+                         ids=["float32", "float64", "mixed"])
+def test_adamw_split_update_is_bit_identical_at_one_and_two_workers(monkeypatch, workers,
+                                                                    dtypes):
+    # Parameters of 1, one block, 3 blocks + 7 and (2004, 512) values, with
+    # the threads switching often, so that a buffer two of them shared would show.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        check_blocked_against_whole_array(dtypes)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("value, index", [(np.nan, 5), (np.inf, 66_000)])
+def test_adamw_non_finite_gradient_changes_nothing_at_two_workers(monkeypatch, value, index):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    test_adamw_non_finite_later_gradient_changes_nothing(value, index)
+
+
+# One child process imports the optimiser, updates a one-block parameter
+# (nothing to split) and then one of min(CPUs, 8) + 1 blocks three times at
+# W = CPUs, and prints the threads alive after each stage.
+POOL_THREADS = """
+import json, threading
+import numpy as np
+from groundlex import optim
+from groundlex.tensor import Tensor
+
+def alive():
+    return [t.name for t in threading.enumerate()]
+
+seen = {"import": alive()}
+state = optim.AdamWState()
+small = Tensor(np.zeros(7), requires_grad=True)
+small.grad = np.ones(7)
+optim.adamw_step({"small": small}, state, 1e-3)
+seen["one block"] = alive()
+n = (min(optim._CPUS, 8) + 1) * (optim._BLOCK_BYTES // 8)
+big = Tensor(np.zeros(n), requires_grad=True)
+for _ in range(3):
+    big.grad = np.ones(n)
+    optim.adamw_step({"big": big}, state, 1e-3)
+seen["split"] = alive()
+print(json.dumps(seen))
+"""
+
+
+def test_the_update_pool_starts_on_the_first_split_with_fewer_threads_than_cpus():
+    src = str(Path(groundlex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(CPUS + 1))
+    out = subprocess.run([sys.executable, "-c", POOL_THREADS], check=True, text=True, env=env,
+                         capture_output=True, timeout=300).stdout
+    seen = json.loads(out)
+    assert seen["import"] == seen["one block"] == ["MainThread"]
+    assert seen["split"][0] == "MainThread"
+    pool = seen["split"][1:]
+    assert all(name.startswith("groundlex-adamw") for name in pool)
+    assert 1 <= len(pool) <= CPUS - 1 if CPUS > 1 else pool == []
+
+
+def test_a_blas_park_finds_openblas_and_the_next_gemm_gives_the_same_bytes(monkeypatch):
+    # The park is OpenBLAS's blas_thread_shutdown_, found through the maps of
+    # the process; the next BLAS call starts the workers again.
+    maps = Path("/proc/self/maps")
+    if not maps.exists() or "openblas" not in maps.read_text():
+        pytest.skip("no OpenBLAS mapped into the process, or no /proc")
+    assert blas_parkers()
+    one_thread = {os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    blas_workers = CPUS > 1 and "1" not in one_thread  # OpenBLAS runs worker threads
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(size=(512, 384)), rng.normal(size=(384, 448))
+    before = a @ b
+    running = len(os.listdir("/proc/self/task"))
+    for park in blas_parkers():
+        park()
+    parked = len(os.listdir("/proc/self/task"))
+    after = a @ b
+    assert after.tobytes() == before.tobytes()
+    assert parked < running or not blas_workers
+    # A split update parks them too. The first call starts the update pool.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    p = make_param(np.zeros(3 * (_BLOCK_BYTES // 8)))
+    adamw_step({"p": p}, AdamWState(), 1e-3)
+    assert (a @ b).tobytes() == before.tobytes()
+    running = len(os.listdir("/proc/self/task"))
+    p.grad = np.ones_like(p.data)
+    adamw_step({"p": p}, AdamWState(), 1e-3)
+    assert len(os.listdir("/proc/self/task")) < running or not blas_workers
 
 
 def test_adamw_step_allocates_no_parameter_sized_temporaries():

@@ -101,6 +101,28 @@ def test_train_reports_its_peak_rss_and_minor_faults_per_step(bench_runs, tmp_pa
     assert one["minor_faults_per_step"] is None and one["step_ms_p50"] is None
 
 
+def test_train_reports_its_update_workers_and_blas_park(bench_runs, tmp_path, monkeypatch):
+    # AdamW splits over OPENBLAS_NUM_THREADS threads, capped at the CPU
+    # affinity count; the park needs an OpenBLAS that the process has mapped.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    try:
+        with open("/proc/self/maps") as fh:
+            openblas = any("openblas" in line for line in fh)
+    except OSError:
+        openblas = False
+    args = train_args(bench_runs["cvcl"][0], tmp_path, "cvcl")
+    args[args.index("--steps") + 1] = "2"
+    for env, workers in ((None, cpus), ("1", 1), (str(cpus + 1), cpus)):
+        if env is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", env)
+        cli.main(args)
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert run["update_workers"] == workers
+        assert run["blas_parked"] is openblas
+
+
 def test_train_reports_its_median_step_time(bench_runs, tmp_path):
     # The median of the STEPS - 1 times between the ends of steps: at least
     # half of them are as long, and together they fit in the command's wall.
