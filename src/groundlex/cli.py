@@ -90,8 +90,9 @@ def _train(args: argparse.Namespace) -> None:
 
 
 def _read_trials(path: str, store: FeatureStore) -> list[tuple[str, np.ndarray, int]]:
-    """Trials for ``evaluate``. A malformed line, an answer outside 0-3 or a
-    frame the store does not resolve raises DataError naming file and line."""
+    """Trials for ``evaluate``. A malformed line, an answer outside 0-3, a
+    frame that is not [video_id string, seconds as a number] or one the store
+    does not resolve raises DataError naming file and line."""
     trials = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -102,6 +103,9 @@ def _read_trials(path: str, store: FeatureStore) -> list[tuple[str, np.ndarray, 
                     raise DataError(f"want a word and {CANDIDATES} [video_id, t] frames")
                 if type(answer) is not int or not 0 <= answer < CANDIDATES:
                     raise DataError(f"answer must be an integer in 0-3, got {answer!r}")
+                for vid, t in frames:
+                    if type(vid) is not str or type(t) not in (int, float):
+                        raise DataError(f"frame {[vid, t]!r} is not [video_id, seconds]")
                 found = [store.resolve(vid, t) for vid, t in frames]
                 if None in found:
                     raise DataError(f"frame {frames[found.index(None)]} does not resolve")

@@ -3,11 +3,12 @@
 Frames are precomputed feature vectors in a GLFX file. A store keeps each
 video's frames sorted by time: timestamps as an array, and features as an
 (n, F) array or, for a loaded video, as the byte offset of each row in the
-file, which a reader reads through the page cache (`_FileRows`). So a loaded
-store maps none of the file, which must not be rewritten in place while the
-store or a pair lives: `FeatureStore.save` replaces a file, never rewrites
-it. A video has at least one frame, since GLFX writes a video only through
-its frames. A frame is found by its video and an instant through
+file, which a reader reads through the page cache (`_FileRows`). The load
+checks the file in blocks of at most `_READ_BYTES` read into one buffer, and
+maps none of it. The file must not be rewritten in place while the store or
+a pair lives: `FeatureStore.save` replaces a file, never rewrites it. A
+video has at least one frame, since GLFX writes a video only through its
+frames. A frame is found by its video and an instant through
 `FeatureStore.resolve`.
 Each utterance is paired with up to 16 frames sampled at 3.75 fps from its
 start timestamp; schedule instants resolve to the nearest stored frame within
@@ -17,7 +18,6 @@ video's feature array. A frame is its feature vector alone.
 
 from __future__ import annotations
 
-import mmap
 import os
 import struct
 import weakref
@@ -37,6 +37,8 @@ RESOLVE_TOLERANCE = 0.5 * FRAME_PERIOD
 
 GLFX_MAGIC = b"GLFX"
 GLFX_VERSION = 1
+
+_READ_BYTES = 1 << 19  # the most one block of `load_feature_store`'s scan reads, or one frame
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,9 @@ class _FileRows:
         return np.frombuffer(buf, "<f8")
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a loaded video's rows are read from the file, so an "
+                             "array of them is always a copy")
         return np.array([self[i] for i in range(len(self))], dtype)
 
 
@@ -204,40 +209,27 @@ def _check_finite(video_id: str, timestamps: np.ndarray, features: np.ndarray,
                         f"at frame {first + int(np.argmax(bad))}")
 
 
-def _run_guess(mapped, start: int, itemsize: int, head: bytes, n: int) -> int:
-    """How many of the `n` frames of `itemsize` bytes from byte `start` of the
-    bytes `mapped` open with `head`, judged by probing frames 1, 3, 7, ...
-    then bisecting: a guess."""
-    lo, hi = 1, n  # frames before lo judged the same; hi judged foreign, or n
-    while lo < hi:
-        mid = min(2 * lo - 1, (lo + hi) // 2)
-        at = start + mid * itemsize
-        lo, hi = (mid + 1, hi) if mapped[at:at + len(head)] == head else (lo, mid)
-    return lo
-
-
 def load_feature_store(path: str | Path) -> FeatureStore:
-    """Check a GLFX file through a read-only map of it, and return a store
-    that reads each video's feature rows from the file (`_FileRows`).
+    """Check a GLFX file in blocks read into one reused buffer, and return a
+    store that reads each video's feature rows from the file (`_FileRows`).
 
-    The header is read and checked through the file before the file is
-    mapped. Each run of same-id frames, sized by `_run_guess`, is a record
-    array viewing the map, whose every header is checked: the run ends at the
-    first foreign frame. The run's timestamps are copied out and its values
-    checked finite, then its pages are dropped from memory (`madvise`
-    MADV_DONTNEED, where the OS has it), so the load holds about one run
-    resident. The store keeps each frame's timestamp and the byte offset of
-    its features, in time order, and no feature. The map is unmapped when the
-    load returns; the store's one descriptor of the file closes when the last
-    of its rows goes, and the file must not be rewritten in place before
-    (`save` replaces it). No read asks for more than the file holds, whatever
-    its header declares. A short file raises DataError naming the byte
-    offset, as do bytes after the last frame; a non-finite value names its
-    video and frame, and is found before any fault in a later run.
+    Each step reads the header of the frame at the current position through
+    the file, then reads up to `_READ_BYTES` of whole frames of that size
+    (one frame, when a frame is larger) as a record array, cut at its first
+    frame of another video. The block's timestamps are copied out and its
+    values checked finite, so the load holds about one block, however long a
+    video. The store keeps each frame's timestamp and the byte offset of its
+    features, in time order, and no feature; its one descriptor of the file
+    closes when the last of its rows goes, and the file must not be rewritten
+    in place before (`save` replaces it). No read asks for more than the file
+    holds, whatever its header declares. A short file raises DataError naming
+    the byte offset, as do bytes after the last frame; a non-finite value
+    names its video and frame, and is found before any fault in a later block.
     """
     times: dict[str, list[np.ndarray]] = {}
     offsets: dict[str, list[np.ndarray]] = {}  # of each frame's features
-    seen: dict[str, int] = {}  # frames of each video in the runs before
+    seen: dict[str, int] = {}  # frames of each video in the blocks before
+    buf = np.empty(0, np.uint8)
     with open(path, "rb") as fh:
         magic = read_exact(fh, 4, path)
         if magic != GLFX_MAGIC:
@@ -245,24 +237,27 @@ def load_feature_store(path: str | Path) -> FeatureStore:
         version, dim, count = unpack(fh, "<IIQ", path)
         if version != GLFX_VERSION:
             raise DataError(f"{path}: unsupported version {version}")
-        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        drop = getattr(mapped, "madvise", None)
-        data = np.frombuffer(mapped, np.uint8)
         left = count
         while left:
             start = fh.tell()
             (vid_len,) = unpack(fh, "<I", path)
             vid = read_utf8(fh, vid_len, path)
+            head = fh.tell() - start
             if bytes_left(fh) < 8 + 8 * dim:
                 # The frame is cut short: read its fields for the offset.
                 unpack(fh, "<d", path)
                 read_exact(fh, 8 * dim, path)
             frame = _glfx_frame(vid_len, dim)
-            head = mapped[start:fh.tell()]
-            n = _run_guess(mapped, start, frame.itemsize, head,
-                           min(left, (len(data) - start) // frame.itemsize))
-            block = data[start:start + n * frame.itemsize].reshape(n, -1)
-            same = (block[:, :len(head)] == np.frombuffer(head, np.uint8)).all(axis=1)
+            fh.seek(start)
+            n = max(1, min(left, _READ_BYTES // frame.itemsize, bytes_left(fh) // frame.itemsize))
+            nbytes = n * frame.itemsize
+            if len(buf) < nbytes:
+                buf = None  # the old buffer goes before the new one comes
+                buf = np.empty(max(_READ_BYTES, nbytes), np.uint8)
+            if fh.readinto(buf[:nbytes]) != nbytes:
+                raise DataError(f"{path}: file truncated at byte {fh.tell()}")
+            block = buf[:nbytes].reshape(n, -1)
+            same = (block[:, :head] == block[0, :head]).all(axis=1)
             run = n if same.all() else int(np.argmin(same))
             records = block[:run].reshape(-1).view(frame)
             ts = records["t"].copy()
@@ -271,11 +266,7 @@ def load_feature_store(path: str | Path) -> FeatureStore:
             times.setdefault(vid, []).append(ts)
             offsets.setdefault(vid, []).append(
                 start + frame.fields["f"][1] + frame.itemsize * np.arange(run, dtype=np.int64))
-            end = start + run * frame.itemsize
-            if drop is not None:
-                lo = start - start % mmap.PAGESIZE
-                drop(mmap.MADV_DONTNEED, lo, end - lo)
-            fh.seek(end)
+            fh.seek(start + run * frame.itemsize)
             left -= run
         end = fh.tell()
         if fh.read(1):

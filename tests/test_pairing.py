@@ -1,7 +1,6 @@
 """Frame schedules, feature stores, and episode pairing."""
 
 import dataclasses
-import mmap
 import os
 import struct
 import subprocess
@@ -278,10 +277,10 @@ def test_load_merges_interleaved_runs_across_read_blocks(tmp_path, monkeypatch, 
     path = tmp_path / "mixed.glfx"
     write_glfx_frames(path, dim, frames)
     if block_frames is not None:
-        # Reads of at most `block_frames` whole frames: every run longer than
-        # that is read in several blocks and must still come back whole.
-        guess = pairing._run_guess
-        monkeypatch.setattr(pairing, "_run_guess", lambda *a: min(guess(*a), int(block_frames)))
+        # Reads of at most `block_frames` whole frames of any id length: every
+        # run longer than that is read in several blocks and must still come
+        # back whole.
+        monkeypatch.setattr(pairing, "_READ_BYTES", int(block_frames * (4 + 8 + 8 * dim)))
     assert_loads_like_add_video(path, dim, frames)
 
 
@@ -350,15 +349,16 @@ def test_a_non_finite_value_is_reported_before_a_later_fault(tmp_path):
         load_feature_store(path)
 
 
-def test_run_guess_can_reach_past_a_foreign_frame(tmp_path):
-    # Probes read frames 1, 3 and 7 of a, a, b, a, a, a, a, a: all are a's,
-    # so the guess spans the b; the loader's header check must cut it.
+def test_a_read_block_is_cut_at_a_foreign_frame(tmp_path, monkeypatch):
+    # One 8-frame block over a, a, b, a, a, a, a, a: the loader's header check
+    # must cut it at the b, which the next block starts with.
     path = tmp_path / "runs.glfx"
-    write_glfx_frames(path, 3, runs_of([("a", 2), ("b", 1), ("a", 5)]))
-    itemsize = 4 + 1 + 8 + 8 * 3
-    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-        assert pairing._run_guess(mapped, 20, itemsize, struct.pack("<I", 1) + b"a", 8) == 8
-    assert len(load_feature_store(path)._timestamps["a"]) == 7
+    frames = runs_of([("a", 2), ("b", 1), ("a", 5)])
+    write_glfx_frames(path, 3, frames)
+    monkeypatch.setattr(pairing, "_READ_BYTES", 8 * (4 + 1 + 8 + 8 * 3))
+    loaded = load_feature_store(path)
+    assert len(loaded._timestamps["a"]) == 7 and len(loaded._timestamps["b"]) == 1
+    assert_loads_like_add_video(path, 3, frames)
 
 
 def test_loaded_rows_are_read_only_arrays_read_from_the_file(tmp_path):
@@ -379,6 +379,28 @@ def test_loaded_rows_are_read_only_arrays_read_from_the_file(tmp_path):
         pytest.skip("needs /proc/self/maps")
     with open("/proc/self/maps") as fh:
         assert os.path.realpath(path) not in fh.read()  # the load's map is gone
+
+
+def test_an_array_of_loaded_rows_is_always_a_copy(tmp_path):
+    path = tmp_path / "feat.glfx"
+    store = make_store(n_videos=1, frames_per_video=5, dim=4)
+    store.save(path)
+    rows, want = load_feature_store(path)._features["v0"], store._features["v0"]
+    first, second = np.asarray(rows), np.array(rows, copy=True)
+    for got in (first, second):
+        np.testing.assert_array_equal(got, want)
+        assert got.flags.writeable
+    assert not np.shares_memory(first, second)
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy 1 does not pass `copy` to `__array__`")
+def test_an_array_of_loaded_rows_without_a_copy_is_refused(tmp_path):
+    path = tmp_path / "feat.glfx"
+    make_store(n_videos=1, frames_per_video=5, dim=4).save(path)
+    rows = load_feature_store(path)._features["v0"]
+    with pytest.raises(ValueError, match="always a copy"):
+        np.asarray(rows, copy=False)
 
 
 def test_a_row_cut_off_after_the_load_raises_data_error(tmp_path):
@@ -503,6 +525,38 @@ def test_a_load_leaves_the_store_out_of_resident_memory(tmp_path):
     for vid in store._timestamps:
         np.testing.assert_array_equal(loaded._timestamps[vid], store._timestamps[vid])
         np.testing.assert_array_equal(loaded._features[vid], store._features[vid])
+
+
+WARM_HWM_GROWTH = """
+import sys
+from groundlex.pairing import load_feature_store
+
+def vm_hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+load_feature_store(sys.argv[1])  # a small store first, so that the code's own pages are in
+before = vm_hwm()
+store = load_feature_store(sys.argv[2])
+print(vm_hwm() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_a_loads_memory_is_bounded_by_its_read_blocks(tmp_path):
+    # One video of 2,000 frames of 768 features, 12 MB: its one run spans 24
+    # blocks. The load holds one block and the 32 KB of timestamps and row
+    # offsets it keeps; 1 MB of slack covers those and the allocator.
+    make_store(n_videos=2, frames_per_video=8, dim=768).save(tmp_path / "small.glfx")
+    path = tmp_path / "feat.glfx"
+    make_store(n_videos=1, frames_per_video=2000, dim=768).save(path)
+    assert path.stat().st_size > 8 * pairing._READ_BYTES
+    src = Path(pairing.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", WARM_HWM_GROWTH, str(tmp_path / "small.glfx"),
+                          str(path)], check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    growth = int(out.stdout)
+    assert growth < 2 * pairing._READ_BYTES + (1 << 20), growth
 
 
 READ_HWM_GROWTH = """

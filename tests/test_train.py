@@ -21,6 +21,7 @@ from groundlex import cli, tensor
 from groundlex.corpus import EOS_ID, MIN_FREQUENCY, PAD_ID
 from groundlex.encoders import Model, ModelConfig, load_checkpoint
 from groundlex.errors import DataError
+from groundlex.pairing import FeatureStore
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -260,6 +261,22 @@ def test_eval_names_the_file_and_trial_of_bad_input(bench_runs, tmp_path, mutate
         path.write_text(lines[0] + lines[1][:len(lines[1]) // 2] + "\n" + lines[2])
     with pytest.raises(DataError, match="^" + re.escape(message.format(path=path))):
         cli.main(["eval", str(run), str(work / "world" / "features.glfx"), str(path)])
+
+
+@pytest.mark.parametrize("frame", [["v", False], ["v", True], ["v", "0.5"], ["v", None],
+                                   [0, 0.5], [["v"], 0.5]])
+def test_eval_refuses_a_frame_time_or_video_id_of_another_type(tmp_path, frame):
+    # False used to resolve to the frame at t = 0.
+    store = FeatureStore(2)
+    store.add_video("v", np.array([0.0, 0.5]), np.zeros((2, 2)))
+    good = {"word": "ball", "frames": [["v", 0], ["v", 0.5], ["v", 0], ["v", 0.5]], "answer": 1}
+    bad = json.loads(json.dumps(good))
+    bad["frames"][2] = frame
+    path = write_trials(tmp_path / "trials.jsonl", [good, bad])
+    message = f"{path}:2: bad trial (frame {frame!r} is not [video_id, seconds])"
+    with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+        cli._read_trials(str(path), store)
+    assert len(cli._read_trials(str(write_trials(path, [good])), store)) == 1
 
 
 def test_eval_refuses_a_vocabulary_that_is_not_the_models(bench_runs, tmp_path):
