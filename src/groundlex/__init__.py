@@ -6,6 +6,8 @@ encoders (`cvcl`, `cvcl_t`, `cvcl_t_lm`) on a small autograd engine, with the
 symmetric contrastive and next-word losses, AdamW, and GLCK checkpoints.
 `train` holds the training step and the 4-way trial scorer, and the
 `groundlex` command (`cli`) trains a model on files and evaluates it.
+It runs on POSIX (Linux and macOS): a loaded feature store reads its rows
+with `os.pread`, and `groundlex train` reads its memory from `resource`.
 """
 
 __version__ = "0.1.0"

@@ -3,8 +3,8 @@ manifest as the library's stages do, trains on the manifest's train videos
 (linear warm-up over a tenth of the steps, cosine decay from ``PEAK_LR``;
 parameters, batches and dropout each draw from a generator of the seed) and
 writes ``model.glck``, ``vocab.json`` and ``run.json`` into RUN_DIR (with the
-median wall time per step after the first, batch assembly included, and via
-``resource`` the peak RSS and the median minor faults per step after the first;
+median wall time per step after the first, batch assembly included, the peak
+RSS and the median minor faults per step after the first;
 ``update_workers``, the threads AdamW's update splits over, and ``blas_parked``,
 whether it can park OpenBLAS's workers first).
 ``eval`` scores TRIALS, JSON Lines of ``{"word": w, "frames": [[video_id,
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -31,11 +32,6 @@ from .errors import DataError
 from .optim import PEAK_LR, AdamWState, LRSchedule, blas_parkers, lr_at, update_workers
 from .pairing import FeatureStore, build_pairs, load_feature_store, sample_frame
 from .train import CANDIDATES, evaluate, step
-
-try:
-    import resource
-except ImportError:  # not on Windows
-    resource = None
 
 
 def _train(args: argparse.Namespace) -> None:
@@ -70,22 +66,20 @@ def _train(args: argparse.Namespace) -> None:
         ids = np.asarray(pad_batch([p.token_ids for p in rows]), dtype=np.intp)
         losses.append(step(model, state, feats, ids, lr_at(schedule, i), drop_rng))
         ends.append(time.perf_counter())
-        if resource:
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
     out = Path(args.run_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "model.glck")
     vocab.save(out / "vocab.json")
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
     run = {"model": config.as_dict(), "seed": args.seed, "batch": args.batch,
            "steps": args.steps, "train_pairs": len(pairs), "dedup": dedup.as_dict(),
            "pairs": pair_report.as_dict(), "split_stats": stats,
            "first_loss": losses[0], "final_loss": losses[-1],
            "step_ms_p50": float(np.median(np.diff(ends))) * 1e3 if args.steps > 1 else None,
+           "peak_rss_mb": maxrss / (2**20 if sys.platform == "darwin" else 2**10),
+           "minor_faults_per_step": float(np.median(np.diff(faults))) if args.steps > 1 else None,
            "update_workers": update_workers(), "blas_parked": bool(blas_parkers())}
-    if resource:  # ru_maxrss counts KiB on Linux and bytes on macOS
-        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        run["peak_rss_mb"] = maxrss / (2**20 if sys.platform == "darwin" else 2**10)
-        run["minor_faults_per_step"] = float(np.median(np.diff(faults))) if args.steps > 1 else None
     (out / "run.json").write_text(json.dumps(run, indent=1, sort_keys=True), encoding="utf-8")
 
 

@@ -91,8 +91,7 @@ class Tensor:
 
     ``grad`` starts as None. The first gradient ``backward()`` passes the
     tensor becomes its buffer: the array itself when it is C-contiguous in
-    the tensor's dtype, else a copy that is. Later ones add into it;
-    ``zero_grad()`` zeroes a bare leaf's buffer, making it if need be.
+    the tensor's dtype, else a copy that is. Later ones add into it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
@@ -123,12 +122,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError("item", self.shape)
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0.0)
 
     def backward(self) -> None:
         """Reverse-mode pass from a scalar; accumulates into leaf ``grad``s.
@@ -424,19 +417,16 @@ def gelu(a: Tensor) -> Tensor:
     cdf = _normal_cdf(a.data)
     data = a.data * cdf
 
-    def bw(g):  # g·(Φ(x) + x·φ(x)), over the forward's blocks
+    def bw(g):  # g·(Φ(x) + x·φ(x))
         if a.requires_grad:
-            out = np.empty_like(a.data)
-            x, c, gf, o = (v.reshape(-1) for v in (a.data, cdf, g, out))
-            for lo in range(0, x.size, _ERF_BLOCK):
-                ob, xb = o[lo:lo + _ERF_BLOCK], x[lo:lo + _ERF_BLOCK]
-                np.multiply(xb, -0.5, out=ob)
-                ob *= xb
-                np.exp(ob, out=ob)
-                ob *= _INV_SQRT_2PI
-                ob *= xb
-                ob += c[lo:lo + _ERF_BLOCK]
-                ob *= gf[lo:lo + _ERF_BLOCK]
+            x = a.data
+            out = np.multiply(x, -0.5)
+            out *= x
+            np.exp(out, out=out)
+            out *= _INV_SQRT_2PI
+            out *= x
+            out += cdf
+            out *= g
             _accum(a, out)
 
     return _make(data, "gelu", (a,), bw)

@@ -50,12 +50,18 @@ def evaluate(model: Model, vocab: Vocabulary,
     no-grad forward per side, each distinct word once as [word, <eos>].
     Returns the picks, the accuracy with its exact (Clopper-Pearson) binomial
     95% interval beside 0.25 chance, and each word's accuracy. A word outside
-    the vocabulary raises DataError naming the trial, counted from 1."""
+    the vocabulary, an answer that is not an int in 0-3 or candidates that are
+    not a (4, F) array raise DataError naming the trial, counted from 1."""
     if not trials:
         raise DataError("evaluate: no trials")
-    for i, (word, _, _) in enumerate(trials, 1):
+    want = (CANDIDATES, model.config.feature_dim)
+    for i, (word, frames, answer) in enumerate(trials, 1):
         if word not in vocab:
             raise DataError(f"trial {i}: word {word!r} is not in the vocabulary")
+        if type(answer) is not int or not 0 <= answer < CANDIDATES:
+            raise DataError(f"trial {i}: answer must be an integer in 0-3, got {answer!r}")
+        if not isinstance(frames, np.ndarray) or frames.shape != want:
+            raise DataError(f"trial {i}: candidates must be an array of shape {want}")
     n = len(trials)
     feats = np.stack([f for _, f, _ in trials])
     words = sorted({w for w, _, _ in trials})

@@ -199,6 +199,13 @@ def test_lr_schedule_clamps_past_total():
     assert lr_at(sched, 150) == lr_at(sched, 100)
 
 
+def test_lr_schedule_that_is_all_warm_up_holds_the_peak_from_its_end():
+    # warmup_steps == total_steps leaves no cosine span to decay over.
+    sched = LRSchedule(peak_lr=2e-3, warmup_steps=10, total_steps=10)
+    assert lr_at(sched, 5) == pytest.approx(1e-3)
+    assert [lr_at(sched, s) for s in (10, 11, 1000)] == [2e-3] * 3
+
+
 def test_lr_schedule_nonnegative_and_continuous_at_warmup():
     sched = LRSchedule(peak_lr=3e-4, warmup_steps=500, total_steps=5000)
     values = [lr_at(sched, s) for s in range(0, 5001, 7)]

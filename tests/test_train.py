@@ -18,10 +18,11 @@ from scipy.stats import binomtest
 
 import groundlex
 from groundlex import cli, tensor
-from groundlex.corpus import EOS_ID, MIN_FREQUENCY, PAD_ID
+from groundlex.corpus import EOS_ID, MIN_FREQUENCY, PAD_ID, build_vocabulary
 from groundlex.encoders import Model, ModelConfig, load_checkpoint
 from groundlex.errors import DataError
 from groundlex.pairing import FeatureStore
+from groundlex.train import evaluate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -83,7 +84,6 @@ def test_train_writes_the_bench_checkpoint_bit_for_bit(bench_runs, tmp_path, var
         + info["pairs"]["dropped_no_frames"]
 
 
-@pytest.mark.skipif(cli.resource is None, reason="no resource module")
 def test_train_reports_its_peak_rss_and_minor_faults_per_step(bench_runs, tmp_path):
     # ru_maxrss counts KiB on Linux and bytes on macOS; either way a Python
     # process with numpy loaded reads tens to hundreds of MB.
@@ -277,6 +277,35 @@ def test_eval_refuses_a_frame_time_or_video_id_of_another_type(tmp_path, frame):
     with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
         cli._read_trials(str(path), store)
     assert len(cli._read_trials(str(write_trials(path, [good])), store)) == 1
+
+
+ANSWER = "answer must be an integer in 0-3, got "
+SHAPE = "candidates must be an array of shape (4, 3)"
+
+
+@pytest.mark.parametrize("answer,candidates,message", [
+    (True, np.ones((4, 3)), ANSWER + "True"),
+    (False, np.ones((4, 3)), ANSWER + "False"),
+    (7, np.ones((4, 3)), ANSWER + "7"),
+    (-1, np.ones((4, 3)), ANSWER + "-1"),
+    (1.0, np.ones((4, 3)), ANSWER + "1.0"),
+    (None, np.ones((4, 3)), ANSWER + "None"),
+    (1, np.ones((3, 3)), SHAPE),
+    (1, np.ones((4, 2)), SHAPE),
+    (1, np.ones((1, 4, 3)), SHAPE),
+    (1, np.ones((4, 3)).tolist(), SHAPE),
+], ids=["true", "false", "seven", "negative", "float", "none", "three-frames",
+        "narrow", "three-d", "list"])
+def test_evaluate_names_the_trial_of_a_malformed_answer_or_candidates(answer, candidates,
+                                                                      message):
+    # An answer of True used to score as 1, and an answer of 7 as a silent miss.
+    vocab = build_vocabulary(["ball dog"] * (MIN_FREQUENCY + 1))
+    model = Model.init(ModelConfig(feature_dim=3, embed_dim=4, vocab_size=len(vocab)),
+                       np.random.default_rng(0))
+    good = ("ball", np.random.default_rng(1).normal(size=(4, 3)), 2)
+    with pytest.raises(DataError, match="^" + re.escape(f"trial 2: {message}") + "$"):
+        evaluate(model, vocab, [good, ("dog", candidates, answer)])
+    assert evaluate(model, vocab, [good])["trials"] == 1
 
 
 def test_eval_refuses_a_vocabulary_that_is_not_the_models(bench_runs, tmp_path):
