@@ -8,6 +8,8 @@ symmetric contrastive and next-word losses, AdamW, and GLCK checkpoints.
 `groundlex` command (`cli`) trains a model on files and evaluates it.
 It runs on POSIX (Linux and macOS): a loaded feature store reads its rows
 with `os.pread`, and `groundlex train` reads its memory from `resource`.
+A training process imports numpy alone; SciPy loads only for float64 `gelu`
+and for `train.evaluate`'s interval.
 """
 
 __version__ = "0.1.0"

@@ -25,7 +25,8 @@ tensor of the left one's shape or a constant that broadcasts to it. Outputs
 and gradients keep the tensor operands' dtype; a constant number or array
 takes the left tensor's, so a float32 graph never promotes to float64.
 ``gelu`` is the exact-erf GELU; in float32 its erf is a rational
-approximation, which keeps it within 5e-7·max(1, |x|) of float64 GELU.
+approximation, which keeps it within 5e-7·max(1, |x|) of float64 GELU, and
+in float64 it is SciPy's, imported on the first float64 call.
 Batches are 2-D: ``embed`` and ``embedding_mean`` take ids (N, T), and a
 single row is not promoted to one. ``l2_normalize`` raises NumericsError on
 an exact zero row, which has no direction.
@@ -43,8 +44,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.special import erf
 
 from .errors import NumericsError, ShapeError
 
@@ -260,31 +259,39 @@ def matmul(a: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _scatter_rows(table: Tensor, ids: np.ndarray, g: np.ndarray) -> None:
-    """Accumulate the rows of ``g`` (ids.shape + (D,)) into the table rows
-    ``ids`` name: a one-hot sparse (U, M) times (M, D) product, U distinct ids
-    and M = ids.size, sums each row in input order, and the U sums add into
-    ``table.grad``, or fill their rows of a zero one when there is none."""
-    m = ids.size
-    rows, which = np.unique(ids.reshape(-1), return_inverse=True)
-    onehot = csr_matrix((np.ones(m, g.dtype), (which, np.arange(m))), shape=(rows.size, m))
-    summed = onehot @ g.reshape(m, table.shape[1])
-    if table.grad is None:
+    """Add the rows of ``g`` (ids.shape + (D,)) into the ``table.grad`` rows
+    (of a zero one when there is none) that ``ids`` name, each id's rows summed
+    from +0 in input order, byte for byte as a one-hot sparse product. A stable
+    sort groups each id's rows; the U ids seen c times gather a (U, c, D) block,
+    whose middle axis numpy sums one slice at a time, in order (pairwise at
+    D = 1, so a running sum does it there). ``+= 0.0`` makes a -0.0 sum +0.0."""
+    flat = ids.reshape(-1)
+    g2 = g.reshape(flat.size, table.shape[1])
+    order = np.argsort(flat, kind="stable")
+    starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
+    counts = np.diff(starts, append=flat.size)
+    fresh = table.grad is None
+    if fresh:
         table.grad = np.zeros_like(table.data)
-        table.grad[rows] = summed
-    else:
-        table.grad[rows] += summed
+    for c in np.unique(counts):
+        first = starts[counts == c]
+        block = g2[order[first[:, None] + np.arange(c)]]
+        summed = block.sum(axis=1) if g2.shape[1] > 1 else block.cumsum(axis=1)[:, -1]
+        summed += 0.0
+        rows = flat[order[first]]
+        table.grad[rows] = summed if fresh else table.grad[rows] + summed
 
 
 def _embed_rows(op: str, table: Tensor, pos: Tensor, ids: np.ndarray, keep_prob: float,
-                rng: np.random.Generator | None):
+                rng: np.random.Generator | None, valid: np.ndarray | None = None):
     """The (N, T, D) buffer dropout(table[ids] + pos[:T]) and its backward.
 
     ids (N, T), table (V, D) and pos (>= T, D). The buffer holds the gather,
-    the position rows added by broadcasting and the inverted-dropout mask m
-    that ``dropout`` would draw (none at keep_prob 1). The backward takes a
-    gradient g (N, T, D) and overwrites it with g * m; each table row then
-    sums it over its occurrences in input order, as a one-hot sparse product,
-    and pos[t] sums it over the batch.
+    the position rows added by broadcasting and the mask m of ``_dropout_mask``,
+    which is 0 where a boolean ``valid`` (N, T, 1) is False (no m at keep_prob 1
+    without ``valid``). The backward takes a gradient g and writes g * m over
+    it, or into ``out`` (N, T, D) when given; each table row then sums it over
+    its occurrences (``_scatter_rows``), and pos[t] over the batch.
     """
     ids = np.asarray(ids)
     if (ids.ndim != 2 or table.ndim != 2 or pos.ndim != 2
@@ -294,13 +301,13 @@ def _embed_rows(op: str, table: Tensor, pos: Tensor, ids: np.ndarray, keep_prob:
     t = ids.shape[1]
     buf = table.data[ids]
     buf += pos.data[:t]
-    mask = _dropout_mask(buf.shape, keep_prob, rng, buf.dtype)
+    mask = _dropout_mask(buf.shape, keep_prob, rng, buf.dtype, valid)
     if mask is not None:
         buf *= mask
 
-    def scatter(g):
+    def scatter(g, out=None):
         if mask is not None:
-            np.multiply(g, mask, out=g)
+            g = np.multiply(g, mask, out=g if out is None else out)
         if table.requires_grad:
             _scatter_rows(table, ids, g)
         if pos.requires_grad:
@@ -327,28 +334,25 @@ def embedding_mean(table: Tensor, pos: Tensor, ids: np.ndarray, valid: np.ndarra
     """Mean over the valid positions of dropout(table[ids] + pos[:T]).
 
     ids and boolean ``valid`` (N, T), table (V, D) and pos (>= T, D) -> (N, D).
-    ``embed``'s buffer also holds the pad zeros; it is summed over T and
-    scaled by 1/c, c the valid positions of each row. The gradient at (n, t)
-    is ``(g[n] / c[n]) * valid[n, t] * m[n, t]``, with m the dropout mask,
-    and reaches the table and pos as ``embed``'s does.
+    ``embed``'s buffer, its pad positions zeroed within the dropout mask m,
+    is summed over T and scaled by 1/c, c the valid positions of each row.
+    The gradient at (n, t) is ``(g[n] / c[n]) * m[n, t]`` and reaches the
+    table and pos as ``embed``'s does.
     """
     ids = np.asarray(ids)
     valid = np.asarray(valid, dtype=bool)
     if valid.shape != ids.shape:
         raise ShapeError("embedding_mean", table.shape, pos.shape, ids.shape, valid.shape)
-    buf, scatter = _embed_rows("embedding_mean", table, pos, ids, keep_prob, rng)
+    buf, scatter = _embed_rows("embedding_mean", table, pos, ids, keep_prob, rng, valid[..., None])
     counts = valid.sum(axis=1, keepdims=True)
     if not counts.all():
         raise NumericsError("embedding_mean", "row with no valid position")
-    kept = valid[:, :, None].astype(buf.dtype)  # a float mask multiplies faster than bool
-    buf *= kept
     inv = 1.0 / counts.astype(buf.dtype)
     data = buf.sum(axis=1) * inv
 
     def bw(g):
         # The tape runs this once, so the forward buffer becomes the gradient.
-        np.multiply((g * inv)[:, None, :], kept, out=buf)
-        scatter(buf)
+        scatter((g * inv)[:, None, :], buf)
 
     return _make(data, "embedding_mean", (table, pos), bw)
 
@@ -388,8 +392,10 @@ _ERF_BLOCK = 1 << 15  # values per block: a block's five operands stay in L2
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """Φ(x) = (1 + erf(x/√2)) / 2: scipy's erf in float64, the rational erf in float32."""
+    """Φ(x) = (1 + erf(x/√2)) / 2: the rational erf in float32; in float64 SciPy's
+    erf, which the first float64 call imports, so float32 runs never load SciPy."""
     if x.dtype != np.float32:
+        from scipy.special import erf
         return 0.5 * (1.0 + erf(x * _INV_SQRT2))
     cdf = np.empty_like(x)
     flat, out = x.reshape(-1), cdf.reshape(-1)
@@ -562,9 +568,10 @@ def l2_normalize(a: Tensor) -> Tensor:
 
 
 def _dropout_mask(shape: tuple[int, ...], keep_prob: float, rng: np.random.Generator | None,
-                  dtype) -> np.ndarray | None:
-    """The inverted-dropout mask: 1/keep_prob where a value is kept, else 0.
-    None when nothing is dropped (keep_prob 1).
+                  dtype, valid: np.ndarray | None = None) -> np.ndarray | None:
+    """The inverted-dropout mask: 1/keep_prob where a value is kept, else 0,
+    and 0 where a boolean ``valid`` that broadcasts to ``shape`` is False.
+    At keep_prob 1 nothing is dropped: ``valid`` as floats, or None.
 
     Each of the n values gets one 16-bit lane of the raw generator output,
     ``random_raw(ceil(n/4))`` viewed as uint16, and is kept where its lane is
@@ -574,8 +581,8 @@ def _dropout_mask(shape: tuple[int, ...], keep_prob: float, rng: np.random.Gener
     """
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"dropout keep_prob must be in (0, 1], got {keep_prob}")
-    if keep_prob == 1.0:
-        return None
+    if keep_prob == 1.0:  # a float mask multiplies faster than bool
+        return None if valid is None else valid.astype(dtype)
     if rng is None:
         raise ValueError("dropout needs an explicit RNG at train time")
     k = round(keep_prob * 65536)
@@ -583,7 +590,8 @@ def _dropout_mask(shape: tuple[int, ...], keep_prob: float, rng: np.random.Gener
         raise ValueError(f"dropout keep_prob {keep_prob} keeps no 16-bit lane")
     n = math.prod(shape)
     lanes = rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
-    return np.divide(lanes.reshape(shape) < k, keep_prob, dtype=dtype)
+    kept = lanes.reshape(shape) < k
+    return np.divide(kept if valid is None else kept & valid, keep_prob, dtype=dtype)
 
 
 def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator | None) -> Tensor:

@@ -5,7 +5,6 @@ the word alone."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .corpus import EOS_ID, PAD_ID, Vocabulary
 from .encoders import Model, encode_frames, encode_utterances, lm_logits
@@ -49,19 +48,24 @@ def evaluate(model: Model, vocab: Vocabulary,
     """Score trials of (word, candidate frames (4, F), answer index) with one
     no-grad forward per side, each distinct word once as [word, <eos>].
     Returns the picks, the accuracy with its exact (Clopper-Pearson) binomial
-    95% interval beside 0.25 chance, and each word's accuracy. A word outside
-    the vocabulary, an answer that is not an int in 0-3 or candidates that are
-    not a (4, F) array raise DataError naming the trial, counted from 1."""
+    95% interval beside 0.25 chance (SciPy, imported here), and each word's
+    accuracy. A word that is not a string in the vocabulary, an answer that is
+    not an int in 0-3, or candidates that are not a finite real (4, F) array
+    raise DataError naming the trial, counted from 1."""
+    from scipy.special import betaincinv
     if not trials:
         raise DataError("evaluate: no trials")
     want = (CANDIDATES, model.config.feature_dim)
     for i, (word, frames, answer) in enumerate(trials, 1):
+        if not isinstance(word, str):
+            raise DataError(f"trial {i}: word must be a string, got {word!r}")
         if word not in vocab:
             raise DataError(f"trial {i}: word {word!r} is not in the vocabulary")
         if type(answer) is not int or not 0 <= answer < CANDIDATES:
             raise DataError(f"trial {i}: answer must be an integer in 0-3, got {answer!r}")
-        if not isinstance(frames, np.ndarray) or frames.shape != want:
-            raise DataError(f"trial {i}: candidates must be an array of shape {want}")
+        if (not isinstance(frames, np.ndarray) or frames.shape != want
+                or frames.dtype.kind not in "iuf" or not np.isfinite(frames).all()):
+            raise DataError(f"trial {i}: candidates must be a finite real array of shape {want}")
     n = len(trials)
     feats = np.stack([f for _, f, _ in trials])
     words = sorted({w for w, _, _ in trials})

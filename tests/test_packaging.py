@@ -3,6 +3,7 @@ and every public function, class and method of the package has a caller."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -35,6 +36,35 @@ def test_python_m_groundlex_cli_prints_the_usage():
                          capture_output=True, text=True, check=False)
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("usage: groundlex "), run.stdout
+
+
+CLI_IMPORTS = """
+import json, os, sys
+import groundlex.cli
+from groundlex.optim import blas_parkers
+maps = "/proc/self/maps"
+openblas = None
+if os.path.exists(maps):
+    with open(maps) as fh:
+        openblas = sorted({line.split(None, 5)[5].strip() for line in fh if "openblas" in line})
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+                  "openblas": openblas, "parkers": len(blas_parkers())}))
+"""
+
+
+def test_importing_the_cli_loads_no_scipy_and_one_openblas():
+    # A training process needs numpy alone. SciPy would map a second OpenBLAS,
+    # with its own worker thread, beside numpy's; the park would then stop
+    # two pools, one of which no GEMM ever runs on. Where there is no /proc,
+    # only the SciPy check runs.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", CLI_IMPORTS], env=env,
+                         capture_output=True, text=True, check=True)
+    seen = json.loads(run.stdout)
+    assert seen["scipy"] == []
+    if seen["openblas"] is not None:
+        assert len(seen["openblas"]) == 1, seen["openblas"]
+        assert seen["parkers"] == 1
 
 
 def names_used(tree, known, modules):

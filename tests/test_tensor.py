@@ -348,7 +348,7 @@ def test_l2_normalize_zero_row_raises_directly_and_through_the_contrastive_loss(
 
 def _embedding_add_at_reference(table_shape, ids, g):
     """The rows of g scattered into a zero table by ``np.add.at``, in g's
-    dtype: independent of the library's one-hot sparse product."""
+    dtype: independent of the library's grouped sums."""
     buf = np.zeros(table_shape, g.dtype)
     np.add.at(buf, ids.reshape(-1), g.reshape(-1, table_shape[1]))
     return buf
@@ -410,23 +410,52 @@ def test_embedding_grad_bit_equal_to_add_at(case):
         pos.shape, positions(*ids.shape), g))
 
 
+def bench_like_scatter(r, dtype):
+    """A (128, 12) cvcl bench batch: each row 0-5 word ids in [3, 40), an
+    <eos>, then <pad> to the end, so most positions are <pad>. Its gradient
+    is ±0.0 at the pads, as embedding_mean's is, -0.0 at a fifth of the other
+    values, and -0.0 at every occurrence of id 39."""
+    lengths = r.integers(1, 7, size=128)
+    ids = np.where(np.arange(12) < lengths[:, None] - 1, r.integers(3, 40, size=(128, 12)),
+                   PAD_ID)
+    ids[np.arange(128), lengths - 1] = EOS_ID
+    ids[:3, 0] = 39
+    g = r.normal(size=(128, 12, 512)).astype(dtype)
+    g[r.random(g.shape) < 0.2] = -0.0
+    g[ids == PAD_ID] = np.copysign(0.0, g[ids == PAD_ID])
+    g[ids == 39] = -0.0
+    return ids, g
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("existing", [False, True])
 def test_scatter_rows_equals_the_dense_one_hot_product(dtype, existing):
-    # The rows ids touch, 3 and 7 three times each, add into the gradient
-    # byte for byte as the dense (V, M) one-hot product would.
+    # Each id's rows add into the gradient byte for byte as the one-hot sparse
+    # product sums them: from +0, in input order, so rows that are all -0.0
+    # sum to +0.0. The batches are one where ids 3 and 7 occur three times
+    # each, a bench-like one, one of width 1 where each id occurs ~13 times
+    # and id 2's rows are -0.0, and an empty one. An existing gradient holds
+    # -0.0 at a third of its values.
     r = rng(42)
-    table = Tensor(r.normal(size=(11, 5)).astype(dtype), requires_grad=True)
-    ids = np.array([[3, 7, 3, 0], [7, 7, 10, 3]])
-    g = r.normal(size=(2, 4, 5)).astype(dtype)
-    dense = csr_matrix((np.ones(8, dtype), (ids.reshape(-1), np.arange(8))),
-                       shape=(11, 8)) @ g.reshape(8, 5)
-    want = dense
-    if existing:
-        table.grad = r.normal(size=(11, 5)).astype(dtype)
-        want = table.grad + dense
-    gt._scatter_rows(table, ids, g)
-    assert table.grad.dtype == dtype and table.grad.tobytes() == want.tobytes()
+    narrow = r.integers(0, 3, size=(4, 10))
+    batches = [(np.array([[3, 7, 3, 0], [7, 7, 10, 3]]), r.normal(size=(2, 4, 5))),
+               bench_like_scatter(r, dtype),
+               (narrow, np.where(narrow[..., None] == 2, -0.0, r.normal(size=(4, 10, 1)))),
+               (np.zeros((0, 12), np.intp), np.zeros((0, 12, 512)))]
+    for ids, g in batches:
+        g = g.astype(dtype)
+        vocab, m, d = 300, ids.size, g.shape[-1]
+        table = Tensor(r.normal(size=(vocab, d)).astype(dtype), requires_grad=True)
+        want = csr_matrix((np.ones(m, dtype), (ids.reshape(-1), np.arange(m))),
+                          shape=(vocab, m)) @ g.reshape(m, d)
+        if existing:  # rows that no id names keep their -0.0
+            table.grad = r.normal(size=(vocab, d)).astype(dtype)
+            table.grad[r.random(table.shape) < 0.3] = -0.0
+            rows = np.unique(ids)
+            want, summed = table.grad.copy(), want[rows]
+            want[rows] += summed
+        gt._scatter_rows(table, ids, g)
+        assert table.grad.dtype == dtype and table.grad.tobytes() == want.tobytes()
 
 
 # --- embed and embedding_mean against the chains they replaced ------------------------

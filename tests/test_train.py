@@ -280,31 +280,51 @@ def test_eval_refuses_a_frame_time_or_video_id_of_another_type(tmp_path, frame):
 
 
 ANSWER = "answer must be an integer in 0-3, got "
-SHAPE = "candidates must be an array of shape (4, 3)"
+SHAPE = "candidates must be a finite real array of shape (4, 3)"
+WORD = "word must be a string, got "
+ONES = np.ones((4, 3))
 
 
-@pytest.mark.parametrize("answer,candidates,message", [
-    (True, np.ones((4, 3)), ANSWER + "True"),
-    (False, np.ones((4, 3)), ANSWER + "False"),
-    (7, np.ones((4, 3)), ANSWER + "7"),
-    (-1, np.ones((4, 3)), ANSWER + "-1"),
-    (1.0, np.ones((4, 3)), ANSWER + "1.0"),
-    (None, np.ones((4, 3)), ANSWER + "None"),
-    (1, np.ones((3, 3)), SHAPE),
-    (1, np.ones((4, 2)), SHAPE),
-    (1, np.ones((1, 4, 3)), SHAPE),
-    (1, np.ones((4, 3)).tolist(), SHAPE),
+def with_one(value):
+    frames = np.zeros((4, 3))
+    frames[2, 1] = value
+    return frames
+
+
+@pytest.mark.parametrize("word,answer,candidates,message", [
+    ("dog", True, ONES, ANSWER + "True"),
+    ("dog", False, ONES, ANSWER + "False"),
+    ("dog", 7, ONES, ANSWER + "7"),
+    ("dog", -1, ONES, ANSWER + "-1"),
+    ("dog", 1.0, ONES, ANSWER + "1.0"),
+    ("dog", None, ONES, ANSWER + "None"),
+    ("dog", 1, np.ones((3, 3)), SHAPE),
+    ("dog", 1, np.ones((4, 2)), SHAPE),
+    ("dog", 1, np.ones((1, 4, 3)), SHAPE),
+    ("dog", 1, ONES.tolist(), SHAPE),
+    (["dog"], 1, ONES, WORD + "['dog']"),
+    (7, 1, ONES, WORD + "7"),
+    (b"dog", 1, ONES, WORD + "b'dog'"),
+    ("dog", 1, np.full((4, 3), "0.5"), SHAPE),
+    ("dog", 1, ONES.astype(complex), SHAPE),
+    ("dog", 1, ONES.astype(object), SHAPE),
+    ("dog", 1, with_one(np.nan), SHAPE),
+    ("dog", 1, with_one(np.inf), SHAPE),
+    ("dog", 1, with_one(-np.inf).astype(np.float32), SHAPE),
 ], ids=["true", "false", "seven", "negative", "float", "none", "three-frames",
-        "narrow", "three-d", "list"])
-def test_evaluate_names_the_trial_of_a_malformed_answer_or_candidates(answer, candidates,
+        "narrow", "three-d", "list", "unhashable-word", "int-word", "bytes-word", "strings",
+        "complex", "objects", "nan", "inf", "float32-minus-inf"])
+def test_evaluate_names_the_trial_of_a_malformed_answer_or_candidates(word, answer, candidates,
                                                                       message):
-    # An answer of True used to score as 1, and an answer of 7 as a silent miss.
+    # An answer of True used to score as 1, and an answer of 7 as a silent
+    # miss; an unhashable word raised TypeError, string candidates ValueError,
+    # and a NaN candidate a NumericsError with no trial in it.
     vocab = build_vocabulary(["ball dog"] * (MIN_FREQUENCY + 1))
     model = Model.init(ModelConfig(feature_dim=3, embed_dim=4, vocab_size=len(vocab)),
                        np.random.default_rng(0))
     good = ("ball", np.random.default_rng(1).normal(size=(4, 3)), 2)
     with pytest.raises(DataError, match="^" + re.escape(f"trial 2: {message}") + "$"):
-        evaluate(model, vocab, [good, ("dog", candidates, answer)])
+        evaluate(model, vocab, [good, (word, candidates, answer)])
     assert evaluate(model, vocab, [good])["trials"] == 1
 
 
