@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import unicodedata
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -74,8 +75,9 @@ def load_records(path: str | Path) -> list[UtteranceRecord]:
                 for key in ("start_s", "end_s"):
                     if type(obj[key]) not in (int, float):
                         raise DataError(f"{key} must be a number, got {obj[key]!r}")
-                rec = UtteranceRecord(obj["video_id"], float(obj["start_s"]),
-                                      float(obj["end_s"]), obj["speaker"], obj["text"])
+                rec = UtteranceRecord(sys.intern(obj["video_id"]), float(obj["start_s"]),
+                                      float(obj["end_s"]), sys.intern(obj["speaker"]),
+                                      obj["text"])
                 rec.validate()
             except (KeyError, ValueError, TypeError, OverflowError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: bad record ({exc})") from exc

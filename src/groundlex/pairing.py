@@ -1,9 +1,10 @@
 """Frame-feature stores and utterance/frame pairing.
 
 Frames are precomputed feature vectors in a GLFX file. A store keeps each
-video's frames sorted by time: timestamps as an array, and features as an
-(n, F) array or, for a loaded video, as the byte offset of each row in the
-file, which a reader reads through the page cache (`_FileRows`). The load
+video's frames sorted by time: float64 timestamps, and float32 features,
+the models' dtype, as an (n, F) array or, for a loaded video, as the byte
+offset of each `<f8` row in the file, which a reader reads through the page
+cache and casts (`_FileRows`); a feature must be finite in float32. The load
 checks the file in blocks of at most `_READ_BYTES` read into one buffer, and
 maps none of it. The file must not be rewritten in place while the store or
 a pair lives: `FeatureStore.save` replaces a file, never rewrites it. A
@@ -39,11 +40,12 @@ GLFX_MAGIC = b"GLFX"
 GLFX_VERSION = 1
 
 _READ_BYTES = 1 << 19  # the most one block of `load_feature_store`'s scan reads, or one frame
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
 class FrameFeature:
-    features: np.ndarray  # (F,), float64, read-only; a loaded store's is a fresh read
+    features: np.ndarray  # (F,), float32, read-only; a loaded store's is a fresh read
 
 
 def _glfx_frame(vid_len: int, dim: int) -> np.dtype:
@@ -73,9 +75,9 @@ class _File:
 
 
 class _FileRows:
-    """The (n, F) float64 features of one loaded video: row i is the 8·F
-    bytes at byte `offsets[i]` of `file`, read with one `os.pread` into a new
-    read-only array, so no read maps the file and no read moves the file's
+    """The (n, F) features of one loaded video: row i is the 8·F `<f8` bytes
+    at byte `offsets[i]` of `file`, read with one `os.pread` and cast to a new
+    read-only float32 array, so no read maps the file and no read moves the file's
     position: threads may read rows at once. A file cut short since the load
     raises DataError naming the byte offset."""
 
@@ -92,7 +94,9 @@ class _FileRows:
         if len(buf) != n:
             raise DataError(f"{self._file.path}: file truncated at byte {at + len(buf)} "
                             f"(needed {n} bytes from byte {at})")
-        return np.frombuffer(buf, "<f8")
+        row = np.frombuffer(buf, "<f8").astype(np.float32)
+        row.setflags(write=False)
+        return row
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
@@ -106,7 +110,7 @@ class FeatureStore:
 
     Per-video timestamps are kept sorted for nearest-neighbour resolution;
     frames of one video may share or nearly share a timestamp. Feature rows
-    are float64, read-only and contiguous; training can never mutate them.
+    are float32, read-only and contiguous; training can never mutate them.
     GLFX (`save`, `load_feature_store`) is the one file format. A store that
     `load_feature_store` returns reads each row from the file when asked
     (`_FileRows`), so the file must not be rewritten in place while the store
@@ -124,9 +128,9 @@ class FeatureStore:
     def add_video(self, video_id: str, timestamps: np.ndarray,
                   features: np.ndarray) -> None:
         """Add a video's frames in time order (a stable sort) as read-only
-        copies: the caller's arrays stay its own, unshared and writeable."""
+        copies, features as float32: the caller's arrays stay its own."""
         timestamps = np.array(timestamps, dtype=np.float64)
-        features = np.array(features, dtype=np.float64, order="C")
+        features = np.asarray(features, dtype=np.float64)
         if timestamps.ndim != 1:
             raise DataError(f"timestamps for {video_id!r} have shape "
                             f"{timestamps.shape}, expected one dimension")
@@ -139,6 +143,7 @@ class FeatureStore:
         _check_finite(video_id, timestamps, features)
         if video_id in self._timestamps:
             raise DataError(f"duplicate video {video_id!r} in feature store")
+        features = np.array(features, dtype=np.float32, order="C")
         timestamps, features = _in_time_order(timestamps, features)
         features.setflags(write=False)
         self._timestamps[video_id] = timestamps
@@ -160,8 +165,8 @@ class FeatureStore:
     def save(self, path: str | Path) -> None:
         """Little-endian binary: header {magic, version u32, F u32, count u64},
         then per frame {video_id u32-length-prefixed UTF-8, timestamp f64,
-        F x f64}. Videos go in sorted id order; the rows of a video's arrays
-        are written as one packed structured array, in time order.
+        F x f64 (float32 widened)}. Videos go in sorted id order; the rows of a
+        video's arrays are written as one packed structured array, in time order.
 
         The bytes go to a new file beside `path`, which then replaces it, so
         a store loaded from `path` keeps reading the old file's bytes; a
@@ -201,11 +206,12 @@ def _in_time_order(ts: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
 def _check_finite(video_id: str, timestamps: np.ndarray, features: np.ndarray,
                   first: int = 0) -> None:
     """Raise DataError naming the first frame of (n,) `timestamps` and (n, F)
-    `features` whose timestamp or a feature is not finite; frames of the
-    video are counted from `first`."""
-    bad = ~(np.isfinite(timestamps) & np.isfinite(features).all(axis=1))
+    `features` whose timestamp is not finite or feature not finite in float32,
+    found by reductions, with no cast; frames are counted from `first`."""
+    bad = ~(np.isfinite(timestamps) & (features.max(axis=1, initial=0.0) <= _F32_MAX)
+            & (features.min(axis=1, initial=0.0) >= -_F32_MAX))
     if bad.any():
-        raise DataError(f"non-finite timestamp or feature in video {video_id!r} "
+        raise DataError(f"non-finite timestamp or float32 feature in video {video_id!r} "
                         f"at frame {first + int(np.argmax(bad))}")
 
 
@@ -217,14 +223,15 @@ def load_feature_store(path: str | Path) -> FeatureStore:
     the file, then reads up to `_READ_BYTES` of whole frames of that size
     (one frame, when a frame is larger) as a record array, cut at its first
     frame of another video. The block's timestamps are copied out and its
-    values checked finite, so the load holds about one block, however long a
-    video. The store keeps each frame's timestamp and the byte offset of its
-    features, in time order, and no feature; its one descriptor of the file
-    closes when the last of its rows goes, and the file must not be rewritten
-    in place before (`save` replaces it). No read asks for more than the file
-    holds, whatever its header declares. A short file raises DataError naming
-    the byte offset, as do bytes after the last frame; a non-finite value
-    names its video and frame, and is found before any fault in a later block.
+    values checked (`_check_finite`), so the load holds about one block,
+    however long a video. The store keeps each frame's timestamp and the byte
+    offset of its features, in time order, and no feature; its one descriptor
+    of the file closes when the last of its rows goes, and the file must not
+    be rewritten in place before (`save` replaces it). No read asks for more
+    than the file holds, whatever its header declares. A short file raises
+    DataError naming the byte offset, as do bytes after the last frame; a bad
+    value names its video and frame, and is found before any fault in a later
+    block.
     """
     times: dict[str, list[np.ndarray]] = {}
     offsets: dict[str, list[np.ndarray]] = {}  # of each frame's features
@@ -292,17 +299,17 @@ def _schedule(starts: np.ndarray, durations: np.ndarray) -> tuple[np.ndarray, np
     return instants, inside
 
 
-@dataclass
+@dataclass(slots=True)
 class EpisodePair:
     """One tokenized utterance joined to its scheduled frames.
 
     `frame_rows` are rows into the video's features, in strictly increasing
-    time; the pair refers to the store's features of the video (an array, or
-    a loaded store's `_FileRows`), not a copy.
+    time (from `build_pairs`, a view into one array for all pairs); the pair
+    refers to the store's features of the video, not a copy.
     """
 
     token_ids: list[int]
-    frame_rows: list[int]
+    frame_rows: np.ndarray
     video_features: np.ndarray | _FileRows
     video_id: str
 
@@ -359,7 +366,7 @@ def build_pairs(records: list[UtteranceRecord], store: FeatureStore,
     before = np.full(times.shape, -np.inf)
     np.maximum.accumulate(times[:, :-1], axis=1, out=before[:, 1:])
     keep = (rows >= 0) & (times > before)
-    flat = rows[keep].tolist()
+    flat = rows[keep]
     pairs = []
     begin = 0
     for i, end in zip(known, np.cumsum(keep.sum(axis=1)).tolist()):
@@ -376,6 +383,6 @@ def build_pairs(records: list[UtteranceRecord], store: FeatureStore,
 
 def sample_frame(pair: EpisodePair, rng: np.random.Generator) -> FrameFeature:
     """Uniform draw over the pair's frames (one visual moment per episode):
-    one `rng.integers` draw picks a row of the video's features."""
+    one `rng.integers` draw picks one of `frame_rows`, a row of the features."""
     row = pair.frame_rows[int(rng.integers(len(pair.frame_rows)))]
     return FrameFeature(pair.video_features[row])

@@ -258,18 +258,22 @@ def matmul(a: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
 # lookup / gather ops
 # ---------------------------------------------------------------------------
 
-def _scatter_rows(table: Tensor, ids: np.ndarray, g: np.ndarray) -> None:
+def _scatter_rows(table: Tensor, ids: np.ndarray, g: np.ndarray,
+                  kept: np.ndarray | None = None) -> None:
     """Add the rows of ``g`` (ids.shape + (D,)) into the ``table.grad`` rows
     (of a zero one when there is none) that ``ids`` name, each id's rows summed
     from +0 in input order, byte for byte as a one-hot sparse product. A stable
     sort groups each id's rows; the U ids seen c times gather a (U, c, D) block,
     whose middle axis numpy sums one slice at a time, in order (pairwise at
-    D = 1, so a running sum does it there). ``+= 0.0`` makes a -0.0 sum +0.0."""
+    D = 1, so a running sum does it there). ``+= 0.0`` makes a -0.0 sum +0.0.
+    Given sorted flat positions ``kept``, only those are summed: the same bytes
+    where g is ±0.0 at the rest, but a row named only there is left as it is."""
     flat = ids.reshape(-1)
     g2 = g.reshape(flat.size, table.shape[1])
-    order = np.argsort(flat, kind="stable")
+    order = np.argsort(flat if kept is None else flat[kept], kind="stable")
+    order = order if kept is None else kept[order]
     starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
-    counts = np.diff(starts, append=flat.size)
+    counts = np.diff(starts, append=order.size)
     fresh = table.grad is None
     if fresh:
         table.grad = np.zeros_like(table.data)
@@ -291,7 +295,7 @@ def _embed_rows(op: str, table: Tensor, pos: Tensor, ids: np.ndarray, keep_prob:
     which is 0 where a boolean ``valid`` (N, T, 1) is False (no m at keep_prob 1
     without ``valid``). The backward takes a gradient g and writes g * m over
     it, or into ``out`` (N, T, D) when given; each table row then sums it over
-    its occurrences (``_scatter_rows``), and pos[t] over the batch.
+    its (valid) occurrences (``_scatter_rows``), and pos[t] over the batch.
     """
     ids = np.asarray(ids)
     if (ids.ndim != 2 or table.ndim != 2 or pos.ndim != 2
@@ -309,7 +313,7 @@ def _embed_rows(op: str, table: Tensor, pos: Tensor, ids: np.ndarray, keep_prob:
         if mask is not None:
             g = np.multiply(g, mask, out=g if out is None else out)
         if table.requires_grad:
-            _scatter_rows(table, ids, g)
+            _scatter_rows(table, ids, g, None if valid is None else np.flatnonzero(valid))
         if pos.requires_grad:
             gp = np.zeros_like(pos.data)
             gp[:t] = g.sum(axis=0)

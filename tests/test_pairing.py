@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -235,13 +236,15 @@ def mixed_videos(dim, seed=0):
 
 @pytest.mark.parametrize("dim", [3, 0])
 def test_glfx_writer_bytes_equal_the_per_frame_writer(tmp_path, dim):
+    # The store holds its features as float32 and writes them widened.
     videos = mixed_videos(dim)
     store = FeatureStore(dim)
     frames = []
     for vid in sorted(videos):
         ts, feats = videos[vid]
         store.add_video(vid, ts, feats)
-        frames += [(vid, ts[i], feats[i]) for i in np.argsort(ts, kind="stable")]
+        frames += [(vid, ts[i], feats[i].astype(np.float32))
+                   for i in np.argsort(ts, kind="stable")]
     write_glfx_frames(tmp_path / "old.glfx", dim, frames)
     store.save(tmp_path / "new.glfx")
     assert (tmp_path / "new.glfx").read_bytes() == (tmp_path / "old.glfx").read_bytes()
@@ -332,9 +335,49 @@ def test_load_rejects_non_finite_values(tmp_path, layout, bad, field, frame):
     frames[bad] = (vid, t, vec)
     path = tmp_path / "bad.glfx"
     write_glfx_frames(path, 3, frames)
-    with pytest.raises(DataError, match=f"^non-finite timestamp or feature in video 'v' "
-                                        f"at frame {frame}$"):
+    with pytest.raises(DataError, match=f"^non-finite timestamp or float32 feature in video "
+                                        f"'v' at frame {frame}$"):
         load_feature_store(path)
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@pytest.mark.parametrize("value", [np.nextafter(F32_MAX, np.inf), -1e39, 1e300, np.nan, -np.inf],
+                         ids=["just-above-the-max", "-1e39", "1e300", "nan", "-inf"])
+def test_a_feature_beyond_float32_is_refused_by_add_video_and_the_load(tmp_path, value):
+    # The store holds float32 features, so a finite float64 that float32
+    # cannot hold is refused as NaN and Inf are, by a check made before the
+    # cast: no overflow warning escapes, even when warnings are errors.
+    feats = np.ones((5, 3))
+    feats[3, 2] = value
+    path = tmp_path / "big.glfx"
+    write_glfx_frames(path, 3, [("v", t, vec) for t, vec in zip(stored_times(5), feats)])
+    message = "^non-finite timestamp or float32 feature in video 'v' at frame 3$"
+    store = FeatureStore(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=message):
+            store.add_video("v", stored_times(5), feats)
+        with pytest.raises(DataError, match=message):
+            load_feature_store(path)
+    assert len(store) == 0
+
+
+def test_float32s_extreme_values_are_kept(tmp_path):
+    # Its largest finite values and its smallest subnormal pass the check
+    # and come back exactly; a float64 below float32's range rounds to 0.
+    tiny = float(np.finfo(np.float32).smallest_subnormal)
+    feats = np.array([[F32_MAX, -F32_MAX, tiny, 1e-300]])
+    store = FeatureStore(4)
+    path = tmp_path / "edge.glfx"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        store.add_video("v", [0.0], feats)
+        store.save(path)
+        row = load_feature_store(path).resolve("v", 0.0).features
+    want = np.array([F32_MAX, -F32_MAX, tiny, 0.0], dtype=np.float32)
+    assert row.tobytes() == store._features["v"].tobytes() == want.tobytes()
 
 
 def test_a_non_finite_value_is_reported_before_a_later_fault(tmp_path):
@@ -371,7 +414,7 @@ def test_loaded_rows_are_read_only_arrays_read_from_the_file(tmp_path):
         assert rows.shape == feats.shape and len(rows) == len(feats)
         for i, want in enumerate(feats):
             row = rows[i]
-            assert row.dtype == np.float64 and row.shape == (4,)
+            assert row.dtype == np.float32 and row.shape == (4,)
             assert not row.flags.writeable and row.flags.c_contiguous
             np.testing.assert_array_equal(row, want)
         np.testing.assert_array_equal(np.asarray(rows), feats)
@@ -379,6 +422,25 @@ def test_loaded_rows_are_read_only_arrays_read_from_the_file(tmp_path):
         pytest.skip("needs /proc/self/maps")
     with open("/proc/self/maps") as fh:
         assert os.path.realpath(path) not in fh.read()  # the load's map is gone
+
+
+@pytest.mark.parametrize("kind", ["in-memory", "loaded"])
+def test_frames_are_read_only_contiguous_float32_rows(tmp_path, vocab, kind):
+    store = make_store(n_videos=2, frames_per_video=30)
+    if kind == "loaded":
+        store.save(tmp_path / "feat.glfx")
+        store = load_feature_store(tmp_path / "feat.glfx")
+    records = [UtteranceRecord("v0", 1.0, 2.0, "s", "ball"),
+               UtteranceRecord("v1", 2.0, 3.0, "s", "ball")]
+    pairs, _ = build_pairs(records, store, vocab)
+    rng = np.random.default_rng(0)
+    frames = [store.resolve("v1", 2.0)] + [sample_frame(p, rng) for p in pairs for _ in range(4)]
+    for frame in frames:
+        row = frame.features
+        assert row.dtype == np.float32 and row.shape == (4,)
+        assert row.flags.c_contiguous and not row.flags.writeable
+    whole = np.asarray(store._features["v0"])
+    assert whole.dtype == np.float32 and whole.shape == (30, 4) and whole.flags.c_contiguous
 
 
 def test_an_array_of_loaded_rows_is_always_a_copy(tmp_path):
@@ -491,6 +553,24 @@ def test_load_does_not_hold_every_frame_twice(tmp_path):
         tracemalloc.stop()
     assert len(loaded) == len(store)
     assert peak < 0.1 * frame_bytes, (peak, frame_bytes)  # no frame is copied
+
+
+def test_an_in_memory_store_holds_four_bytes_a_feature():
+    # A float32 copy of the caller's float64 features and the float64
+    # timestamps, 4·F + 8 bytes a frame, with no float64 copy on the way.
+    n, dim = 2000, 768
+    ts, feats = stored_times(n), np.random.default_rng(0).normal(size=(n, dim))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        store = FeatureStore(dim)
+        store.add_video("v", ts, feats)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    features = 4 * dim * n
+    assert features <= held < features + 8 * n + 4096, (held, features)
+    assert peak < features + 16 * n + 8192, (peak, features)
 
 
 HWM_GROWTH = """
@@ -917,7 +997,8 @@ def test_build_pairs_matches_scalar_resolution_oracle(vocab, seed):
     for pair, (ids, times, feats) in zip(pairs, want):
         assert pair.token_ids == ids
         np.testing.assert_array_equal(store._timestamps[pair.video_id][pair.frame_rows], times)
-        np.testing.assert_array_equal(pair.video_features[pair.frame_rows], feats)
+        np.testing.assert_array_equal(pair.video_features[pair.frame_rows],
+                                      feats.astype(np.float32))
 
 
 def test_oracle_world_has_ties_and_bound_cases():

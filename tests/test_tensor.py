@@ -458,6 +458,29 @@ def test_scatter_rows_equals_the_dense_one_hot_product(dtype, existing):
         assert table.grad.dtype == dtype and table.grad.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("existing", [False, True])
+def test_scatter_rows_of_the_kept_positions_equals_the_whole_product(dtype, existing):
+    # embedding_mean keeps only the non-pad positions, where its gradient is
+    # ±0.0 anyway: the sums are the full product's byte for byte, and the
+    # <pad> row, named only at skipped positions, is left as it was.
+    r = rng(43)
+    for _ in range(6):
+        ids, g = bench_like_scatter(r, dtype)
+        vocab, m, d = 300, ids.size, g.shape[-1]
+        table = Tensor(r.normal(size=(vocab, d)).astype(dtype), requires_grad=True)
+        want = csr_matrix((np.ones(m, dtype), (ids.reshape(-1), np.arange(m))),
+                          shape=(vocab, m)) @ g.reshape(m, d)
+        if existing:
+            table.grad = r.normal(size=(vocab, d)).astype(dtype)
+            table.grad[r.random(table.shape) < 0.3] = -0.0
+            rows = np.unique(ids[ids != PAD_ID])
+            want, summed = table.grad.copy(), want[rows]
+            want[rows] += summed
+        gt._scatter_rows(table, ids, g, np.flatnonzero(ids != PAD_ID))
+        assert table.grad.dtype == dtype and table.grad.tobytes() == want.tobytes()
+
+
 # --- embed and embedding_mean against the chains they replaced ------------------------
 
 def embed_chain(table, pos, ids, keep_prob, rng):

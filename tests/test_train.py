@@ -21,8 +21,9 @@ from groundlex import cli, tensor
 from groundlex.corpus import EOS_ID, MIN_FREQUENCY, PAD_ID, build_vocabulary
 from groundlex.encoders import Model, ModelConfig, load_checkpoint
 from groundlex.errors import DataError
-from groundlex.pairing import FeatureStore
-from groundlex.train import evaluate
+from groundlex.optim import AdamWState
+from groundlex.pairing import FeatureStore, load_feature_store
+from groundlex.train import evaluate, step
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -184,6 +185,38 @@ def test_the_bench_step_runs_the_decoder_once(monkeypatch):
     ids = np.array([[5, 6, 7, EOS_ID], [8, EOS_ID, PAD_ID, PAD_ID]])
     workloads.forward_loss(Model.init(cfg, rng), rng.normal(size=(2, 6)), ids, rng, NullTracer())
     assert made.count("embed") == 1 and made.count("attention") == cfg.n_layers
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_training_on_a_loaded_stores_rows_equals_training_on_the_float64_source(tmp_path,
+                                                                               variant):
+    # A store holds the float32 cast that encode_frames makes of any
+    # features, so steps with dropout on give byte-equal parameters whether
+    # they read the loaded store's rows or the float64 values it was built from.
+    cfg = ModelConfig(variant, feature_dim=24, embed_dim=16, vocab_size=30, max_len=8,
+                      n_heads=2)
+    r = np.random.default_rng(SEED)
+    source = r.normal(size=(40, cfg.feature_dim))
+    store = FeatureStore(cfg.feature_dim)
+    store.add_video("v", np.arange(40) / 3.75, source)
+    store.save(tmp_path / "feat.glfx")
+    rows = load_feature_store(tmp_path / "feat.glfx")._features["v"]
+    batches = []
+    for _ in range(3):
+        lengths = r.integers(2, cfg.max_len + 1, size=6)
+        ids = np.where(np.arange(cfg.max_len) < lengths[:, None] - 1,
+                       r.integers(EOS_ID + 1, cfg.vocab_size, size=(6, cfg.max_len)), PAD_ID)
+        ids[np.arange(6), lengths - 1] = EOS_ID
+        batches.append((r.integers(40, size=6), ids))
+    params = []
+    for read in (lambda idx: source[idx], lambda idx: np.stack([rows[i] for i in idx])):
+        assert read([0]).dtype == (np.float64 if not params else np.float32)
+        rng = np.random.default_rng(SEED)
+        model, state = Model.init(cfg, rng), AdamWState()
+        for idx, ids in batches:
+            step(model, state, read(idx), ids, 1e-2, rng)
+        params.append({k: p.data.tobytes() for k, p in model.params.items()})
+    assert params[0] == params[1]
 
 
 def test_a_seed_fixes_the_checkpoint(bench_runs, tmp_path):
