@@ -10,7 +10,8 @@ next-word losses, AdamW, and GLCK checkpoints.
 It runs on POSIX (Linux and macOS): a loaded feature store reads its rows
 with `os.pread`, and `groundlex train` reads its memory from `resource`.
 A training process imports numpy alone; SciPy loads only for float64 `gelu`
-and for `train.evaluate`'s interval.
+and for `train.evaluate`'s interval. Importing it changes nothing in the
+process: `Model.init` fixes glibc's malloc thresholds.
 """
 
 __version__ = "0.1.0"

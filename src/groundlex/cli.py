@@ -6,7 +6,8 @@ writes ``model.glck``, ``vocab.json`` and ``run.json`` into RUN_DIR (with the
 median wall time per step after the first, batch assembly included, the peak
 RSS and the median minor faults per step after the first;
 ``update_workers``, the threads AdamW's update splits over, and ``blas_parked``,
-whether it can park OpenBLAS's workers first).
+whether it can park the workers of numpy's OpenBLAS first); its ``Model.init``
+fixes glibc's malloc thresholds, which ``eval`` leaves at their defaults.
 ``eval`` scores TRIALS, JSON Lines of ``{"word": w, "frames": [[video_id,
 t_s], x4], "answer": i}`` (trial n is line n), and prints the result of
 ``train.evaluate`` as one JSON object.
@@ -29,7 +30,7 @@ from .corpus import (
 )
 from .encoders import VARIANTS, Model, ModelConfig, load_checkpoint, save_checkpoint
 from .errors import DataError
-from .optim import PEAK_LR, AdamWState, LRSchedule, blas_parkers, lr_at, update_workers
+from .optim import PEAK_LR, AdamWState, LRSchedule, blas_park, lr_at, update_workers
 from .pairing import FeatureStore, build_pairs, load_feature_store, sample_frame
 from .train import CANDIDATES, evaluate, step
 
@@ -79,7 +80,7 @@ def _train(args: argparse.Namespace) -> None:
            "step_ms_p50": float(np.median(np.diff(ends))) * 1e3 if args.steps > 1 else None,
            "peak_rss_mb": maxrss / (2**20 if sys.platform == "darwin" else 2**10),
            "minor_faults_per_step": float(np.median(np.diff(faults))) if args.steps > 1 else None,
-           "update_workers": update_workers(), "blas_parked": bool(blas_parkers())}
+           "update_workers": update_workers(), "blas_parked": blas_park() is not None}
     (out / "run.json").write_text(json.dumps(run, indent=1, sort_keys=True), encoding="utf-8")
 
 

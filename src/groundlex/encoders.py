@@ -35,6 +35,8 @@ activation, gradient and optimizer moment keeps the parameters' dtype.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import struct
@@ -128,6 +130,21 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+@functools.cache
+def _hold_freed_memory() -> None:
+    """Fix glibc's mmap threshold at its 32 MiB ceiling and its trim threshold
+    at 1 GiB, once per process; without ``mallopt``, nothing changes. Left to
+    glibc, both rise with the largest mapped block freed so far, and a step
+    whose heap grows past them returns tens of MiB to the OS and faults them
+    back in the next (5.3K faults, ~10% of a ``cvcl_t_lm`` step). A process
+    that builds no model keeps glibc's defaults; a run whose model does not
+    come from ``Model.init`` must call this itself."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
 @dataclass
 class Model:
     """Parameter bundle plus its configuration, and the record of its last
@@ -143,9 +160,11 @@ class Model:
         Xavier-uniform, each drawn (in, out), the draw every seed depends on, and
         stored (out, in); layer-norm affines at (1, 0). Draws follow the
         ``param_shapes`` order, in float64, each cast to C-order float32 in slabs
-        before the next, so init holds one float64 draw at a time."""
+        before the next, so init holds one float64 draw at a time. It calls
+        ``_hold_freed_memory`` before the first draw."""
         if cfg.vocab_size < 4:
             raise ValueError("vocab_size must cover the reserved specials")
+        _hold_freed_memory()
         params: dict[str, Tensor] = {}
         for name, shape in param_shapes(cfg).items():
             if name.endswith("_emb"):
@@ -154,11 +173,6 @@ class Model:
                 arr = _xavier_uniform(rng, *shape)
             else:
                 arr = np.full(shape, 1.0 if name.endswith("_g") else 0.0)
-            # Casting each draw before the next once slowed the cvcl_t_lm step by
-            # ~10%. The cause was glibc's moving malloc thresholds: a step grew the
-            # heap by tens of MiB, returned it on freeing it and faulted it back
-            # in the next (up to 5.3K faults a step with this init, 12K with every
-            # draw first). tensor.py fixes the thresholds.
             data = np.empty(shape, PARAM_DTYPE)
             for i in range(0, shape[-1], 64):  # 64 columns: 64 whole rows of an (in, out) draw
                 data[..., i:i + 64] = arr[..., i:i + 64]

@@ -4,9 +4,10 @@ The AdamW hyperparameters other than the learning rate are constants:
 ``WEIGHT_DECAY`` = 0.1, ``BETA1`` = 0.9, ``BETA2`` = 0.999 and ``EPSILON``
 = 1e-8. Training runs schedule the learning rate up to ``PEAK_LR`` = 1e-3.
 
-``adamw_step`` splits its update over threads after parking OpenBLAS's
-spinning workers, so no other thread may be in a BLAS call meanwhile (the
-library makes none); results are bit-identical at any thread count.
+``adamw_step`` splits its update over threads after parking the spinning
+workers of numpy's OpenBLAS (``blas_park``), so no other thread may be in a
+BLAS call meanwhile (the library makes none); results are bit-identical at
+any thread count. The module reads nothing under ``/proc``.
 """
 
 from __future__ import annotations
@@ -48,19 +49,12 @@ def update_workers() -> int:
 
 
 @functools.cache
-def blas_parkers() -> tuple:
-    """``blas_thread_shutdown_`` of each OpenBLAS in the process's maps."""
-    try:  # RTLD_NOLOAD: a library the process has loaded, never a new one
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
-        libs = [ctypes.CDLL(path, mode=os.RTLD_NOLOAD) for path in sorted(paths)]
-    except OSError:  # no /proc
-        libs = []
-    parkers = tuple(lib.blas_thread_shutdown_ for lib in libs
-                    if hasattr(lib, "blas_thread_shutdown_"))
-    for park in parkers:
-        park.argtypes, park.restype = (), ctypes.c_int
-    return parkers
+def blas_park():
+    """numpy's OpenBLAS ``blas_thread_shutdown_``, or None where numpy's BLAS
+    has none. RTLD_NOLOAD opens numpy's loaded linalg module, never a new
+    library; a symbol lookup on it also searches the libraries it links."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=os.RTLD_NOLOAD)
+    return getattr(lib, "blas_thread_shutdown_", None)
 
 
 @functools.cache
@@ -106,9 +100,9 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float) -> AdamW
     elementwise operations and their order match the unblocked formula, so
     results are bit-identical to it.
 
-    The checks and moments run on the caller. Then OpenBLAS's workers, which
-    spin after a GEMM, are parked with its ``blas_thread_shutdown_`` (its fork
-    handler's call; the next GEMM restarts them), and the blocks are dealt in
+    The checks and moments run on the caller. Then the workers of numpy's
+    OpenBLAS, which spin after a GEMM, are parked with ``blas_park()`` (its
+    fork handler's call; the next GEMM restarts them), and the blocks are dealt in
     turn to ``update_workers()`` threads, the caller and a pool started by the
     first split, bit-identically at any count. No other thread may be in a
     BLAS call meanwhile.
@@ -166,7 +160,7 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float) -> AdamW
             pb -= t2
 
     workers = max(1, min(update_workers(), len(blocks)))
-    for park in blas_parkers() if workers > 1 else ():
+    if workers > 1 and (park := blas_park()) is not None:
         park()
     futures = [_pool(os.getpid()).submit(update, blocks[k::workers]) for k in range(1, workers)]
     update(blocks[::workers])

@@ -85,9 +85,6 @@ class _FileRows:
         self._file, self._offsets = file, offsets
         self.shape = (len(offsets), dim)
 
-    def __len__(self) -> int:
-        return self.shape[0]
-
     def __getitem__(self, row) -> np.ndarray:
         at, n = int(self._offsets[row]), 8 * self.shape[1]
         buf = os.pread(self._file.fd, n, at)
@@ -97,12 +94,6 @@ class _FileRows:
         row = np.frombuffer(buf, "<f8").astype(np.float32)
         row.setflags(write=False)
         return row
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy is False:
-            raise ValueError("a loaded video's rows are read from the file, so an "
-                             "array of them is always a copy")
-        return np.array([self[i] for i in range(len(self))], dtype)
 
 
 class FeatureStore:
@@ -185,7 +176,8 @@ class FeatureStore:
                     frames["vid_len"] = len(vid_bytes)
                     frames["vid"] = np.frombuffer(vid_bytes, dtype=np.uint8)
                     frames["t"] = ts
-                    frames["f"] = self._features[vid]
+                    f = self._features[vid]  # a loaded video's are read row by row
+                    frames["f"] = f if isinstance(f, np.ndarray) else [f[i] for i in range(len(ts))]
                     fh.write(frames)
             os.replace(tmp, path)
         except BaseException:

@@ -35,11 +35,11 @@ drawn by ``_dropout_mask`` from raw 16-bit lanes of the generator's output,
 not from float64 uniforms, so float32 and float64 runs drop the same values.
 Eval passes keep_prob 1, at which dropout is the identity and draws nothing;
 ``layer_norm``'s variance floor is ``LAYER_NORM_EPS``.
+The module is numpy alone and does nothing to the process at import.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from typing import Callable, Sequence
 
@@ -55,19 +55,6 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 # The variance floor of ``layer_norm``.
 LAYER_NORM_EPS = 1e-5
-
-# glibc's mmap and trim thresholds rise with the largest mapped block freed so
-# far; below a step's heap growth, each step returns it to the OS and faults it
-# back. Fixed once per process (mmap at glibc's 32 MiB ceiling, trim at 1 GiB),
-# a step's memory stays in the heap. Without mallopt, nothing changes.
-try:
-    _mallopt = ctypes.CDLL(None).mallopt
-except (AttributeError, OSError, TypeError):
-    pass
-else:
-    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    _mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
 class no_grad:

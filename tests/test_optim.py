@@ -1,5 +1,6 @@
 """AdamW and learning-rate schedule contracts."""
 
+import ctypes
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 import groundlex
 from groundlex.optim import (
     _BLOCK_BYTES, BETA1, BETA2, EPSILON, WEIGHT_DECAY, AdamWState, LRSchedule, adamw_step,
-    blas_parkers, lr_at, update_workers,
+    blas_park, lr_at, update_workers,
 )
 from groundlex.errors import NumericsError, ShapeError
 from groundlex.tensor import Tensor
@@ -392,20 +393,25 @@ def test_the_update_pool_starts_on_the_first_split_with_fewer_threads_than_cpus(
 
 
 def test_a_blas_park_finds_openblas_and_the_next_gemm_gives_the_same_bytes(monkeypatch):
-    # The park is OpenBLAS's blas_thread_shutdown_, found through the maps of
-    # the process; the next BLAS call starts the workers again.
+    # The park is blas_thread_shutdown_ of numpy's OpenBLAS, found through
+    # numpy's linalg module: the function of an OpenBLAS the process maps.
+    # The next BLAS call starts the workers again.
     maps = Path("/proc/self/maps")
     if not maps.exists() or "openblas" not in maps.read_text():
         pytest.skip("no OpenBLAS mapped into the process, or no /proc")
-    assert blas_parkers()
+    paths = {line.split(None, 5)[5] for line in maps.read_text().splitlines()
+             if "openblas" in line}
+    mapped = {ctypes.cast(ctypes.CDLL(path, mode=os.RTLD_NOLOAD).blas_thread_shutdown_,
+                          ctypes.c_void_p).value for path in paths}
+    park = blas_park()
+    assert ctypes.cast(park, ctypes.c_void_p).value in mapped
     one_thread = {os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     blas_workers = CPUS > 1 and "1" not in one_thread  # OpenBLAS runs worker threads
     rng = np.random.default_rng(9)
     a, b = rng.normal(size=(512, 384)), rng.normal(size=(384, 448))
     before = a @ b
     running = len(os.listdir("/proc/self/task"))
-    for park in blas_parkers():
-        park()
+    park()
     parked = len(os.listdir("/proc/self/task"))
     after = a @ b
     assert after.tobytes() == before.tobytes()

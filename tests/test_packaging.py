@@ -41,22 +41,21 @@ def test_python_m_groundlex_cli_prints_the_usage():
 CLI_IMPORTS = """
 import json, os, sys
 import groundlex.cli
-from groundlex.optim import blas_parkers
+from groundlex.optim import blas_park
 maps = "/proc/self/maps"
 openblas = None
 if os.path.exists(maps):
     with open(maps) as fh:
         openblas = sorted({line.split(None, 5)[5].strip() for line in fh if "openblas" in line})
 print(json.dumps({"scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
-                  "openblas": openblas, "parkers": len(blas_parkers())}))
+                  "openblas": openblas, "parked": blas_park() is not None}))
 """
 
 
 def test_importing_the_cli_loads_no_scipy_and_one_openblas():
     # A training process needs numpy alone. SciPy would map a second OpenBLAS,
-    # with its own worker thread, beside numpy's; the park would then stop
-    # two pools, one of which no GEMM ever runs on. Where there is no /proc,
-    # only the SciPy check runs.
+    # with its own worker thread, beside numpy's, whose workers the park
+    # finds. Where there is no /proc, only the SciPy check runs.
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     run = subprocess.run([sys.executable, "-c", CLI_IMPORTS], env=env,
                          capture_output=True, text=True, check=True)
@@ -64,7 +63,7 @@ def test_importing_the_cli_loads_no_scipy_and_one_openblas():
     assert seen["scipy"] == []
     if seen["openblas"] is not None:
         assert len(seen["openblas"]) == 1, seen["openblas"]
-        assert seen["parkers"] == 1
+        assert seen["parked"]
 
 
 def names_used(tree, known, modules):

@@ -96,6 +96,12 @@ def make_store(n_videos=2, frames_per_video=8, dim=4, seed=0):
     return store
 
 
+def all_rows(features):
+    """A video's (n, F) features as one array, read row by row, as a store
+    holds them or as a loaded store reads them from its file."""
+    return np.stack([features[i] for i in range(features.shape[0])])
+
+
 def test_store_roundtrip_binary(tmp_path):
     store = make_store()
     path = tmp_path / "feat.glfx"
@@ -411,13 +417,13 @@ def test_loaded_rows_are_read_only_arrays_read_from_the_file(tmp_path):
     loaded = load_feature_store(path)
     for vid, feats in store._features.items():
         rows = loaded._features[vid]
-        assert rows.shape == feats.shape and len(rows) == len(feats)
+        assert rows.shape == feats.shape
         for i, want in enumerate(feats):
             row = rows[i]
             assert row.dtype == np.float32 and row.shape == (4,)
             assert not row.flags.writeable and row.flags.c_contiguous
             np.testing.assert_array_equal(row, want)
-        np.testing.assert_array_equal(np.asarray(rows), feats)
+        np.testing.assert_array_equal(all_rows(rows), feats)
     if not os.path.exists("/proc/self/maps"):
         pytest.skip("needs /proc/self/maps")
     with open("/proc/self/maps") as fh:
@@ -439,8 +445,9 @@ def test_frames_are_read_only_contiguous_float32_rows(tmp_path, vocab, kind):
         row = frame.features
         assert row.dtype == np.float32 and row.shape == (4,)
         assert row.flags.c_contiguous and not row.flags.writeable
-    whole = np.asarray(store._features["v0"])
-    assert whole.dtype == np.float32 and whole.shape == (30, 4) and whole.flags.c_contiguous
+    if kind == "in-memory":  # a loaded store holds no array, only the rows' offsets
+        whole = store._features["v0"]
+        assert whole.dtype == np.float32 and whole.shape == (30, 4) and whole.flags.c_contiguous
 
 
 def test_an_array_of_loaded_rows_is_always_a_copy(tmp_path):
@@ -448,21 +455,13 @@ def test_an_array_of_loaded_rows_is_always_a_copy(tmp_path):
     store = make_store(n_videos=1, frames_per_video=5, dim=4)
     store.save(path)
     rows, want = load_feature_store(path)._features["v0"], store._features["v0"]
-    first, second = np.asarray(rows), np.array(rows, copy=True)
+    # Each read of a row is a new array, so no two reads share memory.
+    assert not np.shares_memory(rows[0], rows[0])
+    first, second = all_rows(rows), all_rows(rows)
     for got in (first, second):
         np.testing.assert_array_equal(got, want)
         assert got.flags.writeable
     assert not np.shares_memory(first, second)
-
-
-@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
-                    reason="numpy 1 does not pass `copy` to `__array__`")
-def test_an_array_of_loaded_rows_without_a_copy_is_refused(tmp_path):
-    path = tmp_path / "feat.glfx"
-    make_store(n_videos=1, frames_per_video=5, dim=4).save(path)
-    rows = load_feature_store(path)._features["v0"]
-    with pytest.raises(ValueError, match="always a copy"):
-        np.asarray(rows, copy=False)
 
 
 def test_a_row_cut_off_after_the_load_raises_data_error(tmp_path):
@@ -604,7 +603,7 @@ def test_a_load_leaves_the_store_out_of_resident_memory(tmp_path):
     loaded = load_feature_store(path)
     for vid in store._timestamps:
         np.testing.assert_array_equal(loaded._timestamps[vid], store._timestamps[vid])
-        np.testing.assert_array_equal(loaded._features[vid], store._features[vid])
+        np.testing.assert_array_equal(all_rows(loaded._features[vid]), store._features[vid])
 
 
 WARM_HWM_GROWTH = """
@@ -724,7 +723,7 @@ def test_save_replaces_the_file_a_loaded_store_views(tmp_path):
     b.save(path)
     for vid in a._timestamps:
         np.testing.assert_array_equal(loaded._timestamps[vid], a._timestamps[vid])
-        np.testing.assert_array_equal(loaded._features[vid], a._features[vid])
+        np.testing.assert_array_equal(all_rows(loaded._features[vid]), a._features[vid])
     assert path.read_bytes() == (tmp_path / "b.glfx").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b.glfx", "feat.glfx"]
 
