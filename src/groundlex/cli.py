@@ -5,12 +5,12 @@ parameters, batches and dropout each draw from a generator of the seed) and
 writes ``model.glck``, ``vocab.json`` and ``run.json`` into RUN_DIR (with the
 median wall time per step after the first, batch assembly included, the peak
 RSS and the median minor faults per step after the first;
-``update_workers``, the threads AdamW's update splits over, and ``blas_parked``,
-whether it can park the workers of numpy's OpenBLAS first); its ``Model.init``
-fixes glibc's malloc thresholds, which ``eval`` leaves at their defaults.
-``eval`` scores TRIALS, JSON Lines of ``{"word": w, "frames": [[video_id,
-t_s], x4], "answer": i}`` (trial n is line n), and prints the result of
-``train.evaluate`` as one JSON object.
+``blas_parked``, whether AdamW's update can park the workers of numpy's
+OpenBLAS, and ``update_workers``, the threads it runs on: 1 unless it parks
+them first); its ``Model.init`` fixes glibc's malloc thresholds, which
+``eval`` leaves at their defaults. ``eval`` scores TRIALS, JSON Lines of
+``{"word": w, "frames": [[video_id, t_s], x4], "answer": i}`` (trial n is
+line n), and prints the result of ``train.evaluate`` as one JSON object.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ def _train(args: argparse.Namespace) -> None:
     if not vocab.token_to_id:
         raise DataError(f"{args.records}: no word occurs more than {MIN_FREQUENCY} times")
     store = load_feature_store(args.features)
+    if not store.feature_dim:
+        raise DataError(f"{args.features}: the frames have no features (F = 0)")
     pairs, pair_report = build_pairs(kept, store, vocab, args.max_len)
     manifest = SplitManifest.load(args.manifest)
     stats = split_stats(manifest, kept)
@@ -85,19 +87,17 @@ def _train(args: argparse.Namespace) -> None:
 
 
 def _read_trials(path: str, store: FeatureStore) -> list[tuple[str, np.ndarray, int]]:
-    """Trials for ``evaluate``. A malformed line, an answer outside 0-3, a
-    frame that is not [video_id string, seconds as a number] or one the store
-    does not resolve raises DataError naming file and line."""
+    """Trials for ``evaluate``, which checks their words and answers. A malformed
+    line, frames that are not four [video_id string, seconds as a number] pairs
+    or a frame the store does not resolve raise DataError naming file and line."""
     trials = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
                 obj = json.loads(line)
                 word, frames, answer = obj["word"], obj["frames"], obj["answer"]
-                if type(word) is not str or len(frames) != CANDIDATES:
-                    raise DataError(f"want a word and {CANDIDATES} [video_id, t] frames")
-                if type(answer) is not int or not 0 <= answer < CANDIDATES:
-                    raise DataError(f"answer must be an integer in 0-3, got {answer!r}")
+                if len(frames) != CANDIDATES:
+                    raise DataError(f"want {CANDIDATES} [video_id, t] frames")
                 for vid, t in frames:
                     if type(vid) is not str or type(t) not in (int, float):
                         raise DataError(f"frame {[vid, t]!r} is not [video_id, seconds]")

@@ -64,6 +64,8 @@ PARAM_DTYPE = np.dtype(np.float32)
 
 @dataclass
 class ModelConfig:
+    """Variant and sizes, checked when built; ``vocab_size`` >= 4: <pad>, <unk>, <eos>, a word."""
+
     variant: str = "cvcl"
     feature_dim: int = 768
     embed_dim: int = 512
@@ -78,7 +80,7 @@ class ModelConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
         for name, low in (("feature_dim", 1), ("embed_dim", 1), ("max_len", 1), ("n_heads", 1),
-                          ("ff_mult", 1), ("n_layers", 0), ("vocab_size", 0)):
+                          ("ff_mult", 1), ("n_layers", 0), ("vocab_size", 4)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -161,9 +163,7 @@ class Model:
         stored (out, in); layer-norm affines at (1, 0). Draws follow the
         ``param_shapes`` order, in float64, each cast to C-order float32 in slabs
         before the next, so init holds one float64 draw at a time. It calls
-        ``_hold_freed_memory`` before the first draw."""
-        if cfg.vocab_size < 4:
-            raise ValueError("vocab_size must cover the reserved specials")
+        ``_hold_freed_memory`` before the first draw; ``ModelConfig`` bounds the sizes."""
         _hold_freed_memory()
         params: dict[str, Tensor] = {}
         for name, shape in param_shapes(cfg).items():

@@ -4,9 +4,9 @@ The AdamW hyperparameters other than the learning rate are constants:
 ``WEIGHT_DECAY`` = 0.1, ``BETA1`` = 0.9, ``BETA2`` = 0.999 and ``EPSILON``
 = 1e-8. Training runs schedule the learning rate up to ``PEAK_LR`` = 1e-3.
 
-``adamw_step`` splits its update over threads after parking the spinning
-workers of numpy's OpenBLAS (``blas_park``), so no other thread may be in a
-BLAS call meanwhile (the library makes none); results are bit-identical at
+``adamw_step`` splits its update over threads only where it can first park the
+spinning workers of numpy's OpenBLAS (``blas_park``); no other thread may be in
+a BLAS call meanwhile (the library makes none). Results are bit-identical at
 any thread count. The module reads nothing under ``/proc``.
 """
 
@@ -41,13 +41,6 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 _scratch = threading.local()  # dtype -> this thread's (2, block) scratch, kept across calls
 
 
-def update_workers() -> int:
-    """The threads ``adamw_step`` splits over: ``OPENBLAS_NUM_THREADS`` when set,
-    else the CPU affinity count, and never more than that count."""
-    value = os.environ.get("OPENBLAS_NUM_THREADS", "")
-    return max(1, min(int(value), _CPUS)) if value.isdigit() else _CPUS
-
-
 @functools.cache
 def blas_park():
     """numpy's OpenBLAS ``blas_thread_shutdown_``, or None where numpy's BLAS
@@ -55,6 +48,13 @@ def blas_park():
     library; a symbol lookup on it also searches the libraries it links."""
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__, mode=os.RTLD_NOLOAD)
     return getattr(lib, "blas_thread_shutdown_", None)
+
+
+def update_workers() -> int:
+    """The threads ``adamw_step`` splits over: 1 where ``blas_park()`` is None, else
+    ``OPENBLAS_NUM_THREADS`` when set, else the CPU affinity count, and never more."""
+    value = os.environ.get("OPENBLAS_NUM_THREADS", "") if blas_park() is not None else "1"
+    return max(1, min(int(value), _CPUS)) if value.isdigit() else _CPUS
 
 
 @functools.cache
@@ -100,12 +100,12 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float) -> AdamW
     elementwise operations and their order match the unblocked formula, so
     results are bit-identical to it.
 
-    The checks and moments run on the caller. Then the workers of numpy's
-    OpenBLAS, which spin after a GEMM, are parked with ``blas_park()`` (its
-    fork handler's call; the next GEMM restarts them), and the blocks are dealt in
+    The checks and moments run on the caller. The blocks are then dealt in
     turn to ``update_workers()`` threads, the caller and a pool started by the
-    first split, bit-identically at any count. No other thread may be in a
-    BLAS call meanwhile.
+    first split, bit-identically at any count. Every split first parks the
+    workers of numpy's OpenBLAS, which spin after a GEMM, with ``blas_park()``
+    (its fork handler's call; the next GEMM restarts them); where there is no
+    park there is no split. No other thread may be in a BLAS call meanwhile.
     """
     if isinstance(lr, bool) or not isinstance(lr, numbers.Real):
         raise ValueError(f"lr must be a real number, got {lr!r}")
@@ -160,8 +160,8 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float) -> AdamW
             pb -= t2
 
     workers = max(1, min(update_workers(), len(blocks)))
-    if workers > 1 and (park := blas_park()) is not None:
-        park()
+    if workers > 1:
+        blas_park()()
     futures = [_pool(os.getpid()).submit(update, blocks[k::workers]) for k in range(1, workers)]
     update(blocks[::workers])
     for f in futures:

@@ -370,6 +370,8 @@ BAD_CONFIG_FIELDS = [
     ("feature_dim", 0), ("embed_dim", -4), ("max_len", 0), ("n_heads", 0),
     ("ff_mult", 0), ("n_layers", -1), ("vocab_size", -1), ("dropout", -0.1),
     ("dropout", 1.0), ("dropout", 1.5),
+    # The vocabulary holds <pad>, <unk>, <eos> and at least one word.
+    ("vocab_size", 3),
     # A size must be an int, not a float or a bool, and dropout a number.
     ("n_layers", 2.5), ("embed_dim", 8.0), ("feature_dim", 6.0), ("n_heads", True),
     ("vocab_size", None), ("dropout", "0.1"), ("dropout", False),
@@ -383,8 +385,9 @@ def test_model_config_rejects_bad_field(name, value):
 
 
 def test_model_config_accepts_the_bounds():
-    cfg = toy_config("cvcl_t", n_layers=0, vocab_size=0, dropout=0.0)
-    assert (cfg.n_layers, cfg.vocab_size, cfg.dropout) == (0, 0, 0.0)
+    # vocab_size >= 4: the three specials and one word.
+    cfg = toy_config("cvcl_t", n_layers=0, vocab_size=4, dropout=0.0)
+    assert (cfg.n_layers, cfg.vocab_size, cfg.dropout) == (0, 4, 0.0)
 
 
 def with_config(blob: bytes, **changes) -> bytes:

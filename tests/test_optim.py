@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import groundlex
+from groundlex import optim
 from groundlex.optim import (
     _BLOCK_BYTES, BETA1, BETA2, EPSILON, WEIGHT_DECAY, AdamWState, LRSchedule, adamw_step,
     blas_park, lr_at, update_workers,
@@ -322,11 +323,12 @@ CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.
     (None, CPUS), ("1", 1), ("2", min(2, CPUS)), (str(CPUS + 1), CPUS), ("0", 1), ("many", CPUS),
 ])
 def test_update_workers_follow_the_blas_thread_count_up_to_the_cpus(monkeypatch, env, workers):
+    # Only where the update can park numpy's OpenBLAS; elsewhere it never splits.
     if env is None:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     else:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", env)
-    assert update_workers() == workers
+    assert update_workers() == (workers if blas_park() is not None else 1)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -353,9 +355,11 @@ def test_adamw_non_finite_gradient_changes_nothing_at_two_workers(monkeypatch, v
 
 # One child process imports the optimiser, updates a one-block parameter
 # (nothing to split) and then one of min(CPUs, 8) + 1 blocks three times at
-# W = CPUs, and prints the threads alive after each stage.
+# W = CPUs, and prints the threads alive after each stage and whether the
+# update can park numpy's OpenBLAS. With the argument "unparked" it patches
+# the park away first.
 POOL_THREADS = """
-import json, threading
+import json, sys, threading
 import numpy as np
 from groundlex import optim
 from groundlex.tensor import Tensor
@@ -363,6 +367,8 @@ from groundlex.tensor import Tensor
 def alive():
     return [t.name for t in threading.enumerate()]
 
+if sys.argv[1:] == ["unparked"]:
+    optim.blas_park = lambda: None
 seen = {"import": alive()}
 state = optim.AdamWState()
 small = Tensor(np.zeros(7), requires_grad=True)
@@ -375,21 +381,40 @@ for _ in range(3):
     big.grad = np.ones(n)
     optim.adamw_step({"big": big}, state, 1e-3)
 seen["split"] = alive()
+seen["parks"] = optim.blas_park() is not None
 print(json.dumps(seen))
 """
 
 
-def test_the_update_pool_starts_on_the_first_split_with_fewer_threads_than_cpus():
+def pool_threads(blas_threads: int, *argv: str) -> dict:
     src = str(Path(groundlex.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(CPUS + 1))
-    out = subprocess.run([sys.executable, "-c", POOL_THREADS], check=True, text=True, env=env,
-                         capture_output=True, timeout=300).stdout
-    seen = json.loads(out)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(blas_threads))
+    out = subprocess.run([sys.executable, "-c", POOL_THREADS, *argv], check=True, text=True,
+                         env=env, capture_output=True, timeout=300).stdout
+    return json.loads(out)
+
+
+def test_the_update_pool_starts_on_the_first_split_with_fewer_threads_than_cpus():
+    seen = pool_threads(CPUS + 1)
     assert seen["import"] == seen["one block"] == ["MainThread"]
+    if not seen["parks"]:  # W = 1, which the next test checks on any host
+        assert seen["split"] == ["MainThread"]
+        pytest.skip("numpy's BLAS has no park, so the update never splits")
     assert seen["split"][0] == "MainThread"
     pool = seen["split"][1:]
     assert all(name.startswith("groundlex-adamw") for name in pool)
     assert 1 <= len(pool) <= CPUS - 1 if CPUS > 1 else pool == []
+
+
+def test_an_update_that_cannot_park_runs_on_one_thread(monkeypatch):
+    # A split left unparked gains nothing: the BLAS's spinning workers hold
+    # the CPUs the pool needs. So with no park there is no split and no pool.
+    monkeypatch.setattr(optim, "blas_park", lambda: None)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert update_workers() == 1
+    seen = pool_threads(2, "unparked")
+    assert not seen["parks"]
+    assert seen["import"] == seen["one block"] == seen["split"] == ["MainThread"]
 
 
 def test_a_blas_park_finds_openblas_and_the_next_gemm_gives_the_same_bytes(monkeypatch):

@@ -36,7 +36,7 @@ TINY_WORLD = WorldSpec(n_objects=6, n_filler=40, n_videos=6, frames_per_video=16
                        feature_dim=24, noise=0.5, scene_s=(3.0, 6.0))
 # The bench runs its warm-up steps and then at least 11 timed ones.
 STEPS = 1 + 11
-VARIANTS = {"cvcl": (16, 8), "cvcl_t_lm": (4, 8)}  # variant -> (batch, max_len)
+VARIANTS = {"cvcl": (16, 8), "cvcl_t": (4, 8), "cvcl_t_lm": (4, 8)}  # variant -> (batch, max_len)
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +105,8 @@ def test_train_reports_its_peak_rss_and_minor_faults_per_step(bench_runs, tmp_pa
 
 def test_train_reports_its_update_workers_and_blas_park(bench_runs, tmp_path, monkeypatch):
     # AdamW splits over OPENBLAS_NUM_THREADS threads, capped at the CPU
-    # affinity count; the park needs numpy's OpenBLAS, which the process maps.
-    # Where there is no /proc, the park goes unchecked.
+    # affinity count, and only where it can park numpy's OpenBLAS, which the
+    # process maps. Where there is no /proc, the park goes unchecked.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     try:
         with open("/proc/self/maps") as fh:
@@ -122,7 +122,7 @@ def test_train_reports_its_update_workers_and_blas_park(bench_runs, tmp_path, mo
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", env)
         cli.main(args)
         run = json.loads((tmp_path / "run.json").read_text())
-        assert run["update_workers"] == workers
+        assert run["update_workers"] == (workers if run["blas_parked"] else 1)
         assert run["blas_parked"] is openblas or openblas is None
 
 
@@ -318,7 +318,7 @@ def bad_answer(t):
 @pytest.mark.parametrize("mutate,message", [
     (bad_word, "{path}: trial 2: word 'zzzqx' is not in the vocabulary"),
     (bad_frame, "{path}:2: bad trial (frame ['v999', 1.0] does not resolve)"),
-    (bad_answer, "{path}:2: bad trial (answer must be an integer in 0-3, got 4)"),
+    (bad_answer, "{path}: trial 2: answer must be an integer in 0-3, got 4"),
     (None, "{path}:2: bad trial ("),
 ])
 def test_eval_names_the_file_and_trial_of_bad_input(bench_runs, tmp_path, mutate, message):
@@ -436,6 +436,22 @@ def test_train_refuses_records_with_no_text_naming_the_file(bench_runs, tmp_path
     records.write_text(text)
     args[1] = str(records)
     message = f"{records}: no record has text left after cleaning ({read} read)"
+    with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+        cli.main(args)
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_refuses_a_feature_store_with_no_features(bench_runs, tmp_path):
+    # GLFX holds F = 0 and such a store loads, but no model takes it.
+    work, _, world = bench_runs["cvcl"]
+    empty = FeatureStore(0)
+    for vid, ts in world.store._timestamps.items():
+        empty.add_video(vid, ts, np.zeros((len(ts), 0)))
+    features = tmp_path / "empty.glfx"
+    empty.save(features)
+    args = train_args(work, tmp_path / "run", "cvcl")
+    args[2] = str(features)
+    message = f"{features}: the frames have no features (F = 0)"
     with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
         cli.main(args)
     assert not (tmp_path / "run").exists()
