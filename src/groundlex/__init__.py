@@ -9,9 +9,8 @@ next-word losses, AdamW, and GLCK checkpoints.
 `groundlex` command (`cli`) trains a model on files and evaluates it.
 It runs on POSIX (Linux and macOS): a loaded feature store reads its rows
 with `os.pread`, and `groundlex train` reads its memory from `resource`.
-A training process imports numpy alone; SciPy loads only for float64 `gelu`
-and for `train.evaluate`'s interval. Importing it changes nothing in the
-process: `Model.init` fixes glibc's malloc thresholds.
+numpy is its only dependency beside the standard library. Importing it
+changes nothing in the process: `Model.init` fixes glibc's malloc thresholds.
 """
 
 __version__ = "0.1.0"

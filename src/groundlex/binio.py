@@ -1,7 +1,8 @@
-"""Length-checked reads shared by the package's binary file formats."""
+"""Length-checked reads and whole-file writes for the package's binary formats."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 
@@ -39,3 +40,18 @@ def read_utf8(fh, n: int, path) -> str:
     except UnicodeDecodeError as exc:
         at = fh.tell() - n + exc.start
         raise DataError(f"{path}: invalid UTF-8 at byte {at}") from None
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A new file beside `path`, open for binary writing, that replaces `path`
+    when the block ends; a block that raises removes it, leaving `path` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

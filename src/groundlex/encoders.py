@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor
-from .binio import bytes_left, read_exact, read_utf8, unpack
+from .binio import bytes_left, read_exact, read_utf8, replacing, unpack
 from .corpus import EOS_ID, PAD_ID
 from .errors import DataError, ShapeError
 from .tensor import (
@@ -334,7 +334,8 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
     JSON of ``ModelConfig.as_dict()``, then the little-endian f32 values of
     every parameter ``param_shapes`` names (weights (out, in); v4 held them
     (in, out)), in sorted name order. A parameter missing, extra or misshapen
-    against the config raises ShapeError naming the first such name."""
+    against the config raises ShapeError naming the first such name; a failed
+    write leaves `path` as it was (``replacing``)."""
     shapes = param_shapes(model.config)
     found = {name: p.shape for name, p in model.params.items()}
     if found != shapes:
@@ -342,7 +343,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
         raise ShapeError(f"save_checkpoint: parameter {name!r} has shape {found.get(name)}, "
                          f"config expects {shapes.get(name)}")
     config = json.dumps(model.config.as_dict(), sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(GLCK_MAGIC)
         fh.write(struct.pack("<II", GLCK_VERSION, len(config)))
         fh.write(config)

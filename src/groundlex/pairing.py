@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import bytes_left, read_exact, read_utf8, unpack
+from .binio import bytes_left, read_exact, read_utf8, replacing, unpack
 from .corpus import UtteranceRecord, Vocabulary, encode
 from .errors import DataError
 
@@ -159,30 +159,21 @@ class FeatureStore:
         F x f64 (float32 widened)}. Videos go in sorted id order; the rows of a
         video's arrays are written as one packed structured array, in time order.
 
-        The bytes go to a new file beside `path`, which then replaces it, so
-        a store loaded from `path` keeps reading the old file's bytes; a
-        failed write removes the new file and leaves `path` as it was."""
-        path = Path(path)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        fh = open(tmp, "xb")
-        try:
-            with fh:
-                fh.write(GLFX_MAGIC)
-                fh.write(struct.pack("<IIQ", GLFX_VERSION, self.feature_dim, len(self)))
-                for vid in sorted(self._timestamps):
-                    vid_bytes = vid.encode("utf-8")
-                    ts = self._timestamps[vid]
-                    frames = np.empty(len(ts), _glfx_frame(len(vid_bytes), self.feature_dim))
-                    frames["vid_len"] = len(vid_bytes)
-                    frames["vid"] = np.frombuffer(vid_bytes, dtype=np.uint8)
-                    frames["t"] = ts
-                    f = self._features[vid]  # a loaded video's are read row by row
-                    frames["f"] = f if isinstance(f, np.ndarray) else [f[i] for i in range(len(ts))]
-                    fh.write(frames)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink()
-            raise
+        ``replacing`` writes it, so a store loaded from `path` keeps reading the
+        old file's bytes and a failed write leaves `path` as it was."""
+        with replacing(path) as fh:
+            fh.write(GLFX_MAGIC)
+            fh.write(struct.pack("<IIQ", GLFX_VERSION, self.feature_dim, len(self)))
+            for vid in sorted(self._timestamps):
+                vid_bytes = vid.encode("utf-8")
+                ts = self._timestamps[vid]
+                frames = np.empty(len(ts), _glfx_frame(len(vid_bytes), self.feature_dim))
+                frames["vid_len"] = len(vid_bytes)
+                frames["vid"] = np.frombuffer(vid_bytes, dtype=np.uint8)
+                frames["t"] = ts
+                f = self._features[vid]  # a loaded video's are read row by row
+                frames["f"] = f if isinstance(f, np.ndarray) else [f[i] for i in range(len(ts))]
+                fh.write(frames)
 
 
 def _in_time_order(ts: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

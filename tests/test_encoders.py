@@ -3,9 +3,11 @@
 import gc
 import json
 import math
+import re
 import struct
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from groundlex.objectives import LAMBDA_C, contrastive_loss, lm_loss
 from groundlex.optim import AdamWState, adamw_step
 from groundlex import tensor, train
 from groundlex.tensor import Tensor, layer_norm, mul
-from gradcheck import grad_check, tsum
+from gradcheck import directional_check, grad_check, tsum
 
 
 def toy_config(variant="cvcl", **kw):
@@ -122,6 +124,43 @@ def test_whole_cvcl_t_lm_model_matches_finite_differences():
         return train.loss(model, feats, ids, None)  # dropout 0 draws nothing
 
     assert grad_check(f, model.params.values(), epsilon=1e-6) < 1e-6
+
+
+def param_group(name):
+    """The group a parameter's direction is drawn over: the vision adapter,
+    one decoder layer, or "lang.": the token table (1.03M of the group's
+    1.04M values), the positions and the final layer norm."""
+    return re.match(r"vis\.|lang\.layer\d+\.|lang\.", name).group()
+
+
+@pytest.mark.parametrize("variant,n,t", [("cvcl", 128, 12), ("cvcl_t", 8, 24),
+                                         ("cvcl_t_lm", 8, 24)])
+def test_whole_model_matches_directional_differences_at_bench_shapes(variant, n, t):
+    # Float64 copies at the bench's shapes (F=768, D=512, V=2003, 2 layers,
+    # 8 heads), one random unit direction per parameter group, step 1e-4.
+    # With dropout on, every loss draws its masks from a new rng(62), so the
+    # masks match. The worst error seen was 2.1e-8; scaling the backward of
+    # any one op by 1 + 1e-4 made some group read 9.8e-5 or more.
+    cfg = ModelConfig(variant, feature_dim=768, embed_dim=512, vocab_size=2003, max_len=t)
+    r = np.random.default_rng(60)
+    model = in_dtype(Model.init(cfg, r), np.float64)
+    lengths = r.integers(2, t + 1, size=n)
+    ids = np.where(np.arange(t) < lengths[:, None] - 1,
+                   r.integers(EOS_ID + 1, cfg.vocab_size, size=(n, t)), PAD_ID)
+    ids[np.arange(n), lengths - 1] = EOS_ID
+    feats = r.normal(size=(n, cfg.feature_dim))
+    groups = {}
+    for name in sorted(model.params):
+        groups.setdefault(param_group(name), []).append(model.params[name])
+    assert len(groups) == (2 + cfg.n_layers if cfg.uses_transformer else 2)
+
+    def f():
+        return train.loss(model, feats, ids, np.random.default_rng(62))
+
+    for dropout in (0.0, 0.1):
+        model.config = replace(cfg, dropout=dropout)
+        errors = directional_check(f, groups, np.random.default_rng(61))
+        assert max(errors.values()) < 1e-6, (dropout, errors)
 
 
 # --- embedding encoder ----------------------------------------------------------
@@ -430,6 +469,21 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
         ids = [[3, 4, EOS_ID]]
         np.testing.assert_array_equal(encode_utterances(model, ids).data,
                                       encode_utterances(loaded, ids).data)
+
+
+def test_a_failed_save_leaves_the_checkpoint_and_no_other_file(tmp_path):
+    # The last parameter cannot be cast to <f4, so the save fails after the
+    # header and the blocks before it: the old checkpoint must survive whole.
+    path = tmp_path / "model.glck"
+    save_checkpoint(toy_model(), path)
+    before = path.read_bytes()
+    broken = toy_model(seed=1)
+    last = broken.params[max(broken.params)]
+    last.data = np.full(last.shape, "x")
+    with pytest.raises(ValueError):
+        save_checkpoint(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.glck"]
 
 
 @pytest.mark.parametrize("value,index", [(np.nan, (0, 0)), (np.inf, (1, 2))])

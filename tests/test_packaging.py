@@ -66,6 +66,21 @@ def test_importing_the_cli_loads_no_scipy_and_one_openblas():
         assert seen["parked"]
 
 
+def test_the_library_imports_numpy_and_the_standard_library_alone():
+    # Every import and from-import of the package, function-local ones too;
+    # relative imports name the package's own modules. SciPy is a test oracle.
+    allowed = {"numpy"} | set(sys.stdlib_module_names)
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update((path.name, a.name.partition(".")[0]) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module.partition(".")[0]))
+    assert {"numpy", "math"} <= {module for _, module in found}
+    assert sorted((name, module) for name, module in found if module not in allowed) == []
+
+
 def names_used(tree, known, modules):
     """How often each identifier is used in an AST, keyed by (is_attribute,
     name): imported, read as a bare name that `known` holds, or looked up on

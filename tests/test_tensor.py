@@ -16,7 +16,7 @@ from groundlex.tensor import (
     Tensor, add, attention, cross_entropy, dropout, embed, embedding_mean, gelu,
     l2_normalize, layer_norm, matmul, mul, no_grad, take_per_row,
 )
-from gradcheck import grad_check, tsum
+from gradcheck import directional_check, grad_check, tsum
 
 
 def rng(seed=0):
@@ -806,6 +806,22 @@ def test_float32_gelu_stays_within_5e_7_of_float64_exact_gelu():
     assert (np.abs(t.grad - derivative) <= bound).all()
 
 
+def test_float64_gelu_stays_within_4_ulp_of_scipys_erf_gelu():
+    # The same sweep in float64, whose erf is math.erf value by value. Below
+    # x = -5, 1 + erf cancels, so the bound counts ulps of max(1, |x|) as the
+    # float32 bound does; 2 was the worst seen, forward and derivative.
+    x = np.linspace(-10.0, 10.0, 400_001)
+    t = Tensor(x, requires_grad=True)
+    out = gelu(t)
+    tsum(out).backward()
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    bound = 4 * np.spacing(np.maximum(1.0, np.abs(x)))
+    assert out.data.dtype == t.grad.dtype == np.float64
+    assert (np.abs(out.data - x * cdf) <= bound).all()
+    derivative = cdf + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    assert (np.abs(t.grad - derivative) <= bound).all()
+
+
 def test_gelu_grad_over_batch_time_features():
     # (N, T, D) = (2, 3, 4), as the feed-forward blocks see it.
     x = Tensor(rng(31).normal(size=(2, 3, 4)), requires_grad=True)
@@ -1033,3 +1049,44 @@ def test_cross_entropy_rejects_an_axis_out_of_range(axis):
 def test_cross_entropy_rejects_bad_targets_and_masks(targets, valid, error):
     with pytest.raises(error, match="cross_entropy"):
         cross_entropy(Tensor(np.zeros((2, 4))), targets, valid)
+
+
+# Directional checks at the models' own shapes, where a coordinate check
+# would take two forwards per scalar: one random unit direction per input,
+# step 1e-4 (tests/gradcheck.py). The worst error seen was 1.0e-7, on the
+# logits; the op's backward scaled by 1 + 1e-4 read 1e-4.
+
+def test_attention_matches_directional_differences_at_model_shape():
+    # (N, T, D, H) = (8, 24, 512, 8) of the cvcl_t_lm bench.
+    r = rng(70)
+    q, k, v = (Tensor(r.normal(size=(8, 24, 512)), requires_grad=True) for _ in range(3))
+    w = Tensor(r.normal(size=(8, 24, 512)))
+    errors = directional_check(lambda: tsum(mul(attention(q, k, v, heads=8), w)),
+                               {"q": [q], "k": [k], "v": [v]}, rng(71))
+    assert max(errors.values()) < 1e-6, errors
+
+
+def test_cross_entropy_matches_directional_differences_at_model_shape():
+    # The LM head's (N·T, V) = (192, 2003) logits, a third of the rows pads.
+    r = rng(72)
+    x = Tensor(r.normal(size=(192, 2003)), requires_grad=True)
+    targets, valid = r.integers(2003, size=192), r.random(192) < 2 / 3
+    errors = directional_check(lambda: cross_entropy(x, targets, valid), {"logits": [x]}, rng(73))
+    assert errors["logits"] < 1e-6, errors
+
+
+@pytest.mark.parametrize("keep_prob", [1.0, 0.9])
+def test_embedding_mean_matches_directional_differences_at_model_shape(keep_prob):
+    # (N, T, D) = (128, 12, 512) of the cvcl bench, V = 2003, with pads; every
+    # call draws its dropout mask from a new rng(76).
+    r = rng(74)
+    ids = padded_ids(r, 128, 12, 2003)
+    table = Tensor(r.normal(0.0, 0.02, size=(2003, 512)), requires_grad=True)
+    pos = Tensor(r.normal(0.0, 0.02, size=(12, 512)), requires_grad=True)
+    w = Tensor(r.normal(size=(128, 512)))
+
+    def f():
+        return tsum(mul(embedding_mean(table, pos, ids, ids != PAD_ID, keep_prob, rng(76)), w))
+
+    errors = directional_check(f, {"table": [table], "pos": [pos]}, rng(75))
+    assert max(errors.values()) < 1e-6, errors

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import betaincinv
 from scipy.stats import binomtest
 
 import groundlex
@@ -23,7 +24,7 @@ from groundlex.encoders import Model, ModelConfig, load_checkpoint
 from groundlex.errors import DataError
 from groundlex.optim import AdamWState
 from groundlex.pairing import FeatureStore, load_feature_store
-from groundlex.train import evaluate, step
+from groundlex.train import CANDIDATES, evaluate, step
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -301,6 +302,58 @@ def test_eval_picks_what_the_bench_scorer_picks(bench_runs, tmp_path, capsys, va
     per_word = result["per_word"]
     assert sum(w["trials"] for w in per_word.values()) == n
     assert sum(w["trials"] * w["accuracy"] for w in per_word.values()) == pytest.approx(k)
+
+
+def exact_interval(k, n):
+    """SciPy's Clopper-Pearson bounds: Beta(k, n - k + 1) at 0.025 and
+    Beta(k + 1, n - k) at 0.975."""
+    return [betaincinv(k, n - k + 1, 0.025) if k else 0.0,
+            betaincinv(k + 1, n - k, 0.975) if k < n else 1.0]
+
+
+# A child process in which any import of SciPy raises runs `groundlex train`
+# and then `groundlex eval`, whose result it prints.
+WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from groundlex import cli
+cli.main(json.loads(sys.argv[1]))
+cli.main(json.loads(sys.argv[2]))
+"""
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_train_and_eval_run_without_scipy(bench_runs, tmp_path, variant):
+    work, _, world = bench_runs[variant]
+    trials = write_trials(tmp_path / "trials.jsonl", world.trials)
+    run = tmp_path / "run"
+    evaluate_args = ["eval", str(run), str(work / "world" / "features.glfx"), str(trials)]
+    src = str(Path(groundlex.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY,
+                          json.dumps(train_args(work, run, variant)), json.dumps(evaluate_args)],
+                         check=True, text=True, capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert (run / "model.glck").read_bytes() == (work / "model.glck").read_bytes()
+    result = json.loads(out)
+    want = exact_interval(result["correct"], result["trials"])
+    assert np.abs(np.subtract(result["ci95"], want)).max() <= 1e-12
+
+
+def test_evaluate_gives_the_exact_binomial_interval():
+    # The first k of n trials take the model's pick as their answer and the
+    # rest another frame, so evaluate counts k hits; its ci95 must be SciPy's.
+    vocab = build_vocabulary(["ball dog"] * (MIN_FREQUENCY + 1))
+    model = Model.init(ModelConfig(feature_dim=3, embed_dim=4, vocab_size=len(vocab)),
+                       np.random.default_rng(0))
+    frames = np.random.default_rng(1).normal(size=(1000, CANDIDATES, 3))
+    picks = evaluate(model, vocab, [("ball", f, 0) for f in frames])["picks"]
+    for n in (1, 2, 7, 40, 120, 400, 1000):
+        for k in sorted({0, 1, n // 4, n // 2, n - 1, n}):
+            trials = [("ball", frames[i], picks[i] if i < k else (picks[i] + 1) % CANDIDATES)
+                      for i in range(n)]
+            result = evaluate(model, vocab, trials)
+            assert result["correct"] == k
+            assert np.abs(np.subtract(result["ci95"], exact_interval(k, n))).max() <= 1e-12, (k, n)
 
 
 def bad_word(t):
