@@ -18,15 +18,16 @@ T <= ``max_len``; a single row is a batch of one, and a bare row raises.
 A decoder row is tokens, <eos>, then only pads, so under the causal rule no
 query at or before <eos> sees a pad and the decoder needs no pad mask.
 
-A ``cvcl_t_lm`` training step runs the decoder once. A train-mode call of
-``encode_utterances`` or ``lm_logits`` reuses the decoder pass of the
-train-mode call before it when the ids are equal, the `rng` is the same
-object and that pass is still on a live tape: ``backward()`` has not consumed
-it and its loss has not been dropped. A pass is reused once, and the reusing
-call draws nothing from `rng`. The shared hidden states sum the gradients of
-both heads. A parameter edited in place between the two calls is not seen by
-the second, the contract ``backward()`` already has for an edit between the
-forward pass and it.
+A ``cvcl_t_lm`` training step runs the decoder once, by a one-way handoff. A
+train-mode ``encode_utterances`` on a transformer variant leaves its pass on
+the model, and every ``lm_logits`` call clears it. A train-mode ``lm_logits``
+reuses that pass, drawing nothing from `rng`, on equal ids and the same `rng`
+object if the pass was made on a tape exactly when grad is on now, and a taped
+pass only while its tape is live (``backward()`` has not consumed it nor its
+loss been dropped); otherwise it runs its own. So ``train.loss`` is one
+function with or without a tape. The hidden states sum both heads' gradients,
+and a parameter edited in place between the calls is not seen by the second,
+as for ``backward()``.
 
 All parameters live in a flat name -> Tensor dict so the optimizer and the
 checkpoint format stay trivial. Parameters are float32, and every
@@ -149,8 +150,8 @@ def _hold_freed_memory() -> None:
 
 @dataclass
 class Model:
-    """Parameter bundle plus its configuration, and the record of its last
-    train-mode decoder pass (see ``lm_logits``)."""
+    """Parameter bundle plus its configuration, and the decoder pass that a
+    train-mode ``encode_utterances`` leaves for ``lm_logits`` (see the module docstring)."""
 
     config: ModelConfig
     params: dict[str, Tensor]
@@ -245,29 +246,6 @@ def _transformer_hidden(model: Model, ids: np.ndarray, keep: float,
     return layer_norm(h, p["lang.lnf_g"], p["lang.lnf_b"])
 
 
-def _decoder_pass(model: Model, ids: np.ndarray, train: bool,
-                  rng: np.random.Generator | None) -> Tensor:
-    """``_transformer_hidden``, run once per live train-mode tape (see the
-    module docstring). A train-mode pass on a live tape leaves a record on the
-    model: a copy of the ids, the `rng` object and a weak reference to the
-    hidden states, so that the record keeps no activation alive. Using the
-    record clears it. Eval and ``no_grad`` calls never leave or use one."""
-    keep = _keep_prob(model.config, train)
-    if not (train and tensor._grad_enabled):
-        return _transformer_hidden(model, ids, keep, rng)
-    last, model._last_pass = model._last_pass, None
-    if last is not None:
-        last_ids, last_rng, ref = last
-        hidden = ref()
-        if (hidden is not None and hidden._backward is not None and last_rng is rng
-                and np.array_equal(last_ids, ids)):
-            return hidden
-    hidden = _transformer_hidden(model, ids, keep, rng)
-    if hidden._backward is not None:
-        model._last_pass = (ids.copy(), rng, weakref.ref(hidden))
-    return hidden
-
-
 def _token_ids(ids_batch, op: str) -> np.ndarray:
     """Integer ids (N, T) as intp; floats and bools, even in a list, raise DataError."""
     ids = np.asarray(ids_batch)
@@ -299,7 +277,10 @@ def encode_utterances(model: Model, ids_batch, train: bool = False,
     cfg, p = model.config, model.params
     ids = _token_ids(ids_batch, "encode_utterances")
     if cfg.uses_transformer:
-        hidden = _decoder_pass(model, ids, train, rng)
+        hidden = _transformer_hidden(model, ids, _keep_prob(cfg, train), rng)
+        if train:  # held weakly on a tape, so that the record keeps no graph alive
+            taped = tensor._grad_enabled
+            model._last_pass = (ids.copy(), rng, taped, weakref.ref(hidden) if taped else hidden)
         return take_per_row(hidden, _eos_positions(ids))
     not_pad = ids != PAD_ID
     if not not_pad.any(axis=1).all():
@@ -312,16 +293,18 @@ def lm_logits(model: Model, ids_batch, train: bool = False,
               rng: np.random.Generator | None = None) -> Tensor:
     """Next-word logits (N, T, V): a bias-free linear layer whose weight is the token table.
 
-    In train mode this reuses the decoder pass of the ``encode_utterances``
-    call before it on equal ids with the same `rng`, while that pass is on a
-    live tape, and then draws nothing from `rng` (see the module docstring).
-    A parameter edited in place between the two calls is not seen by this
-    one, the contract ``backward()`` already has."""
+    Every call clears the pass ``encode_utterances`` left, which a train-mode
+    call may reuse (see the module docstring)."""
     if not model.config.uses_transformer:
         raise ValueError("language-model logits need a transformer variant")
     ids = _token_ids(ids_batch, "lm_logits")
     _eos_positions(ids)  # same precondition as encoding
-    hidden = _decoder_pass(model, ids, train, rng)
+    last, model._last_pass, hidden = model._last_pass, None, None
+    if (train and last is not None and last[1] is rng and last[2] == tensor._grad_enabled
+            and np.array_equal(last[0], ids)):
+        hidden = last[3]() if last[2] else last[3]
+    if hidden is None or tensor._grad_enabled and hidden._backward is None:
+        hidden = _transformer_hidden(model, ids, _keep_prob(model.config, train), rng)
     return matmul(hidden, model.params["lang.tok_emb"])
 
 

@@ -23,7 +23,8 @@ def loss(model: Model, feats: np.ndarray, ids: np.ndarray,
     """The loss of frame features (N, F) and right-padded integer ids (N, T),
     with dropout drawn from `rng` for frames, then for utterances; the
     ``cvcl_t_lm`` LM logits reuse the utterance encoding's one decoder pass
-    and draw nothing. The loss is contrastive, and for ``cvcl_t_lm``
+    and draw nothing, on a tape or under ``no_grad`` alike, so the value is
+    the same either way. The loss is contrastive, and for ``cvcl_t_lm``
     ``joint_loss`` of it and the loss of predicting token t + 1 at position t
     (``<pad>`` at the last, left out)."""
     frames = encode_frames(model, feats, train=True, rng=rng)

@@ -71,8 +71,7 @@ def directional_check(f: Callable[[], Tensor], groups: dict[str, Sequence[Tensor
     backward (<grad L, v>), and the central difference (L(θ + εv) − L(θ − εv))
     / 2ε: |d_ad − d_fd| / max(|d_ad|, |d_fd|). Two forwards per group at any
     size, as JAX's check_grads and PyTorch's fast gradcheck project. The
-    forwards run on a tape, as the backward's did: a ``no_grad`` cvcl_t_lm
-    loss runs the decoder twice and, with dropout on, draws a second mask."""
+    two forwards run under ``no_grad``, as ``grad_check``'s do."""
     for ts in groups.values():
         for t in ts:
             t.grad = None
@@ -88,10 +87,11 @@ def directional_check(f: Callable[[], Tensor], groups: dict[str, Sequence[Tensor
                    if t.grad is not None) / norm
         saved = [t.data.copy() for t in ts]
         values = []
-        for step in (epsilon / norm, -epsilon / norm):
-            for t, s, v in zip(ts, saved, vs):
-                np.add(s, step * v, out=t.data)
-            values.append(f().item())
+        with no_grad():
+            for step in (epsilon / norm, -epsilon / norm):
+                for t, s, v in zip(ts, saved, vs):
+                    np.add(s, step * v, out=t.data)
+                values.append(f().item())
         for t, s in zip(ts, saved):
             t.data[...] = s
         d_fd = (values[0] - values[1]) / (2.0 * epsilon)

@@ -1,5 +1,6 @@
 """Encoder forward semantics, causality, gradients, checkpoint format."""
 
+import contextlib
 import gc
 import json
 import math
@@ -922,40 +923,60 @@ def test_one_pass_joint_loss_matches_its_terms_on_separate_tapes():
                                    rtol=1e-12, atol=1e-12 * scale, err_msg=name)
 
 
+def test_the_training_loss_is_the_same_with_or_without_a_tape():
+    # With dropout on, the LM logits reuse the utterance encoding's pass, and
+    # so its masks, under no_grad as on a tape.
+    model = toy_model("cvcl_t_lm", seed=26, dropout=0.3, n_layers=1)
+    values = []
+    for taped in (True, False):
+        with contextlib.nullcontext() if taped else tensor.no_grad():
+            values.append(joint_step_loss(model, np.random.default_rng(27)).item())
+    assert values[0] == values[1]
+
+
 @pytest.mark.parametrize("second,passes", [
     ("reuse", 1), ("third_call", 2), ("eval", 2), ("no_grad", 2), ("ids_edited", 2),
-    ("other_rng", 2), ("after_backward", 2),
+    ("other_rng", 2), ("after_backward", 2), ("encode_again", 2), ("lm_first", 2),
+    ("both_no_grad", 1),
 ])
 def test_decoder_pass_is_reused_only_by_the_next_train_call_on_its_tape(
         monkeypatch, second, passes):
-    # Each decoder pass is one embed node. The first call is a train-mode
-    # utterance encoding; the second LM call reuses its pass only when it is
-    # in train mode with grad on, on equal ids and the same rng object, and
-    # before backward() has consumed the pass.
+    # Each decoder pass is one embed node. A train-mode utterance encoding
+    # hands its pass one way: the LM call after it reuses the pass only in
+    # train mode, on equal ids and the same rng object, with grad on exactly
+    # when the pass was made on a tape, and a taped pass only before
+    # backward() has consumed it. An encoding reuses no pass, and an LM call
+    # leaves none.
     made = record_ops(monkeypatch)
     model = toy_model("cvcl_t_lm", seed=19, dropout=0.3)
     rng = np.random.default_rng(20)
     ids = STEP_IDS.astype(np.intp)
-    utterances = encode_utterances(model, ids, train=True, rng=rng)
-    hidden = utterances._parents[0]
+    first, then = encode_utterances, lm_logits
+    if second == "encode_again":
+        then = encode_utterances
+    elif second == "lm_first":
+        first, then = lm_logits, encode_utterances
+    with tensor.no_grad() if second == "both_no_grad" else contextlib.nullcontext():
+        out = first(model, ids, train=True, rng=rng)
+    hidden = out._parents[:1]  # empty under no_grad
     if second == "third_call":
-        assert lm_logits(model, ids, train=True, rng=rng)._parents[0] is hidden
+        assert lm_logits(model, ids, train=True, rng=rng)._parents[:1] == hidden
     elif second == "ids_edited":
         ids[2, 0] = 5  # in place: the record holds its own copy of the ids
     elif second == "other_rng":
         rng = np.random.default_rng(20)
     elif second == "after_backward":
-        tsum(utterances).backward()  # `hidden` stays alive, its tape consumed
+        tsum(out).backward()  # `hidden` stays alive, its tape consumed
     if second == "eval":
-        logits = lm_logits(model, ids)
-    elif second == "no_grad":
+        out = lm_logits(model, ids)
+    elif second in ("no_grad", "both_no_grad"):
         with tensor.no_grad():
-            logits = lm_logits(model, ids, train=True, rng=rng)
-        assert not logits.requires_grad
+            out = lm_logits(model, ids, train=True, rng=rng)
+        assert not out.requires_grad
     else:
-        logits = lm_logits(model, ids, train=True, rng=rng)
+        out = then(model, ids, train=True, rng=rng)
     assert made.count("embed") == passes
-    assert (logits._parents[:1] == (hidden,)) == (passes == 1)
+    assert (out._parents[:1] == hidden) == (passes == 1)
 
 
 # --- autograd graph lifetime ---------------------------------------------------
@@ -999,7 +1020,7 @@ def test_model_keeps_no_tensor_of_a_step_alive(monkeypatch, variant, run_backwar
     gc.disable()
     try:
         loss = joint_step_loss(model, np.random.default_rng(22))
-        assert model._last_pass is None or model._last_pass[2]() is not None
+        assert model._last_pass is None or model._last_pass[3]() is not None
         if run_backward:
             loss.backward()
             assert [op for op, ref in made if ref() not in (None, loss)] == []

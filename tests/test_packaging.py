@@ -1,5 +1,6 @@
 """Package metadata: every declared console script resolves to a callable,
-and every public function, class and method of the package has a caller."""
+every public function, class and method of the package has a caller, and
+every private helper has one inside the package."""
 
 import ast
 import importlib
@@ -160,6 +161,29 @@ def test_every_public_name_has_a_caller():
             if used[key] - names_used(node, *scope)[key] == 0:
                 callerless.add(node.name)
     assert not callerless, sorted(callerless)
+
+
+def references(tree):
+    """How often each identifier is named in an AST: read as a bare name,
+    looked up as an attribute, or imported."""
+    return Counter(node.id if isinstance(node, ast.Name)
+                   else node.attr if isinstance(node, ast.Attribute) else node.name
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # A private top-level function or class of a groundlex module that nothing
+    # in the package names outside its own body is dead code, whatever the
+    # tests or the benchmark call.
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))]
+    used = sum((references(t) for t in trees), Counter())
+    helpers = [node for t in trees for node in t.body if isinstance(node, defs)
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert len(helpers) > 20
+    assert sorted(node.name for node in helpers
+                  if used[node.name] - references(node)[node.name] == 0) == []
 
 
 @pytest.mark.parametrize("source,counted", [
