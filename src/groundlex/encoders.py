@@ -19,8 +19,8 @@ A decoder row is tokens, <eos>, then only pads, so under the causal rule no
 query at or before <eos> sees a pad and the decoder needs no pad mask.
 
 A ``cvcl_t_lm`` training step runs the decoder once, by a one-way handoff. A
-train-mode ``encode_utterances`` on a transformer variant leaves its pass on
-the model, and every ``lm_logits`` call clears it. A train-mode ``lm_logits``
+train-mode ``encode_utterances`` on ``cvcl_t_lm`` leaves its pass on the
+model, and every ``lm_logits`` call clears it. A train-mode ``lm_logits``
 reuses that pass, drawing nothing from `rng`, on equal ids and the same `rng`
 object if the pass was made on a tape exactly when grad is on now, and a taped
 pass only while its tape is live (``backward()`` has not consumed it nor its
@@ -150,8 +150,8 @@ def _hold_freed_memory() -> None:
 
 @dataclass
 class Model:
-    """Parameter bundle plus its configuration, and the decoder pass that a
-    train-mode ``encode_utterances`` leaves for ``lm_logits`` (see the module docstring)."""
+    """Parameter bundle plus its configuration, and the decoder pass that a train-mode
+    ``encode_utterances`` on ``cvcl_t_lm`` leaves for ``lm_logits`` (module docstring)."""
 
     config: ModelConfig
     params: dict[str, Tensor]
@@ -278,7 +278,7 @@ def encode_utterances(model: Model, ids_batch, train: bool = False,
     ids = _token_ids(ids_batch, "encode_utterances")
     if cfg.uses_transformer:
         hidden = _transformer_hidden(model, ids, _keep_prob(cfg, train), rng)
-        if train:  # held weakly on a tape, so that the record keeps no graph alive
+        if train and cfg.uses_lm_head:  # weak on a tape: the record keeps no graph alive
             taped = tensor._grad_enabled
             model._last_pass = (ids.copy(), rng, taped, weakref.ref(hidden) if taped else hidden)
         return take_per_row(hidden, _eos_positions(ids))
@@ -291,12 +291,12 @@ def encode_utterances(model: Model, ids_batch, train: bool = False,
 
 def lm_logits(model: Model, ids_batch, train: bool = False,
               rng: np.random.Generator | None = None) -> Tensor:
-    """Next-word logits (N, T, V): a bias-free linear layer whose weight is the token table.
-
-    Every call clears the pass ``encode_utterances`` left, which a train-mode
+    """Next-word logits (N, T, V) of ``cvcl_t_lm``, the one variant that ``uses_lm_head``
+    (any other raises ValueError): a bias-free linear layer whose weight is the token
+    table. Every call clears the pass ``encode_utterances`` left, which a train-mode
     call may reuse (see the module docstring)."""
-    if not model.config.uses_transformer:
-        raise ValueError("language-model logits need a transformer variant")
+    if not model.config.uses_lm_head:
+        raise ValueError("language-model logits need the cvcl_t_lm variant")
     ids = _token_ids(ids_batch, "lm_logits")
     _eos_positions(ids)  # same precondition as encoding
     last, model._last_pass, hidden = model._last_pass, None, None

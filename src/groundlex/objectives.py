@@ -47,12 +47,12 @@ def contrastive_loss(frame_embs: Tensor, utt_embs: Tensor) -> tuple[Tensor, dict
 def lm_loss(logits: Tensor, target_ids: np.ndarray) -> Tensor:
     """Mean next-word cross-entropy in nats over non-pad targets.
 
-    One masked ``cross_entropy`` call. logits (N, T, V) or (T, V) at
-    position t predict target_ids[..., t]; callers shift the ids. Every
-    ``PAD_ID`` target is padding, wherever it stands, and is excluded from
-    the mean: no word encodes to ``PAD_ID``.
+    One masked ``cross_entropy`` call, which checks that the targets are
+    integer classes. logits (N, T, V) or (T, V) at position t predict
+    target_ids[..., t]; callers shift the ids. Every ``PAD_ID`` target is
+    padding, wherever it stands, and left out of the mean: no word encodes to it.
     """
-    targets = np.asarray(target_ids, dtype=np.intp)
+    targets = np.asarray(target_ids)
     if logits.ndim < 2 or targets.shape != logits.shape[:-1]:
         raise ShapeError("lm_loss", logits.shape, targets.shape)
     valid = targets != PAD_ID

@@ -475,14 +475,14 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, valid: np.ndarray | None 
                   axis: int = -1) -> Tensor:
     """Mean of -log softmax(logits)[target] along ``axis``, in nats.
 
-    targets (logits' shape without ``axis``) are integer classes in [0, C),
-    C = logits.shape[axis]. ``valid`` (boolean, shaped like targets) keeps the
-    rows that count; every row counts when it is None. The mean runs over the
-    n kept rows. With p = softmax(logits) the gradient is ``(p - onehot(target))
+    targets (logits' shape without ``axis``) are classes in [0, C) of an integer dtype
+    (not bool), else ShapeError; C = logits.shape[axis]. ``valid`` (boolean, shaped like
+    targets) keeps the rows that count; every row counts when it is None. The mean runs
+    over the n kept rows. With p = softmax(logits) the gradient is ``(p - onehot(target))
     * valid * g / n``, computed in place in the exponentials of a C-order copy
     with ``axis`` last: none when it is last already, Sᵀ at axis 0 of a matrix S.
     """
-    targets = np.asarray(targets, dtype=np.intp)
+    targets = np.asarray(targets)
     keep = np.ones(targets.shape, bool) if valid is None else np.asarray(valid, bool)
     if not -logits.ndim <= axis < logits.ndim:
         raise ShapeError(f"cross_entropy: axis {axis} is out of range for {logits.shape}")
@@ -492,7 +492,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, valid: np.ndarray | None 
         raise ShapeError("cross_entropy", logits.shape, targets.shape, keep.shape)
     classes = moved[-1]
     t, keep = targets.reshape(-1), keep.reshape(-1)
-    if t.size and (t.min() < 0 or t.max() >= classes):
+    if t.dtype.kind not in "iu" or t.size and (t.min() < 0 or t.max() >= classes):
         raise ShapeError("cross_entropy", logits.shape, targets.shape)
     n = int(keep.sum())
     if n == 0:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .corpus import EOS_ID, PAD_ID, Vocabulary
-from .encoders import Model, encode_frames, encode_utterances, lm_logits
+from .encoders import PARAM_DTYPE, Model, encode_frames, encode_utterances, lm_logits
 from .errors import DataError
 from .objectives import contrastive_loss, joint_loss, lm_loss
 from .optim import AdamWState, adamw_step
@@ -52,12 +52,12 @@ def evaluate(model: Model, vocab: Vocabulary,
     no-grad forward per side, each distinct word once as [word, <eos>].
     Returns the picks, the accuracy with its exact (Clopper-Pearson) binomial
     95% interval beside 0.25 chance (``_clopper_pearson``), and each word's
-    accuracy. A word that is not a string in the vocabulary, an answer that is
-    not an int in 0-3, or candidates that are not a finite real (4, F) array
-    raise DataError naming the trial, counted from 1."""
+    accuracy. A word that is not a string in the vocabulary, an answer that is not an
+    int in 0-3, or candidates that are not a real (4, F) array finite in the parameters'
+    dtype, checked with no cast, raise DataError naming the trial, counted from 1."""
     if not trials:
         raise DataError("evaluate: no trials")
-    want = (CANDIDATES, model.config.feature_dim)
+    want, top = (CANDIDATES, model.config.feature_dim), np.finfo(PARAM_DTYPE).max
     for i, (word, frames, answer) in enumerate(trials, 1):
         if not isinstance(word, str):
             raise DataError(f"trial {i}: word must be a string, got {word!r}")
@@ -66,7 +66,7 @@ def evaluate(model: Model, vocab: Vocabulary,
         if type(answer) is not int or not 0 <= answer < CANDIDATES:
             raise DataError(f"trial {i}: answer must be an integer in 0-3, got {answer!r}")
         if (not isinstance(frames, np.ndarray) or frames.shape != want
-                or frames.dtype.kind not in "iuf" or not np.isfinite(frames).all()):
+                or frames.dtype.kind not in "iuf" or not (np.abs(frames) <= top).all()):
             raise DataError(f"trial {i}: candidates must be a finite real array of shape {want}")
     n = len(trials)
     feats = np.stack([f for _, f, _ in trials])

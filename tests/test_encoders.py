@@ -259,11 +259,12 @@ def test_decoder_takes_only_right_padded_rows(variant):
     model = toy_model(variant)
     rows = [(0, [[PAD_ID, 3, EOS_ID]]), (0, [[3, PAD_ID, 4, EOS_ID]]),
             (1, [[3, EOS_ID, PAD_ID, PAD_ID], [3, PAD_ID, 4, EOS_ID]])]
+    calls = [encode_utterances] + ([lm_logits] if model.config.uses_lm_head else [])
     for bad, ids in rows:
         if not model.config.uses_transformer:
             assert encode_utterances(model, ids).shape == (len(ids), 8)
             continue
-        for call in (encode_utterances, lm_logits):
+        for call in calls:
             with pytest.raises(DataError, match=f"^utterance {bad}: a token follows <pad>; "):
                 call(model, ids)
 
@@ -275,7 +276,7 @@ def test_token_ids_must_have_an_integer_dtype(variant, dtype):
     # At a float or bool dtype, 3.7 would be read as 3 and True as 1.
     model = toy_model(variant)
     ids = np.array([[3, 4, EOS_ID]])
-    calls = [encode_utterances] + ([lm_logits] if model.config.uses_transformer else [])
+    calls = [encode_utterances] + ([lm_logits] if model.config.uses_lm_head else [])
     for call in calls:
         want = call(model, ids).data
         if np.dtype(dtype).kind in "iu":
@@ -292,7 +293,7 @@ def test_token_ids_must_have_an_integer_dtype(variant, dtype):
 def test_a_bool_in_a_list_of_ids_raises(variant, flag):
     # numpy reads [[True, EOS_ID]] as int64 [[1, 2]]: UNK_ID, then <eos>.
     model = toy_model(variant)
-    calls = [encode_utterances] + ([lm_logits] if model.config.uses_transformer else [])
+    calls = [encode_utterances] + ([lm_logits] if model.config.uses_lm_head else [])
     for call in calls:
         with pytest.raises(DataError, match="token ids must be integers, got a bool$"):
             call(model, [[flag, EOS_ID]])
@@ -364,9 +365,10 @@ def test_lm_logits_tied_weights_same_object():
 
 
 def test_lm_logits_requires_transformer():
-    model = toy_model("cvcl")
-    with pytest.raises(ValueError):
-        lm_logits(model, [[3, EOS_ID]])
+    # Only cvcl_t_lm has the head: cvcl_t runs the decoder but trains no head.
+    for variant in ("cvcl", "cvcl_t"):
+        with pytest.raises(ValueError, match="cvcl_t_lm"):
+            lm_logits(toy_model(variant), [[3, EOS_ID]])
 
 
 def test_lm_logits_shape():
@@ -835,6 +837,20 @@ def record_ops(monkeypatch):
     return made
 
 
+def record_outputs(monkeypatch):
+    """The list that (name, weak reference) of every op output made from now on is appended to."""
+    made = []
+    make = tensor._make
+
+    def spy_make(data, op, parents, backward):
+        out = make(data, op, parents, backward)
+        made.append((op, weakref.ref(out)))
+        return out
+
+    monkeypatch.setattr(tensor, "_make", spy_make)
+    return made
+
+
 def test_training_step_tape_has_one_attention_node_per_layer_pass(monkeypatch):
     # One cvcl_t_lm step runs the decoder once: the LM logits read the hidden
     # states of the utterance encoding's pass. So each layer's attention is
@@ -934,6 +950,17 @@ def test_the_training_loss_is_the_same_with_or_without_a_tape():
     assert values[0] == values[1]
 
 
+@pytest.mark.parametrize("variant", ["cvcl", "cvcl_t", "cvcl_t_lm"])
+def test_only_a_train_mode_cvcl_t_lm_encoding_leaves_a_decoder_record(variant):
+    # Only cvcl_t_lm's lm_logits reads the record, so no other variant, and
+    # no eval-mode encoding, copies its ids into one.
+    model = toy_model(variant)
+    encode_utterances(model, STEP_IDS)
+    assert model._last_pass is None
+    encode_utterances(model, STEP_IDS, train=True, rng=np.random.default_rng(0))
+    assert (model._last_pass is not None) == (variant == "cvcl_t_lm")
+
+
 @pytest.mark.parametrize("second,passes", [
     ("reuse", 1), ("third_call", 2), ("eval", 2), ("no_grad", 2), ("ids_edited", 2),
     ("other_rng", 2), ("after_backward", 2), ("encode_again", 2), ("lm_first", 2),
@@ -1003,28 +1030,39 @@ def test_training_graph_is_freed_without_the_cycle_collector(run_backward):
 @pytest.mark.parametrize("variant", ["cvcl_t", "cvcl_t_lm"])
 @pytest.mark.parametrize("run_backward", [True, False])
 def test_model_keeps_no_tensor_of_a_step_alive(monkeypatch, variant, run_backward):
-    # The model's record of its last decoder pass refers to the hidden states
-    # weakly. A cvcl_t step leaves that record unused, so a strong reference
-    # would keep the step's whole decoder graph alive.
-    made = []
-    make = tensor._make
-
-    def spy_make(data, op, parents, backward):
-        out = make(data, op, parents, backward)
-        made.append((op, weakref.ref(out)))
-        return out
-
-    monkeypatch.setattr(tensor, "_make", spy_make)
+    # A whole step leaves no decoder record: a cvcl_t step makes none, and the
+    # LM logits of a cvcl_t_lm step clear the one its encoding left. The
+    # record's weak reference guards a cvcl_t_lm step that stops between the
+    # encoding and lm_logits (the test below).
+    made = record_outputs(monkeypatch)
     model = toy_model(variant, seed=21, dropout=0.3)
     gc.collect()
     gc.disable()
     try:
         loss = joint_step_loss(model, np.random.default_rng(22))
-        assert model._last_pass is None or model._last_pass[3]() is not None
+        assert model._last_pass is None
         if run_backward:
             loss.backward()
             assert [op for op, ref in made if ref() not in (None, loss)] == []
         del loss
         assert [op for op, ref in made if ref() is not None] == []
+    finally:
+        gc.enable()
+
+
+def test_a_step_stopped_before_its_lm_logits_keeps_no_tensor_alive(monkeypatch):
+    # A train-mode cvcl_t_lm encoding on a tape records its hidden states
+    # weakly, so a step that ends before lm_logits, on an error say, frees its
+    # whole decoder graph; a strong reference would keep it alive.
+    made = record_outputs(monkeypatch)
+    model = toy_model("cvcl_t_lm", seed=21, dropout=0.3)
+    gc.collect()
+    gc.disable()
+    try:
+        loss = tsum(encode_utterances(model, STEP_IDS, train=True, rng=np.random.default_rng(22)))
+        assert model._last_pass[3]() is not None
+        del loss
+        assert [op for op, ref in made if ref() is not None] == []
+        assert model._last_pass[3]() is None
     finally:
         gc.enable()

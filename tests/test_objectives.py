@@ -155,6 +155,18 @@ def test_lm_loss_all_pad_errors():
         lm_loss(Tensor(np.zeros((1, 2, 4))), np.array([[PAD_ID, PAD_ID]]))
 
 
+@pytest.mark.parametrize("targets", [[[1.7, 2.2]], [[1.0, 2.0]], [[True, True]]],
+                         ids=["fractional", "integral-float", "bool"])
+def test_lm_loss_takes_only_integer_targets(targets):
+    # 1.7 would be read as class 1 and True as class 1; integer dtypes agree.
+    logits = Tensor(np.random.default_rng(10).normal(size=(1, 2, 5)))
+    with pytest.raises(ShapeError, match="^cross_entropy: "):
+        lm_loss(logits, np.array(targets))
+    want = lm_loss(logits, np.array([[1, 2]])).item()
+    for dtype in (np.uint8, np.int32, np.int64):
+        assert lm_loss(logits, np.array([[1, 2]], dtype)).item() == want
+
+
 def test_lm_loss_gradient():
     rng = np.random.default_rng(8)
     logits = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)

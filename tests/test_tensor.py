@@ -1045,6 +1045,8 @@ def test_cross_entropy_rejects_an_axis_out_of_range(axis):
     (np.array([0, 1, 2]), None, ShapeError),
     (np.array([0, 1]), np.array([True]), ShapeError),
     (np.array([0, 1]), np.array([False, False]), NumericsError),
+    (np.array([0.0, 1.0]), None, ShapeError),
+    (np.array([True, False]), None, ShapeError),
 ])
 def test_cross_entropy_rejects_bad_targets_and_masks(targets, valid, error):
     with pytest.raises(error, match="cross_entropy"):

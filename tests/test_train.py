@@ -51,7 +51,8 @@ def bench_runs(tmp_path_factory):
                                    world=TINY_WORLD, warmup_steps=1, steps_per_second=1.0)
         work = tmp_path_factory.mktemp(variant)
         outcome = workloads.run_train(variant, SEED, 0, NullTracer(), work, spec)
-        assert outcome.errors == [] and outcome.gates.failed == 0
+        failed = [(r["gate"], r["detail"]) for r in outcome.gates.results if not r["ok"]]
+        assert (outcome.errors, failed) == ([], [])
         runs[variant] = work, outcome, build(TINY_WORLD, SEED)
     return runs
 
@@ -417,6 +418,14 @@ def with_one(value):
     return frames
 
 
+def scorer():
+    """A vocabulary of "ball" and "dog", a cvcl model of 3 features over it, and a good trial."""
+    vocab = build_vocabulary(["ball dog"] * (MIN_FREQUENCY + 1))
+    model = Model.init(ModelConfig(feature_dim=3, embed_dim=4, vocab_size=len(vocab)),
+                       np.random.default_rng(0))
+    return vocab, model, ("ball", np.random.default_rng(1).normal(size=(4, 3)), 2)
+
+
 @pytest.mark.parametrize("word,answer,candidates,message", [
     ("dog", True, ONES, ANSWER + "True"),
     ("dog", False, ONES, ANSWER + "False"),
@@ -437,21 +446,34 @@ def with_one(value):
     ("dog", 1, with_one(np.nan), SHAPE),
     ("dog", 1, with_one(np.inf), SHAPE),
     ("dog", 1, with_one(-np.inf).astype(np.float32), SHAPE),
+    ("dog", 1, with_one(1e39), SHAPE),
+    ("dog", 1, with_one(-1e39), SHAPE),
 ], ids=["true", "false", "seven", "negative", "float", "none", "three-frames",
         "narrow", "three-d", "list", "unhashable-word", "int-word", "bytes-word", "strings",
-        "complex", "objects", "nan", "inf", "float32-minus-inf"])
+        "complex", "objects", "nan", "inf", "float32-minus-inf", "beyond-float32",
+        "below-float32"])
 def test_evaluate_names_the_trial_of_a_malformed_answer_or_candidates(word, answer, candidates,
                                                                       message):
     # An answer of True used to score as 1, and an answer of 7 as a silent
     # miss; an unhashable word raised TypeError, string candidates ValueError,
-    # and a NaN candidate a NumericsError with no trial in it.
-    vocab = build_vocabulary(["ball dog"] * (MIN_FREQUENCY + 1))
-    model = Model.init(ModelConfig(feature_dim=3, embed_dim=4, vocab_size=len(vocab)),
-                       np.random.default_rng(0))
-    good = ("ball", np.random.default_rng(1).normal(size=(4, 3)), 2)
+    # and a NaN candidate a NumericsError with no trial in it; a float64
+    # candidate beyond float32's range overflowed in encode_frames' cast.
+    vocab, model, good = scorer()
     with pytest.raises(DataError, match="^" + re.escape(f"trial 2: {message}") + "$"):
         evaluate(model, vocab, [good, (word, candidates, answer)])
     assert evaluate(model, vocab, [good])["trials"] == 1
+
+
+def test_evaluate_takes_a_candidate_at_the_float32_max():
+    # The bound is the parameters' own float32 max, which the cast keeps. The
+    # model ignores feature 1, so that value meets no arithmetic.
+    vocab, model, good = scorer()
+    model.params["vis.proj_w"].data[:, 1] = 0.0
+    top = float(np.finfo(np.float32).max)
+    for value in (top, -top):
+        frames = good[1].copy()
+        frames[2, 1] = value
+        assert evaluate(model, vocab, [good, ("dog", frames, 1)])["trials"] == 2
 
 
 def test_eval_refuses_a_vocabulary_that_is_not_the_models(bench_runs, tmp_path):
