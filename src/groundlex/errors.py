@@ -16,10 +16,11 @@ class ShapeError(GroundlexError):
 
 
 class NumericsError(GroundlexError):
-    """A numerical operation produced non-finite values."""
+    """A numerical operation produced non-finite values, or met a row it has none for (`row`)."""
 
-    def __init__(self, op: str, message: str = "produced non-finite values"):
+    def __init__(self, op: str, message: str = "produced non-finite values", row=None):
         super().__init__(f"{op}: {message}")
+        self.row = row  # that row's index over the leading axes, where the op names one
 
 
 class DataError(GroundlexError):

@@ -28,8 +28,7 @@ takes the left tensor's, so a float32 graph never promotes to float64.
 approximation, which keeps it within 5e-7·max(1, |x|) of float64 GELU, and
 in float64 it is ``math.erf``, value by value: the tests' dtype.
 Batches are 2-D: ``embed`` and ``embedding_mean`` take ids (N, T), and a
-single row is not promoted to one. ``l2_normalize`` raises NumericsError on
-an exact zero row, which has no direction.
+single row is not promoted to one.
 Every dropout mask, ``dropout``'s, ``embed``'s and ``embedding_mean``'s, is
 drawn by ``_dropout_mask`` from raw 16-bit lanes of the generator's output,
 not from float64 uniforms, so float32 and float64 runs drop the same values.
@@ -544,11 +543,11 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def l2_normalize(a: Tensor) -> Tensor:
-    """Scale to unit L2 norm along the last axis. An exact zero vector has
-    no direction and raises NumericsError."""
+    """Scale to unit L2 norm along the last axis. A row of norm 0 has no
+    direction: the first raises NumericsError with its index as `row`."""
     norm = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
     if not norm.all():
-        raise NumericsError("l2_normalize", "zero vector")
+        raise NumericsError("l2_normalize", "zero vector", int(np.argmin(norm)))
     y = a.data / norm
 
     def bw(g):

@@ -9,11 +9,12 @@ import math
 import numpy as np
 
 from .corpus import EOS_ID, PAD_ID, Vocabulary
-from .encoders import PARAM_DTYPE, Model, encode_frames, encode_utterances, lm_logits
-from .errors import DataError
+from .encoders import Model, encode_frames, encode_utterances, lm_logits
+from .errors import DataError, NumericsError
 from .objectives import contrastive_loss, joint_loss, lm_loss
 from .optim import AdamWState, adamw_step
-from .tensor import Tensor, no_grad
+from .pairing import FEATURE_LIMIT, _within_limit
+from .tensor import Tensor, l2_normalize, no_grad
 
 CANDIDATES = 4  # frames per trial; chance is one in CANDIDATES
 
@@ -48,16 +49,16 @@ def step(model: Model, state: AdamWState, feats: np.ndarray, ids: np.ndarray,
 
 def evaluate(model: Model, vocab: Vocabulary,
              trials: list[tuple[str, np.ndarray, int]]) -> dict:
-    """Score trials of (word, candidate frames (4, F), answer index) with one
-    no-grad forward per side, each distinct word once as [word, <eos>].
-    Returns the picks, the accuracy with its exact (Clopper-Pearson) binomial
-    95% interval beside 0.25 chance (``_clopper_pearson``), and each word's
-    accuracy. A word that is not a string in the vocabulary, an answer that is not an
-    int in 0-3, or candidates that are not a real (4, F) array finite in the parameters'
-    dtype, checked with no cast, raise DataError naming the trial, counted from 1."""
+    """Score trials of (word, candidate frames (4, F), answer index) by cosine: one
+    no-grad forward per side, each distinct word once as [word, <eos>], then unit rows
+    (``l2_normalize``). Returns the picks, the accuracy with its exact (Clopper-Pearson)
+    binomial 95% interval beside 0.25 chance (``_clopper_pearson``), and each word's
+    accuracy. A word that is not a string in the vocabulary, an answer that is not an int
+    in 0-3, candidates not a real (4, F) array ``_within_limit``, or a word or candidate
+    that embeds to the zero vector raise DataError naming the trial, from 1 (a word's first)."""
     if not trials:
         raise DataError("evaluate: no trials")
-    want, top = (CANDIDATES, model.config.feature_dim), np.finfo(PARAM_DTYPE).max
+    want = (CANDIDATES, model.config.feature_dim)
     for i, (word, frames, answer) in enumerate(trials, 1):
         if not isinstance(word, str):
             raise DataError(f"trial {i}: word must be a string, got {word!r}")
@@ -66,8 +67,8 @@ def evaluate(model: Model, vocab: Vocabulary,
         if type(answer) is not int or not 0 <= answer < CANDIDATES:
             raise DataError(f"trial {i}: answer must be an integer in 0-3, got {answer!r}")
         if (not isinstance(frames, np.ndarray) or frames.shape != want
-                or frames.dtype.kind not in "iuf" or not (np.abs(frames) <= top).all()):
-            raise DataError(f"trial {i}: candidates must be a finite real array of shape {want}")
+                or frames.dtype.kind not in "iuf" or not _within_limit(frames).all()):
+            raise DataError(f"trial {i}: candidates must be {want} reals in ±{FEATURE_LIMIT}")
     n = len(trials)
     feats = np.stack([f for _, f, _ in trials])
     words = sorted({w for w, _, _ in trials})
@@ -75,9 +76,13 @@ def evaluate(model: Model, vocab: Vocabulary,
     with no_grad():
         u = encode_utterances(model, [[vocab.id_of(w), EOS_ID] for w in words]).data[row]
         f = encode_frames(model, feats.reshape(n * CANDIDATES, -1)).data.reshape(n, CANDIDATES, -1)
-    sims = np.einsum("nkd,nd->nk", f, u) / (np.linalg.norm(f, axis=2)
-                                            * np.linalg.norm(u, axis=1)[:, None])
-    picks = sims.argmax(axis=1)
+        try:  # each trial's word, then its candidates
+            unit = l2_normalize(Tensor(np.concatenate([u[:, None], f], axis=1))).data
+        except NumericsError as exc:
+            i, at = divmod(exc.row, 1 + CANDIDATES)
+            side = f"candidate {at - 1}" if at else f"word {trials[i][0]!r}"
+            raise DataError(f"trial {i + 1}: {side} embeds to the zero vector") from exc
+    picks = np.einsum("nkd,nd->nk", unit[:, 1:], unit[:, 0]).argmax(axis=1)
     hits = picks == np.array([a for _, _, a in trials])
     k = int(hits.sum())
     per_word = {w: {"trials": int((row == j).sum()), "accuracy": float(hits[row == j].mean())}

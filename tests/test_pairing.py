@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -18,8 +19,8 @@ import groundlex.pairing as pairing
 from groundlex.corpus import UtteranceRecord, build_vocabulary, encode
 from groundlex.errors import DataError
 from groundlex.pairing import (
-    FRAME_PERIOD, FRAMES_PER_UTTERANCE, RESOLVE_TOLERANCE, EpisodePair, FeatureStore,
-    FrameFeature, build_pairs, load_feature_store, sample_frame,
+    FEATURE_LIMIT, FRAME_PERIOD, FRAMES_PER_UTTERANCE, RESOLVE_TOLERANCE, EpisodePair,
+    FeatureStore, FrameFeature, build_pairs, load_feature_store, sample_frame,
 )
 
 
@@ -321,6 +322,9 @@ def test_load_finds_every_run(tmp_path, layout):
     assert_loads_like_add_video(path, 3, frames)
 
 
+BAD_VALUE = f"non-finite timestamp or feature not within ±{FEATURE_LIMIT}"
+
+
 @pytest.mark.parametrize("layout,bad,field,frame", [
     ([("v", 5)], 2, "feature", 2),
     ([("v", 5)], 3, "timestamp", 3),
@@ -341,25 +345,24 @@ def test_load_rejects_non_finite_values(tmp_path, layout, bad, field, frame):
     frames[bad] = (vid, t, vec)
     path = tmp_path / "bad.glfx"
     write_glfx_frames(path, 3, frames)
-    with pytest.raises(DataError, match=f"^non-finite timestamp or float32 feature in video "
-                                        f"'v' at frame {frame}$"):
+    with pytest.raises(DataError, match=f"^{re.escape(BAD_VALUE)} in video 'v' at frame {frame}$"):
         load_feature_store(path)
 
 
-F32_MAX = float(np.finfo(np.float32).max)
-
-
-@pytest.mark.parametrize("value", [np.nextafter(F32_MAX, np.inf), -1e39, 1e300, np.nan, -np.inf],
-                         ids=["just-above-the-max", "-1e39", "1e300", "nan", "-inf"])
+@pytest.mark.parametrize("value", [np.nextafter(FEATURE_LIMIT, np.inf), -1e39, 1e300, np.nan,
+                                   -np.inf, np.nextafter(-FEATURE_LIMIT, -np.inf), 1e18],
+                         ids=["just-above-the-max", "-1e39", "1e300", "nan", "-inf",
+                              "just-below-the-min", "1e18"])
 def test_a_feature_beyond_float32_is_refused_by_add_video_and_the_load(tmp_path, value):
-    # The store holds float32 features, so a finite float64 that float32
-    # cannot hold is refused as NaN and Inf are, by a check made before the
-    # cast: no overflow warning escapes, even when warnings are errors.
+    # A feature beyond ±FEATURE_LIMIT, where the vision layer norm's variance
+    # could overflow float32 (1e18 does at F = 768, D = 512), is refused as
+    # NaN and Inf are, by a check made before the cast: no overflow warning
+    # escapes, even when warnings are errors.
     feats = np.ones((5, 3))
     feats[3, 2] = value
     path = tmp_path / "big.glfx"
     write_glfx_frames(path, 3, [("v", t, vec) for t, vec in zip(stored_times(5), feats)])
-    message = "^non-finite timestamp or float32 feature in video 'v' at frame 3$"
+    message = f"^{re.escape(BAD_VALUE)} in video 'v' at frame 3$"
     store = FeatureStore(3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -371,10 +374,10 @@ def test_a_feature_beyond_float32_is_refused_by_add_video_and_the_load(tmp_path,
 
 
 def test_float32s_extreme_values_are_kept(tmp_path):
-    # Its largest finite values and its smallest subnormal pass the check
+    # ±FEATURE_LIMIT itself and float32's smallest subnormal pass the check
     # and come back exactly; a float64 below float32's range rounds to 0.
     tiny = float(np.finfo(np.float32).smallest_subnormal)
-    feats = np.array([[F32_MAX, -F32_MAX, tiny, 1e-300]])
+    feats = np.array([[FEATURE_LIMIT, -FEATURE_LIMIT, tiny, 1e-300]])
     store = FeatureStore(4)
     path = tmp_path / "edge.glfx"
     with warnings.catch_warnings():
@@ -382,7 +385,7 @@ def test_float32s_extreme_values_are_kept(tmp_path):
         store.add_video("v", [0.0], feats)
         store.save(path)
         row = load_feature_store(path).resolve("v", 0.0).features
-    want = np.array([F32_MAX, -F32_MAX, tiny, 0.0], dtype=np.float32)
+    want = np.array([FEATURE_LIMIT, -FEATURE_LIMIT, tiny, 0.0], dtype=np.float32)
     assert row.tobytes() == store._features["v"].tobytes() == want.tobytes()
 
 

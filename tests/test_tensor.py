@@ -334,8 +334,9 @@ def test_l2_normalize_unit_norm_property():
 
 
 def test_l2_normalize_zero_row_raises_directly_and_through_the_contrastive_loss():
-    # A zero row has no direction. Live embeddings never hit one: they come
-    # out of layer_norm or are a dropout-masked mean over many values.
+    # A zero row has no direction. A live embedding can be one: an all-zero
+    # frame comes out of a fresh model's layer norm as its zero bias, and
+    # ``evaluate`` names the trial of such a row (tests/test_train.py).
     x = rng(23).normal(size=(3, 4))
     x[1] = 0.0
     with pytest.raises(NumericsError, match="^l2_normalize: zero vector"):
@@ -344,6 +345,15 @@ def test_l2_normalize_zero_row_raises_directly_and_through_the_contrastive_loss(
     for frames, utts in ((Tensor(x), other), (other, Tensor(x))):
         with pytest.raises(NumericsError, match="^l2_normalize: "):
             contrastive_loss(frames, utts)
+
+
+def test_l2_normalize_names_its_first_zero_row_over_the_leading_axes():
+    x = rng(25).normal(size=(2, 3, 4))
+    x[1, 2] = x[1, 0] = 0.0
+    with pytest.raises(NumericsError, match="^l2_normalize: zero vector$") as caught:
+        l2_normalize(Tensor(x))
+    assert caught.value.row == 3
+    assert NumericsError("matmul").row is None
 
 
 def _embedding_add_at_reference(table_shape, ids, g):

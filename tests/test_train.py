@@ -9,6 +9,7 @@ import statistics
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from groundlex.corpus import EOS_ID, MIN_FREQUENCY, PAD_ID, build_vocabulary
 from groundlex.encoders import Model, ModelConfig, load_checkpoint
 from groundlex.errors import DataError
 from groundlex.optim import AdamWState
-from groundlex.pairing import FeatureStore, load_feature_store
+from groundlex.pairing import FEATURE_LIMIT, FeatureStore, load_feature_store
 from groundlex.train import CANDIDATES, evaluate, step
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -407,7 +408,7 @@ def test_eval_refuses_a_frame_time_or_video_id_of_another_type(tmp_path, frame):
 
 
 ANSWER = "answer must be an integer in 0-3, got "
-SHAPE = "candidates must be a finite real array of shape (4, 3)"
+SHAPE = f"candidates must be (4, 3) reals in ±{FEATURE_LIMIT}"
 WORD = "word must be a string, got "
 ONES = np.ones((4, 3))
 
@@ -448,16 +449,24 @@ def scorer():
     ("dog", 1, with_one(-np.inf).astype(np.float32), SHAPE),
     ("dog", 1, with_one(1e39), SHAPE),
     ("dog", 1, with_one(-1e39), SHAPE),
+    ("dog", 1, with_one(np.nextafter(FEATURE_LIMIT, np.inf)), SHAPE),
+    ("dog", 1, with_one(np.nextafter(-FEATURE_LIMIT, -np.inf)), SHAPE),
+    ("dog", 1, with_one(FEATURE_LIMIT + 1).astype(np.int64), SHAPE),
+    ("dog", 1, with_one(-2**63).astype(np.int64), SHAPE),
+    ("dog", 1, ONES * (np.arange(4) != 1)[:, None], "candidate 1 embeds to the zero vector"),
 ], ids=["true", "false", "seven", "negative", "float", "none", "three-frames",
         "narrow", "three-d", "list", "unhashable-word", "int-word", "bytes-word", "strings",
         "complex", "objects", "nan", "inf", "float32-minus-inf", "beyond-float32",
-        "below-float32"])
+        "below-float32", "just-beyond-the-limit", "just-below-the-limit",
+        "int-beyond-the-limit", "int64-min", "zero-candidate"])
 def test_evaluate_names_the_trial_of_a_malformed_answer_or_candidates(word, answer, candidates,
                                                                       message):
     # An answer of True used to score as 1, and an answer of 7 as a silent
     # miss; an unhashable word raised TypeError, string candidates ValueError,
     # and a NaN candidate a NumericsError with no trial in it; a float64
-    # candidate beyond float32's range overflowed in encode_frames' cast.
+    # candidate beyond float32's range overflowed in encode_frames' cast. An
+    # all-zero candidate, which a fresh model embeds to the zero vector, had
+    # a NaN cosine and was picked.
     vocab, model, good = scorer()
     with pytest.raises(DataError, match="^" + re.escape(f"trial 2: {message}") + "$"):
         evaluate(model, vocab, [good, (word, candidates, answer)])
@@ -465,15 +474,39 @@ def test_evaluate_names_the_trial_of_a_malformed_answer_or_candidates(word, answ
 
 
 def test_evaluate_takes_a_candidate_at_the_float32_max():
-    # The bound is the parameters' own float32 max, which the cast keeps. The
+    # The bound is FEATURE_LIMIT, the stores' own, and holds at its edge. The
     # model ignores feature 1, so that value meets no arithmetic.
     vocab, model, good = scorer()
     model.params["vis.proj_w"].data[:, 1] = 0.0
-    top = float(np.finfo(np.float32).max)
-    for value in (top, -top):
+    for value in (FEATURE_LIMIT, -FEATURE_LIMIT):
         frames = good[1].copy()
         frames[2, 1] = value
         assert evaluate(model, vocab, [good, ("dog", frames, 1)])["trials"] == 2
+
+
+def test_evaluate_names_the_first_trial_of_a_word_that_embeds_to_zero():
+    # A cvcl word is the mean of its and <eos>'s token and position rows.
+    vocab, model, good = scorer()
+    for table, rows in (("lang.tok_emb", [vocab.id_of("dog"), EOS_ID]), ("lang.pos_emb", [0, 1])):
+        model.params[table].data[rows] = 0.0
+    trials = [good, ("dog", good[1], 0), ("dog", good[1], 1)]
+    with pytest.raises(DataError, match=r"^trial 2: word 'dog' embeds to the zero vector$"):
+        evaluate(model, vocab, trials)
+
+
+def test_evaluate_refuses_candidates_that_would_overflow_the_vision_layer_norm():
+    # N(0, 1) candidates scaled by 1e18 overflow the layer norm's float32
+    # variance at F = 768 and D = 512, and used to embed as vis.ln_b: every
+    # cosine NaN and candidate 0 picked.
+    vocab = build_vocabulary(["ball dog"] * (MIN_FREQUENCY + 1))
+    model = Model.init(ModelConfig(vocab_size=len(vocab)), np.random.default_rng(0))
+    frames = np.random.default_rng(1).normal(size=(CANDIDATES, 768))
+    assert len(evaluate(model, vocab, [("ball", frames, 0)])["picks"]) == 1
+    message = f"trial 2: candidates must be (4, 768) reals in ±{FEATURE_LIMIT}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+            evaluate(model, vocab, [("ball", frames, 0), ("dog", frames * 1e18, 0)])
 
 
 def test_eval_refuses_a_vocabulary_that_is_not_the_models(bench_runs, tmp_path):
