@@ -107,11 +107,6 @@ class ModelConfig:
         return asdict(self)
 
 
-def _xavier_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out)).T
-
-
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every trainable parameter, in init order; weights are (out, in)."""
     d = cfg.embed_dim
@@ -162,21 +157,22 @@ class Model:
         """Fresh trainable parameters: embeddings ~ N(0, 0.02^2), projections
         Xavier-uniform, each drawn (in, out), the draw every seed depends on, and
         stored (out, in); layer-norm affines at (1, 0). Draws follow the
-        ``param_shapes`` order, in float64, each cast to C-order float32 in slabs
-        before the next, so init holds one float64 draw at a time. It calls
-        ``_hold_freed_memory`` before the first draw; ``ModelConfig`` bounds the sizes."""
+        ``param_shapes`` order, in float64, 64 rows of a draw at a time, each slab
+        cast into the C-order float32 parameter before the next, so init holds one
+        64-row float64 slab at a time. It calls ``_hold_freed_memory`` before the
+        first draw; ``ModelConfig`` bounds the sizes."""
         _hold_freed_memory()
         params: dict[str, Tensor] = {}
         for name, shape in param_shapes(cfg).items():
-            if name.endswith("_emb"):
-                arr = rng.normal(0.0, 0.02, size=shape)
-            elif len(shape) == 2:
-                arr = _xavier_uniform(rng, *shape)
-            else:
-                arr = np.full(shape, 1.0 if name.endswith("_g") else 0.0)
             data = np.empty(shape, PARAM_DTYPE)
-            for i in range(0, shape[-1], 64):  # 64 columns: 64 whole rows of an (in, out) draw
-                data[..., i:i + 64] = arr[..., i:i + 64]
+            if len(shape) == 1:
+                data[:] = 1.0 if name.endswith("_g") else 0.0
+            else:
+                rows = data if name.endswith("_emb") else data.T  # as drawn: (in, out)
+                bound = math.sqrt(6.0 / sum(shape))
+                for slab in (rows[i:i + 64] for i in range(0, len(rows), 64)):
+                    slab[...] = (rng.normal(0.0, 0.02, slab.shape) if name.endswith("_emb")
+                                 else rng.uniform(-bound, bound, slab.shape))
             params[name] = Tensor(data, requires_grad=True)
         return cls(config=cfg, params=params)
 
@@ -331,7 +327,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
         fh.write(struct.pack("<II", GLCK_VERSION, len(config)))
         fh.write(config)
         for name in sorted(shapes):
-            fh.write(np.ascontiguousarray(model.params[name].data, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(model.params[name].data, dtype="<f4"))
 
 
 def load_checkpoint(path: str | Path) -> Model:

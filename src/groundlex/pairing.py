@@ -5,11 +5,11 @@ video's frames sorted by time: float64 timestamps, and float32 features,
 the models' dtype, as an (n, F) array or, for a loaded video, as the byte
 offset of each `<f8` row in the file, which a reader reads through the page
 cache and casts (`_FileRows`); a feature lies within ±`FEATURE_LIMIT`. The load
-checks the file in blocks of at most `_READ_BYTES` read into one buffer, and
-maps none of it. The file must not be rewritten in place while the store or
-a pair lives: `FeatureStore.save` replaces a file, never rewrites it. A
-video has at least one frame, since GLFX writes a video only through its
-frames. A frame is found by its video and an instant through
+checks the file, and `FeatureStore.save` writes it, in blocks of at most
+`_BLOCK_BYTES` (or one frame); the load maps none of it. The file must
+not be rewritten in place while the store or a pair lives: `save` replaces
+a file. A video has at least one frame, since GLFX writes a video only
+through its frames. A frame is found by its video and an instant through
 `FeatureStore.resolve`.
 Each utterance is paired with up to 16 frames sampled at 3.75 fps from its
 start timestamp; schedule instants resolve to the nearest stored frame within
@@ -39,7 +39,7 @@ RESOLVE_TOLERANCE = 0.5 * FRAME_PERIOD
 GLFX_MAGIC = b"GLFX"
 GLFX_VERSION = 1
 
-_READ_BYTES = 1 << 19  # the most one block of `load_feature_store`'s scan reads, or one frame
+_BLOCK_BYTES = 1 << 19  # the most a block that the load reads or `save` writes holds, or one frame
 # The largest |feature| a store or a trial takes. F features within ±L and weights within
 # ±w give |h| <= F·w·L; the vision layer norm's variance sums D squares <= (2·F·w·L)², so
 # 4·D·(F·w·L)² = 2**126 < 2**128 for F, D <= 2**16 and w <= 2**8: no overflow in float32.
@@ -160,8 +160,9 @@ class FeatureStore:
     def save(self, path: str | Path) -> None:
         """Little-endian binary: header {magic, version u32, F u32, count u64},
         then per frame {video_id u32-length-prefixed UTF-8, timestamp f64,
-        F x f64 (float32 widened)}. Videos go in sorted id order; the rows of a
-        video's arrays are written as one packed structured array, in time order.
+        F x f64 (float32 widened)}. Videos go in sorted id order, each in time order,
+        in runs of packed frames through one buffer per video of at most the load's
+        block: the writer holds about one block, however long a video.
 
         ``replacing`` writes it, so a store loaded from `path` keeps reading the
         old file's bytes and a failed write leaves `path` as it was."""
@@ -169,15 +170,16 @@ class FeatureStore:
             fh.write(GLFX_MAGIC)
             fh.write(struct.pack("<IIQ", GLFX_VERSION, self.feature_dim, len(self)))
             for vid in sorted(self._timestamps):
-                vid_bytes = vid.encode("utf-8")
-                ts = self._timestamps[vid]
-                frames = np.empty(len(ts), _glfx_frame(len(vid_bytes), self.feature_dim))
-                frames["vid_len"] = len(vid_bytes)
-                frames["vid"] = np.frombuffer(vid_bytes, dtype=np.uint8)
-                frames["t"] = ts
-                f = self._features[vid]  # a loaded video's are read row by row
-                frames["f"] = f if isinstance(f, np.ndarray) else [f[i] for i in range(len(ts))]
-                fh.write(frames)
+                vid_bytes, ts, f = vid.encode("utf-8"), self._timestamps[vid], self._features[vid]
+                frame = _glfx_frame(len(vid_bytes), self.feature_dim)
+                frames = np.empty(min(len(ts), max(1, _BLOCK_BYTES // frame.itemsize)), frame)
+                frames["vid_len"], frames["vid"] = len(vid_bytes), np.frombuffer(vid_bytes, "u1")
+                for i in range(0, len(ts), len(frames)):
+                    run = frames[:len(ts) - i]
+                    run["t"] = ts[i:i + len(run)]
+                    run["f"] = (f[i:i + len(run)] if isinstance(f, np.ndarray)
+                                else [f[j] for j in range(i, i + len(run))])  # read row by row
+                    fh.write(run)
 
 
 def _in_time_order(ts: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,7 +212,7 @@ def load_feature_store(path: str | Path) -> FeatureStore:
     store that reads each video's feature rows from the file (`_FileRows`).
 
     Each step reads the header of the frame at the current position through
-    the file, then reads up to `_READ_BYTES` of whole frames of that size
+    the file, then reads up to `_BLOCK_BYTES` of whole frames of that size
     (one frame, when a frame is larger) as a record array, cut at its first
     frame of another video. The block's timestamps are copied out and its
     values checked (`_check_finite`), so the load holds about one block,
@@ -245,11 +247,11 @@ def load_feature_store(path: str | Path) -> FeatureStore:
                 read_exact(fh, 8 * dim, path)
             frame = _glfx_frame(vid_len, dim)
             fh.seek(start)
-            n = max(1, min(left, _READ_BYTES // frame.itemsize, bytes_left(fh) // frame.itemsize))
+            n = max(1, min(left, _BLOCK_BYTES // frame.itemsize, bytes_left(fh) // frame.itemsize))
             nbytes = n * frame.itemsize
             if len(buf) < nbytes:
                 buf = None  # the old buffer goes before the new one comes
-                buf = np.empty(max(_READ_BYTES, nbytes), np.uint8)
+                buf = np.empty(max(_BLOCK_BYTES, nbytes), np.uint8)
             if fh.readinto(buf[:nbytes]) != nbytes:
                 raise DataError(f"{path}: file truncated at byte {fh.tell()}")
             block = buf[:nbytes].reshape(n, -1)

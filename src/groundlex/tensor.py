@@ -543,9 +543,16 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def l2_normalize(a: Tensor) -> Tensor:
-    """Scale to unit L2 norm along the last axis. A row of norm 0 has no
-    direction: the first raises NumericsError with its index as `row`."""
-    norm = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
+    """Scale to unit L2 norm along the last axis; a row whose sum of squares is not
+    finite or below the least normal value takes its norm over its largest |value|.
+    A row of norm 0 has no direction: the first raises NumericsError with its index as `row`."""
+    tiny = np.finfo(a.data.dtype).tiny
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
+    odd = ~((norm >= np.sqrt(tiny)) & (norm < np.inf))[..., 0]
+    if odd.any():  # `tiny` leaves a zero row's norm 0 and divides no 0 by 0
+        top = np.maximum(np.abs(a.data[odd]).max(-1, keepdims=True), tiny)
+        norm[odd] = top * np.linalg.norm(a.data[odd] / top, axis=-1, keepdims=True)
     if not norm.all():
         raise NumericsError("l2_normalize", "zero vector", int(np.argmin(norm)))
     y = a.data / norm

@@ -15,7 +15,7 @@ import pytest
 
 from groundlex.corpus import EOS_ID, PAD_ID
 from groundlex.encoders import (
-    GLCK_VERSION, Model, ModelConfig, encode_frames, encode_utterances, lm_logits,
+    GLCK_VERSION, VARIANTS, Model, ModelConfig, encode_frames, encode_utterances, lm_logits,
     load_checkpoint, param_shapes, save_checkpoint,
 )
 from groundlex.errors import DataError, NumericsError, ShapeError
@@ -663,53 +663,68 @@ def test_checkpoint_whose_config_disagrees_with_its_values_is_rejected(tmp_path,
                                 f"{len(model.params)} parameters, from byte {len(blob) - 4 * d}")
 
 
+# The bench's shapes, with T at the larger workload's 24, and sizes that are no
+# multiple of init's 64-row slabs: F, D, V, T and D·ff_mult.
+BENCH_SHAPES = dict(feature_dim=768, embed_dim=512, vocab_size=2003, max_len=24)
+ODD_SHAPES = dict(feature_dim=131, embed_dim=72, vocab_size=197, max_len=65, n_heads=4, ff_mult=3)
+
+
 def test_init_params_draw_order_is_unchanged():
     # The draw sequence every seeded run and checkpoint depends on: float64
     # draws, as before float32 training, then cast to float32. Weights are
     # drawn (in, out), as when they were stored that way, and stored (out, in).
-    cfg = toy_config("cvcl_t_lm")
-    d, ff = cfg.embed_dim, cfg.ff_mult * cfg.embed_dim
-    rng = np.random.default_rng(9)
+    # The reference draws each parameter whole, init 64 rows at a time; both
+    # must leave the generator in the same state.
+    for variant in VARIANTS:
+        for shapes in ({}, BENCH_SHAPES, ODD_SHAPES):
+            cfg = toy_config(variant, **shapes)
+            d, ff = cfg.embed_dim, cfg.ff_mult * cfg.embed_dim
+            rng = np.random.default_rng(9)
 
-    def xavier(fan_in, fan_out):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out)).T
+            def xavier(fan_in, fan_out):
+                bound = np.sqrt(6.0 / (fan_in + fan_out))
+                return rng.uniform(-bound, bound, size=(fan_in, fan_out)).T
 
-    expected = {"vis.proj_w": xavier(cfg.feature_dim, d),
-                "lang.tok_emb": rng.normal(0.0, 0.02, size=(cfg.vocab_size, d)),
-                "lang.pos_emb": rng.normal(0.0, 0.02, size=(cfg.max_len, d))}
-    for i in range(cfg.n_layers):
-        for name in ("wq", "wk", "wv", "wo"):
-            expected[f"lang.layer{i}.{name}"] = xavier(d, d)
-        expected[f"lang.layer{i}.ff1_w"] = xavier(d, ff)
-        expected[f"lang.layer{i}.ff2_w"] = xavier(ff, d)
-    params = Model.init(cfg, np.random.default_rng(9)).params
-    assert len(params) == 6 + 16 * cfg.n_layers + 2
-    for name, p in params.items():
-        assert p.data.dtype == np.float32, name
-        if name in expected:
-            assert p.data.flags.c_contiguous, name
-            assert p.data.tobytes() == expected[name].astype(np.float32).tobytes(), name
-        else:
-            fill = 1.0 if name.endswith("_g") else 0.0
-            assert p.data.ndim == 1 and np.all(p.data == fill), name
+            expected = {"vis.proj_w": xavier(cfg.feature_dim, d),
+                        "lang.tok_emb": rng.normal(0.0, 0.02, size=(cfg.vocab_size, d)),
+                        "lang.pos_emb": rng.normal(0.0, 0.02, size=(cfg.max_len, d))}
+            for i in range(cfg.n_layers if cfg.uses_transformer else 0):
+                for name in ("wq", "wk", "wv", "wo"):
+                    expected[f"lang.layer{i}.{name}"] = xavier(d, d)
+                expected[f"lang.layer{i}.ff1_w"] = xavier(d, ff)
+                expected[f"lang.layer{i}.ff2_w"] = xavier(ff, d)
+            init_rng = np.random.default_rng(9)
+            params = Model.init(cfg, init_rng).params
+            assert init_rng.bit_generator.state == rng.bit_generator.state, (variant, shapes)
+            assert len(params) == 6 + (16 * cfg.n_layers + 2) * cfg.uses_transformer
+            for name, p in params.items():
+                assert p.data.dtype == np.float32, name
+                if name in expected:
+                    assert p.data.flags.c_contiguous, name
+                    assert p.data.tobytes() == expected[name].astype(np.float32).tobytes(), name
+                else:
+                    fill = 1.0 if name.endswith("_g") else 0.0
+                    assert p.data.ndim == 1 and np.all(p.data == fill), name
 
 
 def test_init_holds_one_float64_draw_at_a_time():
-    # At the bench's cvcl_t_lm shapes: the float32 parameters (31 MB), the
-    # largest single float64 draw (an (in, out) ff1_w, 8.4 MB) and 1 MiB of
-    # slack. Drawing every parameter before casting any held all 62 MB of draws.
-    cfg = ModelConfig("cvcl_t_lm", feature_dim=768, embed_dim=512, vocab_size=2003, max_len=24)
-    shapes = param_shapes(cfg).values()
-    bound = sum(4 * math.prod(s) for s in shapes) + max(8 * math.prod(s) for s in shapes) + 2**20
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        Model.init(cfg, np.random.default_rng(1))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound
+    # At both bench configs: the float32 parameters (5.7 MB for cvcl, 31 MB
+    # for cvcl_t_lm) and 1 MiB, which holds init's largest 64-row float64
+    # slab (ff1_w's, 64 x 2048 x 8 bytes, before the later layers' parameters
+    # exist). Drawing each parameter whole held its float64 draw: 8.2 MB for
+    # lang.tok_emb, 8.4 MB for an ff weight.
+    Model.init(toy_config(), np.random.default_rng(0))  # load what the first call loads
+    for variant, max_len in (("cvcl", 12), ("cvcl_t_lm", 24)):
+        cfg = ModelConfig(variant, **dict(BENCH_SHAPES, max_len=max_len))
+        params = sum(4 * math.prod(s) for s in param_shapes(cfg).values())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            Model.init(cfg, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - params < 1 << 20, (variant, peak - params)
 
 
 def test_a_gradient_lives_from_backward_to_update(tmp_path):

@@ -260,6 +260,69 @@ def test_glfx_writer_bytes_equal_the_per_frame_writer(tmp_path, dim):
     assert (tmp_path / "again.glfx").read_bytes() == (tmp_path / "old.glfx").read_bytes()
 
 
+def write_glfx_per_video(path, store):
+    """The per-video GLFX v1 writer that `FeatureStore.save` replaced: each
+    video's frames as one packed structured array, in time order."""
+    with open(path, "wb") as fh:
+        fh.write(b"GLFX")
+        fh.write(struct.pack("<IIQ", 1, store.feature_dim, len(store)))
+        for vid in sorted(store._timestamps):
+            vid_bytes = vid.encode("utf-8")
+            ts, f = store._timestamps[vid], store._features[vid]
+            frames = np.empty(len(ts), pairing._glfx_frame(len(vid_bytes), store.feature_dim))
+            frames["vid_len"] = len(vid_bytes)
+            frames["vid"] = np.frombuffer(vid_bytes, dtype=np.uint8)
+            frames["t"] = ts
+            frames["f"] = f if isinstance(f, np.ndarray) else [f[i] for i in range(len(ts))]
+            fh.write(frames)
+
+
+@pytest.mark.parametrize("block", [None, 100, 20])
+def test_save_writes_the_bytes_of_the_per_video_writer(tmp_path, monkeypatch, block):
+    # Ids of different byte lengths, frames of 36 to 58 bytes. The default
+    # block holds 13,107 frames of "long"'s, which has more than two blocks'
+    # worth; a 100-byte block holds two frames of a short id and one of a
+    # long id, and every frame is larger than a 20-byte block.
+    dim = 3
+    videos = mixed_videos(dim)
+    n = 2 * (pairing._BLOCK_BYTES // (4 + 4 + 8 + 8 * dim)) + 5
+    videos["long"] = (np.arange(n) * FRAME_PERIOD, np.random.default_rng(1).normal(size=(n, dim)))
+    if block is not None:
+        monkeypatch.setattr(pairing, "_BLOCK_BYTES", block)
+    store = FeatureStore(dim)
+    for vid, (ts, feats) in videos.items():
+        store.add_video(vid, ts, feats)
+    write_glfx_per_video(tmp_path / "old.glfx", store)
+    store.save(tmp_path / "new.glfx")
+    assert (tmp_path / "new.glfx").read_bytes() == (tmp_path / "old.glfx").read_bytes()
+    loaded = load_feature_store(tmp_path / "new.glfx")
+    write_glfx_per_video(tmp_path / "old_loaded.glfx", loaded)
+    loaded.save(tmp_path / "again.glfx")
+    assert (tmp_path / "again.glfx").read_bytes() == (tmp_path / "old.glfx").read_bytes()
+    assert (tmp_path / "old_loaded.glfx").read_bytes() == (tmp_path / "old.glfx").read_bytes()
+
+
+def test_save_holds_about_one_block_however_long_a_video(tmp_path):
+    # One video of 4,000 frames of 768 features, 24.6 MB as GLFX, saved from
+    # memory and from a loaded store: each save holds one block of records
+    # (512 KB) and, for a loaded store, one block's rows read from the file.
+    # Writing a video as one structured array held all 24.6 MB.
+    store = FeatureStore(768)
+    store.add_video("v", stored_times(4000), np.random.default_rng(0).normal(size=(4000, 768)))
+    store.save(tmp_path / "a.glfx")
+    for source, path in ((store, tmp_path / "b.glfx"),
+                         (load_feature_store(tmp_path / "a.glfx"), tmp_path / "c.glfx")):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            source.save(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert path.read_bytes() == (tmp_path / "a.glfx").read_bytes()
+
+
 def assert_loads_like_add_video(path, dim, frames):
     """`load_feature_store(path)` saves the bytes of a store built by
     `add_video` from each video's frames, in file order."""
@@ -290,7 +353,7 @@ def test_load_merges_interleaved_runs_across_read_blocks(tmp_path, monkeypatch, 
         # Reads of at most `block_frames` whole frames of any id length: every
         # run longer than that is read in several blocks and must still come
         # back whole.
-        monkeypatch.setattr(pairing, "_READ_BYTES", int(block_frames * (4 + 8 + 8 * dim)))
+        monkeypatch.setattr(pairing, "_BLOCK_BYTES", int(block_frames * (4 + 8 + 8 * dim)))
     assert_loads_like_add_video(path, dim, frames)
 
 
@@ -407,7 +470,7 @@ def test_a_read_block_is_cut_at_a_foreign_frame(tmp_path, monkeypatch):
     path = tmp_path / "runs.glfx"
     frames = runs_of([("a", 2), ("b", 1), ("a", 5)])
     write_glfx_frames(path, 3, frames)
-    monkeypatch.setattr(pairing, "_READ_BYTES", 8 * (4 + 1 + 8 + 8 * 3))
+    monkeypatch.setattr(pairing, "_BLOCK_BYTES", 8 * (4 + 1 + 8 + 8 * 3))
     loaded = load_feature_store(path)
     assert len(loaded._timestamps["a"]) == 7 and len(loaded._timestamps["b"]) == 1
     assert_loads_like_add_video(path, 3, frames)
@@ -632,13 +695,13 @@ def test_a_loads_memory_is_bounded_by_its_read_blocks(tmp_path):
     make_store(n_videos=2, frames_per_video=8, dim=768).save(tmp_path / "small.glfx")
     path = tmp_path / "feat.glfx"
     make_store(n_videos=1, frames_per_video=2000, dim=768).save(path)
-    assert path.stat().st_size > 8 * pairing._READ_BYTES
+    assert path.stat().st_size > 8 * pairing._BLOCK_BYTES
     src = Path(pairing.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", WARM_HWM_GROWTH, str(tmp_path / "small.glfx"),
                           str(path)], check=True, capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     growth = int(out.stdout)
-    assert growth < 2 * pairing._READ_BYTES + (1 << 20), growth
+    assert growth < 2 * pairing._BLOCK_BYTES + (1 << 20), growth
 
 
 READ_HWM_GROWTH = """

@@ -356,6 +356,29 @@ def test_l2_normalize_names_its_first_zero_row_over_the_leading_axes():
     assert NumericsError("matmul").row is None
 
 
+@pytest.mark.parametrize("scale", [1e-23, 3e19])
+def test_l2_normalize_takes_a_row_whose_sum_of_squares_under_or_overflows(scale):
+    # In float32 a row of 1e-23 squares to 0 and a row of 3e19 to inf, and an
+    # N(0, 1) row at either scale squares partly to subnormals or to inf. Such
+    # a row comes out as it does at scale 1, with scale 1's gradient over
+    # `scale`; every other row keeps the bytes of x / |x|.
+    x = rng(26).normal(size=(4, 768)).astype(np.float32)
+    unit = x / np.linalg.norm(x.astype(np.float64), axis=1, keepdims=True)
+    scaled = x.copy()
+    scaled[1] = scale
+    scaled[2] *= np.float32(scale)
+    a, w = Tensor(scaled, requires_grad=True), rng(27).normal(size=x.shape).astype(np.float32)
+    out = l2_normalize(a)
+    tsum(mul(out, Tensor(w))).backward()
+    kept = x[[0, 3]]
+    plain = kept / np.sqrt((kept * kept).sum(axis=-1, keepdims=True))
+    assert out.data[[0, 3]].tobytes() == plain.tobytes()
+    np.testing.assert_allclose(out.data[1], 768 ** -0.5, rtol=1e-6)
+    np.testing.assert_allclose(out.data[2], unit[2], rtol=1e-5, atol=1e-7)
+    norm = np.linalg.norm(scaled[2].astype(np.float64))
+    np.testing.assert_allclose(a.grad[2] * norm, w[2] - unit[2] * (w[2] @ unit[2]), atol=1e-5)
+
+
 def _embedding_add_at_reference(table_shape, ids, g):
     """The rows of g scattered into a zero table by ``np.add.at``, in g's
     dtype: independent of the library's grouped sums."""
